@@ -1,22 +1,39 @@
 //! Minimal deterministic data parallelism for the kernels.
 //!
-//! Kernels parallelize over output rows with dynamic chunk claiming: workers
-//! pull fixed-size row chunks from a shared cursor, which balances the skewed
-//! per-row work of power-law graphs. Every output row is written by exactly
-//! one thread, so results are bitwise identical to the serial execution
-//! regardless of thread count or claiming order.
+//! Kernels parallelize over output rows with dynamic chunk claiming: the
+//! participating threads pull row chunks from a shared cursor, which
+//! balances the skewed per-row work of power-law graphs. Every output row is
+//! written by exactly one thread, so results are bitwise identical to the
+//! serial execution regardless of thread count or claiming order.
+//!
+//! The participants are the calling thread plus the helpers of one
+//! process-wide pool of `num_threads() - 1` threads. The pool starts on the
+//! first parallel call and its helpers park on a condvar between calls, so a
+//! parallel call costs a wake-up, not a thread spawn and join. The pool runs
+//! one call at a time: a caller that finds it busy (another thread's kernel,
+//! or a kernel called from inside a row closure) claims every chunk itself
+//! on its own thread, so concurrent callers never oversubscribe the helpers,
+//! queue behind each other, or deadlock. A panic in any participant reaches
+//! the caller after every participant has left the call, and the pool stays
+//! usable.
 
-use std::sync::OnceLock;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
-/// Work threshold (in output elements) below which kernels stay serial;
-/// thread spawn overhead dominates under this size.
+/// Work threshold (in output elements) below which kernels stay serial:
+/// a kernel this small runs about as long as it takes to wake a parked
+/// helper (a futex wake-up and a context switch) and move its rows' cache
+/// lines between cores, so splitting it cannot pay.
 pub const PARALLEL_THRESHOLD: usize = 1 << 14;
 
 /// Hard ceiling on kernel worker threads. Applies to both the hardware
-/// default and `GRANII_THREADS` overrides: the work-stealing kernels stop
+/// default and `GRANII_THREADS` overrides: the chunk-claiming kernels stop
 /// scaling well past this on the target machines, and an uncapped override
-/// (e.g. a copy-pasted `GRANII_THREADS=512`) would oversubscribe every
-/// `par_rows` call site.
+/// (e.g. a copy-pasted `GRANII_THREADS=512`) would park that many pool
+/// helpers for the life of the process and wake them all for every large
+/// kernel call.
 pub const MAX_THREADS: usize = 16;
 
 /// Resolves the worker-thread count from an optional `GRANII_THREADS` value
@@ -69,6 +86,203 @@ pub fn num_threads() -> usize {
 /// the atomic fetch.
 const STEAL_CHUNK: usize = 64;
 
+/// Runs `body(chunk)` exactly once for every chunk index in `0..num_chunks`,
+/// and returns after every thread that took part has left.
+///
+/// This is the one parallel entry point behind all the schedulers below.
+/// The calling thread and up to `num_threads() - 1` pool helpers claim
+/// indices from one atomic cursor; with a single chunk, a single configured
+/// thread or a busy pool the caller claims them all itself.
+///
+/// # Panics
+///
+/// Re-raises the first panic of `body`, after every participant has left.
+fn for_each_chunk<F>(num_chunks: usize, body: F)
+where
+    F: Fn(usize) + Sync,
+{
+    let cursor = AtomicUsize::new(0);
+    // The cursor publishes no data (each participant reads only its own
+    // claimed index), so `Relaxed` suffices; the rows written by helpers are
+    // published to the caller through the pool's mutex (`Pool::run`).
+    let claim = || loop {
+        let chunk = cursor.fetch_add(1, Ordering::Relaxed);
+        if chunk >= num_chunks {
+            return;
+        }
+        body(chunk);
+    };
+    let helpers = num_threads().min(num_chunks).saturating_sub(1);
+    if helpers == 0 {
+        claim();
+    } else {
+        pool().run(helpers, &claim);
+    }
+}
+
+/// Helper threads spawned by [`pool`] over the life of the process.
+#[cfg(test)]
+static HELPERS_SPAWNED: AtomicUsize = AtomicUsize::new(0);
+
+/// The process-wide helper pool, starting its `num_threads() - 1` helpers
+/// on first use.
+fn pool() -> &'static Pool {
+    static POOL: Pool = Pool::new();
+    static START: Once = Once::new();
+    START.call_once(|| {
+        let helpers = num_threads() - 1;
+        for i in 0..helpers {
+            let spawned = std::thread::Builder::new()
+                .name(format!("granii-kernel-{i}"))
+                .spawn(|| POOL.serve());
+            if let Err(err) = spawned {
+                // Jobs only wait for helpers that joined, so a short pool
+                // is slower, never wrong.
+                eprintln!("granii: started {i} of {helpers} kernel pool helpers: {err}");
+                break;
+            }
+            #[cfg(test)]
+            HELPERS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    &POOL
+}
+
+/// A pool of parked helper threads that run one job at a time alongside the
+/// job's caller (its owner).
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Helpers park here between jobs.
+    work: Condvar,
+    /// A job's owner waits here for the helpers that joined it to leave.
+    left: Condvar,
+}
+
+struct PoolState {
+    /// The running job, stored from the moment its owner installs it until
+    /// every helper that joined it has left; `Some` means the pool is busy.
+    /// The `'static` lifetime is forged by `Pool::run`, which clears the
+    /// field before the real borrow ends.
+    job: Option<&'static (dyn Fn() + Sync)>,
+    /// Bumped per job, so a helper joins each job at most once.
+    epoch: u64,
+    /// Helpers still allowed to join the running job.
+    slots: usize,
+    /// Helpers inside the running job.
+    active: usize,
+    /// The first panic raised by a helper inside the running job.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Pool {
+    const fn new() -> Self {
+        Pool {
+            state: Mutex::new(PoolState {
+                job: None,
+                epoch: 0,
+                slots: 0,
+                active: 0,
+                panic: None,
+            }),
+            work: Condvar::new(),
+            left: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        // Jobs run outside the lock and nothing under it can panic, so a
+        // poisoned guard still holds consistent state.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `job` on the calling thread and on up to `helpers` helpers, and
+    /// returns once every helper that joined has left. When another job
+    /// holds the pool, runs `job` on the calling thread alone.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the caller's own panic or else the first helper's, after
+    /// every helper that joined has left.
+    fn run(&self, helpers: usize, job: &(dyn Fn() + Sync)) {
+        let mut state = self.lock();
+        if state.job.is_some() {
+            drop(state);
+            job();
+            return;
+        }
+        // SAFETY: helpers copy `job` out of `state.job` only while it is
+        // stored, and use it only between joining (`active += 1`) and
+        // leaving (`active -= 1`), both under the lock. Below, this call
+        // catches its own run's panic, waits on `left` until `active == 0`
+        // and then clears `state.job` before it returns or re-raises, so no
+        // thread can reach `job` — or the buffers it borrows — after this
+        // call ends and the borrow with it.
+        let erased =
+            unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(job) };
+        state.job = Some(erased);
+        state.epoch = state.epoch.wrapping_add(1);
+        state.slots = helpers;
+        drop(state);
+        for _ in 0..helpers {
+            self.work.notify_one();
+        }
+
+        let own = panic::catch_unwind(AssertUnwindSafe(job));
+
+        let mut state = self.lock();
+        state.slots = 0;
+        while state.active > 0 {
+            state = self
+                .left
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.job = None;
+        let helper_panic = state.panic.take();
+        drop(state);
+        if let Err(payload) = own {
+            panic::resume_unwind(payload);
+        }
+        if let Some(payload) = helper_panic {
+            panic::resume_unwind(payload);
+        }
+    }
+
+    /// A helper's life: park until a job with a free slot is installed, run
+    /// it, leave, repeat.
+    fn serve(&self) {
+        let mut seen = 0u64;
+        let mut state = self.lock();
+        loop {
+            match state.job {
+                Some(job) if state.slots > 0 && state.epoch != seen => {
+                    seen = state.epoch;
+                    state.slots -= 1;
+                    state.active += 1;
+                    drop(state);
+                    let result = panic::catch_unwind(AssertUnwindSafe(job));
+                    state = self.lock();
+                    if let Err(payload) = result {
+                        if state.panic.is_none() {
+                            state.panic = Some(payload);
+                        }
+                    }
+                    state.active -= 1;
+                    if state.active == 0 {
+                        self.left.notify_one();
+                    }
+                }
+                _ => {
+                    state = self
+                        .work
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
+            }
+        }
+    }
+}
+
 /// Runs `f(row_index, row_slice)` for every row of a `rows x width` row-major
 /// buffer, in parallel with dynamic (work-stealing) row distribution.
 ///
@@ -86,13 +300,12 @@ const STEAL_CHUNK: usize = 64;
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != rows * width`, or if a worker thread panics.
+/// Panics if `out.len() != rows * width`; re-raises a panic of `f` once
+/// every thread has left the call.
 pub fn par_rows<F>(out: &mut [f32], rows: usize, width: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     assert_eq!(
         out.len(),
         rows * width,
@@ -112,33 +325,19 @@ where
     // Hand each worker a raw view; disjointness is guaranteed by the unique
     // chunk indices handed out by the cursor.
     let base = out.as_mut_ptr() as usize;
-    let cursor = AtomicUsize::new(0);
-    let num_chunks = rows.div_ceil(STEAL_CHUNK);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads.min(num_chunks) {
-            let f = &f;
-            let cursor = &cursor;
-            s.spawn(move |_| loop {
-                let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                if chunk >= num_chunks {
-                    return;
-                }
-                let start = chunk * STEAL_CHUNK;
-                let end = (start + STEAL_CHUNK).min(rows);
-                for r in start..end {
-                    // SAFETY: row `r` belongs exclusively to this chunk, and
-                    // each chunk index is claimed by exactly one worker, so
-                    // no two threads alias this slice. The scope guarantees
-                    // the buffer outlives the workers.
-                    let row = unsafe {
-                        std::slice::from_raw_parts_mut((base as *mut f32).add(r * width), width)
-                    };
-                    f(r, row);
-                }
-            });
+    for_each_chunk(rows.div_ceil(STEAL_CHUNK), |chunk| {
+        let start = chunk * STEAL_CHUNK;
+        let end = (start + STEAL_CHUNK).min(rows);
+        for r in start..end {
+            // SAFETY: row `r` belongs exclusively to this chunk, and each
+            // chunk index is claimed by exactly one thread, so no two threads
+            // alias this slice. `out` stays borrowed until `for_each_chunk`
+            // returns, which `Pool::run` delays until every helper has left.
+            let row =
+                unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(r * width), width) };
+            f(r, row);
         }
-    })
-    .expect("kernel worker thread panicked");
+    });
 }
 
 /// Flat per-row cost (in nnz-equivalents) charged by the weighted schedulers
@@ -189,14 +388,12 @@ fn weighted_bound(indptr: &[u64], target: u64) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != rows * width`, `indptr.len() != rows + 1`, or a
-/// worker thread panics.
+/// Panics if `out.len() != rows * width` or `indptr.len() != rows + 1`;
+/// re-raises a panic of `f` once every thread has left the call.
 pub fn par_rows_weighted<F>(out: &mut [f32], rows: usize, width: usize, indptr: &[u64], f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     assert_eq!(
         out.len(),
         rows * width,
@@ -223,34 +420,21 @@ where
     }
 
     let total = nnz + ROW_BASE_COST * rows as u64;
-    let num_chunks = total.div_ceil(CHUNK_WEIGHT) as usize;
     let base = out.as_mut_ptr() as usize;
-    let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads.min(num_chunks) {
-            let f = &f;
-            let cursor = &cursor;
-            s.spawn(move |_| loop {
-                let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                if chunk >= num_chunks {
-                    return;
-                }
-                let start = weighted_bound(indptr, chunk as u64 * CHUNK_WEIGHT);
-                let end = weighted_bound(indptr, (chunk as u64 + 1) * CHUNK_WEIGHT);
-                for r in start..end {
-                    // SAFETY: the chunk ranges `[start, end)` partition the
-                    // rows (weighted_bound is monotone in the target), each
-                    // chunk index is claimed by exactly one worker, and the
-                    // scope keeps the buffer alive.
-                    let row = unsafe {
-                        std::slice::from_raw_parts_mut((base as *mut f32).add(r * width), width)
-                    };
-                    f(r, row);
-                }
-            });
+    for_each_chunk(total.div_ceil(CHUNK_WEIGHT) as usize, |chunk| {
+        let start = weighted_bound(indptr, chunk as u64 * CHUNK_WEIGHT);
+        let end = weighted_bound(indptr, (chunk as u64 + 1) * CHUNK_WEIGHT);
+        for r in start..end {
+            // SAFETY: the chunk ranges `[start, end)` partition the rows
+            // (weighted_bound is monotone in the target) and each chunk index
+            // is claimed by exactly one thread. `out` stays borrowed until
+            // `for_each_chunk` returns, which `Pool::run` delays until every
+            // helper has left.
+            let row =
+                unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(r * width), width) };
+            f(r, row);
         }
-    })
-    .expect("kernel worker thread panicked");
+    });
 }
 
 /// Runs `f(first_row, block_slice)` over consecutive `block`-row blocks of a
@@ -265,13 +449,12 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `block == 0`, `out.len() != rows * width`, or a worker panics.
+/// Panics if `block == 0` or `out.len() != rows * width`; re-raises a panic
+/// of `f` once every thread has left the call.
 pub fn par_row_blocks<F>(out: &mut [f32], rows: usize, width: usize, block: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     assert!(block >= 1, "block size must be at least 1");
     assert_eq!(
         out.len(),
@@ -293,39 +476,27 @@ where
     }
 
     let chunk_rows = STEAL_CHUNK.div_ceil(block) * block;
-    let num_chunks = rows.div_ceil(chunk_rows);
     let base = out.as_mut_ptr() as usize;
-    let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads.min(num_chunks) {
-            let f = &f;
-            let cursor = &cursor;
-            s.spawn(move |_| loop {
-                let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                if chunk >= num_chunks {
-                    return;
-                }
-                let chunk_start = chunk * chunk_rows;
-                let chunk_end = (chunk_start + chunk_rows).min(rows);
-                let mut r0 = chunk_start;
-                while r0 < chunk_end {
-                    let end = (r0 + block).min(chunk_end);
-                    // SAFETY: chunk boundaries are multiples of `block`, so
-                    // blocks never straddle chunks; each chunk is claimed by
-                    // exactly one worker and the scope keeps the buffer alive.
-                    let blk = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            (base as *mut f32).add(r0 * width),
-                            (end - r0) * width,
-                        )
-                    };
-                    f(r0, blk);
-                    r0 = end;
-                }
-            });
+    for_each_chunk(rows.div_ceil(chunk_rows), |chunk| {
+        let chunk_start = chunk * chunk_rows;
+        let chunk_end = (chunk_start + chunk_rows).min(rows);
+        let mut r0 = chunk_start;
+        while r0 < chunk_end {
+            let end = (r0 + block).min(chunk_end);
+            // SAFETY: chunk boundaries are multiples of `block`, so blocks
+            // never straddle chunks, and each chunk is claimed by exactly one
+            // thread. `out` stays borrowed until `for_each_chunk` returns,
+            // which `Pool::run` delays until every helper has left.
+            let blk = unsafe {
+                std::slice::from_raw_parts_mut(
+                    (base as *mut f32).add(r0 * width),
+                    (end - r0) * width,
+                )
+            };
+            f(r0, blk);
+            r0 = end;
         }
-    })
-    .expect("kernel worker thread panicked");
+    });
 }
 
 /// Runs `f(row, row_values)` over the per-row value slices of a CSR matrix,
@@ -339,14 +510,13 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `indptr` is empty, `vals.len()` disagrees with the final
-/// `indptr` entry, or a worker thread panics.
+/// Panics if `indptr` is empty or `vals.len()` disagrees with the final
+/// `indptr` entry; re-raises a panic of `f` once every thread has left the
+/// call.
 pub fn par_sparse_rows<F>(vals: &mut [f32], indptr: &[u64], width_hint: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     assert!(!indptr.is_empty(), "indptr must have at least one entry");
     let rows = indptr.len() - 1;
     assert_eq!(
@@ -367,96 +537,22 @@ where
     }
 
     let total = indptr[rows] + ROW_BASE_COST * rows as u64;
-    let num_chunks = total.div_ceil(CHUNK_WEIGHT) as usize;
     let base = vals.as_mut_ptr() as usize;
-    let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads.min(num_chunks) {
-            let f = &f;
-            let cursor = &cursor;
-            s.spawn(move |_| loop {
-                let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                if chunk >= num_chunks {
-                    return;
-                }
-                let start = weighted_bound(indptr, chunk as u64 * CHUNK_WEIGHT);
-                let end = weighted_bound(indptr, (chunk as u64 + 1) * CHUNK_WEIGHT);
-                for r in start..end {
-                    let lo = indptr[r] as usize;
-                    let hi = indptr[r + 1] as usize;
-                    // SAFETY: rows own disjoint value ranges, chunk row
-                    // ranges partition the rows, and each chunk index is
-                    // claimed by exactly one worker.
-                    let slice = unsafe {
-                        std::slice::from_raw_parts_mut((base as *mut f32).add(lo), hi - lo)
-                    };
-                    f(r, slice);
-                }
-            });
+    for_each_chunk(total.div_ceil(CHUNK_WEIGHT) as usize, |chunk| {
+        let start = weighted_bound(indptr, chunk as u64 * CHUNK_WEIGHT);
+        let end = weighted_bound(indptr, (chunk as u64 + 1) * CHUNK_WEIGHT);
+        for r in start..end {
+            let lo = indptr[r] as usize;
+            let hi = indptr[r + 1] as usize;
+            // SAFETY: rows own disjoint value ranges, chunk row ranges
+            // partition the rows, and each chunk index is claimed by exactly
+            // one thread. `vals` stays borrowed until `for_each_chunk`
+            // returns, which `Pool::run` delays until every helper has left.
+            let slice =
+                unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(lo), hi - lo) };
+            f(r, slice);
         }
-    })
-    .expect("kernel worker thread panicked");
-}
-
-/// Indices per chunk claimed by reduction workers. Larger than
-/// [`STEAL_CHUNK`] because chunk results are materialized (one `T` each):
-/// fewer chunks keep the result vector small while the atomic cursor still
-/// balances skew.
-const REDUCE_CHUNK: usize = 4 * STEAL_CHUNK;
-
-/// Runs `f(range)` for contiguous chunks of an index range `0..n` in
-/// parallel, collecting each chunk's result; used for reductions over rows.
-///
-/// Workers claim [`REDUCE_CHUNK`]-sized chunks from a shared atomic cursor,
-/// the same dynamic distribution as [`par_rows`] — static even splits starve
-/// under power-law skew, where one hub-heavy range costs as much as all the
-/// others combined. Results are returned in ascending range order regardless
-/// of which worker computed which chunk, so reductions that depend on chunk
-/// order (e.g. ordered merges) stay deterministic.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn par_map_chunks<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let threads = num_threads();
-    if threads <= 1 || n < PARALLEL_THRESHOLD {
-        return vec![f(0..n)];
-    }
-    let num_chunks = n.div_ceil(REDUCE_CHUNK);
-    let cursor = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, T)> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads.min(num_chunks))
-            .map(|_| {
-                let f = &f;
-                let cursor = &cursor;
-                s.spawn(move |_| {
-                    let mut local = Vec::new();
-                    loop {
-                        let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= num_chunks {
-                            return local;
-                        }
-                        let start = chunk * REDUCE_CHUNK;
-                        let end = (start + REDUCE_CHUNK).min(n);
-                        local.push((chunk, f(start..end)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("kernel worker thread panicked");
-    tagged.sort_by_key(|&(chunk, _)| chunk);
-    tagged.into_iter().map(|(_, t)| t).collect()
+    });
 }
 
 #[cfg(test)]
@@ -695,51 +791,21 @@ mod tests {
     }
 
     #[test]
-    fn par_map_chunks_covers_range() {
-        let parts = par_map_chunks(100_000, |r| r.len());
-        assert_eq!(parts.iter().sum::<usize>(), 100_000);
-    }
-
-    #[test]
-    fn par_map_chunks_results_are_order_stable() {
-        // Chunks are claimed dynamically, but results must come back sorted
-        // by range start so order-dependent reductions stay deterministic.
-        let n = 100_000;
-        let parts = par_map_chunks(n, |r| r.clone());
-        let mut next = 0;
-        for r in &parts {
-            assert_eq!(r.start, next, "ranges out of order or gapped");
-            next = r.end;
+    fn pool_spawns_its_helpers_once() {
+        // Exactly at the threshold, so every call takes the parallel path.
+        let width = 64;
+        let rows = PARALLEL_THRESHOLD / width;
+        let mut buf = vec![0.0f32; rows * width];
+        for round in 0..1_000 {
+            par_rows(&mut buf, rows, width, |r, row| row.fill((r + round) as f32));
         }
-        assert_eq!(next, n);
-    }
-
-    #[test]
-    fn par_map_chunks_balances_skewed_work() {
-        // A hub-heavy prefix: indices below 256 cost ~1000x the rest. Static
-        // even splits would serialize on the first worker; with dynamic
-        // claiming the result must still be correct and complete.
-        let n = 50_000;
-        let parts = par_map_chunks(n, |r| {
-            let mut acc = 0u64;
-            for i in r {
-                let spin = if i < 256 { 1000 } else { 1 };
-                for s in 0..spin {
-                    acc = acc.wrapping_add((i ^ s) as u64 % 11);
-                }
-            }
-            acc
-        });
-        let serial: u64 = {
-            let mut acc = 0u64;
-            for i in 0..n {
-                let spin = if i < 256 { 1000 } else { 1 };
-                for s in 0..spin {
-                    acc = acc.wrapping_add((i ^ s) as u64 % 11);
-                }
-            }
-            acc
-        };
-        assert_eq!(parts.iter().sum::<u64>(), serial);
+        for (k, &v) in buf.iter().enumerate() {
+            assert_eq!(v, (k / width + 999) as f32);
+        }
+        assert_eq!(
+            HELPERS_SPAWNED.load(Ordering::Relaxed),
+            num_threads() - 1,
+            "helpers are spawned once per process, not per call"
+        );
     }
 }

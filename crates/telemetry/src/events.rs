@@ -99,8 +99,17 @@ pub(crate) fn clear_events() {
 mod tests {
     use super::*;
 
+    /// These tests share the global sink and the enable flag, so each holds
+    /// this lock; the default harness runs tests on concurrent threads.
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    fn serialize() -> std::sync::MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn sink_is_bounded_and_counts_drops() {
+        let _serial = serialize();
         crate::enable();
         clear_events();
         for i in 0..(EVENT_CAPACITY + 10) {
@@ -120,6 +129,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_non_destructive() {
+        let _serial = serialize();
         crate::enable();
         clear_events();
         for i in 0..5u64 {
@@ -137,6 +147,7 @@ mod tests {
 
     #[test]
     fn disabled_sink_records_nothing() {
+        let _serial = serialize();
         crate::disable();
         event_record("t.disabled", Vec::new());
         assert!(take_events().iter().all(|e| e.name != "t.disabled"));

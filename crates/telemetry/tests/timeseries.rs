@@ -66,6 +66,12 @@ fn concurrent_sampling_yields_consistent_snapshots() {
         })
     };
 
+    // Wait for the writer's first frame: otherwise the reader can take all
+    // 200 snapshots and stop the writer before it is ever scheduled.
+    while ring.written() == 0 {
+        std::thread::yield_now();
+    }
+
     // Reader: every concurrent snapshot must be frame-consistent — bounded
     // size, nondecreasing timestamps, nondecreasing counter, and every
     // delta a multiple of the increment (no torn frames).
