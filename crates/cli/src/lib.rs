@@ -942,15 +942,9 @@ mod tests {
     #[test]
     fn kernels_command_reports_build_configuration() {
         let out = run(&args(&["kernels"])).unwrap();
-        // The report must state the SIMD mode of the matrix crate actually
-        // linked in (feature unification can enable it without this crate's
-        // own `simd` feature) and the constants a bench snapshot depends on.
-        let mode = if granii_matrix::ops::kernel_config().simd {
-            "kernels: simd"
-        } else {
-            "kernels: scalar"
-        };
-        assert!(out.contains(mode), "{out}");
+        // The report must state the vector width of the kernels linked in
+        // and the constants a bench snapshot depends on.
+        assert!(out.contains("kernels: f32x8"), "{out}");
         assert!(out.contains("threads"), "{out}");
         assert!(usage().contains("kernels"));
     }

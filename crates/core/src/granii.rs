@@ -94,12 +94,16 @@ impl Granii {
         &self.cost_models
     }
 
-    /// The compiled plan for a model (offline compilation, cached).
+    /// The compiled plan for a model (offline compilation, cached per model
+    /// and hop count).
     ///
     /// # Errors
     ///
-    /// Propagates compilation errors.
+    /// Returns an invalid-config error for zero sizes or hops — on every
+    /// call, whether or not the plan is already cached — and propagates
+    /// compilation errors.
     pub fn compiled(&self, model: ModelKind, cfg: LayerConfig) -> Result<Arc<CompiledModel>> {
+        cfg.validate()?;
         let key = (model, cfg.hops);
         if let Some(plan) = self.plans.read().get(&key) {
             return Ok(plan.clone());
@@ -229,6 +233,12 @@ mod tests {
         assert!(
             Arc::ptr_eq(&a, &b),
             "same hops must share the compiled plan"
+        );
+        assert!(
+            granii
+                .compiled(ModelKind::Gcn, LayerConfig::new(8, 0))
+                .is_err(),
+            "a cached plan must not let an invalid config through"
         );
     }
 

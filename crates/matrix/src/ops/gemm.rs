@@ -5,9 +5,9 @@ use crate::{DenseMatrix, MatrixError, Result};
 /// Dense matrix multiplication `A (n x k1) · B (k1 x k2) → n x k2`.
 ///
 /// Parallelized over blocks of output rows with an `i-k-j` loop order so
-/// each pass streams a row of `B` sequentially; with the `simd` feature the
-/// blocks run register-tiled (see `DESIGN.md` §14) with bitwise-identical
-/// results.
+/// each pass streams a row of `B` sequentially; the blocks run
+/// register-tiled (see `DESIGN.md` §14), bitwise identical to the scalar
+/// `i-k-j` loop.
 ///
 /// # Errors
 ///

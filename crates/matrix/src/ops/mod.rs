@@ -38,14 +38,12 @@ pub use gemm::{gemm, gemm_into};
 pub use sddmm::{sddmm, sddmm_into, sddmm_u_add_v, sddmm_u_add_v_into};
 pub use spmm::{spmm, spmm_into};
 
-/// The compiled kernel configuration: which dispatch path the hot `_into`
-/// kernels take and the tile/banding/scheduling constants they use. Surfaced
-/// by the CLI's `kernels` command so a bench or serve run can record exactly
+/// The compiled kernel configuration: the vector width and the
+/// tile/banding/scheduling constants the hot `_into` kernels use. Surfaced by
+/// the CLI's `kernels` command so a bench or serve run can record exactly
 /// which kernel build produced its numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
-    /// Whether the `simd` feature's vectorized paths are the dispatch target.
-    pub simd: bool,
     /// `f32` lanes per SIMD vector.
     pub lanes: usize,
     /// Hub-band SpMM column tile, in vectors.
@@ -68,12 +66,7 @@ pub struct KernelConfig {
 
 impl std::fmt::Display for KernelConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "kernels: {} (f32x{})",
-            if self.simd { "simd" } else { "scalar" },
-            self.lanes
-        )?;
+        writeln!(f, "kernels: f32x{}", self.lanes)?;
         writeln!(
             f,
             "  spmm   : col tile {} vec, short-row band <= {} edges",
@@ -97,7 +90,6 @@ impl std::fmt::Display for KernelConfig {
 /// runtime-resolved thread count).
 pub fn kernel_config() -> KernelConfig {
     KernelConfig {
-        simd: rowkernel::simd_enabled(),
         lanes: crate::simd::LANES,
         spmm_col_tile: rowkernel::SPMM_COL_TILE,
         short_row_edges: rowkernel::SHORT_ROW_EDGES,

@@ -5,25 +5,24 @@
 //! code by construction — the batched-bitwise-identity contract falls out
 //! structurally instead of being re-proven per kernel.
 //!
-//! Every kernel carries two always-compiled paths selected by the constant
-//! `cfg!(feature = "simd")` branch in [`simd_enabled`]:
-//!
-//! - a **scalar** path: the straight-line reference loop with the semiring
-//!   dispatch hoisted out of the inner loop (monomorphized closures) and all
-//!   per-element indexing replaced by exact-length `zip`s, and
-//! - a **SIMD** path: [`F32x8`] register tiles over the feature/column
-//!   dimension, with a per-row *banding* choice — short rows (≤
-//!   [`SHORT_ROW_EDGES`] stored edges) use single-vector column strips so the
-//!   accumulator load/store overhead stays proportional to their work, hub
-//!   rows use [`SPMM_COL_TILE`]-vector strips that keep a full column tile in
-//!   registers across all of the row's edges.
+//! Every kernel runs [`F32x8`] register tiles over the feature/column
+//! dimension, with a per-row *banding* choice for SpMM — short rows (≤
+//! [`SHORT_ROW_EDGES`] stored edges) use single-vector column strips so the
+//! accumulator load/store overhead stays proportional to their work, hub rows
+//! use [`SPMM_COL_TILE`]-vector strips that keep a full column tile in
+//! registers across all of the row's edges. Scalar loops (semiring dispatch
+//! hoisted into monomorphized closures, exact-length `zip`s) remain only as
+//! tails — rows narrower than [`LANES`] and the columns left over after the
+//! last full vector — and as the in-crate test oracles
+//! (`spmm_row_scalar`, `gemm_row_scalar`, `dot_scalar`).
 //!
 //! Because SpMM/GEMM vectorize across *columns* while keeping the exact
 //! per-element fold order over edges/`k` (including GEMM's zero-`aik` skip),
-//! the two paths are **bitwise identical** for every semiring; the band
-//! choice can never change a result, only its speed. The one documented
-//! exception is the SDDMM [`dot`], whose horizontal reduction is a fixed
-//! tree rather than a left fold (see `tests/kernel_differential.rs`).
+//! the vector kernels are **bitwise identical** to the scalar oracles for
+//! every semiring; the band choice can never change a result, only its
+//! speed. The one documented exception is the SDDMM [`dot`], whose
+//! horizontal reduction is a fixed tree rather than a left fold (see
+//! `tests/kernel_differential.rs`).
 
 use crate::simd::{F32x8, LANES};
 use crate::{DenseMatrix, MulOp, ReduceOp, Semiring};
@@ -49,15 +48,6 @@ pub(crate) const GEMM_ROW_BLOCK: usize = 4;
 /// registers of accumulators + 2 of loaded B, within the 16-register x86-64
 /// baseline budget.
 pub(crate) const GEMM_COL_TILE: usize = 2;
-
-/// Whether the SIMD paths are compiled in as the dispatch target. Constant
-/// per build: both paths always compile (the scalar oracle stays testable in
-/// a `--features simd` build via the `_scalar` entry points), but this branch
-/// const-folds away in release code.
-#[inline(always)]
-pub(crate) fn simd_enabled() -> bool {
-    cfg!(feature = "simd")
-}
 
 // ---------------------------------------------------------------------------
 // g-SpMM row kernel
@@ -111,9 +101,8 @@ pub(crate) fn spmm_row(
     }
 }
 
-/// Scalar-only variant of [`spmm_row`], bypassing the SIMD dispatch. This is
-/// the in-crate differential oracle: in a `--features simd` build the unit
-/// tests compare [`spmm_row`] against this (the integration suite in
+/// Scalar-only variant of [`spmm_row`]: the in-crate differential oracle the
+/// unit tests compare [`spmm_row`] against (the integration suite in
 /// `tests/kernel_differential.rs` uses an independent naive reference).
 #[cfg(test)]
 #[inline]
@@ -236,8 +225,8 @@ fn with_reduce<I, M, MV>(
     }
 }
 
-/// The monomorphized row fold. Scalar path, or banded SIMD path when the
-/// feature is on and the row is at least one vector wide.
+/// The monomorphized row fold: banded vector strips, with a scalar fold for
+/// rows narrower than one vector and for the remainder columns.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn fold_row<I, M, MV, R, RV>(
@@ -257,7 +246,7 @@ fn fold_row<I, M, MV, R, RV>(
     RV: Fn(F32x8, F32x8) -> F32x8,
 {
     let k = out_row.len();
-    if !simd_enabled() || k < LANES {
+    if k < LANES {
         fold_cols_scalar(out_row, 0, edges, feats, m, r);
         return;
     }
@@ -340,9 +329,10 @@ fn fold_cols_scalar<I, M, R>(
 // ---------------------------------------------------------------------------
 
 /// Computes a block of consecutive GEMM output rows starting at `r0`:
-/// `out_block = a[r0.., :] · b`, register-tiled when SIMD is on. The block
-/// layout matches `par_row_blocks` (`nrows = out_block.len() / b.cols()`
-/// rows, the last block possibly short).
+/// `out_block = a[r0.., :] · b`, register-tiled when `b` is at least one
+/// vector wide. The block layout matches `par_row_blocks`
+/// (`nrows = out_block.len() / b.cols()` rows, the last block possibly
+/// short).
 #[inline]
 pub(crate) fn gemm_block(a: &DenseMatrix, r0: usize, b: &DenseMatrix, out_block: &mut [f32]) {
     let k2 = b.cols();
@@ -350,7 +340,7 @@ pub(crate) fn gemm_block(a: &DenseMatrix, r0: usize, b: &DenseMatrix, out_block:
         return;
     }
     let nrows = out_block.len() / k2;
-    if simd_enabled() && k2 >= LANES {
+    if k2 >= LANES {
         let mut a_rows: [&[f32]; GEMM_ROW_BLOCK] = [&[]; GEMM_ROW_BLOCK];
         for (i, slot) in a_rows.iter_mut().enumerate().take(nrows) {
             *slot = a.row(r0 + i);
@@ -368,7 +358,7 @@ pub(crate) fn gemm_block(a: &DenseMatrix, r0: usize, b: &DenseMatrix, out_block:
 /// with a single-row "block".
 #[inline]
 pub(crate) fn gemm_row(a_row: &[f32], b: &DenseMatrix, out_row: &mut [f32]) {
-    if simd_enabled() && out_row.len() >= LANES {
+    if out_row.len() >= LANES {
         gemm_rows_tiled(&[a_row], b, out_row.len(), out_row);
     } else {
         gemm_row_scalar(a_row, b, out_row);
@@ -376,7 +366,8 @@ pub(crate) fn gemm_row(a_row: &[f32], b: &DenseMatrix, out_row: &mut [f32]) {
 }
 
 /// The scalar GEMM reference row: `i-k-j` order, zero-fill, zero-`aik` skip,
-/// exact-length zip in the inner loop (no per-element bounds checks).
+/// exact-length zip in the inner loop (no per-element bounds checks). Runs
+/// rows narrower than one vector, and is the tiled path's test oracle.
 #[inline]
 pub(crate) fn gemm_row_scalar(a_row: &[f32], b: &DenseMatrix, out_row: &mut [f32]) {
     out_row.fill(0.0);
@@ -463,15 +454,15 @@ fn gemm_rows_tiled(a_rows: &[&[f32]], b: &DenseMatrix, k2: usize, out_block: &mu
 
 /// Dot product of two equal-length feature rows.
 ///
-/// The SIMD path accumulates [`LANES`] partial sums and reduces them with
+/// Accumulates [`LANES`] partial sums and reduces them with
 /// [`F32x8::horizontal_sum`]'s fixed tree — a *different* (typically more
-/// accurate) summation order than the scalar left fold, so SDDMM results
-/// under `--features simd` are documented as within a few ulp of the scalar
-/// oracle rather than bitwise equal.
+/// accurate) summation order than the scalar left fold, so SDDMM results are
+/// documented as within a few ulp of the scalar oracle rather than bitwise
+/// equal.
 #[inline]
 pub(crate) fn dot(u: &[f32], v: &[f32]) -> f32 {
     let n = u.len().min(v.len());
-    if !simd_enabled() || n < LANES {
+    if n < LANES {
         return dot_scalar(&u[..n], &v[..n]);
     }
     let mut acc = F32x8::splat(0.0);
@@ -487,7 +478,8 @@ pub(crate) fn dot(u: &[f32], v: &[f32]) -> f32 {
     s
 }
 
-/// The scalar left-fold dot product — the SDDMM differential oracle.
+/// The scalar left-fold dot product: rows narrower than one vector, and the
+/// SDDMM differential oracle.
 #[inline]
 pub(crate) fn dot_scalar(u: &[f32], v: &[f32]) -> f32 {
     u.iter().zip(v).map(|(a, b)| a * b).sum()

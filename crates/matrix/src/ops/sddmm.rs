@@ -106,8 +106,8 @@ pub fn sddmm_into(
     // Rows own disjoint value slices, so the kernel parallelizes with the
     // same nnz-weighted scheduling as SpMM; the mask's weighted/unweighted
     // Option is tested once per matrix, not once per edge, and the dot
-    // product takes the SIMD path when the feature is on (within a few ulp
-    // of the scalar fold — see `ops::rowkernel::dot`).
+    // product is vectorized (within a few ulp of the scalar fold — see
+    // `ops::rowkernel::dot`).
     par_sparse_rows(out_vals, indptr, k, |i, orow| {
         let s = indptr[i] as usize;
         let urow = u.row(i);

@@ -1,16 +1,15 @@
-//! Differential suite for the SIMD / register-tiled / banded kernels.
+//! Differential suite for the vector / register-tiled / banded kernels.
 //!
 //! Every hot `_into` kernel is compared against an independent naive
 //! reference that spells out the documented fold semantics (edge-ascending
 //! per element for SpMM, `k`-ascending with the zero-`aik` skip for GEMM,
-//! identity-finished empty rows, stored-edge-count Mean). Because the SIMD
-//! paths vectorize across the column dimension while keeping the per-element
-//! fold order, SpMM/GEMM/broadcast results must be **bitwise** equal to the
-//! reference in *both* builds — `cargo test` checks the scalar paths,
-//! `cargo test --features simd` checks the vectorized ones against the same
-//! oracle, and the CI matrix runs both `GRANII_THREADS` legs. The one
-//! documented exception is SDDMM, whose SIMD dot product reduces through a
-//! fixed tree: it is asserted to a few-ulp relative tolerance instead.
+//! identity-finished empty rows, stored-edge-count Mean). Because the
+//! `F32x8` kernels vectorize across the column dimension while keeping the
+//! per-element fold order, SpMM/GEMM/broadcast results must be **bitwise**
+//! equal to the reference, and the CI matrix runs both `GRANII_THREADS`
+//! legs. The one documented exception is SDDMM, whose vector dot product
+//! reduces through a fixed tree: it is asserted to a few-ulp relative
+//! tolerance instead.
 //!
 //! Graph shapes deliberately cover the scheduler/banding corners: uniform
 //! short rows, a hub row, empty-row-heavy patterns, and ramped power-law-ish
@@ -194,9 +193,9 @@ proptest! {
         }
     }
 
-    /// GEMM (register-tiled under `--features simd`) is bitwise equal to the
-    /// naive `i-k-j` reference, including the zero-skip, for output widths
-    /// covering every tile-cascade combination.
+    /// GEMM (register-tiled) is bitwise equal to the naive `i-k-j`
+    /// reference, including the zero-skip, for output widths covering every
+    /// tile-cascade combination.
     #[test]
     fn gemm_bitwise_matches_naive(
         n in 1usize..14,

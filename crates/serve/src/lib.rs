@@ -20,7 +20,8 @@
 //!   is checked once, when its batch group forms.
 //! - **Continuous batching**: workers drain whatever is queued (up to
 //!   `ServeConfig::max_batch`), coalesce requests by plan signature, and
-//!   execute each group as ONE multi-RHS `iterate` over column-stacked
+//!   serve every group, a group of one included, through one path. A group
+//!   of two or more runs as ONE multi-RHS `iterate` over column-stacked
 //!   blocks — bitwise identical to serial per-request execution, with the
 //!   adjacency streamed once per group instead of once per request.
 //! - **Graceful degradation**: an expired deadline or a cost-model

@@ -4,9 +4,10 @@
 //! Admission is a bounded lock-free MPMC ring ([`crossbeam::queue::ArrayQueue`])
 //! with shed-don't-block semantics and a per-tenant fairness bound
 //! ([`crate::fairness::TenantTable`]); workers drain the ring into
-//! signature-keyed batch groups and execute each group as one multi-RHS
-//! `iterate_batched` (column-stacked blocks, bitwise identical to serial
-//! per-request execution — see DESIGN.md §12).
+//! signature-keyed batch groups and serve every group, a group of one
+//! included, through one execution path: a group of two or more runs as one
+//! multi-RHS `iterate_batched` (column-stacked blocks, bitwise identical to
+//! serial per-request execution — see DESIGN.md §12).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -16,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::queue::ArrayQueue;
 use granii_core::cost::FeaturizedInput;
-use granii_core::execplan::{ExecPlan, PlanInputs};
+use granii_core::execplan::{BoundPlan, ExecPlan, PlanInputs};
 use granii_core::{runtime, CoreError, Granii};
 use granii_gnn::spec::{Composition, LayerConfig, ModelKind};
 use granii_gnn::{Exec, GraphCtx};
@@ -223,13 +224,15 @@ impl ServeRequest {
 /// Per-request wall-clock breakdown.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RequestTiming {
-    /// Time spent queued before a worker picked the request up.
+    /// Time spent queued: from the ring push (after the plan-key hash)
+    /// until the request's batch group formed.
     pub queue_seconds: f64,
     /// Time spent choosing and binding a plan (zero on a cache hit).
     pub select_seconds: f64,
-    /// Time spent in the steady-state `iterate` (for a batched request:
-    /// the whole group's multi-RHS iterate — the wall time this request
-    /// actually waited on execution).
+    /// Time from the start of the group's steady-state execution until
+    /// this request's output was ready (for a batched request: the whole
+    /// group's multi-RHS iterate — the wall time this request actually
+    /// waited on execution).
     pub execute_seconds: f64,
     /// Submit-to-reply total.
     pub total_seconds: f64,
@@ -249,7 +252,7 @@ pub struct ServeResponse {
     /// Whether the request fell back to the default composition (expired
     /// deadline or cost-model prediction failure).
     pub degraded: bool,
-    /// Size of the batch group this request executed in (1 = serial).
+    /// Size of the batch group this request executed in.
     pub batch_size: usize,
 }
 
@@ -362,12 +365,36 @@ struct Job {
     /// accounting and batch grouping).
     key: PlanKey,
     request: ServeRequest,
+    /// Submit instant: the deadline and `total_seconds` run from here.
+    submitted: Instant,
+    /// Stamped just before the ring push, after the key hash, so queue
+    /// wait does not count the fingerprint pass.
     enqueued: Instant,
     deadline: Option<Instant>,
     /// Stage stopwatch for 1-in-N sampled requests; `None` (the common
     /// case) adds nothing to the steady-state path.
     trace: Option<Box<RequestTrace>>,
     reply: mpsc::Sender<Result<ServeResponse>>,
+    // Per-member state, kept here rather than in per-group vectors so a
+    // group adds no allocation. Set once when the group forms:
+    queue_seconds: f64,
+    expired: bool,
+    profile: Option<InputProfile>,
+    // Set by the group's execution, taken by its reply:
+    executed: Option<Executed>,
+}
+
+/// One member's result from its group's execution.
+struct Executed {
+    output: DenseMatrix,
+    /// The member's engine-modeled charge, the drift lane's input.
+    charged_seconds: f64,
+    /// The member's exact integer share of the group's charge: nanoseconds,
+    /// flops, bytes (see [`exact_share`]).
+    charge: (u64, u64, u64),
+    /// From the start of the group's execution until this member's output
+    /// was ready.
+    execute_seconds: f64,
 }
 
 /// Worker parking: the admission ring is lock-free, so idle workers need a
@@ -627,10 +654,15 @@ impl Server {
             id,
             key,
             request,
-            enqueued: now,
+            submitted: now,
+            enqueued: Instant::now(),
             deadline,
             trace,
             reply: tx,
+            queue_seconds: 0.0,
+            expired: false,
+            profile: None,
+            executed: None,
         };
         if inner.queue.push(job).is_err() {
             // The ring filled between the depth gate and the push.
@@ -1238,10 +1270,13 @@ fn worker_loop(inner: &Inner, index: usize) {
     }
 }
 
-/// Executes one signature-coalesced group: the serial path for a group of
-/// one, the multi-RHS batched path otherwise (with a per-member serial
-/// fallback if batched execution errors).
-fn process_group(inner: &Inner, exec: &Exec, jobs: Vec<Job>) {
+/// Serves one signature-coalesced group. Records the group (size sketch,
+/// flight record, batch counters for two or more members) and each member's
+/// dequeue bookkeeping exactly once, then hands the group to
+/// [`process_batch`]. A failed group of one replies with its error; a failed
+/// larger group is retried one member at a time through the same function,
+/// so one member's failure cannot sink the rest.
+fn process_group(inner: &Inner, exec: &Exec, mut jobs: Vec<Job>) {
     let batch = jobs.len();
     inner.batch_sizes.record_ns(batch as u64);
     granii_telemetry::sketch_record_ns("serve.batch.size", batch as u64);
@@ -1264,67 +1299,34 @@ fn process_group(inner: &Inner, exec: &Exec, jobs: Vec<Job>) {
             members,
         },
     );
-    if batch == 1 {
-        let job = jobs.into_iter().next().expect("group of one");
-        let id = job.id;
-        let reply = job.reply.clone();
-        let result = process_job(inner, exec, job);
-        finish_job(inner, id, key, &reply, result);
-        return;
+    if batch > 1 {
+        inner.counters.batches.fetch_add(1, Ordering::Relaxed);
+        inner
+            .counters
+            .batched_requests
+            .fetch_add(batch as u64, Ordering::Relaxed);
+        granii_telemetry::counter_add("serve.batches", 1);
+        granii_telemetry::counter_add("serve.batched_requests", batch as u64);
     }
-    inner.counters.batches.fetch_add(1, Ordering::Relaxed);
-    inner
-        .counters
-        .batched_requests
-        .fetch_add(batch as u64, Ordering::Relaxed);
-    granii_telemetry::counter_add("serve.batches", 1);
-    granii_telemetry::counter_add("serve.batched_requests", batch as u64);
-    if let Err(jobs) = process_batch(inner, exec, jobs) {
-        // Rare path (leader bind error, or a batched kernel error): fall
-        // back to serving each member serially so one member's failure
-        // cannot sink its whole group.
-        for job in jobs {
-            let id = job.id;
-            let reply = job.reply.clone();
-            let result = process_job(inner, exec, job);
-            finish_job(inner, id, key, &reply, result);
-        }
-    }
-}
-
-/// The multi-RHS batched path: one cache interaction for the group (leader
-/// lookup or miss-bind; followers accounted as shared hits), one
-/// `iterate_batched` over column-stacked RHS blocks, per-member result
-/// extraction and observability. Returns the jobs on failure so the caller
-/// can retry them serially.
-fn process_batch(
-    inner: &Inner,
-    exec: &Exec,
-    mut jobs: Vec<Job>,
-) -> std::result::Result<(), Vec<Job>> {
-    let key = jobs[0].key;
-    let batch = jobs.len();
+    // Per-member dequeue bookkeeping. The deadline is checked here, at group
+    // formation (not at ring pop): earlier groups from the same drain may
+    // have executed in between, and that wait counts.
     let formed = Instant::now();
-    let _span = granii_telemetry::span!(
-        "serve.batch",
-        model = jobs[0].request.model.name(),
-        size = batch,
-    );
-    // Per-member dequeue bookkeeping. The deadline is re-checked here, at
-    // batch-formation time (not at ring pop): earlier groups from the same
-    // drain may have executed in between, and that wait counts.
-    let mut queue_seconds = Vec::with_capacity(batch);
-    let mut expired = Vec::with_capacity(batch);
     for job in &mut jobs {
         if let Some(t) = job.trace.as_deref_mut() {
             t.mark_dequeued();
         }
-        let waited = formed.duration_since(job.enqueued).as_secs_f64();
-        granii_telemetry::histogram_record_seconds("serve.queue_wait", waited);
-        event!("serve.dequeue", id = job.id, queue_seconds = waited);
-        queue_seconds.push(waited);
-        let is_expired = job.deadline.is_some_and(|d| formed >= d);
-        if is_expired {
+        job.queue_seconds = formed.duration_since(job.enqueued).as_secs_f64();
+        granii_telemetry::histogram_record_seconds("serve.queue_wait", job.queue_seconds);
+        event!(
+            "serve.dequeue",
+            id = job.id,
+            queue_seconds = job.queue_seconds
+        );
+        // An expired request is still served — a late answer beats none —
+        // but a miss skips the cost models.
+        job.expired = job.deadline.is_some_and(|d| formed >= d);
+        if job.expired {
             inner
                 .counters
                 .deadline_expired
@@ -1334,47 +1336,68 @@ fn process_batch(
                 .recorder
                 .record(job.id, key.1, key.0.name(), RecordKind::DeadlineExpired);
         }
-        expired.push(is_expired);
         inner.distinct_signatures.observe(key.1);
         granii_telemetry::distinct_observe("serve.distinct_signatures", key.1);
+        // The input-drift lane inspects every request's graph (one O(nodes)
+        // pass, allocation-free on the tracked counters) — the same
+        // statistics selection itself keys on.
+        job.profile = inner
+            .inspect
+            .config()
+            .enabled
+            .then(|| InputProfile::extract(&job.request.graph));
     }
-    let profiles: Vec<Option<InputProfile>> = jobs
-        .iter()
-        .map(|job| {
-            inner
-                .inspect
-                .config()
-                .enabled
-                .then(|| InputProfile::extract(&job.request.graph))
-        })
-        .collect();
-
-    // Leader resolves the entry; followers ride it as shared cache hits.
-    let (entry, leader_hit, leader_degraded, select_seconds) = match inner.cache.lookup(key) {
-        Some(entry) => (entry, true, false, 0.0),
-        None => {
-            let (leader, rest) = jobs.split_at_mut(1);
-            let leader = &mut leader[0];
-            let _ = rest;
-            match bind_miss(
-                inner,
-                exec,
-                leader.id,
-                &leader.request,
-                key,
-                expired[0],
-                profiles[0],
-                &mut leader.trace,
-            ) {
-                Ok((entry, degraded, secs)) => {
-                    if let Some(p) = profiles[0] {
-                        inner.inspect.rebind(key, p);
-                    }
-                    (entry, false, degraded, secs)
+    let fail = |error, job: &Job| finish_job(inner, job.id, key, &job.reply, Err(error));
+    match process_batch(inner, exec, jobs) {
+        Ok(()) => {}
+        Err((error, jobs)) if jobs.len() == 1 => fail(error, &jobs[0]),
+        Err((_, jobs)) => {
+            for job in jobs {
+                if let Err((error, member)) = process_batch(inner, exec, vec![job]) {
+                    fail(error, &member[0]);
                 }
-                Err(_) => return Err(jobs),
             }
         }
+    }
+}
+
+/// Executes one group whose dequeue bookkeeping is done: one cache
+/// interaction (the leader's lookup or miss-bind; followers ride it as
+/// shared hits), then one steady-state iteration per member under the
+/// entry lock — a single multi-RHS `iterate_batched` over column-stacked
+/// blocks when the group has two or more members and the plan has a
+/// batched lowering with room for them, each member's serial
+/// `iterate_observed` otherwise (a group of one, attention plans). Replies
+/// to every member on success; on failure returns the error together with
+/// the members, none of which has been answered.
+fn process_batch(
+    inner: &Inner,
+    exec: &Exec,
+    mut jobs: Vec<Job>,
+) -> std::result::Result<(), (ServeError, Vec<Job>)> {
+    let key = jobs[0].key;
+    let batch = jobs.len();
+    let _span = granii_telemetry::span!(
+        "serve.batch",
+        model = jobs[0].request.model.name(),
+        size = batch,
+    );
+
+    // Leader resolves the entry; followers ride it as shared cache hits.
+    // A hit serves the bound plan at full quality, even past the deadline.
+    let (entry, leader_hit, leader_degraded, select_seconds) = match inner.cache.lookup(key) {
+        Some(entry) => (entry, true, false, 0.0),
+        None => match bind_miss(inner, exec, &mut jobs[0]) {
+            Ok((entry, degraded, secs)) => {
+                // Selection just inspected the graph as it is now: pin it as
+                // the input-drift reference for this signature.
+                if let Some(p) = jobs[0].profile {
+                    inner.inspect.rebind(key, p);
+                }
+                (entry, false, degraded, secs)
+            }
+            Err(e) => return Err((e, jobs)),
+        },
     };
     inner.cache.note_shared_hits(batch as u64 - 1);
     if leader_hit {
@@ -1392,10 +1415,6 @@ fn process_batch(
         granii_telemetry::counter_add("serve.cache_hits", batch as u64 - 1);
     }
 
-    // Execute: one multi-RHS iterate for the whole group when the plan has
-    // a batched lowering (every entry bound by this server pre-warmed its
-    // wide buffers at bind time), per-member serial iterates under the same
-    // entry lock otherwise (e.g. attention plans).
     let t_execute = Instant::now();
     let batch_start_us = granii_telemetry::now_us();
     for job in &mut jobs {
@@ -1403,92 +1422,12 @@ fn process_batch(
             t.mark_execute_start();
         }
     }
-    let (composition, predicted_steady_seconds, outputs, charged, shares, execute_seconds) = {
+    let (composition, predicted_steady_seconds) = {
         let mut cached = entry.lock().unwrap_or_else(PoisonError::into_inner);
-        let batched = cached.bound.batch_supported() && cached.bound.batch_capacity() >= batch;
-        if batched {
-            let observed = match cached.bound.iterate_batched_observed(exec, batch) {
-                Ok(observed) => observed,
-                Err(_) => {
-                    drop(cached);
-                    return Err(jobs);
-                }
-            };
-            let mut outputs = Vec::with_capacity(batch);
-            for t in 0..batch {
-                match cached.bound.output_block(t) {
-                    Ok(block) => outputs.push(block),
-                    Err(_) => {
-                        drop(cached);
-                        return Err(jobs);
-                    }
-                }
-            }
-            let wall = t_execute.elapsed().as_secs_f64();
-            // Metering attribution: convert the group's engine charge to
-            // integers ONCE, then hand each member an exact integer share
-            // — the per-tenant ledger sums back to the group totals
-            // bitwise (see `crate::metering::exact_share`).
-            let group_charged_ns = (observed.charged_seconds * 1e9).round() as u64;
-            let shares: Vec<(u64, u64, u64)> = (0..batch)
-                .map(|member| {
-                    (
-                        exact_share(group_charged_ns, batch, member),
-                        exact_share(observed.flops, batch, member),
-                        exact_share(observed.bytes, batch, member),
-                    )
-                })
-                .collect();
-            (
-                cached.composition,
-                cached.predicted_steady_seconds,
-                outputs,
-                // Per-request modeled charge: the batched wrappers charge
-                // the full group, each member carries an equal share (equal
-                // to its serial charge — the drift lane sees no difference).
-                vec![observed.charged_seconds / batch as f64; batch],
-                shares,
-                vec![wall; batch],
-            )
-        } else {
-            let mut outputs = Vec::with_capacity(batch);
-            let mut charged = Vec::with_capacity(batch);
-            let mut shares = Vec::with_capacity(batch);
-            let mut walls = Vec::with_capacity(batch);
-            for _ in 0..batch {
-                let t_member = Instant::now();
-                let observed = match cached.bound.iterate_observed(exec) {
-                    Ok(observed) => observed,
-                    Err(_) => {
-                        drop(cached);
-                        return Err(jobs);
-                    }
-                };
-                let output = match cached.bound.output() {
-                    Ok(output) => output.clone(),
-                    Err(_) => {
-                        drop(cached);
-                        return Err(jobs);
-                    }
-                };
-                outputs.push(output);
-                charged.push(observed.charged_seconds);
-                shares.push((
-                    (observed.charged_seconds * 1e9).round() as u64,
-                    observed.flops,
-                    observed.bytes,
-                ));
-                walls.push(t_member.elapsed().as_secs_f64());
-            }
-            (
-                cached.composition,
-                cached.predicted_steady_seconds,
-                outputs,
-                charged,
-                shares,
-                walls,
-            )
+        if let Err(e) = execute(exec, &mut cached.bound, &mut jobs, t_execute) {
+            return Err((e.into(), jobs));
         }
+        (cached.composition, cached.predicted_steady_seconds)
     };
     for job in &mut jobs {
         if let Some(t) = job.trace.as_deref_mut() {
@@ -1516,30 +1455,38 @@ fn process_batch(
         let Job {
             id,
             request,
-            enqueued,
-            mut trace,
+            submitted,
+            trace,
             reply,
+            queue_seconds,
+            profile,
+            executed,
             ..
         } = job;
+        let Executed {
+            output,
+            charged_seconds,
+            charge: (charged_ns, flops, bytes),
+            execute_seconds,
+        } = executed.expect("execute left a result in every member");
         if let Some(predicted) = predicted_steady_seconds {
-            observe_drift(inner, id, &request, key, charged[i], predicted);
+            observe_drift(inner, id, &request, key, charged_seconds, predicted);
         }
-        if let Some(p) = profiles[i] {
+        if let Some(p) = profile {
             observe_input(inner, id, &request, key, &p);
         }
         let cache_hit = leader_hit || i > 0;
-        let degraded = if i == 0 { leader_degraded } else { false };
-        if let Some(t) = trace.take() {
+        let degraded = i == 0 && leader_degraded;
+        if let Some(t) = trace {
             t.finish(request.model.name(), cache_hit, degraded);
         }
-        let (charged_ns, flops, bytes) = shares[i];
         inner.metering.record(
             key.1,
             &MeterCharge {
                 charged_ns,
                 flops,
                 bytes,
-                queue_wait_ns: (queue_seconds[i] * 1e9) as u64,
+                queue_wait_ns: (queue_seconds * 1e9) as u64,
                 batch: batch as u32,
                 cache_hit,
                 degraded,
@@ -1547,18 +1494,67 @@ fn process_batch(
         );
         let response = ServeResponse {
             composition,
-            output: outputs[i].clone(),
+            output,
             timing: RequestTiming {
-                queue_seconds: queue_seconds[i],
+                queue_seconds,
                 select_seconds: if i == 0 { select_seconds } else { 0.0 },
-                execute_seconds: execute_seconds[i],
-                total_seconds: enqueued.elapsed().as_secs_f64(),
+                execute_seconds,
+                total_seconds: submitted.elapsed().as_secs_f64(),
             },
             cache_hit,
             degraded,
             batch_size: batch,
         };
         finish_job(inner, id, key, &reply, Ok(response));
+    }
+    Ok(())
+}
+
+/// Runs one steady-state iteration for every member on the group's bound
+/// plan and leaves each member's output and charge in its job.
+fn execute(
+    exec: &Exec,
+    bound: &mut BoundPlan,
+    jobs: &mut [Job],
+    start: Instant,
+) -> granii_core::Result<()> {
+    let batch = jobs.len();
+    if batch > 1 && bound.batch_supported() && bound.batch_capacity() >= batch {
+        // Every entry bound by this server pre-warmed its wide buffers at
+        // bind time, so this is the allocation-free batched path.
+        let observed = bound.iterate_batched_observed(exec, batch)?;
+        // Metering attribution: convert the group's engine charge to
+        // integers ONCE, then hand each member an exact integer share — the
+        // per-tenant ledger sums back to the group totals bitwise. Each
+        // member's modeled charge is an equal share of the group's (equal to
+        // its serial charge — the drift lane sees no difference).
+        let group_ns = (observed.charged_seconds * 1e9).round() as u64;
+        for (t, job) in jobs.iter_mut().enumerate() {
+            job.executed = Some(Executed {
+                output: bound.output_block(t)?,
+                charged_seconds: observed.charged_seconds / batch as f64,
+                charge: (
+                    exact_share(group_ns, batch, t),
+                    exact_share(observed.flops, batch, t),
+                    exact_share(observed.bytes, batch, t),
+                ),
+                execute_seconds: start.elapsed().as_secs_f64(),
+            });
+        }
+    } else {
+        for job in jobs {
+            let observed = bound.iterate_observed(exec)?;
+            job.executed = Some(Executed {
+                output: bound.output()?.clone(),
+                charged_seconds: observed.charged_seconds,
+                charge: (
+                    (observed.charged_seconds * 1e9).round() as u64,
+                    observed.flops,
+                    observed.bytes,
+                ),
+                execute_seconds: start.elapsed().as_secs_f64(),
+            });
+        }
     }
     Ok(())
 }
@@ -1761,25 +1757,20 @@ fn choose_composition(
 /// that keyed the choice) so a later incident against this signature can
 /// replay the decision. Returns the cached entry, whether the degraded
 /// composition was used, and the select wall time.
-#[allow(clippy::too_many_arguments)]
 fn bind_miss(
     inner: &Inner,
     exec: &Exec,
-    id: u64,
-    request: &ServeRequest,
-    key: PlanKey,
-    expired: bool,
-    profile: Option<InputProfile>,
-    trace: &mut Option<Box<RequestTrace>>,
+    leader: &mut Job,
 ) -> Result<(Arc<Mutex<CachedPlan>>, bool, f64)> {
     let t_select = Instant::now();
-    if let Some(t) = trace.as_deref_mut() {
+    if let Some(t) = leader.trace.as_deref_mut() {
         t.mark_select_start();
     }
+    let (id, key, request) = (leader.id, leader.key, &leader.request);
     let cfg = LayerConfig::new(request.k1, request.k2);
     let granii = inner.granii();
     let (composition, degraded, predicted) =
-        choose_composition(&granii, request, cfg, expired, id)?;
+        choose_composition(&granii, request, cfg, leader.expired, id)?;
     let plan = granii.compiled(request.model, cfg)?;
     let candidate = plan
         .candidates
@@ -1819,7 +1810,7 @@ fn bind_miss(
             predicted_steady_seconds,
         },
     );
-    if let Some(t) = trace.as_deref_mut() {
+    if let Some(t) = leader.trace.as_deref_mut() {
         t.mark_select_done();
     }
     let select_seconds = t_select.elapsed().as_secs_f64();
@@ -1829,7 +1820,7 @@ fn bind_miss(
             composition: composition.name(),
             degraded,
             predicted: predicted.into_iter().map(|(c, s)| (c.name(), s)).collect(),
-            profile,
+            profile: leader.profile,
             captured_at_us: granii_telemetry::now_us(),
         },
     );
@@ -1956,150 +1947,6 @@ fn observe_input(inner: &Inner, id: u64, request: &ServeRequest, key: PlanKey, p
             },
         );
     }
-}
-
-/// The serial (group-of-one) path.
-fn process_job(inner: &Inner, exec: &Exec, job: Job) -> Result<ServeResponse> {
-    let Job {
-        id,
-        key,
-        request,
-        enqueued,
-        deadline,
-        mut trace,
-        ..
-    } = job;
-    let _span = granii_telemetry::span!(
-        "serve.request",
-        model = request.model.name(),
-        nodes = request.graph.num_nodes(),
-    );
-    let start = Instant::now();
-    if let Some(t) = trace.as_deref_mut() {
-        t.mark_dequeued();
-    }
-    let queue_seconds = start.duration_since(enqueued).as_secs_f64();
-    granii_telemetry::histogram_record_seconds("serve.queue_wait", queue_seconds);
-    event!("serve.dequeue", id = id, queue_seconds = queue_seconds);
-
-    // Deadline policy: checked when the (singleton) group forms. An expired
-    // request is still served — a late answer beats none — but skips the
-    // cost models.
-    let expired = deadline.is_some_and(|d| start >= d);
-    if expired {
-        inner
-            .counters
-            .deadline_expired
-            .fetch_add(1, Ordering::Relaxed);
-        granii_telemetry::counter_add("serve.deadline_expired", 1);
-        inner
-            .recorder
-            .record(id, key.1, key.0.name(), RecordKind::DeadlineExpired);
-    }
-
-    inner.distinct_signatures.observe(key.1);
-    granii_telemetry::distinct_observe("serve.distinct_signatures", key.1);
-    // The input-drift lane inspects every request's graph (one O(nodes)
-    // pass, allocation-free on the tracked counters) — the same statistics
-    // selection itself keys on.
-    let profile = inner
-        .inspect
-        .config()
-        .enabled
-        .then(|| InputProfile::extract(&request.graph));
-    let (entry, cache_hit, degraded, select_seconds) = match inner.cache.lookup(key) {
-        // Hit: the signature's plan is already bound — even an expired
-        // request serves it at full quality.
-        Some(entry) => {
-            inner
-                .recorder
-                .record(id, key.1, key.0.name(), RecordKind::CacheHit { shared: 0 });
-            (entry, true, false, 0.0)
-        }
-        None => {
-            let (entry, degraded, select_seconds) =
-                bind_miss(inner, exec, id, &request, key, expired, profile, &mut trace)?;
-            // Selection just inspected the graph as it is now: pin it as
-            // the input-drift reference for this signature.
-            if let Some(p) = profile {
-                inner.inspect.rebind(key, p);
-            }
-            (entry, false, degraded, select_seconds)
-        }
-    };
-
-    let t_execute = Instant::now();
-    if let Some(t) = trace.as_deref_mut() {
-        t.mark_execute_start();
-    }
-    let (composition, output, observed, predicted_steady_seconds) = {
-        let mut cached = entry.lock().unwrap_or_else(PoisonError::into_inner);
-        let observed = cached.bound.iterate_observed(exec)?;
-        let output = cached.bound.output()?.clone();
-        (
-            cached.composition,
-            output,
-            observed,
-            cached.predicted_steady_seconds,
-        )
-    };
-    if let Some(t) = trace.as_deref_mut() {
-        t.mark_execute_done();
-    }
-    let execute_seconds = t_execute.elapsed().as_secs_f64();
-    granii_telemetry::counter_add(
-        if cache_hit {
-            "serve.cache_hits"
-        } else {
-            "serve.cache_misses"
-        },
-        1,
-    );
-
-    if let Some(predicted) = predicted_steady_seconds {
-        observe_drift(
-            inner,
-            id,
-            &request,
-            key,
-            observed.charged_seconds,
-            predicted,
-        );
-    }
-    if let Some(p) = profile {
-        observe_input(inner, id, &request, key, &p);
-    }
-
-    if let Some(t) = trace.take() {
-        t.finish(request.model.name(), cache_hit, degraded);
-    }
-
-    inner.metering.record(
-        key.1,
-        &MeterCharge {
-            charged_ns: (observed.charged_seconds * 1e9).round() as u64,
-            flops: observed.flops,
-            bytes: observed.bytes,
-            queue_wait_ns: (queue_seconds * 1e9) as u64,
-            batch: 1,
-            cache_hit,
-            degraded,
-        },
-    );
-
-    Ok(ServeResponse {
-        composition,
-        output,
-        timing: RequestTiming {
-            queue_seconds,
-            select_seconds,
-            execute_seconds,
-            total_seconds: enqueued.elapsed().as_secs_f64(),
-        },
-        cache_hit,
-        degraded,
-        batch_size: 1,
-    })
 }
 
 /// Assembles and stores one incident bundle for `trigger`, subject to the

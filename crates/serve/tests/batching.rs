@@ -13,7 +13,7 @@ use granii_gnn::spec::ModelKind;
 use granii_graph::datasets::{Dataset, Scale};
 use granii_graph::Graph;
 use granii_matrix::device::DeviceKind;
-use granii_serve::{ServeConfig, ServeRequest, Server, Ticket};
+use granii_serve::{ServeConfig, ServeError, ServeRequest, Server, Ticket};
 
 /// One fast-trained H100 instance shared by every test in this binary.
 fn granii() -> Arc<Granii> {
@@ -176,6 +176,58 @@ fn degraded_and_expired_requests_keep_their_outcomes_inside_bursts() {
     assert_eq!(stats.deadline_expired, 4);
     assert_eq!(stats.degraded, 1);
     assert_eq!(stats.failed, 0);
+    server.shutdown();
+}
+
+#[test]
+fn failed_groups_retry_members_without_repeating_their_dequeue() {
+    let server = Server::start(
+        granii(),
+        ServeConfig {
+            workers: 1,
+            max_batch: 8,
+            ..ServeConfig::default()
+        },
+    );
+    // A valid miss on a larger graph keeps the single worker busy while the
+    // failing burst queues behind it, so the burst forms real groups.
+    let large = Arc::new(
+        Dataset::CoAuthorsCiteseer
+            .load(Scale::Small)
+            .expect("small dataset"),
+    );
+    let busy = server
+        .submit(ServeRequest::new(ModelKind::Gcn, large, 32, 32))
+        .expect("busy submit");
+    // k2 = 0 is an invalid layer config, so binding fails for every member;
+    // the zero timeout expires each member when its group forms.
+    let invalid = ServeRequest::new(ModelKind::Gcn, tiny(Dataset::CoAuthorsCiteseer), 8, 0)
+        .with_timeout(Duration::ZERO);
+    let tickets: Vec<Ticket> = (0..12)
+        .map(|_| server.submit(invalid.clone()).expect("burst submit"))
+        .collect();
+    for ticket in tickets {
+        let result = ticket.wait();
+        assert!(
+            matches!(result, Err(ServeError::Core(_))),
+            "an invalid request fails with a core error: {result:?}"
+        );
+    }
+    busy.wait().expect("the busy request completes");
+    let stats = server.stats();
+    assert!(
+        stats.batches >= 1,
+        "no group of two or more formed and failed"
+    );
+    assert_eq!(stats.failed, 12);
+    assert_eq!(
+        stats.deadline_expired, 12,
+        "a retried member's dequeue bookkeeping must not run again"
+    );
+    let valid = ServeRequest::new(ModelKind::Gcn, tiny(Dataset::CoAuthorsCiteseer), 32, 64);
+    server
+        .process(valid)
+        .expect("a valid request completes after the failed groups");
     server.shutdown();
 }
 

@@ -1,7 +1,9 @@
 //! Request-scoped tracing acceptance: 1-in-N sampled requests render as
 //! per-request lanes (virtual tids at `TRACE_LANE_BASE + id`) through the
-//! existing Chrome-trace exporter, unsampled requests emit no lane, and the
-//! structured event stream records every request's lifecycle.
+//! existing Chrome-trace exporter, unsampled requests emit no lane, every
+//! batch group — a group of one included — emits a `serve.batch` span its
+//! sampled members link to, and the structured event stream records every
+//! request's lifecycle.
 //!
 //! Single `#[test]` binary: the span buffers and event sink are
 //! process-global, so no other test may record serve spans concurrently.
@@ -12,7 +14,16 @@ use granii_core::{Granii, GraniiOptions};
 use granii_gnn::spec::ModelKind;
 use granii_graph::datasets::{Dataset, Scale};
 use granii_matrix::device::DeviceKind;
-use granii_serve::{ServeConfig, ServeRequest, Server, TRACE_LANE_BASE};
+use granii_serve::{ServeConfig, ServeRequest, Server, BATCH_TRACE_LANE, TRACE_LANE_BASE};
+use granii_telemetry::{AttrValue, SpanRecord};
+
+/// The string attribute `key` of `span`, if present.
+fn str_attr<'a>(span: &'a SpanRecord, key: &str) -> Option<&'a str> {
+    span.attrs.iter().find_map(|(k, v)| match v {
+        AttrValue::Str(s) if *k == key => Some(s.as_str()),
+        _ => None,
+    })
+}
 
 #[test]
 fn sampled_requests_become_chrome_trace_lanes() {
@@ -84,6 +95,42 @@ fn sampled_requests_become_chrome_trace_lanes() {
     for child in spans.iter().filter(|s| s.tid == root.tid && s.depth == 1) {
         assert!(child.start_us >= root.start_us);
         assert!(child.start_us + child.dur_us <= root.start_us + root.dur_us);
+    }
+
+    // Sequential requests each form a group of one, and every group emits
+    // one `serve.batch` span on the batch lane naming its member.
+    let batch_spans: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.name == "serve.batch" && s.tid == BATCH_TRACE_LANE)
+        .collect();
+    assert_eq!(
+        batch_spans.len(),
+        4,
+        "one batch span per sequential request"
+    );
+    for id in [0u64, 2] {
+        let batch = batch_spans
+            .iter()
+            .find(|s| {
+                s.attrs
+                    .iter()
+                    .any(|(k, v)| *k == "member" && matches!(v, AttrValue::U64(m) if *m == id))
+            })
+            .expect("the request's group emitted a batch span");
+        let execute = spans
+            .iter()
+            .find(|s| s.name == "serve.req.execute" && s.tid == TRACE_LANE_BASE + id)
+            .expect("execute child");
+        assert!(execute
+            .attrs
+            .iter()
+            .any(|(k, v)| *k == "batch_size" && matches!(v, AttrValue::U64(1))));
+        assert_eq!(
+            str_attr(execute, "batch_group"),
+            str_attr(batch, "group"),
+            "the execute child links to its group's batch span"
+        );
+        assert!(str_attr(batch, "group").is_some());
     }
 
     // The existing exporter renders the lanes with no changes: the lane tid
