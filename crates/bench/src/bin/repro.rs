@@ -303,9 +303,9 @@ fn fig6() {
             _ => "-",
         };
         println!("  [{scen}] {} => {}", c.program.expr, c.composition);
-        for s in &c.program.steps {
+        for (i, (s, op)) in c.program.steps.iter().zip(&c.program.ops).enumerate() {
             let once = if s.once { " (hoisted)" } else { "" };
-            println!("        {}: {}{once}", s.kind, s.signature);
+            println!("        s{i} = {op}  [{}]{once}", s.kind);
         }
     }
 }

@@ -17,8 +17,8 @@
 //! Consecutive diagonal absorptions into the same sparse operand fuse into a
 //! single SDDMM (`(D·A)·D` and `D·(A·D)` both canonicalize to `D·A·D`), which
 //! is what makes the GCN forest count 12 instead of Catalan(4) = 14.
-//! Completed trees are deduplicated by canonical expression, and equal step
-//! signatures are computed once (common-subexpression reuse).
+//! Completed trees are deduplicated by canonical expression, and equal
+//! operations are computed once (common-subexpression reuse).
 
 use std::collections::BTreeMap;
 
@@ -27,7 +27,11 @@ use granii_matrix::PrimitiveKind;
 use crate::ir::{Attr, Dim, Expr};
 use crate::{CoreError, Result};
 
-use super::{CandidateProgram, PrimStep};
+use super::{CandidateProgram, Leaf, Op, Operand, PrimStep};
+
+/// A step under construction: its cost view and its operation, whose `Step`
+/// operands index the step list being built.
+type Step = (PrimStep, Op<Operand>);
 
 /// A working element of a chain during reduction.
 #[derive(Debug, Clone)]
@@ -36,9 +40,8 @@ struct Elem {
     cols: Dim,
     kind: ElemKind,
     expr: String,
-    /// Index (into the step list) of the step that produced this element, for
-    /// SDDMM fusion.
-    produced_by: Option<usize>,
+    /// The leaf or step holding the element's value.
+    value: Operand,
     /// Whether the element depends on iteration-varying data (features or
     /// weights) as opposed to graph structure only; graph-only steps are
     /// hoisted (`PrimStep::once`).
@@ -63,18 +66,15 @@ pub const ENUMERATION_BUDGET: usize = 250_000;
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidIr`] for malformed expressions or when the
-/// forest exceeds [`ENUMERATION_BUDGET`] intermediate results, and
+/// forest exceeds `ENUMERATION_BUDGET` intermediate results, and
 /// [`CoreError::NoCandidates`] if no complete tree exists.
 pub fn enumerate(expr: &Expr) -> Result<Vec<CandidateProgram>> {
     let mut budget = ENUMERATION_BUDGET;
     let results = enumerate_expr(expr, &mut budget)?;
     let mut out: BTreeMap<String, CandidateProgram> = BTreeMap::new();
     for (elem, steps) in results {
-        let steps = dedupe_by_signature(steps);
-        out.entry(elem.expr.clone()).or_insert(CandidateProgram {
-            expr: elem.expr,
-            steps,
-        });
+        out.entry(elem.expr.clone())
+            .or_insert_with(|| number_values(elem.expr, &steps));
     }
     if out.is_empty() {
         return Err(CoreError::NoCandidates {
@@ -84,14 +84,53 @@ pub fn enumerate(expr: &Expr) -> Result<Vec<CandidateProgram>> {
     Ok(out.into_values().collect())
 }
 
-/// Common-subexpression reuse: a step whose signature was already computed is
-/// dropped (its value is reused).
-fn dedupe_by_signature(steps: Vec<PrimStep>) -> Vec<PrimStep> {
-    let mut seen = std::collections::HashSet::new();
-    steps
-        .into_iter()
-        .filter(|s| seen.insert(s.signature.clone()))
-        .collect()
+/// Lays the steps out in dependency order and numbers their values.
+///
+/// Fusing a diagonal into an earlier SDDMM can make that step read a later
+/// diagonal merge, so each step is placed after the steps it reads; the
+/// enumeration order is kept otherwise. A step whose operation, over the
+/// renumbered operands, is already placed is dropped, and its readers get
+/// the earlier index (common-subexpression reuse, §IV-C).
+fn number_values(expr: String, steps: &[Step]) -> CandidateProgram {
+    fn place(i: usize, steps: &[Step], placed: &mut [bool], order: &mut Vec<usize>) {
+        if std::mem::replace(&mut placed[i], true) {
+            return;
+        }
+        for (v, _) in steps[i].1.operands() {
+            if let Operand::Step(j) = v {
+                place(*j, steps, placed, order);
+            }
+        }
+        order.push(i);
+    }
+    let mut placed = vec![false; steps.len()];
+    let mut order = Vec::with_capacity(steps.len());
+    for i in 0..steps.len() {
+        place(i, steps, &mut placed, &mut order);
+    }
+
+    let mut program = CandidateProgram {
+        expr,
+        steps: Vec::with_capacity(steps.len()),
+        ops: Vec::with_capacity(steps.len()),
+    };
+    let mut index = vec![0; steps.len()];
+    for i in order {
+        let (cost, op) = &steps[i];
+        let op = op.map(|v| match v {
+            Operand::Step(j) => Operand::Step(index[*j]),
+            leaf => leaf.clone(),
+        });
+        index[i] = match program.ops.iter().position(|existing| *existing == op) {
+            Some(k) => k,
+            None => {
+                program.steps.push(cost.clone());
+                program.ops.push(op);
+                program.ops.len() - 1
+            }
+        };
+    }
+    program
 }
 
 /// Decrements the enumeration budget, erroring when exhausted.
@@ -106,8 +145,49 @@ fn spend(budget: &mut usize, amount: usize) -> Result<()> {
     Ok(())
 }
 
+/// Appends a child's steps to `steps` and returns the child's element with
+/// its value renumbered to match.
+fn append(steps: &mut Vec<Step>, elem: &Elem, child_steps: &[Step]) -> Elem {
+    let offset = steps.len();
+    let shift = |v: &Operand| match v {
+        Operand::Step(i) => Operand::Step(i + offset),
+        leaf => leaf.clone(),
+    };
+    steps.extend(
+        child_steps
+            .iter()
+            .map(|(cost, op)| (cost.clone(), op.map(shift))),
+    );
+    Elem {
+        value: shift(&elem.value),
+        ..elem.clone()
+    }
+}
+
+/// Pushes a step and returns the operand naming its value.
+fn push(
+    steps: &mut Vec<Step>,
+    kind: PrimitiveKind,
+    sizes: [Dim; 3],
+    once: bool,
+    op: Op<Operand>,
+) -> Operand {
+    let [rows, inner, cols] = sizes;
+    steps.push((
+        PrimStep {
+            kind,
+            rows,
+            inner,
+            cols,
+            once,
+        },
+        op,
+    ));
+    Operand::Step(steps.len() - 1)
+}
+
 /// Recursively enumerates an expression into `(result element, steps)` pairs.
-fn enumerate_expr(expr: &Expr, budget: &mut usize) -> Result<Vec<(Elem, Vec<PrimStep>)>> {
+fn enumerate_expr(expr: &Expr, budget: &mut usize) -> Result<Vec<(Elem, Vec<Step>)>> {
     match expr {
         Expr::Mat(m) => {
             let kind = match m.attr {
@@ -123,7 +203,7 @@ fn enumerate_expr(expr: &Expr, budget: &mut usize) -> Result<Vec<(Elem, Vec<Prim
                     cols: m.cols,
                     kind,
                     expr: m.name.clone(),
-                    produced_by: None,
+                    value: Operand::Leaf(Leaf::of(m)?),
                     data,
                 },
                 Vec::new(),
@@ -135,23 +215,17 @@ fn enumerate_expr(expr: &Expr, budget: &mut usize) -> Result<Vec<(Elem, Vec<Prim
             }
             // Cartesian product over the children's enumerations, then reduce
             // the resulting element chain in every rule-compatible order.
-            let children: Vec<Vec<(Elem, Vec<PrimStep>)>> = es
+            let children: Vec<Vec<(Elem, Vec<Step>)>> = es
                 .iter()
                 .map(|e| enumerate_expr(e, budget))
                 .collect::<Result<_>>()?;
             let mut out = Vec::new();
             for combo in cartesian(&children) {
                 let mut steps = Vec::new();
-                let mut elems = Vec::with_capacity(combo.len());
-                for (elem, child_steps) in combo {
-                    let offset = steps.len();
-                    let mut elem = elem.clone();
-                    if let Some(p) = elem.produced_by {
-                        elem.produced_by = Some(p + offset);
-                    }
-                    steps.extend(child_steps.iter().cloned());
-                    elems.push(elem);
-                }
+                let elems: Vec<Elem> = combo
+                    .into_iter()
+                    .map(|(elem, child_steps)| append(&mut steps, elem, child_steps))
+                    .collect();
                 // Different reduction orders reaching the same chain state
                 // produce identical futures (an element's expression fully
                 // determines the steps that built it), so states are visited
@@ -165,36 +239,33 @@ fn enumerate_expr(expr: &Expr, budget: &mut usize) -> Result<Vec<(Elem, Vec<Prim
             if es.is_empty() {
                 return Err(CoreError::InvalidIr("empty add".into()));
             }
-            let children: Vec<Vec<(Elem, Vec<PrimStep>)>> = es
+            let children: Vec<Vec<(Elem, Vec<Step>)>> = es
                 .iter()
                 .map(|e| enumerate_expr(e, budget))
                 .collect::<Result<_>>()?;
             let mut out = Vec::new();
             for combo in cartesian(&children) {
                 spend(budget, 1)?;
-                let mut steps: Vec<PrimStep> = Vec::new();
-                let mut exprs = Vec::new();
-                let (mut rows, mut cols) = (Dim::N, Dim::K2);
-                for (elem, child_steps) in &combo {
+                let mut steps = Vec::new();
+                let mut terms = Vec::with_capacity(combo.len());
+                for (elem, child_steps) in combo {
                     if elem.kind != ElemKind::Dense {
                         return Err(CoreError::InvalidIr("add of non-dense operands".into()));
                     }
-                    steps.extend(child_steps.iter().cloned());
-                    exprs.push(elem.expr.clone());
-                    rows = elem.rows;
-                    cols = elem.cols;
+                    terms.push(append(&mut steps, elem, child_steps));
                 }
+                let (rows, cols) = terms.last().map_or((Dim::N, Dim::K2), |t| (t.rows, t.cols));
+                let exprs: Vec<&str> = terms.iter().map(|t| t.expr.as_str()).collect();
                 let expr = format!("({})", exprs.join(" + "));
-                // One element-wise pass per extra operand.
-                for i in 1..combo.len() {
-                    steps.push(PrimStep {
-                        kind: PrimitiveKind::Elementwise,
-                        rows,
-                        inner: Dim::One,
-                        cols,
-                        signature: format!("add{i}:{expr}"),
-                        once: false,
-                    });
+                // One element-wise add per extra term.
+                let mut sum = terms[0].value.clone();
+                for term in &terms[1..] {
+                    let op = Op::Add {
+                        a: sum,
+                        b: term.value.clone(),
+                    };
+                    let sizes = [rows, Dim::One, cols];
+                    sum = push(&mut steps, PrimitiveKind::Elementwise, sizes, false, op);
                 }
                 out.push((
                     Elem {
@@ -202,7 +273,7 @@ fn enumerate_expr(expr: &Expr, budget: &mut usize) -> Result<Vec<(Elem, Vec<Prim
                         cols,
                         kind: ElemKind::Dense,
                         expr,
-                        produced_by: None,
+                        value: sum,
                         data: true,
                     },
                     steps,
@@ -215,22 +286,16 @@ fn enumerate_expr(expr: &Expr, budget: &mut usize) -> Result<Vec<(Elem, Vec<Prim
             Ok(inner
                 .into_iter()
                 .map(|(elem, mut steps)| {
-                    let expr = format!("σ{}", wrap(&elem.expr));
-                    steps.push(PrimStep {
-                        kind: PrimitiveKind::Elementwise,
-                        rows: elem.rows,
-                        inner: Dim::One,
-                        cols: elem.cols,
-                        signature: expr.clone(),
-                        once: false,
-                    });
+                    let sizes = [elem.rows, Dim::One, elem.cols];
+                    let op = Op::Relu { x: elem.value };
+                    let value = push(&mut steps, PrimitiveKind::Elementwise, sizes, false, op);
                     (
                         Elem {
                             rows: elem.rows,
                             cols: elem.cols,
                             kind: ElemKind::Dense,
-                            expr,
-                            produced_by: None,
+                            expr: format!("σ{}", wrap(&elem.expr)),
+                            value,
                             data: true,
                         },
                         steps,
@@ -246,60 +311,36 @@ fn enumerate_expr(expr: &Expr, budget: &mut usize) -> Result<Vec<(Elem, Vec<Prim
             Ok(inner
                 .into_iter()
                 .map(|(elem, mut steps)| {
-                    let t = elem.expr.clone();
-                    for (kind, rows, inner_d, cols, sig) in [
-                        (
-                            PrimitiveKind::Gemm,
-                            Dim::N,
-                            Dim::K2,
-                            Dim::One,
-                            format!("({t}·a_l)"),
-                        ),
-                        (
-                            PrimitiveKind::Gemm,
-                            Dim::N,
-                            Dim::K2,
-                            Dim::One,
-                            format!("({t}·a_r)"),
-                        ),
-                        (
-                            PrimitiveKind::Sddmm,
-                            Dim::N,
-                            Dim::Nnz,
-                            Dim::One,
-                            format!("att-logits:{t}"),
-                        ),
-                        (
-                            PrimitiveKind::Elementwise,
-                            Dim::Nnz,
-                            Dim::One,
-                            Dim::One,
-                            format!("att-leaky:{t}"),
-                        ),
-                        (
-                            PrimitiveKind::EdgeSoftmax,
-                            Dim::N,
-                            Dim::Nnz,
-                            Dim::One,
-                            format!("att-softmax:{t}"),
-                        ),
-                    ] {
-                        steps.push(PrimStep {
-                            kind,
-                            rows,
-                            inner: inner_d,
-                            cols,
-                            signature: sig,
-                            once: false,
-                        });
-                    }
+                    let score = |steps: &mut Vec<Step>, name: &str| {
+                        let op = Op::Gemm {
+                            a: elem.value.clone(),
+                            b: Operand::Leaf(Leaf::Weight(name.into())),
+                        };
+                        let sizes = [Dim::N, Dim::K2, Dim::One];
+                        push(steps, PrimitiveKind::Gemm, sizes, false, op)
+                    };
+                    let ul = score(&mut steps, "a_l");
+                    let vr = score(&mut steps, "a_r");
+                    let op = Op::AttLogits {
+                        mask: Operand::Leaf(Leaf::Adj),
+                        ul,
+                        vr,
+                    };
+                    let sizes = [Dim::N, Dim::Nnz, Dim::One];
+                    let logits = push(&mut steps, PrimitiveKind::Sddmm, sizes, false, op);
+                    let op = Op::LeakyRelu { logits };
+                    let sizes = [Dim::Nnz, Dim::One, Dim::One];
+                    let scored = push(&mut steps, PrimitiveKind::Elementwise, sizes, false, op);
+                    let op = Op::EdgeSoftmax { scored };
+                    let sizes = [Dim::N, Dim::Nnz, Dim::One];
+                    let value = push(&mut steps, PrimitiveKind::EdgeSoftmax, sizes, false, op);
                     (
                         Elem {
                             rows: Dim::N,
                             cols: Dim::N,
                             kind: ElemKind::Sparse { weighted: true },
                             expr: "α".into(),
-                            produced_by: None,
+                            value,
                             data: true,
                         },
                         steps,
@@ -334,8 +375,8 @@ fn cartesian<T>(children: &[Vec<T>]) -> Vec<Vec<&T>> {
 /// Depth-first reduction of an element chain by every applicable rule.
 fn reduce_chain(
     elems: &[Elem],
-    steps: &[PrimStep],
-    out: &mut Vec<(Elem, Vec<PrimStep>)>,
+    steps: &[Step],
+    out: &mut Vec<(Elem, Vec<Step>)>,
     budget: &mut usize,
     visited: &mut std::collections::HashSet<String>,
 ) -> Result<()> {
@@ -381,186 +422,131 @@ fn strip(s: &str) -> &str {
 
 /// Applies the primitive-assignment rule for an adjacent pair; returns the
 /// produced element and the updated step list.
-fn apply_rule(l: &Elem, r: &Elem, steps: &[PrimStep]) -> Option<(Elem, Vec<PrimStep>)> {
+fn apply_rule(l: &Elem, r: &Elem, steps: &[Step]) -> Option<(Elem, Vec<Step>)> {
     use ElemKind::*;
-    let mut steps = steps.to_vec();
+    use PrimitiveKind as P;
     let once = !l.data && !r.data;
     let data = l.data || r.data;
-    match (l.kind, r.kind) {
+    let (kind, sizes, op, (rows, cols, result)) = match (l.kind, r.kind) {
         // diag · diag: merge the per-node vectors (element-wise).
         (Diag, Diag) => {
-            let expr = format!("({}·{})", strip(&l.expr), strip(&r.expr));
-            steps.push(PrimStep {
-                kind: PrimitiveKind::Elementwise,
-                rows: Dim::N,
-                inner: Dim::One,
-                cols: Dim::One,
-                signature: expr.clone(),
-                once,
-            });
-            let idx = steps.len() - 1;
-            Some((
-                Elem {
-                    rows: l.rows,
-                    cols: r.cols,
-                    kind: Diag,
-                    expr,
-                    produced_by: Some(idx),
-                    data,
-                },
-                steps,
-            ))
+            let sizes = [Dim::N, Dim::One, Dim::One];
+            let op = Op::DiagMerge {
+                a: l.value.clone(),
+                b: r.value.clone(),
+            };
+            (P::Elementwise, sizes, op, (l.rows, r.cols, Diag))
         }
         // diag · sparse / sparse · diag: SDDMM edge scaling. Consecutive
         // absorptions into the same sparse fuse into one SDDMM.
         (Diag, Sparse { .. }) | (Sparse { .. }, Diag) => {
-            let (sparse, absorb_left) = if l.kind == Diag {
-                (r, true)
-            } else {
-                (l, false)
-            };
-            let diag = if absorb_left { l } else { r };
+            let absorb_left = l.kind == Diag;
+            let (diag, sparse) = if absorb_left { (l, r) } else { (r, l) };
             let expr = if absorb_left {
                 format!("({}·{})", diag.expr, strip(&sparse.expr))
             } else {
                 format!("({}·{})", strip(&sparse.expr), diag.expr)
             };
-            let fused = sparse.produced_by.filter(|&k| {
-                steps[k].kind == PrimitiveKind::Sddmm && steps[k].signature == sparse.expr
-            });
-            let idx = match fused {
-                Some(k) => {
-                    steps[k].signature = expr.clone();
-                    k
-                }
-                None => {
-                    steps.push(PrimStep {
-                        kind: PrimitiveKind::Sddmm,
-                        rows: Dim::N,
-                        inner: Dim::Nnz,
-                        cols: Dim::One,
-                        signature: expr.clone(),
-                        once,
-                    });
-                    steps.len() - 1
-                }
-            };
-            Some((
-                Elem {
-                    rows: Dim::N,
-                    cols: Dim::N,
-                    kind: Sparse { weighted: true },
-                    expr,
-                    produced_by: Some(idx),
-                    data,
+            let mut steps = steps.to_vec();
+            let fused = match sparse.value {
+                Operand::Step(k) => match &mut steps[k].1 {
+                    Op::ScaleCsr { dl, dr, .. } => {
+                        if absorb_left {
+                            dl.insert(0, diag.value.clone());
+                        } else {
+                            dr.push(diag.value.clone());
+                        }
+                        Some(Operand::Step(k))
+                    }
+                    _ => None,
                 },
-                steps,
-            ))
+                Operand::Leaf(_) => None,
+            };
+            let value = fused.unwrap_or_else(|| {
+                let (dl, dr) = if absorb_left {
+                    (vec![diag.value.clone()], Vec::new())
+                } else {
+                    (Vec::new(), vec![diag.value.clone()])
+                };
+                let op = Op::ScaleCsr {
+                    dl,
+                    sparse: sparse.value.clone(),
+                    dr,
+                };
+                let sizes = [Dim::N, Dim::Nnz, Dim::One];
+                push(&mut steps, P::Sddmm, sizes, once, op)
+            });
+            let elem = Elem {
+                rows: Dim::N,
+                cols: Dim::N,
+                kind: Sparse { weighted: true },
+                expr,
+                value,
+                data,
+            };
+            return Some((elem, steps));
         }
         // diag · dense: row-broadcast.
         (Diag, Dense) => {
-            let expr = format!("({}·{})", l.expr, r.expr);
-            steps.push(PrimStep {
-                kind: PrimitiveKind::RowBroadcast,
-                rows: r.rows,
-                inner: Dim::One,
-                cols: r.cols,
-                signature: expr.clone(),
-                once,
-            });
-            let idx = steps.len() - 1;
-            Some((
-                Elem {
-                    rows: r.rows,
-                    cols: r.cols,
-                    kind: Dense,
-                    expr,
-                    produced_by: Some(idx),
-                    data,
-                },
-                steps,
-            ))
+            let sizes = [r.rows, Dim::One, r.cols];
+            let op = Op::RowBroadcast {
+                d: l.value.clone(),
+                x: r.value.clone(),
+            };
+            (P::RowBroadcast, sizes, op, (r.rows, r.cols, Dense))
         }
         // dense · diag: column-broadcast.
         (Dense, Diag) => {
-            let expr = format!("({}·{})", l.expr, r.expr);
-            steps.push(PrimStep {
-                kind: PrimitiveKind::ColBroadcast,
-                rows: l.rows,
-                inner: Dim::One,
-                cols: l.cols,
-                signature: expr.clone(),
-                once,
-            });
-            let idx = steps.len() - 1;
-            Some((
-                Elem {
-                    rows: l.rows,
-                    cols: l.cols,
-                    kind: Dense,
-                    expr,
-                    produced_by: Some(idx),
-                    data,
-                },
-                steps,
-            ))
+            let sizes = [l.rows, Dim::One, l.cols];
+            let op = Op::ColBroadcast {
+                x: l.value.clone(),
+                d: r.value.clone(),
+            };
+            (P::ColBroadcast, sizes, op, (l.rows, l.cols, Dense))
         }
         // sparse · dense: g-SpMM, weighted per the sparse sub-attribute.
         (Sparse { weighted }, Dense) => {
-            let expr = format!("({}·{})", l.expr, r.expr);
             let kind = if weighted {
-                PrimitiveKind::SpmmWeighted
+                P::SpmmWeighted
             } else {
-                PrimitiveKind::SpmmUnweighted
+                P::SpmmUnweighted
             };
-            steps.push(PrimStep {
-                kind,
-                rows: l.rows,
-                inner: Dim::Nnz,
-                cols: r.cols,
-                signature: expr.clone(),
-                once,
-            });
-            let idx = steps.len() - 1;
-            Some((
-                Elem {
-                    rows: l.rows,
-                    cols: r.cols,
-                    kind: Dense,
-                    expr,
-                    produced_by: Some(idx),
-                    data,
-                },
-                steps,
-            ))
+            let sizes = [l.rows, Dim::Nnz, r.cols];
+            let op = Op::Spmm {
+                adj: l.value.clone(),
+                x: r.value.clone(),
+                weighted,
+            };
+            (kind, sizes, op, (l.rows, r.cols, Dense))
         }
         // dense · dense: GEMM.
         (Dense, Dense) => {
-            let expr = format!("({}·{})", l.expr, r.expr);
-            steps.push(PrimStep {
-                kind: PrimitiveKind::Gemm,
-                rows: l.rows,
-                inner: l.cols,
-                cols: r.cols,
-                signature: expr.clone(),
-                once,
-            });
-            let idx = steps.len() - 1;
-            Some((
-                Elem {
-                    rows: l.rows,
-                    cols: r.cols,
-                    kind: Dense,
-                    expr,
-                    produced_by: Some(idx),
-                    data,
-                },
-                steps,
-            ))
+            let sizes = [l.rows, l.cols, r.cols];
+            let op = Op::Gemm {
+                a: l.value.clone(),
+                b: r.value.clone(),
+            };
+            (P::Gemm, sizes, op, (l.rows, r.cols, Dense))
         }
         // sparse · sparse: no SpGEMM primitive — the branch dies.
-        (Sparse { .. }, Sparse { .. }) | (Dense, Sparse { .. }) => None,
-    }
+        (Sparse { .. }, Sparse { .. }) | (Dense, Sparse { .. }) => return None,
+    };
+    let expr = if result == Diag {
+        format!("({}·{})", strip(&l.expr), strip(&r.expr))
+    } else {
+        format!("({}·{})", l.expr, r.expr)
+    };
+    let mut steps = steps.to_vec();
+    let value = push(&mut steps, kind, sizes, once, op);
+    let elem = Elem {
+        rows,
+        cols,
+        kind: result,
+        expr,
+        value,
+        data,
+    };
+    Some((elem, steps))
 }
 
 #[cfg(test)]

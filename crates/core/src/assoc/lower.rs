@@ -3,7 +3,7 @@
 //! kernel calls that are supported by the underlying GNN framework").
 //!
 //! The executable kernel-call sequences live in `granii-gnn::models`; this
-//! module maps a promoted tree's primitive signature onto the matching
+//! module maps a promoted tree's primitives onto the matching
 //! [`Composition`].
 
 use granii_gnn::spec::{Composition, GatStrategy, ModelKind, NormStrategy, OpOrder};
@@ -11,7 +11,7 @@ use granii_matrix::PrimitiveKind;
 
 use crate::ir::Dim;
 
-use super::CandidateProgram;
+use super::{CandidateProgram, Op};
 
 /// Maps a candidate program to the executable composition implementing it.
 ///
@@ -19,10 +19,11 @@ use super::CandidateProgram;
 /// hybrids that the pruner usually eliminates anyway); the plan compiler
 /// drops such candidates.
 pub fn lower(model: ModelKind, program: &CandidateProgram) -> Option<Composition> {
+    // A normalizing SDDMM scales the adjacency; GAT's logits SDDMM does not.
     let has_sddmm = program
-        .steps
+        .ops
         .iter()
-        .any(|s| s.kind == PrimitiveKind::Sddmm && !s.signature.starts_with("att-logits"));
+        .any(|op| matches!(op, Op::ScaleCsr { .. }));
     let spmm_widths: Vec<Dim> = program
         .steps
         .iter()

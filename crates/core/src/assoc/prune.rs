@@ -187,13 +187,12 @@ mod tests {
     use crate::assoc::PrimStep;
     use granii_matrix::PrimitiveKind;
 
-    fn step(kind: PrimitiveKind, rows: Dim, inner: Dim, cols: Dim, sig: &str) -> PrimStep {
+    fn step(kind: PrimitiveKind, rows: Dim, inner: Dim, cols: Dim) -> PrimStep {
         PrimStep {
             kind,
             rows,
             inner,
             cols,
-            signature: sig.into(),
             once: false,
         }
     }
@@ -202,6 +201,7 @@ mod tests {
         CandidateProgram {
             expr: expr.into(),
             steps,
+            ops: Vec::new(),
         }
     }
 
@@ -209,19 +209,13 @@ mod tests {
     fn subset_rule_prunes_superset() {
         let small = prog(
             "a",
-            vec![step(
-                PrimitiveKind::SpmmWeighted,
-                Dim::N,
-                Dim::Nnz,
-                Dim::K1,
-                "s1",
-            )],
+            vec![step(PrimitiveKind::SpmmWeighted, Dim::N, Dim::Nnz, Dim::K1)],
         );
         let big = prog(
             "b",
             vec![
-                step(PrimitiveKind::SpmmWeighted, Dim::N, Dim::Nnz, Dim::K1, "s1"),
-                step(PrimitiveKind::Gemm, Dim::N, Dim::K1, Dim::K2, "g"),
+                step(PrimitiveKind::SpmmWeighted, Dim::N, Dim::Nnz, Dim::K1),
+                step(PrimitiveKind::Gemm, Dim::N, Dim::K1, Dim::K2),
             ],
         );
         let (promoted, pruned) = prune(&[small.clone(), big]);
@@ -241,7 +235,6 @@ mod tests {
                 Dim::N,
                 Dim::Nnz,
                 Dim::K1,
-                "x",
             )],
         );
         let at_k2 = prog(
@@ -251,7 +244,6 @@ mod tests {
                 Dim::N,
                 Dim::Nnz,
                 Dim::K2,
-                "y",
             )],
         );
         let (promoted, pruned) = prune(&[at_k1, at_k2]);
@@ -269,8 +261,8 @@ mod tests {
             prog(
                 name,
                 vec![
-                    step(PrimitiveKind::RowBroadcast, Dim::N, Dim::One, w1, "r1"),
-                    step(PrimitiveKind::RowBroadcast, Dim::N, Dim::One, w2, "r2"),
+                    step(PrimitiveKind::RowBroadcast, Dim::N, Dim::One, w1),
+                    step(PrimitiveKind::RowBroadcast, Dim::N, Dim::One, w2),
                 ],
             )
         };
@@ -288,11 +280,11 @@ mod tests {
     fn duplicates_are_removed_deterministically() {
         let a = prog(
             "first",
-            vec![step(PrimitiveKind::Gemm, Dim::N, Dim::K1, Dim::K2, "g1")],
+            vec![step(PrimitiveKind::Gemm, Dim::N, Dim::K1, Dim::K2)],
         );
         let b = prog(
             "second",
-            vec![step(PrimitiveKind::Gemm, Dim::N, Dim::K1, Dim::K2, "g2")],
+            vec![step(PrimitiveKind::Gemm, Dim::N, Dim::K1, Dim::K2)],
         );
         let (promoted, pruned) = prune(&[a, b]);
         assert_eq!(pruned, 1);
@@ -304,23 +296,11 @@ mod tests {
         // N-wide vs K1-wide broadcasts: cannot be compared input-obliviously.
         let a = prog(
             "n",
-            vec![step(
-                PrimitiveKind::RowBroadcast,
-                Dim::N,
-                Dim::One,
-                Dim::N,
-                "x",
-            )],
+            vec![step(PrimitiveKind::RowBroadcast, Dim::N, Dim::One, Dim::N)],
         );
         let b = prog(
             "k",
-            vec![step(
-                PrimitiveKind::RowBroadcast,
-                Dim::N,
-                Dim::One,
-                Dim::K1,
-                "y",
-            )],
+            vec![step(PrimitiveKind::RowBroadcast, Dim::N, Dim::One, Dim::K1)],
         );
         let (promoted, pruned) = prune(&[a, b]);
         assert_eq!(pruned, 0);

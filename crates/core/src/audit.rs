@@ -16,7 +16,7 @@
 //!   through the compile-once ExecPlan engine on a modeled device (charges
 //!   depend only on shapes and sparsity, so the result is deterministic)
 //!   and — reusing the interpreter-vs-ExecPlan differential machinery —
-//!   through the string-resolving interpreter as a cross-check. From the
+//!   through the reference interpreter as a cross-check. From the
 //!   measurements it reports per-decision **regret** (chosen vs.
 //!   oracle-best) and the cost model's **MAPE on ln-latency**.
 
@@ -274,7 +274,7 @@ pub struct VerifiedCandidate {
     pub measured_seconds: f64,
     /// The ExecPlan charges before amortization (hoisted + one iteration).
     pub execplan_seconds: f64,
-    /// The same program measured through the string-resolving interpreter
+    /// The same program measured through the reference interpreter
     /// (the differential oracle); one full execution charges hoisted +
     /// per-iteration work, so this must equal [`Self::execplan_seconds`].
     pub interp_seconds: f64,

@@ -81,7 +81,6 @@ mod tests {
             rows: Dim::N,
             inner: Dim::K1,
             cols: Dim::K2,
-            signature: "t".into(),
             once: false,
         };
         assert_eq!(f.step_features(&step).len(), FeaturizedInput::LEN);
@@ -96,7 +95,6 @@ mod tests {
             rows: Dim::N,
             inner: Dim::Nnz,
             cols: Dim::K2,
-            signature: "t".into(),
             once: false,
         };
         let v = f.step_features(&step);

@@ -147,7 +147,6 @@ mod tests {
             rows: Dim::N,
             inner: Dim::K1,
             cols: Dim::K2,
-            signature: "x".into(),
             once: false,
         };
         let g = granii_graph::generators::ring(5).unwrap();

@@ -103,7 +103,6 @@ fn profiled_steps() -> Vec<PrimStep> {
         rows,
         inner,
         cols,
-        signature: String::new(),
         once: false,
     };
     vec![
@@ -371,7 +370,6 @@ mod tests {
             rows: Dim::N,
             inner: Dim::K1,
             cols: Dim::K2,
-            signature: String::new(),
             once: false,
         };
         let small = set

@@ -1,28 +1,26 @@
 //! Compile-once execution engine for candidate programs (§IV-D's steady
 //! state).
 //!
-//! The legacy [`crate::interp`] re-resolves every operand through a
-//! string-keyed `BTreeMap` and re-allocates every intermediate on every call
-//! — fine as a differential-test oracle, wrong as the thing that runs the
+//! The reference [`crate::interp`] evaluates a program's operations into a
+//! fresh `Vec` of values and re-allocates every intermediate on every call —
+//! fine as a differential-test oracle, wrong as the thing that runs the
 //! ~100 steady-state iterations the selection overhead amortizes over
 //! (§VI-C). This module splits that work into three phases:
 //!
-//! 1. **Build** ([`ExecPlan::build`]): canonical-signature resolution. Each
-//!    [`PrimStep`] is lowered once into a slot-addressed [`Instr`]; operand
-//!    expressions are resolved through the same tolerant lookup the
-//!    interpreter uses (exact / outer-paren-stripped / wrapped), `add` steps
-//!    that alias an already-bound sum collapse to nothing, and hoisted
-//!    (`once`) steps are separated from per-iteration steps. No inputs are
-//!    needed yet — a plan is reusable across graphs.
+//! 1. **Build** ([`ExecPlan::build`]): each step's typed [`Op`] becomes one
+//!    instruction over value indices. Step *i* is value *i*, each distinct
+//!    leaf gets one value after the steps, and hoisted (`once`) steps are
+//!    separated from per-iteration steps. No inputs are needed yet — a plan
+//!    is reusable across graphs.
 //! 2. **Bind** ([`ExecPlan::bind`]): shape inference against concrete
 //!    [`ProgramInputs`], slot assignment (dense per-iteration intermediates
 //!    share physical buffers via a liveness-driven free list), buffer
 //!    allocation, and one charged execution of the hoisted setup
 //!    instructions.
 //! 3. **Iterate** ([`BoundPlan::iterate`]): a flat loop over slot-addressed
-//!    instructions driving the `_into` kernels. No `String` lookup, no
-//!    `Value` clone, no heap allocation — every intermediate lands in a
-//!    buffer assigned at bind time.
+//!    instructions driving the `_into` kernels. No `Value` clone, no heap
+//!    allocation — every intermediate lands in a buffer assigned at bind
+//!    time.
 //!
 //! The engine charges exactly the latencies the interpreter charges and
 //! produces bitwise-identical outputs; `crates/core/tests` asserts both
@@ -36,159 +34,29 @@ use granii_gnn::spec::{LayerConfig, ModelKind};
 use granii_gnn::{Exec, GraphCtx};
 use granii_matrix::device::ChargeSummary;
 use granii_matrix::ops::BroadcastOp;
-use granii_matrix::{CsrMatrix, DenseMatrix, PrimitiveKind, Semiring, WorkStats};
+use granii_matrix::{CsrMatrix, DenseMatrix, Semiring, WorkStats};
 use granii_telemetry::{ProfileReport, ProfileRow};
 
-use crate::assoc::{CandidateProgram, PrimStep};
-use crate::interp::{split_top, ProgramInputs};
+use crate::assoc::{CandidateProgram, Leaf, Op, Operand, ValueKind};
+use crate::interp::ProgramInputs;
 use crate::{CoreError, Result};
 
 /// Index into the plan's value table (one entry per produced/leaf value).
 type ValueId = usize;
 
-/// What kind of value a [`ValueId`] holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ValueKind {
-    Dense,
-    Sparse,
-    Diag,
-}
-
-/// A leaf operand, seeded from [`ProgramInputs`] at bind time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Leaf {
-    /// The aggregation mask `A`.
-    Adj,
-    /// `D̃^{-1/2}` (the leaf `D`).
-    DegInvSqrt,
-    /// `D^{-1}` (GraphSAGE's mean normalizer).
-    DegInv,
-    /// Node features `H`.
-    Features,
-    /// GIN's `(1+ε)I` constant diagonal.
-    EpsIdentity,
-    /// A dense weight leaf (`W`, `W1`, `a_l`, ...), looked up by name.
-    Weight(String),
-}
-
-/// One slot-addressed instruction. Every operand and output is a [`ValueId`];
-/// the bound plan maps ids to physical buffer slots.
+/// One slot-addressed instruction: an operation over [`ValueId`]s and the
+/// value it produces. The bound plan maps ids to physical buffer slots.
 #[derive(Debug, Clone)]
-enum Instr {
-    /// Dense × dense product.
-    Gemm {
-        a: ValueId,
-        b: ValueId,
-        out: ValueId,
-    },
-    /// Sparse × dense product; `weighted` selects the semiring the
-    /// interpreter would use for the step's primitive kind.
-    Spmm {
-        adj: ValueId,
-        x: ValueId,
-        weighted: bool,
-        out: ValueId,
-    },
-    /// GAT logits: per-edge `ul_i + vr_j` over the mask.
-    AttLogits {
-        mask: ValueId,
-        ul: ValueId,
-        vr: ValueId,
-        out: ValueId,
-    },
-    /// `diag · sparse · diag` edge scaling; multiple diagonals per side are
-    /// merged (uncharged, mirroring the interpreter) before the kernel.
-    ScaleCsr {
-        dl: Vec<ValueId>,
-        sparse: ValueId,
-        dr: Vec<ValueId>,
-        out: ValueId,
-    },
-    /// Row-wise diagonal broadcast `diag(d) · X`.
-    RowBroadcast {
-        d: ValueId,
-        x: ValueId,
-        out: ValueId,
-    },
-    /// Column-wise diagonal broadcast `X · diag(d)`.
-    ColBroadcast {
-        x: ValueId,
-        d: ValueId,
-        out: ValueId,
-    },
-    /// GAT's LeakyReLU over edge logits.
-    LeakyRelu { logits: ValueId, out: ValueId },
-    /// Per-row softmax over edge scores.
-    EdgeSoftmax { scored: ValueId, out: ValueId },
-    /// Dense ReLU (`σ(...)` steps).
-    Relu { x: ValueId, out: ValueId },
-    /// N-ary dense sum: the first part is copied (uncharged, as the
-    /// interpreter clones it), every further part is a charged element-wise
-    /// add.
-    AddN { parts: Vec<ValueId>, out: ValueId },
-    /// Diagonal merge `(D·D·...)`: first part copied, every further part a
-    /// charged element-wise product.
-    DiagMerge { parts: Vec<ValueId>, out: ValueId },
+struct Instr {
+    op: Op<ValueId>,
+    out: ValueId,
 }
 
 impl Instr {
-    /// Stable display name, used by the per-instruction profiler.
-    fn name(&self) -> &'static str {
-        match self {
-            Instr::Gemm { .. } => "gemm",
-            Instr::Spmm { weighted: true, .. } => "spmm_weighted",
-            Instr::Spmm {
-                weighted: false, ..
-            } => "spmm",
-            Instr::AttLogits { .. } => "att_logits",
-            Instr::ScaleCsr { .. } => "scale_csr",
-            Instr::RowBroadcast { .. } => "row_broadcast",
-            Instr::ColBroadcast { .. } => "col_broadcast",
-            Instr::LeakyRelu { .. } => "leaky_relu",
-            Instr::EdgeSoftmax { .. } => "edge_softmax",
-            Instr::Relu { .. } => "relu",
-            Instr::AddN { .. } => "add_n",
-            Instr::DiagMerge { .. } => "diag_merge",
-        }
-    }
-
-    /// The value this instruction produces.
-    fn out(&self) -> ValueId {
-        match *self {
-            Instr::Gemm { out, .. }
-            | Instr::Spmm { out, .. }
-            | Instr::AttLogits { out, .. }
-            | Instr::ScaleCsr { out, .. }
-            | Instr::RowBroadcast { out, .. }
-            | Instr::ColBroadcast { out, .. }
-            | Instr::LeakyRelu { out, .. }
-            | Instr::EdgeSoftmax { out, .. }
-            | Instr::Relu { out, .. }
-            | Instr::AddN { out, .. }
-            | Instr::DiagMerge { out, .. } => out,
-        }
-    }
-
     /// The values this instruction reads (bind-time liveness only — never
     /// called on the per-iteration path).
     fn operands(&self) -> Vec<ValueId> {
-        match self {
-            Instr::Gemm { a, b, .. } => vec![*a, *b],
-            Instr::Spmm { adj, x, .. } => vec![*adj, *x],
-            Instr::AttLogits { mask, ul, vr, .. } => vec![*mask, *ul, *vr],
-            Instr::ScaleCsr { dl, sparse, dr, .. } => {
-                let mut v = dl.clone();
-                v.push(*sparse);
-                v.extend_from_slice(dr);
-                v
-            }
-            Instr::RowBroadcast { d, x, .. } => vec![*d, *x],
-            Instr::ColBroadcast { x, d, .. } => vec![*x, *d],
-            Instr::LeakyRelu { logits, .. } => vec![*logits],
-            Instr::EdgeSoftmax { scored, .. } => vec![*scored],
-            Instr::Relu { x, .. } => vec![*x],
-            Instr::AddN { parts, .. } | Instr::DiagMerge { parts, .. } => parts.clone(),
-        }
+        self.op.operands().into_iter().map(|(v, _)| *v).collect()
     }
 }
 
@@ -205,131 +73,56 @@ pub struct ExecPlan {
     output: ValueId,
 }
 
-/// Build-time state: the canonical-expression environment maps expression
-/// strings to [`ValueId`]s exactly once; after build, no string survives on
-/// the execution path.
-#[derive(Debug, Default)]
-struct Builder {
-    env: BTreeMap<String, ValueId>,
-    values: Vec<ValueKind>,
-    leaves: Vec<(ValueId, Leaf)>,
-}
-
-impl Builder {
-    fn new_value(&mut self, kind: ValueKind) -> ValueId {
-        self.values.push(kind);
-        self.values.len() - 1
-    }
-
-    fn seed_leaf(&mut self, name: &str, kind: ValueKind, leaf: Leaf) {
-        let id = self.new_value(kind);
-        self.leaves.push((id, leaf));
-        self.env.insert(name.to_string(), id);
-    }
-
-    /// The interpreter's tolerant lookup: exact, outer-paren-stripped, then
-    /// wrapped in parentheses.
-    fn resolve_existing(&self, expr: &str) -> Option<ValueId> {
-        if let Some(&id) = self.env.get(expr) {
-            return Some(id);
-        }
-        let stripped = expr.strip_prefix('(').and_then(|e| e.strip_suffix(')'));
-        if let Some(&id) = stripped.and_then(|e| self.env.get(e)) {
-            return Some(id);
-        }
-        self.env.get(&format!("({expr})")).copied()
-    }
-
-    /// Resolves an operand, registering unseen bare names as dense weight
-    /// leaves (the interpreter pre-binds every provided weight; the plan
-    /// defers the existence check to bind time, where a missing weight is the
-    /// same `unbound operand` error).
-    fn resolve(&mut self, expr: &str) -> Result<ValueId> {
-        if let Some(id) = self.resolve_existing(expr) {
-            return Ok(id);
-        }
-        let bare = expr
-            .strip_prefix('(')
-            .and_then(|e| e.strip_suffix(')'))
-            .unwrap_or(expr);
-        let leaf_like = !bare.is_empty() && bare.chars().all(|c| c.is_alphanumeric() || c == '_');
-        if leaf_like {
-            let id = self.new_value(ValueKind::Dense);
-            self.leaves.push((id, Leaf::Weight(bare.to_string())));
-            self.env.insert(bare.to_string(), id);
-            return Ok(id);
-        }
-        Err(CoreError::InvalidIr(format!("unbound operand {expr}")))
-    }
-
-    /// Resolves an operand and checks its kind.
-    fn resolve_kind(&mut self, expr: &str, kind: ValueKind, sig: &str) -> Result<ValueId> {
-        let id = self.resolve(expr)?;
-        if self.values[id] != kind {
-            return Err(CoreError::InvalidIr(format!(
-                "operand {expr} of {sig} is {:?}, expected {kind:?}",
-                self.values[id]
-            )));
-        }
-        Ok(id)
-    }
-}
-
 impl ExecPlan {
-    /// Lowers a candidate program into a slot-addressed plan. This is the
-    /// only place canonical-expression strings are resolved; the result
-    /// contains none.
+    /// Lowers a candidate program into a slot-addressed plan: one
+    /// instruction per step.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidIr`] for malformed programs (unbound
-    /// compound operands, kind mismatches, non-dense results) — the same
-    /// programs the interpreter rejects.
+    /// Returns [`CoreError::InvalidIr`] for malformed programs (a step that
+    /// reads itself or a later step, an operand of the wrong kind, no steps,
+    /// a non-dense result) — the same programs the interpreter rejects.
     pub fn build(program: &CandidateProgram) -> Result<Self> {
         let _span = granii_telemetry::span!("execplan.build", expr = program.expr.as_str());
         let t0 = Instant::now();
-        let mut b = Builder::default();
-        b.seed_leaf("A", ValueKind::Sparse, Leaf::Adj);
-        b.seed_leaf("D", ValueKind::Diag, Leaf::DegInvSqrt);
-        b.seed_leaf("D^{-1}", ValueKind::Diag, Leaf::DegInv);
-        b.seed_leaf("H", ValueKind::Dense, Leaf::Features);
-        b.seed_leaf("(1+ε)I", ValueKind::Diag, Leaf::EpsIdentity);
-
+        program.check()?;
+        let n = program.ops.len();
+        let mut leaves: Vec<(ValueId, Leaf)> = Vec::new();
         let mut setup = Vec::new();
         let mut iter = Vec::new();
-        let mut last = None;
-        for step in &program.steps {
-            let out = lower_step(&mut b, step, &mut setup, &mut iter)?;
-            // Extra bindings mirror the interpreter: an add step's value is
-            // referenced downstream by the full sum expression; the attention
-            // softmax is referenced as `α`.
-            if let Some((prefix, rest)) = step.signature.split_once(':') {
-                if prefix.starts_with("add") {
-                    b.env.insert(rest.to_string(), out);
-                }
-                if prefix == "att-softmax" {
-                    b.env.insert("α".into(), out);
-                }
+        for (out, (op, step)) in program.ops.iter().zip(&program.steps).enumerate() {
+            let op = op.map(|v| match v {
+                Operand::Step(j) => *j,
+                Operand::Leaf(leaf) => match leaves.iter().find(|(_, l)| l == leaf) {
+                    Some(&(id, _)) => id,
+                    None => {
+                        leaves.push((n + leaves.len(), leaf.clone()));
+                        n + leaves.len() - 1
+                    }
+                },
+            });
+            let instr = Instr { op, out };
+            if step.once {
+                setup.push(instr);
+            } else {
+                iter.push(instr);
             }
-            b.env.insert(step.signature.clone(), out);
-            last = Some(out);
         }
-        let output = last.ok_or_else(|| CoreError::InvalidIr("program has no steps".into()))?;
-        if b.values[output] != ValueKind::Dense {
-            return Err(CoreError::InvalidIr(format!(
-                "program result {} is not dense",
-                program.expr
-            )));
-        }
-        granii_telemetry::counter_add("execplan.instructions", (setup.len() + iter.len()) as u64);
+        let values = program
+            .ops
+            .iter()
+            .map(Op::result)
+            .chain(leaves.iter().map(|(_, leaf)| leaf.kind()))
+            .collect();
+        granii_telemetry::counter_add("execplan.instructions", n as u64);
         granii_telemetry::histogram_record_seconds("execplan.build", t0.elapsed().as_secs_f64());
         Ok(Self {
             expr: program.expr.clone(),
-            values: b.values,
-            leaves: b.leaves,
+            values,
+            leaves,
             setup,
             iter,
-            output,
+            output: n - 1,
         })
     }
 
@@ -375,17 +168,14 @@ impl ExecPlan {
                 Leaf::Features => Shape::Dense(inputs.h.rows(), inputs.h.cols()),
                 Leaf::EpsIdentity => Shape::Diag(n),
                 Leaf::Weight(name) => {
-                    let w = inputs
-                        .weights
-                        .get(name)
-                        .ok_or_else(|| CoreError::InvalidIr(format!("unbound operand {name}")))?;
-                    Shape::Dense(w.rows(), w.cols())
+                    let (rows, cols) = inputs.weight(name)?.shape();
+                    Shape::Dense(rows, cols)
                 }
             });
         }
         for instr in self.setup.iter().chain(&self.iter) {
             let s = infer_shape(instr, &shape, n)?;
-            shape[instr.out()] = Some(s);
+            shape[instr.out] = Some(s);
         }
 
         // Slot assignment. Leaves, setup outputs, the final output, and
@@ -402,12 +192,12 @@ impl ExecPlan {
             num_slots += 1;
         }
         for instr in &self.setup {
-            slot_of[instr.out()] = num_slots;
+            slot_of[instr.out] = num_slots;
             num_slots += 1;
         }
         let mut produced_in_iter = vec![false; self.values.len()];
         for instr in &self.iter {
-            produced_in_iter[instr.out()] = true;
+            produced_in_iter[instr.out] = true;
         }
         let mut last_use = vec![usize::MAX; self.values.len()];
         for (i, instr) in self.iter.iter().enumerate() {
@@ -417,7 +207,7 @@ impl ExecPlan {
         }
         let mut free: Vec<(usize, usize, usize)> = Vec::new();
         for (i, instr) in self.iter.iter().enumerate() {
-            let out = instr.out();
+            let out = instr.out;
             if slot_of[out] == UNASSIGNED {
                 let sharable = self.values[out] == ValueKind::Dense && out != self.output;
                 slot_of[out] = if sharable {
@@ -461,21 +251,15 @@ impl ExecPlan {
                 Leaf::DegInv => Slot::Diag(inputs.deg_inv.to_vec()),
                 Leaf::Features => Slot::Dense(inputs.h.clone()),
                 Leaf::EpsIdentity => Slot::Diag(vec![1.0 + inputs.eps; n]),
-                Leaf::Weight(name) => Slot::Dense(
-                    inputs
-                        .weights
-                        .get(name)
-                        .ok_or_else(|| CoreError::InvalidIr(format!("unbound operand {name}")))?
-                        .clone(),
-                ),
+                Leaf::Weight(name) => Slot::Dense(inputs.weight(name)?.clone()),
             };
         }
         for instr in self.setup.iter().chain(&self.iter) {
-            let slot = slot_of[instr.out()];
+            let slot = slot_of[instr.out];
             if !matches!(slots[slot], Slot::Empty) {
                 continue; // shared slot, already allocated
             }
-            slots[slot] = match shape_of(&shape, instr.out())? {
+            slots[slot] = match shape_of(&shape, instr.out)? {
                 Shape::Dense(r, c) => Slot::Dense(DenseMatrix::zeros(r, c)?),
                 Shape::Sparse => Slot::Sparse(
                     inputs
@@ -506,35 +290,21 @@ impl ExecPlan {
         }
         let mut supported = true;
         for instr in &self.iter {
-            let ok = match instr {
-                Instr::Gemm { a, b, out } => {
-                    // Stacked LHS against the shared (unbatched) weight.
-                    batched[*a] && !batched[*b] && {
-                        batched[*out] = true;
-                        true
-                    }
-                }
-                Instr::Spmm { x, out, .. }
-                | Instr::RowBroadcast { x, out, .. }
-                | Instr::ColBroadcast { x, out, .. }
-                | Instr::Relu { x, out } => {
-                    batched[*x] && {
-                        batched[*out] = true;
-                        true
-                    }
-                }
-                Instr::AddN { parts, out } => {
-                    parts.iter().all(|p| batched[*p]) && {
-                        batched[*out] = true;
-                        true
-                    }
-                }
+            let ok = match instr.op {
+                // Stacked LHS against the shared (unbatched) weight.
+                Op::Gemm { a, b } => batched[a] && !batched[b],
+                Op::Spmm { x, .. }
+                | Op::RowBroadcast { x, .. }
+                | Op::ColBroadcast { x, .. }
+                | Op::Relu { x } => batched[x],
+                Op::Add { a, b } => batched[a] && batched[b],
                 _ => false,
             };
             if !ok {
                 supported = false;
                 break;
             }
+            batched[instr.out] = true;
         }
         supported = supported && batched[self.output];
         let batch_plan = if supported {
@@ -542,7 +312,7 @@ impl ExecPlan {
             // a wide twin (batched iteration outputs and operands).
             let mut wide_cols = vec![0usize; num_slots];
             for instr in &self.iter {
-                for v in instr.operands().into_iter().chain([instr.out()]) {
+                for v in instr.operands().into_iter().chain([instr.out]) {
                     if batched[v] {
                         let (_, c) = dense_dims(shape_of(&shape, v)?)?;
                         wide_cols[slot_of[v]] = c;
@@ -629,196 +399,26 @@ fn diag_len(s: Shape) -> Result<usize> {
 }
 
 fn infer_shape(instr: &Instr, shape: &[Option<Shape>], n: usize) -> Result<Shape> {
-    Ok(match instr {
-        Instr::Gemm { a, b, .. } => {
-            let (ar, _) = dense_dims(shape_of(shape, *a)?)?;
-            let (_, bc) = dense_dims(shape_of(shape, *b)?)?;
+    Ok(match instr.op {
+        Op::Gemm { a, b } => {
+            let (ar, _) = dense_dims(shape_of(shape, a)?)?;
+            let (_, bc) = dense_dims(shape_of(shape, b)?)?;
             Shape::Dense(ar, bc)
         }
-        Instr::Spmm { x, .. } => {
-            let (_, xc) = dense_dims(shape_of(shape, *x)?)?;
+        Op::Spmm { x, .. } => {
+            let (_, xc) = dense_dims(shape_of(shape, x)?)?;
             Shape::Dense(n, xc)
         }
-        Instr::AttLogits { .. }
-        | Instr::ScaleCsr { .. }
-        | Instr::LeakyRelu { .. }
-        | Instr::EdgeSoftmax { .. } => Shape::Sparse,
-        Instr::RowBroadcast { x, .. } | Instr::ColBroadcast { x, .. } | Instr::Relu { x, .. } => {
-            shape_of(shape, *x)?
-        }
-        Instr::AddN { parts, .. } => shape_of(shape, parts[0])?,
-        Instr::DiagMerge { parts, .. } => Shape::Diag(diag_len(shape_of(shape, parts[0])?)?),
+        Op::AttLogits { .. }
+        | Op::ScaleCsr { .. }
+        | Op::LeakyRelu { .. }
+        | Op::EdgeSoftmax { .. } => Shape::Sparse,
+        Op::RowBroadcast { x, .. }
+        | Op::ColBroadcast { x, .. }
+        | Op::Relu { x }
+        | Op::Add { a: x, .. } => shape_of(shape, x)?,
+        Op::DiagMerge { a, .. } => Shape::Diag(diag_len(shape_of(shape, a)?)?),
     })
-}
-
-/// Lowers one primitive step, pushing the instruction into `setup` (hoisted)
-/// or `iter` and returning the produced value. Mirrors the interpreter's
-/// `eval_step` case for case.
-fn lower_step(
-    b: &mut Builder,
-    step: &PrimStep,
-    setup: &mut Vec<Instr>,
-    iter: &mut Vec<Instr>,
-) -> Result<ValueId> {
-    let sig = step.signature.as_str();
-    let instr = match step.kind {
-        PrimitiveKind::Gemm => {
-            let parts = binary(&split_top(sig, '·'), sig)?;
-            let a = b.resolve_kind(&parts.0, ValueKind::Dense, sig)?;
-            let rhs = b.resolve_kind(&parts.1, ValueKind::Dense, sig)?;
-            let out = b.new_value(ValueKind::Dense);
-            Instr::Gemm { a, b: rhs, out }
-        }
-        PrimitiveKind::SpmmWeighted | PrimitiveKind::SpmmUnweighted => {
-            let parts = binary(&split_top(sig, '·'), sig)?;
-            let adj = b.resolve_kind(&parts.0, ValueKind::Sparse, sig)?;
-            let x = b.resolve_kind(&parts.1, ValueKind::Dense, sig)?;
-            let out = b.new_value(ValueKind::Dense);
-            Instr::Spmm {
-                adj,
-                x,
-                weighted: step.kind == PrimitiveKind::SpmmWeighted,
-                out,
-            }
-        }
-        PrimitiveKind::Sddmm => {
-            if let Some(theta) = sig.strip_prefix("att-logits:") {
-                let ul = b.resolve_kind(&format!("({theta}·a_l)"), ValueKind::Dense, sig)?;
-                let vr = b.resolve_kind(&format!("({theta}·a_r)"), ValueKind::Dense, sig)?;
-                let mask = b.resolve_kind("A", ValueKind::Sparse, sig)?;
-                let out = b.new_value(ValueKind::Sparse);
-                Instr::AttLogits { mask, ul, vr, out }
-            } else {
-                // diag · sparse · diag edge scaling: exactly one sparse part,
-                // diagonal factors on either side.
-                let mut dl = Vec::new();
-                let mut dr = Vec::new();
-                let mut sparse = None;
-                for part in &split_top(sig, '·') {
-                    let id = b.resolve(part)?;
-                    match b.values[id] {
-                        ValueKind::Diag => {
-                            if sparse.is_none() {
-                                dl.push(id);
-                            } else {
-                                dr.push(id);
-                            }
-                        }
-                        ValueKind::Sparse => {
-                            if sparse.replace(id).is_some() {
-                                return Err(CoreError::InvalidIr(format!(
-                                    "sddmm {sig} has two sparse operands"
-                                )));
-                            }
-                        }
-                        ValueKind::Dense => {
-                            return Err(CoreError::InvalidIr(format!(
-                                "sddmm {sig} has a dense operand"
-                            )))
-                        }
-                    }
-                }
-                let sparse = sparse.ok_or_else(|| {
-                    CoreError::InvalidIr(format!("sddmm {sig} lacks a sparse operand"))
-                })?;
-                let out = b.new_value(ValueKind::Sparse);
-                Instr::ScaleCsr {
-                    dl,
-                    sparse,
-                    dr,
-                    out,
-                }
-            }
-        }
-        PrimitiveKind::RowBroadcast => {
-            let parts = binary(&split_top(sig, '·'), sig)?;
-            let d = b.resolve_kind(&parts.0, ValueKind::Diag, sig)?;
-            let x = b.resolve_kind(&parts.1, ValueKind::Dense, sig)?;
-            let out = b.new_value(ValueKind::Dense);
-            Instr::RowBroadcast { d, x, out }
-        }
-        PrimitiveKind::ColBroadcast => {
-            let parts = binary(&split_top(sig, '·'), sig)?;
-            let x = b.resolve_kind(&parts.0, ValueKind::Dense, sig)?;
-            let d = b.resolve_kind(&parts.1, ValueKind::Diag, sig)?;
-            let out = b.new_value(ValueKind::Dense);
-            Instr::ColBroadcast { x, d, out }
-        }
-        PrimitiveKind::EdgeSoftmax => {
-            let theta = sig
-                .strip_prefix("att-softmax:")
-                .ok_or_else(|| CoreError::InvalidIr(format!("unexpected softmax {sig}")))?;
-            let scored = b.resolve_kind(&format!("att-leaky:{theta}"), ValueKind::Sparse, sig)?;
-            let out = b.new_value(ValueKind::Sparse);
-            Instr::EdgeSoftmax { scored, out }
-        }
-        PrimitiveKind::Elementwise => {
-            if let Some(theta) = sig.strip_prefix("att-leaky:") {
-                let logits =
-                    b.resolve_kind(&format!("att-logits:{theta}"), ValueKind::Sparse, sig)?;
-                let out = b.new_value(ValueKind::Sparse);
-                Instr::LeakyRelu { logits, out }
-            } else if let Some(inner) = sig.strip_prefix('σ') {
-                let x = b.resolve_kind(inner, ValueKind::Dense, sig)?;
-                let out = b.new_value(ValueKind::Dense);
-                Instr::Relu { x, out }
-            } else if let Some((_, add_expr)) = sig.split_once(':') {
-                // addN:(a + b + ...): if the sum is already bound the step is
-                // a no-op alias (the interpreter returns the binding without
-                // charging).
-                if let Some(id) = b.resolve_existing(add_expr) {
-                    return Ok(id);
-                }
-                let parts = split_top(add_expr, '+');
-                if parts.is_empty() {
-                    return Err(CoreError::InvalidIr(format!("empty sum in {sig}")));
-                }
-                let parts = parts
-                    .iter()
-                    .map(|p| b.resolve_kind(p, ValueKind::Dense, sig))
-                    .collect::<Result<Vec<_>>>()?;
-                let out = b.new_value(ValueKind::Dense);
-                Instr::AddN { parts, out }
-            } else {
-                // Diagonal merge (D·D): element-wise product of per-node
-                // vectors.
-                let parts = split_top(sig, '·');
-                if parts.is_empty() {
-                    return Err(CoreError::InvalidIr(format!(
-                        "unrecognized elementwise step {sig}"
-                    )));
-                }
-                let parts = parts
-                    .iter()
-                    .map(|p| b.resolve_kind(p, ValueKind::Diag, sig))
-                    .collect::<Result<Vec<_>>>()?;
-                let out = b.new_value(ValueKind::Diag);
-                Instr::DiagMerge { parts, out }
-            }
-        }
-        PrimitiveKind::Binning => {
-            return Err(CoreError::InvalidIr(
-                "binning never appears in GRANII-generated programs".into(),
-            ))
-        }
-    };
-    let out = instr.out();
-    if step.once {
-        setup.push(instr);
-    } else {
-        iter.push(instr);
-    }
-    Ok(out)
-}
-
-fn binary(parts: &[String], sig: &str) -> Result<(String, String)> {
-    if parts.len() != 2 {
-        return Err(CoreError::InvalidIr(format!(
-            "expected a binary product in {sig}, found {} parts",
-            parts.len()
-        )));
-    }
-    Ok((parts[0].clone(), parts[1].clone()))
 }
 
 /// A physical buffer slot of a bound plan.
@@ -1268,11 +868,11 @@ impl BoundPlan {
     pub fn profile_report(&self, exec: &Exec) -> ProfileReport {
         let mut rows = Vec::with_capacity(self.setup.len() + self.iter.len());
         for (i, (instr, stat)) in self.setup.iter().zip(&self.setup_stats).enumerate() {
-            rows.push(stat.to_row(i, instr.name(), "setup"));
+            rows.push(stat.to_row(i, instr.op.name(), "setup"));
         }
         if let Some(profiler) = &self.profiler {
             for (i, (instr, stat)) in self.iter.iter().zip(&profiler.stats).enumerate() {
-                rows.push(stat.to_row(i, instr.name(), "iter"));
+                rows.push(stat.to_row(i, instr.op.name(), "iter"));
             }
         }
         ProfileReport {
@@ -1443,7 +1043,7 @@ fn exec_batched_instr(
     batch: usize,
     irr: f64,
 ) -> Result<()> {
-    let out_slot = slot_of[instr.out()];
+    let out_slot = slot_of[instr.out];
     let mut out = wide[out_slot]
         .take()
         .ok_or_else(|| CoreError::InvalidIr("batched output buffer missing".into()))?;
@@ -1466,8 +1066,8 @@ fn run_batched_into(
     irr: f64,
     out: &mut DenseMatrix,
 ) -> Result<()> {
-    match instr {
-        Instr::Gemm { a, b, .. } => {
+    match &instr.op {
+        Op::Gemm { a, b } => {
             exec.gemm_rhs_blocks_into(
                 wide_at(wide, slot_of[*a], "batched gemm lhs")?,
                 dense_at(slots, slot_of[*b], "gemm rhs")?,
@@ -1475,25 +1075,18 @@ fn run_batched_into(
                 out,
             )?;
         }
-        Instr::Spmm {
-            adj, x, weighted, ..
-        } => {
-            let semiring = if *weighted {
-                Semiring::plus_mul()
-            } else {
-                Semiring::plus_copy_rhs()
-            };
+        Op::Spmm { adj, x, weighted } => {
             exec.spmm_cols_into(
                 sparse_at(slots, slot_of[*adj], "spmm adj")?,
                 wide_at(wide, slot_of[*x], "batched spmm rhs")?,
                 lowering.wide_cols[slot_of[*x]],
                 batch,
-                semiring,
+                semiring(*weighted),
                 irr,
                 out,
             )?;
         }
-        Instr::RowBroadcast { d, x, .. } => {
+        Op::RowBroadcast { d, x } => {
             exec.row_broadcast_cols_into(
                 diag_at(slots, slot_of[*d], "row_broadcast diag")?,
                 wide_at(wide, slot_of[*x], "batched row_broadcast")?,
@@ -1503,7 +1096,7 @@ fn run_batched_into(
                 out,
             )?;
         }
-        Instr::ColBroadcast { x, d, .. } => {
+        Op::ColBroadcast { x, d } => {
             exec.col_broadcast_blocks_into(
                 wide_at(wide, slot_of[*x], "batched col_broadcast")?,
                 diag_at(slots, slot_of[*d], "col_broadcast diag")?,
@@ -1512,7 +1105,7 @@ fn run_batched_into(
                 out,
             )?;
         }
-        Instr::Relu { x, .. } => {
+        Op::Relu { x } => {
             exec.map_cols_into(
                 wide_at(wide, slot_of[*x], "batched relu")?,
                 lowering.wide_cols[slot_of[*x]],
@@ -1522,25 +1115,23 @@ fn run_batched_into(
                 out,
             )?;
         }
-        Instr::AddN { parts, .. } => {
-            let k = lowering.wide_cols[slot_of[parts[0]]];
-            // Uncharged seed copy of the first part, then one charged
-            // element-wise add per further part — mirroring the serial AddN.
+        Op::Add { a, b } => {
+            let k = lowering.wide_cols[slot_of[*a]];
+            // Uncharged seed copy of the left term, then one charged
+            // element-wise add — mirroring the serial Add.
             granii_matrix::ops::copy_cols_into(
-                wide_at(wide, slot_of[parts[0]], "batched add")?,
+                wide_at(wide, slot_of[*a], "batched add")?,
                 batch * k,
                 out,
             )?;
-            for part in &parts[1..] {
-                exec.zip_cols_assign(
-                    out,
-                    wide_at(wide, slot_of[*part], "batched add")?,
-                    k,
-                    batch,
-                    1,
-                    |a, b| a + b,
-                )?;
-            }
+            exec.zip_cols_assign(
+                out,
+                wide_at(wide, slot_of[*b], "batched add")?,
+                k,
+                batch,
+                1,
+                |a, b| a + b,
+            )?;
         }
         other => {
             return Err(CoreError::InvalidIr(format!(
@@ -1550,6 +1141,15 @@ fn run_batched_into(
         }
     }
     Ok(())
+}
+
+/// The semiring of a weighted or pattern-only SpMM.
+fn semiring(weighted: bool) -> Semiring {
+    if weighted {
+        Semiring::plus_mul()
+    } else {
+        Semiring::plus_copy_rhs()
+    }
 }
 
 /// Executes one instruction against the slot table. The output slot is
@@ -1562,7 +1162,7 @@ fn exec_instr(
     slots: &mut [Slot],
     irr: f64,
 ) -> Result<()> {
-    let out_slot = slot_of[instr.out()];
+    let out_slot = slot_of[instr.out];
     let mut out = std::mem::replace(&mut slots[out_slot], Slot::Empty);
     let result = run_into(exec, instr, slot_of, slots, irr, &mut out);
     slots[out_slot] = out;
@@ -1577,31 +1177,24 @@ fn run_into(
     irr: f64,
     out: &mut Slot,
 ) -> Result<()> {
-    match instr {
-        Instr::Gemm { a, b, .. } => {
+    match &instr.op {
+        Op::Gemm { a, b } => {
             exec.gemm_into(
                 dense_at(slots, slot_of[*a], "gemm lhs")?,
                 dense_at(slots, slot_of[*b], "gemm rhs")?,
                 dense_out(out, "gemm")?,
             )?;
         }
-        Instr::Spmm {
-            adj, x, weighted, ..
-        } => {
-            let semiring = if *weighted {
-                Semiring::plus_mul()
-            } else {
-                Semiring::plus_copy_rhs()
-            };
+        Op::Spmm { adj, x, weighted } => {
             exec.spmm_into(
                 sparse_at(slots, slot_of[*adj], "spmm adj")?,
                 dense_at(slots, slot_of[*x], "spmm rhs")?,
-                semiring,
+                semiring(*weighted),
                 irr,
                 dense_out(out, "spmm")?,
             )?;
         }
-        Instr::AttLogits { mask, ul, vr, .. } => {
+        Op::AttLogits { mask, ul, vr } => {
             let ul = dense_at(slots, slot_of[*ul], "att-logits ul")?;
             let vr = dense_at(slots, slot_of[*vr], "att-logits vr")?;
             exec.sddmm_u_add_v_into(
@@ -1612,7 +1205,7 @@ fn run_into(
                 sparse_out(out, "att-logits")?,
             )?;
         }
-        Instr::ScaleCsr { dl, sparse, dr, .. } => {
+        Op::ScaleCsr { dl, sparse, dr } => {
             let dl = merge_diags(slots, slot_of, dl)?;
             let dr = merge_diags(slots, slot_of, dr)?;
             exec.scale_csr_into(
@@ -1623,7 +1216,7 @@ fn run_into(
                 sparse_out(out, "scale_csr")?,
             )?;
         }
-        Instr::RowBroadcast { d, x, .. } => {
+        Op::RowBroadcast { d, x } => {
             exec.row_broadcast_into(
                 diag_at(slots, slot_of[*d], "row_broadcast diag")?,
                 dense_at(slots, slot_of[*x], "row_broadcast")?,
@@ -1631,7 +1224,7 @@ fn run_into(
                 dense_out(out, "row_broadcast")?,
             )?;
         }
-        Instr::ColBroadcast { x, d, .. } => {
+        Op::ColBroadcast { x, d } => {
             exec.col_broadcast_into(
                 dense_at(slots, slot_of[*x], "col_broadcast")?,
                 diag_at(slots, slot_of[*d], "col_broadcast diag")?,
@@ -1639,7 +1232,7 @@ fn run_into(
                 dense_out(out, "col_broadcast")?,
             )?;
         }
-        Instr::LeakyRelu { logits, .. } => {
+        Op::LeakyRelu { logits } => {
             let src = sparse_at(slots, slot_of[*logits], "att-leaky")?;
             let vals = src
                 .values()
@@ -1653,14 +1246,14 @@ fn run_into(
             let slope = GAT_SLOPE;
             exec.map_csr_assign(dst, move |v| if v >= 0.0 { v } else { slope * v })?;
         }
-        Instr::EdgeSoftmax { scored, .. } => {
+        Op::EdgeSoftmax { scored } => {
             exec.edge_softmax_into(
                 sparse_at(slots, slot_of[*scored], "att-softmax")?,
                 irr,
                 sparse_out(out, "att-softmax")?,
             )?;
         }
-        Instr::Relu { x, .. } => {
+        Op::Relu { x } => {
             exec.map_into(
                 dense_at(slots, slot_of[*x], "relu")?,
                 1,
@@ -1668,9 +1261,9 @@ fn run_into(
                 dense_out(out, "relu")?,
             )?;
         }
-        Instr::AddN { parts, .. } => {
+        Op::Add { a, b } => {
             let dst = dense_out(out, "add")?;
-            let first = dense_at(slots, slot_of[parts[0]], "add")?;
+            let first = dense_at(slots, slot_of[*a], "add")?;
             if dst.shape() != first.shape() {
                 return Err(CoreError::InvalidIr(format!(
                     "add output shape {:?} does not match operand {:?}",
@@ -1678,18 +1271,14 @@ fn run_into(
                     first.shape()
                 )));
             }
-            // The interpreter clones the first part uncharged, then charges
-            // one element-wise add per further part.
+            // Uncharged copy of the left term, then the same charged
+            // element-wise add the interpreter performs.
             dst.as_mut_slice().copy_from_slice(first.as_slice());
-            for part in &parts[1..] {
-                exec.zip_assign(dst, dense_at(slots, slot_of[*part], "add")?, 1, |a, b| {
-                    a + b
-                })?;
-            }
+            exec.zip_assign(dst, dense_at(slots, slot_of[*b], "add")?, 1, |a, b| a + b)?;
         }
-        Instr::DiagMerge { parts, .. } => {
+        Op::DiagMerge { a, b } => {
             let dst = diag_out(out, "diag merge")?;
-            let first = diag_at(slots, slot_of[parts[0]], "diag merge")?;
+            let first = diag_at(slots, slot_of[*a], "diag merge")?;
             if dst.len() != first.len() {
                 return Err(CoreError::InvalidIr(format!(
                     "diag merge output length {} does not match operand {}",
@@ -1698,14 +1287,11 @@ fn run_into(
                 )));
             }
             dst.copy_from_slice(first);
-            for part in &parts[1..] {
-                let d = diag_at(slots, slot_of[*part], "diag merge")?;
-                // Same unconditional charge the interpreter applies per
-                // merged factor.
-                exec.engine().charge(WorkStats::elementwise(d.len(), 1));
-                for (a, &v) in dst.iter_mut().zip(d) {
-                    *a *= v;
-                }
+            let d = diag_at(slots, slot_of[*b], "diag merge")?;
+            // The same charge the interpreter applies.
+            exec.engine().charge(WorkStats::elementwise(d.len(), 1));
+            for (a, &v) in dst.iter_mut().zip(d) {
+                *a *= v;
             }
         }
     }

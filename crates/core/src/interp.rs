@@ -2,25 +2,26 @@
 //! code generation (paper §IV-D).
 //!
 //! The paper's back end emits Python calling the framework's kernels; this
-//! reproduction's equivalent is executing a [`CandidateProgram`]'s primitive
-//! steps directly. Each step's canonical signature (`(D·A·D)`, `((H·W)·a_l)`,
-//! `σ(...)`, ...) names its operands, so the interpreter maintains an
-//! environment from canonical expressions to computed values, seeds it with
-//! the program's leaves, and folds the steps in order. Equal signatures are
-//! computed once — the same common-subexpression reuse the enumerator
-//! performs.
+//! reproduction's equivalent is executing a [`CandidateProgram`]'s typed
+//! operations directly. The interpreter evaluates the steps in order into a
+//! `Vec`, one value per step, reading operands from the program's leaves
+//! and from earlier steps, and returns the last step's value. Every
+//! intermediate is allocated afresh on every call.
 //!
-//! The interpreter is also the ground truth for `assoc::lower`: integration
-//! tests assert that every promoted tree's interpreted output equals the
-//! lowered composition's kernel-sequence output.
+//! It is the reference the compile-once [`crate::execplan`] engine is
+//! checked against: `crates/core/tests/execplan_differential.rs` and
+//! [`crate::audit::verify`] require the plan's outputs to match it bit for
+//! bit and its charges to match it exactly. Integration tests also assert
+//! that every promoted tree's interpreted output equals the lowered
+//! composition's kernel-sequence output.
 
 use std::collections::BTreeMap;
 
 use granii_gnn::Exec;
 use granii_matrix::ops::BroadcastOp;
-use granii_matrix::{CsrMatrix, DenseMatrix, PrimitiveKind, Semiring};
+use granii_matrix::{CsrMatrix, DenseMatrix, Semiring, WorkStats};
 
-use crate::assoc::{CandidateProgram, PrimStep};
+use crate::assoc::{CandidateProgram, Leaf, Op, Operand};
 use crate::{CoreError, Result};
 
 /// The operand bindings a program executes against.
@@ -44,6 +45,15 @@ pub struct ProgramInputs<'a> {
     pub irregularity: f64,
 }
 
+impl ProgramInputs<'_> {
+    /// The weight bound to the leaf `name`.
+    pub(crate) fn weight(&self, name: &str) -> Result<&DenseMatrix> {
+        self.weights
+            .get(name)
+            .ok_or_else(|| CoreError::InvalidIr(format!("unbound operand {name}")))
+    }
+}
+
 /// A value in the interpreter environment.
 #[derive(Debug, Clone)]
 enum Value {
@@ -56,267 +66,123 @@ enum Value {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidIr`] if the program references operands the
-/// inputs do not provide or combines values of unexpected kinds, and
-/// propagates kernel errors.
+/// Returns [`CoreError::InvalidIr`] if the program is malformed (a step
+/// reading itself or a later step, an operand of the wrong kind, no steps,
+/// or a non-dense result) or references a weight the inputs do not provide,
+/// and propagates kernel errors.
 pub fn execute(
     exec: &Exec,
     program: &CandidateProgram,
     inputs: &ProgramInputs,
 ) -> Result<DenseMatrix> {
-    let mut env: BTreeMap<String, Value> = BTreeMap::new();
-    let n = inputs.adj.rows();
-    env.insert("A".into(), Value::Sparse(inputs.adj.clone()));
-    env.insert("D".into(), Value::Diag(inputs.deg_inv_sqrt.to_vec()));
-    env.insert("D^{-1}".into(), Value::Diag(inputs.deg_inv.to_vec()));
-    env.insert("H".into(), Value::Dense(inputs.h.clone()));
-    env.insert("(1+ε)I".into(), Value::Diag(vec![1.0 + inputs.eps; n]));
-    for (name, w) in inputs.weights {
-        env.insert(name.clone(), Value::Dense(w.clone()));
-    }
-
-    let mut last_sig = String::new();
-    for step in &program.steps {
-        let value = eval_step(exec, step, &env, inputs)?;
-        // Extra bindings: an add step's value is referenced downstream by the
-        // full sum expression; the attention softmax is referenced as `α`.
-        if let Some((prefix, rest)) = step.signature.split_once(':') {
-            if prefix.starts_with("add") {
-                env.insert(rest.to_string(), value.clone());
-            }
-            if prefix == "att-softmax" {
-                env.insert("α".into(), value.clone());
+    program.check()?;
+    let mut leaves: Vec<(&Leaf, Value)> = Vec::new();
+    for op in &program.ops {
+        for (v, _) in op.operands() {
+            if let Operand::Leaf(leaf) = v {
+                if !leaves.iter().any(|(l, _)| *l == leaf) {
+                    leaves.push((leaf, load(leaf, inputs)?));
+                }
             }
         }
-        env.insert(step.signature.clone(), value);
-        last_sig = step.signature.clone();
     }
-    match lookup(&env, &last_sig)? {
-        Value::Dense(m) => Ok(m.clone()),
-        other => Err(CoreError::InvalidIr(format!(
-            "program result {last_sig} is not dense: {other:?}"
+    let mut values: Vec<Value> = Vec::with_capacity(program.ops.len());
+    for op in &program.ops {
+        let args = op.map(|v| match v {
+            Operand::Step(j) => &values[*j],
+            Operand::Leaf(leaf) => {
+                let (_, value) = leaves
+                    .iter()
+                    .find(|(l, _)| *l == leaf)
+                    .expect("every leaf operand is loaded above");
+                value
+            }
+        });
+        let value = eval(exec, &args, inputs.irregularity)?;
+        values.push(value);
+    }
+    match values.pop() {
+        Some(Value::Dense(m)) => Ok(m),
+        _ => Err(CoreError::InvalidIr(format!(
+            "program result {} is not dense",
+            program.expr
         ))),
     }
 }
 
-/// Environment lookup tolerant to the optional outer parentheses of canonical
-/// expressions.
-fn lookup<'e>(env: &'e BTreeMap<String, Value>, expr: &str) -> Result<&'e Value> {
-    if let Some(v) = env.get(expr) {
-        return Ok(v);
-    }
-    let stripped = expr.strip_prefix('(').and_then(|e| e.strip_suffix(')'));
-    if let Some(v) = stripped.and_then(|e| env.get(e)) {
-        return Ok(v);
-    }
-    let wrapped = format!("({expr})");
-    env.get(&wrapped)
-        .ok_or_else(|| CoreError::InvalidIr(format!("unbound operand {expr}")))
+/// A leaf's value, copied from the inputs.
+fn load(leaf: &Leaf, inputs: &ProgramInputs) -> Result<Value> {
+    Ok(match leaf {
+        Leaf::Adj => Value::Sparse(inputs.adj.clone()),
+        Leaf::DegInvSqrt => Value::Diag(inputs.deg_inv_sqrt.to_vec()),
+        Leaf::DegInv => Value::Diag(inputs.deg_inv.to_vec()),
+        Leaf::Features => Value::Dense(inputs.h.clone()),
+        Leaf::EpsIdentity => Value::Diag(vec![1.0 + inputs.eps; inputs.adj.rows()]),
+        Leaf::Weight(name) => Value::Dense(inputs.weight(name)?.clone()),
+    })
 }
 
-/// Splits a canonical expression `(a·b·c)` / `(a + b)` at its top level.
-/// Shared with the compile-once engine (`execplan`) so both resolve operands
-/// identically.
-pub(crate) fn split_top(expr: &str, sep: char) -> Vec<String> {
-    let inner = expr
-        .strip_prefix('(')
-        .and_then(|e| e.strip_suffix(')'))
-        .unwrap_or(expr);
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut current = String::new();
-    for c in inner.chars() {
-        match c {
-            '(' => {
-                depth += 1;
-                current.push(c);
-            }
-            ')' => {
-                depth -= 1;
-                current.push(c);
-            }
-            c if c == sep && depth == 0 => {
-                parts.push(current.trim().to_string());
-                current = String::new();
-            }
-            _ => current.push(c),
-        }
-    }
-    if !current.trim().is_empty() {
-        parts.push(current.trim().to_string());
-    }
-    parts
-}
-
-fn eval_step(
-    exec: &Exec,
-    step: &PrimStep,
-    env: &BTreeMap<String, Value>,
-    inputs: &ProgramInputs,
-) -> Result<Value> {
-    let sig = step.signature.as_str();
-    let irr = inputs.irregularity;
-    match step.kind {
-        PrimitiveKind::Gemm => {
-            let parts = split_top(sig, '·');
-            let (a, b) = binary(&parts, sig)?;
-            let (a, b) = (as_dense(lookup(env, &a)?)?, as_dense(lookup(env, &b)?)?);
-            Ok(Value::Dense(exec.gemm(a, b)?))
-        }
-        PrimitiveKind::SpmmWeighted | PrimitiveKind::SpmmUnweighted => {
-            let parts = split_top(sig, '·');
-            let (s, x) = binary(&parts, sig)?;
-            let sparse = as_sparse(lookup(env, &s)?)?;
-            let dense = as_dense(lookup(env, &x)?)?;
-            let semiring = if step.kind == PrimitiveKind::SpmmWeighted {
+fn eval(exec: &Exec, op: &Op<&Value>, irr: f64) -> Result<Value> {
+    Ok(match op {
+        Op::Gemm { a, b } => Value::Dense(exec.gemm(as_dense(a)?, as_dense(b)?)?),
+        Op::Spmm { adj, x, weighted } => {
+            let semiring = if *weighted {
                 Semiring::plus_mul()
             } else {
                 Semiring::plus_copy_rhs()
             };
-            Ok(Value::Dense(exec.spmm(sparse, dense, semiring, irr)?))
+            Value::Dense(exec.spmm(as_sparse(adj)?, as_dense(x)?, semiring, irr)?)
         }
-        PrimitiveKind::Sddmm => {
-            if let Some(theta) = sig.strip_prefix("att-logits:") {
-                // GAT logits: per-edge ul_i + vr_j over the mask.
-                let ul = as_dense(lookup(env, &format!("({theta}·a_l)"))?)?;
-                let vr = as_dense(lookup(env, &format!("({theta}·a_r)"))?)?;
-                let mask = inputs.adj;
-                return Ok(Value::Sparse(exec.sddmm_u_add_v(
-                    mask,
-                    ul.as_slice(),
-                    vr.as_slice(),
-                    irr,
-                )?));
-            }
-            // diag · sparse · diag edge scaling: exactly one sparse part,
-            // diagonal factors on either side.
-            let parts = split_top(sig, '·');
-            let mut dl: Option<Vec<f32>> = None;
-            let mut dr: Option<Vec<f32>> = None;
-            let mut sparse: Option<CsrMatrix> = None;
-            for part in &parts {
-                match lookup(env, part)? {
-                    Value::Diag(d) => {
-                        let slot = if sparse.is_none() { &mut dl } else { &mut dr };
-                        *slot = Some(match slot.take() {
-                            None => d.clone(),
-                            Some(prev) => prev.iter().zip(d).map(|(a, b)| a * b).collect(),
-                        });
-                    }
-                    Value::Sparse(s) => {
-                        if sparse.replace(s.clone()).is_some() {
-                            return Err(CoreError::InvalidIr(format!(
-                                "sddmm {sig} has two sparse operands"
-                            )));
-                        }
-                    }
-                    Value::Dense(_) => {
-                        return Err(CoreError::InvalidIr(format!(
-                            "sddmm {sig} has a dense operand"
-                        )))
-                    }
+        Op::AttLogits { mask, ul, vr } => Value::Sparse(exec.sddmm_u_add_v(
+            as_sparse(mask)?,
+            as_dense(ul)?.as_slice(),
+            as_dense(vr)?.as_slice(),
+            irr,
+        )?),
+        Op::ScaleCsr { dl, sparse, dr } => Value::Sparse(exec.scale_csr(
+            merge(dl)?.as_deref(),
+            as_sparse(sparse)?,
+            merge(dr)?.as_deref(),
+            irr,
+        )?),
+        Op::RowBroadcast { d, x } => {
+            Value::Dense(exec.row_broadcast(as_diag(d)?, as_dense(x)?, BroadcastOp::Mul)?)
+        }
+        Op::ColBroadcast { x, d } => {
+            Value::Dense(exec.col_broadcast(as_dense(x)?, as_diag(d)?, BroadcastOp::Mul)?)
+        }
+        Op::LeakyRelu { logits } => {
+            let slope = granii_gnn::models::GAT_SLOPE;
+            Value::Sparse(exec.map_csr_values(as_sparse(logits)?, move |v| {
+                if v >= 0.0 {
+                    v
+                } else {
+                    slope * v
                 }
-            }
-            let sparse = sparse.ok_or_else(|| {
-                CoreError::InvalidIr(format!("sddmm {sig} lacks a sparse operand"))
-            })?;
-            Ok(Value::Sparse(exec.scale_csr(
-                dl.as_deref(),
-                &sparse,
-                dr.as_deref(),
-                irr,
-            )?))
+            })?)
         }
-        PrimitiveKind::RowBroadcast => {
-            let parts = split_top(sig, '·');
-            let (d, x) = binary(&parts, sig)?;
-            let d = as_diag(lookup(env, &d)?)?.to_vec();
-            let x = as_dense(lookup(env, &x)?)?;
-            Ok(Value::Dense(exec.row_broadcast(&d, x, BroadcastOp::Mul)?))
+        Op::EdgeSoftmax { scored } => Value::Sparse(exec.edge_softmax(as_sparse(scored)?, irr)?),
+        Op::Relu { x } => Value::Dense(exec.map(as_dense(x)?, 1, |v| v.max(0.0))),
+        Op::Add { a, b } => Value::Dense(exec.zip(as_dense(a)?, as_dense(b)?, 1, |a, b| a + b)?),
+        Op::DiagMerge { a, b } => {
+            let (a, b) = (as_diag(a)?, as_diag(b)?);
+            exec.engine().charge(WorkStats::elementwise(b.len(), 1));
+            Value::Diag(a.iter().zip(b).map(|(a, b)| a * b).collect())
         }
-        PrimitiveKind::ColBroadcast => {
-            let parts = split_top(sig, '·');
-            let (x, d) = binary(&parts, sig)?;
-            let x = as_dense(lookup(env, &x)?)?;
-            let d = as_diag(lookup(env, &d)?)?.to_vec();
-            Ok(Value::Dense(exec.col_broadcast(x, &d, BroadcastOp::Mul)?))
-        }
-        PrimitiveKind::EdgeSoftmax => {
-            let theta = sig
-                .strip_prefix("att-softmax:")
-                .ok_or_else(|| CoreError::InvalidIr(format!("unexpected softmax {sig}")))?;
-            let scored = as_sparse(lookup(env, &format!("att-leaky:{theta}"))?)?;
-            Ok(Value::Sparse(exec.edge_softmax(scored, irr)?))
-        }
-        PrimitiveKind::Elementwise => {
-            if let Some(theta) = sig.strip_prefix("att-leaky:") {
-                let logits = as_sparse(lookup(env, &format!("att-logits:{theta}"))?)?;
-                let slope = granii_gnn::models::GAT_SLOPE;
-                return Ok(Value::Sparse(exec.map_csr_values(logits, move |v| {
-                    if v >= 0.0 {
-                        v
-                    } else {
-                        slope * v
-                    }
-                })?));
-            }
-            if let Some(inner) = sig.strip_prefix('σ') {
-                let x = as_dense(lookup(env, inner)?)?;
-                return Ok(Value::Dense(exec.map(x, 1, |v| v.max(0.0))));
-            }
-            if let Some((_, add_expr)) = sig.split_once(':') {
-                // addN:(a + b + ...): the full sum; later addN steps of the
-                // same expression find it bound and become no-ops via CSE at
-                // generation time, but guard anyway.
-                if let Ok(v) = lookup(env, add_expr) {
-                    return Ok(v.clone());
-                }
-                let parts = split_top(add_expr, '+');
-                let mut acc: Option<DenseMatrix> = None;
-                for part in &parts {
-                    let x = as_dense(lookup(env, part)?)?.clone();
-                    acc = Some(match acc {
-                        None => x,
-                        Some(prev) => exec.zip(&prev, &x, 1, |a, b| a + b)?,
-                    });
-                }
-                let sum = acc.ok_or_else(|| CoreError::InvalidIr(format!("empty sum in {sig}")))?;
-                return Ok(Value::Dense(sum));
-            }
-            // Diagonal merge (D·D): element-wise product of per-node vectors.
-            let parts = split_top(sig, '·');
-            let mut acc: Option<Vec<f32>> = None;
-            for part in &parts {
-                let d = as_diag(lookup(env, part)?)?;
-                acc = Some(match acc {
-                    None => d.to_vec(),
-                    Some(prev) => {
-                        exec.engine()
-                            .charge(granii_matrix::WorkStats::elementwise(d.len(), 1));
-                        prev.iter().zip(d).map(|(a, b)| a * b).collect()
-                    }
-                });
-            }
-            Ok(Value::Diag(acc.ok_or_else(|| {
-                CoreError::InvalidIr(format!("unrecognized elementwise step {sig}"))
-            })?))
-        }
-        PrimitiveKind::Binning => Err(CoreError::InvalidIr(
-            "binning never appears in GRANII-generated programs".into(),
-        )),
-    }
+    })
 }
 
-/// Binds the add expression produced by the Add rule: later steps reference
-/// the whole `(a + b)` expression, so store the sum under it too.
-fn binary(parts: &[String], sig: &str) -> Result<(String, String)> {
-    if parts.len() != 2 {
-        return Err(CoreError::InvalidIr(format!(
-            "expected a binary product in {sig}, found {} parts",
-            parts.len()
-        )));
+/// Multiplies the diagonals on one side of an edge scaling, uncharged.
+fn merge(diags: &[&Value]) -> Result<Option<Vec<f32>>> {
+    let mut acc: Option<Vec<f32>> = None;
+    for d in diags {
+        let d = as_diag(d)?;
+        acc = Some(match acc {
+            None => d.to_vec(),
+            Some(prev) => prev.iter().zip(d).map(|(a, b)| a * b).collect(),
+        });
     }
-    Ok((parts[0].clone(), parts[1].clone()))
+    Ok(acc)
 }
 
 fn as_dense(v: &Value) -> Result<&DenseMatrix> {

@@ -15,7 +15,8 @@
 //!    (Fig 6(c)),
 //! 3. [`assoc`] — Algorithm 1 enumerates every valid association tree,
 //!    assigning a sparse/dense primitive to each association via the rule
-//!    table (App. D); common subexpressions are reused; the input-oblivious
+//!    table (App. D) and emitting a typed program whose steps name their
+//!    operands by index; common subexpressions are reused; the input-oblivious
 //!    pruner drops candidates dominated under *both* embedding-size scenarios
 //!    and annotates survivors with the scenario(s) they can win (§IV-C),
 //! 4. [`plan`] — promoted candidates are lowered to executable compositions
@@ -30,8 +31,8 @@
 //!    (graph, embedding sizes, device); selection overheads are reported,
 //! 7. [`execplan`] — the selected candidate is lowered once into a
 //!    slot-addressed [`execplan::ExecPlan`] whose steady-state iterations run
-//!    with zero heap allocation and no string-keyed lookups; the
-//!    string-resolving [`interp`] survives as the differential-test oracle.
+//!    with zero heap allocation; the [`interp`] evaluator of the same typed
+//!    programs is the bitwise, charge-exact reference it is tested against.
 //!
 //! The top-level entry point is [`Granii`] (the `GRANII(model, graph, ...)`
 //! call of Fig 4).

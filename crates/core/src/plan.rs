@@ -5,8 +5,6 @@
 //! scenario has a single owner ("this avoids the use of the more expensive
 //! cost models"), and cost-model comparisons otherwise.
 
-use serde::{Deserialize, Serialize};
-
 use granii_gnn::spec::{Composition, LayerConfig, ModelKind};
 
 use crate::assoc::{self, CandidateProgram};
@@ -14,7 +12,7 @@ use crate::ir::{builder, rewrite};
 use crate::{CoreError, Result};
 
 /// A promoted candidate with its executable lowering.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanCandidate {
     /// The association tree's primitive program.
     pub program: CandidateProgram,
@@ -27,7 +25,7 @@ pub struct PlanCandidate {
 }
 
 /// The compiled plan for one model: the output of GRANII's offline stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
     /// The model this plan was compiled from.
     pub model: ModelKind,

@@ -157,7 +157,8 @@ pub struct SteadyStateReport {
     pub composition: Composition,
     /// Canonical expression of its program.
     pub expr: String,
-    /// Wall time of [`ExecPlan::build`] (string resolution + lowering).
+    /// Wall time of [`ExecPlan::build`] (lowering each step to an
+    /// instruction).
     pub build_seconds: f64,
     /// Wall time of [`ExecPlan::bind`] (shape inference, slot assignment,
     /// buffer allocation, and the hoisted setup run).

@@ -1,5 +1,5 @@
 //! Differential tests: the compile-once [`granii_core::execplan`] engine must
-//! be *bitwise* identical to the string-resolving interpreter oracle — same
+//! be *bitwise* identical to the reference interpreter oracle — same
 //! outputs and same charged latencies — across every model × promoted
 //! candidate, on fixed and on randomly generated inputs.
 

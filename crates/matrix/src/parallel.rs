@@ -292,7 +292,7 @@ impl Pool {
 ///
 /// Static contiguous blocks starve under skewed per-row work — on a power-law
 /// graph the thread owning the hub rows finishes last by far — so workers
-/// instead claim [`STEAL_CHUNK`]-row chunks from a shared atomic cursor.
+/// instead claim `STEAL_CHUNK`-row chunks from a shared atomic cursor.
 /// Each output element is still written by exactly one thread, so results
 /// stay deterministic. Falls back to a serial loop when the buffer is small
 /// or only one thread is configured. Degenerate geometry (`rows == 0` or
@@ -377,8 +377,8 @@ fn weighted_bound(indptr: &[u64], target: u64) -> usize {
 /// can hold a hub row costing thousands of leaf rows, so row-count chunks
 /// still skew badly. Here chunk boundaries are placed on the cumulative work
 /// estimate `indptr[r] + ROW_BASE_COST * r` instead: every chunk carries
-/// roughly [`CHUNK_WEIGHT`] nnz-equivalents, a hub row heavier than that gets
-/// its own chunk, and runs of empty rows are bounded by [`ROW_BASE_COST`].
+/// roughly `CHUNK_WEIGHT` nnz-equivalents, a hub row heavier than that gets
+/// its own chunk, and runs of empty rows are bounded by `ROW_BASE_COST`.
 /// Boundaries are found by binary search over `indptr` — no allocation.
 ///
 /// Each row is written by exactly one thread and the per-row computation is

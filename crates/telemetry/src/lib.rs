@@ -7,7 +7,7 @@
 //! dependency-free observability layer the rest of the workspace reports
 //! through:
 //!
-//! - **Spans** ([`span`], [`span!`]): nestable RAII regions recording wall
+//! - **Spans** ([`span()`], [`span!`]): nestable RAII regions recording wall
 //!   time, thread id, nesting depth, and key/value attributes into per-thread
 //!   buffers (each thread appends to its own mutex — only the collector ever
 //!   contends).
@@ -26,7 +26,7 @@
 //!   hierarchical summary.
 //!
 //! Telemetry is **off by default** and costs one relaxed atomic load per
-//! instrumentation point when disabled: [`span`] returns an inert guard and
+//! instrumentation point when disabled: [`span()`] returns an inert guard and
 //! the [`span!`] macro does not even evaluate its attribute expressions.
 //!
 //! # Example

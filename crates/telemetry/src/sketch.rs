@@ -1,13 +1,14 @@
 //! Streaming sketches: a mergeable log-bucketed quantile sketch and a small
 //! distinct-count estimator.
 //!
-//! The fixed log₂ latency histograms ([`crate::metrics`]) bound a sample to a
-//! power-of-two interval — fine for dashboards, useless for SLO math where
-//! "p999 under 50 ms" needs sub-2× resolution. The [`Sketch`] here is
-//! DDSketch-style: geometric buckets with ratio `γ = (1 + α)²` so every
-//! quantile estimate is within a configured **relative** error `α` of the
-//! exact sample quantile, at any scale from nanoseconds to hours. Two
-//! properties make it the right primitive for a serving runtime:
+//! The fixed log₂ latency histograms ([`crate::histogram_record_seconds`])
+//! bound a sample to a power-of-two interval — fine for dashboards, useless
+//! for SLO math where "p999 under 50 ms" needs sub-2× resolution. The
+//! [`Sketch`] here is DDSketch-style: geometric buckets with ratio
+//! `γ = (1 + α)²` so every quantile estimate is within a configured
+//! **relative** error `α` of the exact sample quantile, at any scale from
+//! nanoseconds to hours. Two properties make it the right primitive for a
+//! serving runtime:
 //!
 //! - **Zero-alloc, lock-free recording.** A sketch is a fixed array of
 //!   atomics sized at construction; [`Sketch::record_ns`] is a handful of

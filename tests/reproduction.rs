@@ -76,7 +76,7 @@ fn headline_shapes_hold() {
     //    slowdowns are small and rare, Fig 8(d)). Judged on composition choice
     //    alone — the one-time selection overhead is wall-clock (and inflated
     //    under debug builds); it is bounded by its own test below.
-    let worst = records
+    let choice: Vec<f64> = records
         .iter()
         .map(|r| {
             let chosen = r
@@ -84,11 +84,15 @@ fn headline_shapes_hold() {
                 .expect("chosen was timed");
             r.baseline_seconds / chosen
         })
-        .fold(f64::INFINITY, f64::min);
+        .collect();
+    let worst = choice.iter().copied().fold(f64::INFINITY, f64::min);
     assert!(worst > 0.8, "worst-case composition-choice speedup {worst}");
 
-    // 3. GRANII beats every single-factor oracle and approaches Optimal
-    //    (Table VI's ordering).
+    // 3. GRANII approaches Optimal, both paying the selection overhead, and
+    //    beats every single-factor oracle (Table VI's ordering). The oracles
+    //    pay no overhead, so that comparison is again judged on composition
+    //    choice alone: with the wall-clock overhead in, the margin over the
+    //    Graph oracle is under 1% and a loaded host can flip it.
     let granii_s = geomean_speedup(Policy::Granii, &records);
     let optimal_s = geomean_speedup(Policy::Optimal, &records);
     assert!(optimal_s >= granii_s * 0.999);
@@ -96,11 +100,12 @@ fn headline_shapes_hold() {
         granii_s > 0.95 * optimal_s,
         "GRANII {granii_s} vs optimal {optimal_s}"
     );
+    let granii_choice = gm(&choice);
     for policy in [Policy::Hw, Policy::Graph, Policy::Sys, Policy::Static] {
         let s = geomean_speedup(policy, &records);
         assert!(
-            granii_s >= s - 1e-9,
-            "GRANII {granii_s} must match or beat {} ({s})",
+            granii_choice >= s - 1e-9,
+            "GRANII's choices {granii_choice} must match or beat {} ({s})",
             policy.name()
         );
     }
