@@ -25,6 +25,11 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gemm", k), &k, |b, _| {
             b.iter(|| ops::gemm(&x, &w).unwrap())
         });
+        // A post-ReLU left operand: about half its entries are zero.
+        let relu = x.map(|v| v.max(0.0));
+        group.bench_with_input(BenchmarkId::new("gemm_relu_input", k), &k, |b, _| {
+            b.iter(|| ops::gemm(&relu, &w).unwrap())
+        });
         let d: Vec<f32> = (0..adj.rows()).map(|i| (i % 7) as f32).collect();
         group.bench_with_input(BenchmarkId::new("row_broadcast", k), &k, |b, _| {
             b.iter(|| ops::row_broadcast(&d, &x, BroadcastOp::Mul).unwrap())

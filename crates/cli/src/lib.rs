@@ -30,9 +30,10 @@
 //! - `granii incident-show` — render an incident bundle (written by the
 //!   serving runtime's flight recorder on SLO burn / drift / shed storms)
 //!   as a human-readable timeline,
-//! - `granii kernels` — print the compiled-in kernel configuration (SIMD
-//!   on/off, lane width, tile sizes, scheduling constants) so bench
-//!   snapshots can be attributed to the build that produced them.
+//! - `granii kernels` — print the kernel configuration (lane width, tile
+//!   sizes, the GEMM instruction set dispatched on this host, scheduling
+//!   constants) so bench snapshots can be attributed to the build and host
+//!   that produced them.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -163,8 +164,8 @@ pub fn usage() -> String {
                  render the per-tenant metering table from a serve-demo\n\
                  --status-out snapshot; --watch re-reads the file N more\n\
                  times every MS milliseconds (default 1000)\n\
-       kernels   print the compiled-in kernel configuration (SIMD on/off,\n\
-                 lane width, tile sizes, scheduling constants, threads)\n\
+       kernels   print the kernel configuration (lane width, tile sizes,\n\
+                 GEMM instruction set, scheduling constants, threads)\n\
        incident-show --incident FILE\n\
                  render an incident bundle (serve-demo --incident-dir) as\n\
                  a human-readable timeline\n\
@@ -888,9 +889,10 @@ fn cmd_serve_status(args: &Args) -> Result<String, CliError> {
 
 /// Prints the compiled-in kernel configuration — the `kernels` command.
 ///
-/// One glance answers "is this binary running the SIMD paths, and with what
-/// tile/scheduling constants?", which matters when comparing bench snapshots
-/// recorded on different builds (see DESIGN.md §14).
+/// One glance answers "which vector width, GEMM instruction set and
+/// tile/scheduling constants does this binary run on this host?", which
+/// matters when comparing bench snapshots recorded on different builds or
+/// hosts (see DESIGN.md §14).
 fn cmd_kernels() -> String {
     granii_matrix::ops::kernel_config().to_string()
 }
@@ -946,6 +948,20 @@ mod tests {
         // and the constants a bench snapshot depends on.
         assert!(out.contains("kernels: f32x8"), "{out}");
         assert!(out.contains("threads"), "{out}");
+        // The GEMM line names the instance this host dispatches to.
+        #[cfg(target_arch = "x86_64")]
+        let want = if std::is_x86_feature_detected!("avx2") {
+            "avx2"
+        } else {
+            "baseline"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let want = "baseline";
+        let gemm = out
+            .lines()
+            .find(|l| l.trim_start().starts_with("gemm"))
+            .unwrap_or_else(|| panic!("no gemm line: {out}"));
+        assert!(gemm.ends_with(&format!(", {want}")), "{gemm}");
         assert!(usage().contains("kernels"));
     }
 

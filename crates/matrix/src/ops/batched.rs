@@ -21,7 +21,7 @@
 use crate::parallel::{par_rows, par_rows_weighted};
 use crate::{CsrMatrix, DenseMatrix, MatrixError, Result, Semiring};
 
-use super::rowkernel::{gemm_row, spmm_row};
+use super::rowkernel::{gemm_row, spmm_row, GemmTile};
 use super::BroadcastOp;
 
 fn check_wide(op: &'static str, want_rows: usize, want_cols: usize, m: &DenseMatrix) -> Result<()> {
@@ -40,9 +40,11 @@ fn check_wide(op: &'static str, want_rows: usize, want_cols: usize, m: &DenseMat
 ///
 /// `a` and `out` are column-stacked batched buffers (at least `batch` blocks
 /// wide); `b` is the shared (unbatched) `k1 × k2` right-hand side. Each
-/// block runs the exact serial [`gemm_into`](super::gemm_into) loop
-/// (`i-k-j`, zero-filled, zero-`aik` skipped), so block `t` is bitwise equal
-/// to the serial product for request `t`.
+/// block runs the serial [`gemm_into`](super::gemm_into) tile (`i-k-j`,
+/// zero-filled), with the instance chosen once per call the same way: no
+/// zero-`aik` skip in the vector loops when every entry of `b` is finite,
+/// AVX2 when the host has it. Block `t` is therefore bitwise equal to the
+/// serial product for request `t`.
 ///
 /// # Errors
 ///
@@ -59,12 +61,14 @@ pub fn gemm_rhs_blocks_into(
     check_wide("gemm_rhs_blocks_into", a.rows(), batch * k2, out)?;
     let rows = a.rows();
     let width = out.cols();
+    let tile = GemmTile::for_rhs(b);
     par_rows(out.as_mut_slice(), rows, width, |i, out_row| {
         let a_row = a.row(i);
         for t in 0..batch {
-            // The shared GEMM row kernel: same zero-skip, same k order, and
-            // the same SIMD column tiling as the serial `gemm_into` path.
+            // The shared GEMM row kernel: same tile instance, same k order,
+            // and the same SIMD column tiling as the serial `gemm_into` path.
             gemm_row(
+                tile,
                 &a_row[t * k1..(t + 1) * k1],
                 b,
                 &mut out_row[t * k2..(t + 1) * k2],

@@ -1,4 +1,4 @@
-use super::rowkernel::{gemm_block, GEMM_ROW_BLOCK};
+use super::rowkernel::{gemm_block, GemmTile, GEMM_ROW_BLOCK};
 use crate::parallel::par_row_blocks;
 use crate::{DenseMatrix, MatrixError, Result};
 
@@ -68,11 +68,14 @@ pub fn gemm_into(a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix) -> Res
     let k2 = b.cols();
     let rows = a.rows();
     // Register-tiled blocks of GEMM_ROW_BLOCK consecutive output rows: each
-    // loaded B vector is reused across the whole row block. Accumulation
-    // order per element is unchanged (k ascending, zero-aik skipped), so
-    // results stay bitwise equal to the scalar row loop.
+    // loaded B vector is reused across the whole row block. The tile
+    // instance is chosen once for the call: the vector loops drop the
+    // zero-aik skip when every entry of B is finite, and run as AVX2 code
+    // when the host has it. Accumulation order per element is unchanged (k
+    // ascending), so results stay bitwise equal to the scalar row loop.
+    let tile = GemmTile::for_rhs(b);
     par_row_blocks(out.as_mut_slice(), rows, k2, GEMM_ROW_BLOCK, |r0, blk| {
-        gemm_block(a, r0, b, blk);
+        gemm_block(tile, a, r0, b, blk);
     });
     Ok(())
 }

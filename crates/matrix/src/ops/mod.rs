@@ -54,6 +54,9 @@ pub struct KernelConfig {
     pub gemm_row_block: usize,
     /// GEMM column tile, in vectors.
     pub gemm_col_tile: usize,
+    /// Instruction set of the GEMM tile this host dispatches to at run
+    /// time: `avx2` or `baseline` (the build's target features).
+    pub gemm_instance: &'static str,
     /// nnz-equivalents per weighted scheduler chunk.
     pub chunk_weight: u64,
     /// Flat per-row cost the weighted schedulers add on top of nnz.
@@ -74,8 +77,8 @@ impl std::fmt::Display for KernelConfig {
         )?;
         writeln!(
             f,
-            "  gemm   : {} x {}-vec register tile",
-            self.gemm_row_block, self.gemm_col_tile
+            "  gemm   : {} x {}-vec register tile, {}",
+            self.gemm_row_block, self.gemm_col_tile, self.gemm_instance
         )?;
         writeln!(
             f,
@@ -87,7 +90,7 @@ impl std::fmt::Display for KernelConfig {
 }
 
 /// Returns the kernel configuration compiled into this build (plus the
-/// runtime-resolved thread count).
+/// runtime-resolved GEMM instance and thread count).
 pub fn kernel_config() -> KernelConfig {
     KernelConfig {
         lanes: crate::simd::LANES,
@@ -95,6 +98,7 @@ pub fn kernel_config() -> KernelConfig {
         short_row_edges: rowkernel::SHORT_ROW_EDGES,
         gemm_row_block: rowkernel::GEMM_ROW_BLOCK,
         gemm_col_tile: rowkernel::GEMM_COL_TILE,
+        gemm_instance: rowkernel::gemm_instance(),
         chunk_weight: crate::parallel::CHUNK_WEIGHT,
         row_base_cost: crate::parallel::ROW_BASE_COST,
         parallel_threshold: crate::parallel::PARALLEL_THRESHOLD,

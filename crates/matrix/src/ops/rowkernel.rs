@@ -17,12 +17,15 @@
 //! (`spmm_row_scalar`, `gemm_row_scalar`, `dot_scalar`).
 //!
 //! Because SpMM/GEMM vectorize across *columns* while keeping the exact
-//! per-element fold order over edges/`k` (including GEMM's zero-`aik` skip),
-//! the vector kernels are **bitwise identical** to the scalar oracles for
-//! every semiring; the band choice can never change a result, only its
-//! speed. The one documented exception is the SDDMM [`dot`], whose
-//! horizontal reduction is a fixed tree rather than a left fold (see
-//! `tests/kernel_differential.rs`).
+//! per-element fold order over edges/`k`, the vector kernels are **bitwise
+//! identical** to the scalar oracles for every semiring; the band choice can
+//! never change a result, only its speed. GEMM picks one instance of its
+//! register tile per call ([`GemmTile`]): its vector loops keep the scalar
+//! row's zero-`aik` skip only when B holds ±inf or NaN, the one case where
+//! the skip changes bits, and on x86_64 hosts with AVX2 the same tile runs
+//! compiled for AVX2. Neither choice changes a result either. The one
+//! documented exception is the SDDMM [`dot`], whose horizontal reduction is
+//! a fixed tree rather than a left fold (see `tests/kernel_differential.rs`).
 
 use crate::simd::{F32x8, LANES};
 use crate::{DenseMatrix, MulOp, ReduceOp, Semiring};
@@ -328,13 +331,87 @@ fn fold_cols_scalar<I, M, R>(
 // GEMM kernels
 // ---------------------------------------------------------------------------
 
+/// The instance of the register-tiled GEMM body one call runs, chosen once
+/// per `gemm_into` / `gemm_rhs_blocks_into` call by [`GemmTile::for_rhs`].
+/// Neither choice can change a bit of the result:
+///
+/// - **The zero-`aik` skip.** When every entry of B is finite, `±0 · b` is
+///   `±0`, and adding `±0` changes no accumulator: one that starts at `+0`
+///   never becomes `−0` under round-to-nearest. The vector loops then drop
+///   the per-`k` branch, which mispredicts on post-ReLU inputs. A B holding
+///   ±inf or NaN keeps the skip, because `0 · inf` is NaN.
+/// - **The instruction set.** On x86_64 hosts with AVX2 the same body runs
+///   compiled inside a `#[target_feature(enable = "avx2")]` wrapper. AVX and
+///   SSE give the same IEEE-754 add and multiply, and Rust never contracts
+///   them to FMA.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GemmTile {
+    skip_zeros: bool,
+    avx2: bool,
+}
+
+impl GemmTile {
+    /// The instance for right-hand side `b`: one O(k1·k2) finiteness scan
+    /// against the GEMM's O(n·k1·k2).
+    pub(crate) fn for_rhs(b: &DenseMatrix) -> Self {
+        Self {
+            skip_zeros: !b.as_slice().iter().all(|v| v.is_finite()),
+            avx2: avx2_detected(),
+        }
+    }
+
+    /// Runs this instance over up to [`GEMM_ROW_BLOCK`] rows: the AVX2
+    /// wrapper, or the tile body compiled for the build's baseline target.
+    #[inline]
+    fn rows(self, a_rows: &[&[f32]], b: &DenseMatrix, k2: usize, out_block: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: `avx2` is true only when `is_x86_feature_detected!("avx2")`
+            // found the feature on this host (`avx2_detected`).
+            return unsafe { gemm_rows_avx2(self.skip_zeros, a_rows, b, k2, out_block) };
+        }
+        if self.skip_zeros {
+            gemm_rows_tiled::<true>(a_rows, b, k2, out_block);
+        } else {
+            gemm_rows_tiled::<false>(a_rows, b, k2, out_block);
+        }
+    }
+}
+
+/// Whether this host runs the AVX2 instance of the GEMM tile.
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The GEMM tile instance this host dispatches to: `avx2` or `baseline`.
+pub(crate) fn gemm_instance() -> &'static str {
+    if avx2_detected() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
 /// Computes a block of consecutive GEMM output rows starting at `r0`:
 /// `out_block = a[r0.., :] · b`, register-tiled when `b` is at least one
 /// vector wide. The block layout matches `par_row_blocks`
 /// (`nrows = out_block.len() / b.cols()` rows, the last block possibly
 /// short).
 #[inline]
-pub(crate) fn gemm_block(a: &DenseMatrix, r0: usize, b: &DenseMatrix, out_block: &mut [f32]) {
+pub(crate) fn gemm_block(
+    tile: GemmTile,
+    a: &DenseMatrix,
+    r0: usize,
+    b: &DenseMatrix,
+    out_block: &mut [f32],
+) {
     let k2 = b.cols();
     if k2 == 0 {
         return;
@@ -345,7 +422,7 @@ pub(crate) fn gemm_block(a: &DenseMatrix, r0: usize, b: &DenseMatrix, out_block:
         for (i, slot) in a_rows.iter_mut().enumerate().take(nrows) {
             *slot = a.row(r0 + i);
         }
-        gemm_rows_tiled(&a_rows[..nrows], b, k2, out_block);
+        tile.rows(&a_rows[..nrows], b, k2, out_block);
     } else {
         for (i, out_row) in out_block.chunks_exact_mut(k2).enumerate() {
             gemm_row_scalar(a.row(r0 + i), b, out_row);
@@ -357,9 +434,9 @@ pub(crate) fn gemm_block(a: &DenseMatrix, r0: usize, b: &DenseMatrix, out_block:
 /// kernels carve A-rows out of wide buffers). Dispatches to the tiled path
 /// with a single-row "block".
 #[inline]
-pub(crate) fn gemm_row(a_row: &[f32], b: &DenseMatrix, out_row: &mut [f32]) {
+pub(crate) fn gemm_row(tile: GemmTile, a_row: &[f32], b: &DenseMatrix, out_row: &mut [f32]) {
     if out_row.len() >= LANES {
-        gemm_rows_tiled(&[a_row], b, out_row.len(), out_row);
+        tile.rows(&[a_row], b, out_row.len(), out_row);
     } else {
         gemm_row_scalar(a_row, b, out_row);
     }
@@ -367,7 +444,8 @@ pub(crate) fn gemm_row(a_row: &[f32], b: &DenseMatrix, out_row: &mut [f32]) {
 
 /// The scalar GEMM reference row: `i-k-j` order, zero-fill, zero-`aik` skip,
 /// exact-length zip in the inner loop (no per-element bounds checks). Runs
-/// rows narrower than one vector, and is the tiled path's test oracle.
+/// rows narrower than one vector, and is the tiled path's test oracle: its
+/// skip defines the semantics for a B holding ±inf or NaN.
 #[inline]
 pub(crate) fn gemm_row_scalar(a_row: &[f32], b: &DenseMatrix, out_row: &mut [f32]) {
     out_row.fill(0.0);
@@ -381,11 +459,37 @@ pub(crate) fn gemm_row_scalar(a_row: &[f32], b: &DenseMatrix, out_row: &mut [f32
     }
 }
 
+/// The tile body compiled with AVX2 enabled: LLVM lowers each [`F32x8`]
+/// operation to one 256-bit instruction instead of two SSE ones.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_rows_avx2(
+    skip_zeros: bool,
+    a_rows: &[&[f32]],
+    b: &DenseMatrix,
+    k2: usize,
+    out_block: &mut [f32],
+) {
+    if skip_zeros {
+        gemm_rows_tiled::<true>(a_rows, b, k2, out_block);
+    } else {
+        gemm_rows_tiled::<false>(a_rows, b, k2, out_block);
+    }
+}
+
 /// Register-tiled GEMM over up to [`GEMM_ROW_BLOCK`] rows: every loaded B
-/// vector is reused across all rows of the tile, `k` runs ascending with the
-/// same zero-skip as the scalar row, so each output element accumulates in
-/// the exact scalar order (bitwise identical results).
-fn gemm_rows_tiled(a_rows: &[&[f32]], b: &DenseMatrix, k2: usize, out_block: &mut [f32]) {
+/// vector is reused across all rows of the tile and `k` runs ascending, so
+/// each output element accumulates in the exact scalar order. The two vector
+/// loops skip zero `aik` only when `SKIP_ZEROS` is set (see [`GemmTile`] for
+/// why dropping the skip on a finite B keeps every bit); the scalar tail
+/// always skips, like [`gemm_row_scalar`].
+#[inline(always)]
+fn gemm_rows_tiled<const SKIP_ZEROS: bool>(
+    a_rows: &[&[f32]],
+    b: &DenseMatrix,
+    k2: usize,
+    out_block: &mut [f32],
+) {
     let nrows = a_rows.len();
     let k1 = b.rows();
     let mut c = 0;
@@ -399,7 +503,7 @@ fn gemm_rows_tiled(a_rows: &[&[f32]], b: &DenseMatrix, k2: usize, out_block: &mu
             }
             for (i, a_row) in a_rows.iter().enumerate() {
                 let aik = a_row[k];
-                if aik == 0.0 {
+                if SKIP_ZEROS && aik == 0.0 {
                     continue;
                 }
                 let av = F32x8::splat(aik);
@@ -421,7 +525,7 @@ fn gemm_rows_tiled(a_rows: &[&[f32]], b: &DenseMatrix, k2: usize, out_block: &mu
             let bv = F32x8::load(&b.row(k)[c..]);
             for (i, a_row) in a_rows.iter().enumerate() {
                 let aik = a_row[k];
-                if aik == 0.0 {
+                if SKIP_ZEROS && aik == 0.0 {
                     continue;
                 }
                 acc[i] = acc[i] + F32x8::splat(aik) * bv;
@@ -541,7 +645,7 @@ mod tests {
             for r0 in [0usize, 4] {
                 let nrows = (r0 + GEMM_ROW_BLOCK).min(7) - r0;
                 let mut fast = vec![f32::NAN; nrows * k2];
-                gemm_block(&a, r0, &b, &mut fast);
+                gemm_block(GemmTile::for_rhs(&b), &a, r0, &b, &mut fast);
                 for i in 0..nrows {
                     let mut slow = vec![f32::NAN; k2];
                     gemm_row_scalar(a.row(r0 + i), &b, &mut slow);
@@ -553,6 +657,57 @@ mod tests {
                         slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         "r0 {r0} row {i} k2 {k2}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_instance_matches_baseline_bitwise() {
+        // Each suite run exercises only the instance its host picks; this
+        // test runs both on one host. Without AVX2 there is no second one.
+        if !avx2_detected() {
+            return;
+        }
+        let a = DenseMatrix::random(GEMM_ROW_BLOCK, 9, 1.0, 21);
+        let a = a.map(|v| if v.abs() < 0.3 { 0.0 } else { v });
+        for k2 in [8usize, 16, 19, 24, 41] {
+            let finite = DenseMatrix::random(9, k2, 1.0, 22);
+            // One kind of non-finite value per column, so no element adds
+            // two NaNs of different payloads.
+            let non_finite = DenseMatrix::from_fn(9, k2, |k, j| match (j % 4, (k + j) % 3) {
+                (1, 0) => f32::INFINITY,
+                (2, 0) => f32::NEG_INFINITY,
+                (3, 0) => f32::NAN,
+                _ => finite.get(k, j),
+            });
+            for (b, skips) in [(&finite, false), (&non_finite, true)] {
+                let tile = GemmTile::for_rhs(b);
+                assert_eq!(tile.skip_zeros, skips, "k2 {k2}");
+                let baseline = GemmTile {
+                    avx2: false,
+                    ..tile
+                };
+                let avx2 = GemmTile { avx2: true, ..tile };
+                for nrows in 1..=GEMM_ROW_BLOCK {
+                    let rows: Vec<&[f32]> = (0..nrows).map(|i| a.row(i)).collect();
+                    let mut base = vec![f32::NAN; nrows * k2];
+                    let mut wide = vec![f32::NAN; nrows * k2];
+                    baseline.rows(&rows, b, k2, &mut base);
+                    avx2.rows(&rows, b, k2, &mut wide);
+                    let base_bits: Vec<u32> = base.iter().map(|v| v.to_bits()).collect();
+                    let wide_bits: Vec<u32> = wide.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(base_bits, wide_bits, "k2 {k2} rows {nrows}");
+                    for (i, row) in rows.iter().enumerate() {
+                        let mut slow = vec![f32::NAN; k2];
+                        gemm_row_scalar(row, b, &mut slow);
+                        let slow_bits: Vec<u32> = slow.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(
+                            &base_bits[i * k2..(i + 1) * k2],
+                            slow_bits,
+                            "k2 {k2} row {i}"
+                        );
+                    }
                 }
             }
         }

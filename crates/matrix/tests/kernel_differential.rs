@@ -134,8 +134,10 @@ fn naive_spmm(adj: &CsrMatrix, feats: &DenseMatrix, width: usize, s: Semiring) -
     out
 }
 
-/// The naive GEMM reference: `i-k-j`, zero-`aik` skipped exactly like the
-/// kernel (the skip is bit-visible: folding `-0.0 + 0.0` would flip a sign).
+/// The naive GEMM reference: `i-k-j`, zero-`aik` skipped like the scalar
+/// kernel row. The skip changes bits only when B holds ±inf or NaN
+/// (`0 · inf` is NaN); with a finite B the kernel's vector loops may drop
+/// it, and must still match this reference bit for bit.
 fn naive_gemm(a: &DenseMatrix, b: &DenseMatrix) -> Vec<f32> {
     let (k1, k2) = (a.cols(), b.cols());
     let mut out = vec![0.0f32; a.rows() * k2];
@@ -160,6 +162,28 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 
 fn with_zeros(m: DenseMatrix) -> DenseMatrix {
     m.map(|v| if v.abs() < 0.3 { 0.0 } else { v })
+}
+
+/// Output widths reaching the GEMM's 2-vector strips, its 1-vector strips
+/// and its scalar tail, alone and combined (41 = 2·16 + 8 + 1).
+const GEMM_CASCADE_WIDTHS: [usize; 7] = [5, 8, 13, 16, 24, 27, 41];
+
+/// `m` with about a quarter of its entries replaced by +inf, -inf or NaN.
+/// Each column holds one kind only, so no output element adds two NaNs of
+/// different payloads: IEEE-754 leaves that result's payload to the
+/// implementation.
+fn with_non_finite(m: DenseMatrix, seed: u64) -> DenseMatrix {
+    let mut state = seed ^ 0x6e6f_6e66;
+    let kinds: Vec<f32> = (0..m.cols())
+        .map(|_| [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][lcg(&mut state) as usize % 3])
+        .collect();
+    DenseMatrix::from_fn(m.rows(), m.cols(), |i, j| {
+        if lcg(&mut state).is_multiple_of(4) {
+            kinds[j]
+        } else {
+            m.get(i, j)
+        }
+    })
 }
 
 proptest! {
@@ -207,6 +231,40 @@ proptest! {
         let b = DenseMatrix::random(k1, k2, 1.0, seed ^ 0xbeef);
         let got = ops::gemm(&a, &b).unwrap();
         prop_assert_eq!(bits(got.as_slice()), bits(&naive_gemm(&a, &b)));
+    }
+
+    /// GEMM with ±inf and NaN in B and zeros in A, the one case where the
+    /// zero-`aik` skip changes bits: serial `gemm` and every block of the
+    /// batched `gemm_rhs_blocks_into` are bitwise equal to the naive
+    /// reference across the whole tile cascade.
+    #[test]
+    fn gemm_non_finite_rhs_bitwise_matches_naive(
+        n in 1usize..14,
+        k1 in 1usize..12,
+        seed in 0u64..500,
+    ) {
+        const BATCH: usize = 3;
+        for k2 in GEMM_CASCADE_WIDTHS {
+            let a_wide = with_zeros(DenseMatrix::random(n, BATCH * k1, 1.0, seed));
+            let b = with_non_finite(DenseMatrix::random(k1, k2, 1.0, seed ^ 0xbeef), seed);
+            let mut a = DenseMatrix::from_vec(n, k1, vec![0.0; n * k1]).unwrap();
+            ops::copy_block_into(&a_wide, 0, &mut a).unwrap();
+            let got = ops::gemm(&a, &b).unwrap();
+            prop_assert_eq!(bits(got.as_slice()), bits(&naive_gemm(&a, &b)), "serial k2 {}", k2);
+            let mut wide =
+                DenseMatrix::from_vec(n, BATCH * k2, vec![f32::NAN; n * BATCH * k2]).unwrap();
+            ops::gemm_rhs_blocks_into(&a_wide, &b, BATCH, &mut wide).unwrap();
+            for t in 0..BATCH {
+                ops::copy_block_into(&a_wide, t, &mut a).unwrap();
+                let mut block = DenseMatrix::from_vec(n, k2, vec![0.0; n * k2]).unwrap();
+                ops::copy_block_into(&wide, t, &mut block).unwrap();
+                prop_assert_eq!(
+                    bits(block.as_slice()),
+                    bits(&naive_gemm(&a, &b)),
+                    "batched k2 {} block {}", k2, t
+                );
+            }
+        }
     }
 
     /// SDDMM matches a naive left-fold reference within a few ulp: the SIMD
