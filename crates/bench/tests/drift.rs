@@ -18,7 +18,7 @@ use granii_gnn::spec::{LayerConfig, ModelKind};
 use granii_graph::datasets::{Dataset, Scale};
 use granii_matrix::device::DeviceKind;
 use granii_matrix::PrimitiveKind;
-use granii_serve::{DriftConfig, ServeConfig, ServeRequest};
+use granii_serve::{ServeConfig, ServeRequest};
 
 /// Rebuilds the model set with the `deflate`d primitives retrained on the
 /// clean model's own predictions shifted by `-ln(10^6)` — those primitives
@@ -130,7 +130,6 @@ fn corrupted_model_is_flagged_invalidated_and_recovers() {
 
     granii_telemetry::reset();
     granii_telemetry::enable();
-    let drift = DriftConfig::default();
     let report = run_drift_scenario(
         clean.clone(),
         corrupted,
@@ -139,7 +138,6 @@ fn corrupted_model_is_flagged_invalidated_and_recovers() {
         12,
         ServeConfig {
             workers: 1,
-            drift,
             ..ServeConfig::default()
         },
     );

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::PlanKey;
-use crate::inspect::InputProfile;
+use crate::drift::InputProfile;
 use crate::recorder::{FlightRecord, RecordKind};
 use crate::status::ServerStatus;
 

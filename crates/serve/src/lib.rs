@@ -15,9 +15,9 @@
 //! - **Lock-free admission + worker pool** ([`Server`]): submits go through
 //!   a bounded lock-free MPMC ring (vendored `crossbeam` `ArrayQueue`) — a
 //!   full ring sheds with [`ServeError::Overloaded`] (backpressure instead
-//!   of OOM), and a per-tenant fairness bound ([`TenantTable`]) keeps one
-//!   hot signature from capturing the whole queue. Each request's deadline
-//!   is checked once, when its batch group forms.
+//!   of OOM), and a per-tenant fairness bound keeps one hot signature from
+//!   capturing the whole queue. Each request's deadline is checked once,
+//!   when its batch group forms.
 //! - **Continuous batching**: workers drain whatever is queued (up to
 //!   `ServeConfig::max_batch`), coalesce requests by plan signature, and
 //!   serve every group, a group of one included, through one path. A group
@@ -33,17 +33,17 @@
 //!   `ServeConfig::trace_sample_every`): 1-in-N sampled requests export a
 //!   per-request lane (queue / select / execute stages) through the
 //!   existing Chrome-trace exporter; unsampled requests carry nothing.
-//! - **Online drift detection** ([`DriftDetector`]): per plan signature, an
-//!   EWMA of the log-space residual between the cost model's steady-state
-//!   prediction and the engine-charged cost of each served iteration;
-//!   sustained mismatch flags the signature, invalidates its cached plan
-//!   (forcing re-selection), and surfaces in metrics, events, and status.
-//! - **Input-drift detection** ([`InputInspector`]): the second lane, keyed
-//!   on the inputs themselves — per signature, an EWMA of each request
-//!   graph's degree-band distribution and CV against the selection-time
-//!   reference. Catches the failure mode the residual lane is blind to: a
-//!   pinned-signature tenant ([`ServeRequest::with_signature`]) whose graph
-//!   mutates under a cached plan.
+//! - **Online drift detection**: two per-signature lanes under one flag
+//!   discipline (EWMA, warmup, consecutive streak, cooldown). The residual
+//!   lane smooths the log-space gap between the cost model's steady-state
+//!   prediction and the engine-charged cost of each served iteration. The
+//!   input lane smooths each request graph's degree-band distribution and
+//!   CV ([`InputProfile`]) against the selection-time reference, catching
+//!   what the residual lane is blind to: a pinned-signature tenant
+//!   ([`ServeRequest::with_signature`]) whose graph mutates under a cached
+//!   plan. Sustained divergence flags the signature, invalidates its cached
+//!   plan (forcing re-selection), and surfaces in metrics, events, and
+//!   status.
 //! - **Latency SLOs** ([`SloMonitor`]): declarative per-outcome objectives
 //!   with tumbling-window error-budget burn rates, backed by
 //!   bounded-relative-error latency sketches (p50–p999 on the status
@@ -62,9 +62,9 @@
 //!   audit (chosen composition, per-candidate predicted costs, and the
 //!   input statistics that keyed the choice) — as one JSON artifact,
 //!   rate-limited by cooldown + max-per-window.
-//! - **Per-tenant resource metering** ([`MeterTable`]): a lock-free
-//!   CAS-slot ledger keyed on tenant fingerprint accumulating engine
-//!   charges, flops/bytes, queue wait, batch share, cache traffic, sheds,
+//! - **Per-tenant resource metering** ([`MeterRow`]): the same lock-free
+//!   CAS-slot ledger that bounds admission accumulates engine charges,
+//!   flops/bytes, queue wait, batch share, cache traffic, sheds,
 //!   degradations, and SLO violations per tenant — with *exact* integer
 //!   attribution (the sum of per-tenant charges equals the server totals
 //!   bitwise, even for batched execution). Surfaces as a ranked
@@ -108,9 +108,7 @@
 mod cache;
 mod drift;
 mod error;
-mod fairness;
 mod incident;
-mod inspect;
 mod metering;
 mod recorder;
 mod scrape;
@@ -120,17 +118,13 @@ mod status;
 mod trace;
 
 pub use cache::{CachedPlan, PlanCache, PlanKey};
-pub use drift::{DriftConfig, DriftDetector, DriftRow, DriftVerdict};
+pub use drift::{InputProfile, DEGREE_BANDS};
 pub use error::{Result, ServeError};
-pub use fairness::{TenantRow, TenantTable};
 pub use incident::{
     IncidentBundle, IncidentCapturer, IncidentConfig, IncidentTrigger, RingEntry, SelectionAudit,
     SelectionAuditInfo, TimelineColumnInfo, TimelineInfo, TriggerInfo, AUDIT_CAPACITY,
 };
-pub use inspect::{
-    InputInspector, InputProfile, InputRow, InspectConfig, InspectVerdict, DEGREE_BANDS,
-};
-pub use metering::{exact_share, MeterCharge, MeterRow, MeterTable};
+pub use metering::MeterRow;
 pub use recorder::{FlightRecord, FlightRecorder, RecordKind, RecorderConfig, MAX_BATCH_MEMBERS};
 pub use scrape::{render_prometheus, start_scrape, ScrapeConfig, ScrapeHandle};
 pub use server::{

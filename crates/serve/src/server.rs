@@ -2,8 +2,8 @@
 //! request execution.
 //!
 //! Admission is a bounded lock-free MPMC ring ([`crossbeam::queue::ArrayQueue`])
-//! with shed-don't-block semantics and a per-tenant fairness bound
-//! ([`crate::fairness::TenantTable`]); workers drain the ring into
+//! with shed-don't-block semantics and a per-tenant fairness bound (the
+//! tenant ledger, [`crate::metering`]); workers drain the ring into
 //! signature-keyed batch groups and serve every group, a group of one
 //! included, through one execution path: a group of two or more runs as one
 //! multi-RHS `iterate_batched` (column-stacked blocks, bitwise identical to
@@ -30,14 +30,12 @@ use granii_telemetry::{
 };
 
 use crate::cache::{CachedPlan, PlanCache, PlanKey};
-use crate::drift::{DriftConfig, DriftDetector, DriftVerdict};
-use crate::fairness::TenantTable;
+use crate::drift::{InputProfile, Lane, Residual, Track};
 use crate::incident::{
     render_events, IncidentBundle, IncidentCapturer, IncidentConfig, IncidentTrigger, RecorderInfo,
     RingEntry, SelectionAudit, SelectionAuditInfo, SketchSummary, TimelineInfo,
 };
-use crate::inspect::{InputInspector, InputProfile, InspectConfig, InspectVerdict};
-use crate::metering::{exact_share, MeterCharge, MeterRow, MeterTable};
+use crate::metering::{exact_share, MeterCharge, MeterRow, Tenant, TenantLedger};
 use crate::recorder::{FlightRecorder, RecordKind, RecorderConfig, MAX_BATCH_MEMBERS};
 use crate::scrape::{ScrapeConfig, ScrapeHandle};
 use crate::slo::{Outcome, SloConfig, SloMonitor, SloVerdict};
@@ -108,11 +106,6 @@ pub struct ServeConfig {
     /// sampling; has no effect unless telemetry is enabled). Unsampled
     /// requests carry no trace state at all.
     pub trace_sample_every: u64,
-    /// Online cost-model drift detection tuning.
-    pub drift: DriftConfig,
-    /// Online input-drift detection tuning (the second lane, keyed on
-    /// degree-distribution statistics instead of cost residuals).
-    pub inspect: InspectConfig,
     /// Latency-SLO objectives and burn-rate monitoring tuning.
     pub slo: SloConfig,
     /// Always-on flight-recorder ring sizing.
@@ -137,8 +130,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             fairness_share: 0.5,
             trace_sample_every: 0,
-            drift: DriftConfig::default(),
-            inspect: InspectConfig::default(),
             slo: SloConfig::default(),
             recorder: RecorderConfig::default(),
             incident: IncidentConfig::default(),
@@ -298,14 +289,12 @@ pub struct ServeStats {
     pub input_drift_flagged: u64,
 }
 
+/// Lifecycle counters the tenant ledger does not already keep (it owns
+/// completions, degradations, and sheds).
 #[derive(Default)]
 struct Counters {
     submitted: AtomicU64,
-    completed: AtomicU64,
     failed: AtomicU64,
-    shed: AtomicU64,
-    tenant_shed: AtomicU64,
-    degraded: AtomicU64,
     deadline_expired: AtomicU64,
     batches: AtomicU64,
     batched_requests: AtomicU64,
@@ -364,6 +353,8 @@ struct Job {
     /// Plan key, computed once at submit (the fingerprint feeds tenant
     /// accounting and batch grouping).
     key: PlanKey,
+    /// The tenant's ledger slot, claimed once at submit.
+    tenant: Tenant,
     request: ServeRequest,
     /// Submit instant: the deadline and `total_seconds` run from here.
     submitted: Instant,
@@ -412,8 +403,10 @@ struct Inner {
     /// models; the per-request read is an uncontended lock + `Arc` clone.
     granii: RwLock<Arc<Granii>>,
     cache: PlanCache,
-    drift: DriftDetector,
-    inspect: InputInspector,
+    /// The cost-model residual lane (see [`crate::drift`]).
+    drift: Lane<Residual>,
+    /// The input-profile lane.
+    inspect: Lane<InputProfile>,
     slo: SloMonitor,
     latency: LatencySketches,
     /// Batch-group size distribution (recorded per formed group, including
@@ -425,7 +418,6 @@ struct Inner {
     /// `max(queue_depth, 1)`; a configured depth of 0 sheds before ever
     /// touching the ring.
     queue: ArrayQueue<Job>,
-    tenants: TenantTable,
     shutdown: AtomicBool,
     /// Submits currently inside the admission window (shutdown-check →
     /// push). Workers refuse to exit while this is nonzero, closing the
@@ -447,8 +439,9 @@ struct Inner {
     /// (two workers can finish groups simultaneously; the exporter needs
     /// distinct seqs).
     batch_trace_seq: AtomicU64,
-    /// Lock-free per-tenant resource ledger (see [`crate::metering`]).
-    metering: MeterTable,
+    /// Lock-free per-tenant admission bounds and resource meters (see
+    /// [`crate::metering`]).
+    ledger: TenantLedger,
     /// On-host time-series ring (always present; populated by the sampler
     /// thread when `TimelineConfig::enabled`).
     timeline: Arc<TimeSeriesRing>,
@@ -550,14 +543,13 @@ impl Server {
         let inner = Arc::new(Inner {
             granii: RwLock::new(granii),
             cache: PlanCache::new(config.cache_capacity),
-            drift: DriftDetector::new(config.drift),
-            inspect: InputInspector::new(config.inspect),
+            drift: Lane::new(),
+            inspect: Lane::new(),
             slo: SloMonitor::new(config.slo.clone()),
             latency: LatencySketches::new(),
             batch_sizes: Sketch::new(DEFAULT_SKETCH_ALPHA),
             distinct_signatures: DistinctCounter::new(),
             queue: ArrayQueue::new(config.queue_depth.max(1)),
-            tenants: TenantTable::new(config.queue_depth, config.fairness_share),
             shutdown: AtomicBool::new(false),
             admitting: AtomicU64::new(0),
             parking: Parking {
@@ -568,7 +560,7 @@ impl Server {
             recorder: FlightRecorder::new(config.recorder),
             incidents: IncidentCapturer::new(config.incident.clone()),
             batch_trace_seq: AtomicU64::new(0),
-            metering: MeterTable::new(),
+            ledger: TenantLedger::new(config.queue_depth, config.fairness_share),
             timeline: Arc::new(TimeSeriesRing::new(config.timeline.capacity)),
             config: config.clone(),
             counters: Counters::default(),
@@ -640,19 +632,20 @@ impl Server {
         // The key is computed before the depth gate so every shed record
         // (and a shed-storm incident) names the signature it turned away.
         let key = request.plan_key();
+        let tenant = inner.ledger.tenant(key.1);
         let depth = inner.queue.len();
         if depth >= inner.config.queue_depth {
-            return Err(shed(inner, id, key, depth, "queue_full"));
+            return Err(shed(inner, id, key, tenant, depth, "queue_full"));
         }
-        if !inner.tenants.try_admit(key.1) {
-            inner.counters.tenant_shed.fetch_add(1, Ordering::Relaxed);
+        if !inner.ledger.try_admit(tenant) {
             granii_telemetry::counter_add("serve.tenant_shed", 1);
-            return Err(shed(inner, id, key, depth, "tenant_cap"));
+            return Err(shed(inner, id, key, tenant, depth, "tenant_cap"));
         }
         let (tx, rx) = mpsc::channel();
         let job = Job {
             id,
             key,
+            tenant,
             request,
             submitted: now,
             enqueued: Instant::now(),
@@ -666,8 +659,9 @@ impl Server {
         };
         if inner.queue.push(job).is_err() {
             // The ring filled between the depth gate and the push.
-            inner.tenants.cancel_admit(key.1);
-            return Err(shed(inner, id, key, inner.queue.len(), "queue_full"));
+            inner.ledger.cancel_admit(tenant);
+            let depth = inner.queue.len();
+            return Err(shed(inner, id, key, tenant, depth, "queue_full"));
         }
         inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
         granii_telemetry::counter_add("serve.submitted", 1);
@@ -774,16 +768,16 @@ impl Server {
     }
 
     /// Per-tenant meter rows, engine-charged time descending (the ranked
-    /// "top tenants" view; see [`crate::metering::MeterTable::rows`]).
+    /// "top tenants" view).
     pub fn metering_rows(&self) -> Vec<MeterRow> {
-        self.inner.metering.rows()
+        self.inner.ledger.rows()
     }
 
     /// The server-wide metering totals row. The sum of every
     /// [`Server::metering_rows`] counter equals this row exactly — the
     /// ledger attributes integers, never averages.
     pub fn metering_totals(&self) -> MeterRow {
-        self.inner.metering.totals()
+        self.inner.ledger.totals()
     }
 
     /// A snapshot of the on-host time-series ring (empty when the sampler
@@ -823,14 +817,20 @@ impl Server {
 
 impl Inner {
     fn stats(&self) -> ServeStats {
+        self.stats_with(&self.ledger.totals())
+    }
+
+    /// [`Inner::stats`] over an already-read ledger totals row, so a status
+    /// snapshot's lifecycle counts and its metering section agree exactly.
+    fn stats_with(&self, totals: &MeterRow) -> ServeStats {
         let c = &self.counters;
         ServeStats {
             submitted: c.submitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
+            completed: totals.requests,
             failed: c.failed.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            tenant_shed: c.tenant_shed.load(Ordering::Relaxed),
-            degraded: c.degraded.load(Ordering::Relaxed),
+            shed: totals.sheds,
+            tenant_shed: self.ledger.tenant_shed(),
+            degraded: totals.degraded,
             deadline_expired: c.deadline_expired.load(Ordering::Relaxed),
             batches: c.batches.load(Ordering::Relaxed),
             batched_requests: c.batched_requests.load(Ordering::Relaxed),
@@ -871,14 +871,25 @@ impl Inner {
     /// Status assembly lives on `Inner` (not [`Server`]) so worker threads
     /// can embed a full snapshot in an incident bundle mid-request.
     fn status(&self) -> ServerStatus {
-        let stats = self.stats();
+        // One ledger walk feeds the lifecycle counts, the metering section,
+        // AND the per-tenant request counts on the drift/input tables.
+        let meter_rows = self.ledger.rows();
+        let meter_totals = self.ledger.totals();
+        let stats = self.stats_with(&meter_totals);
         let uptime_seconds = self.started.elapsed().as_secs_f64();
         let completed = stats.completed.max(1) as f64;
         let batch_sketch = self.batch_sizes.snapshot("serve.batch.size");
-        // One ledger walk feeds the metering section AND the per-tenant
-        // request counts on the drift/input tables.
-        let meter_rows = self.metering.rows();
-        let meter_totals = self.metering.totals();
+        let tenants: Vec<TenantStatus> = self
+            .ledger
+            .admission_rows()
+            .into_iter()
+            .map(|row| TenantStatus {
+                fingerprint: hex_fp(row.fingerprint),
+                queued: row.queued,
+                admitted: row.admitted,
+                shed: row.shed,
+            })
+            .collect();
         let requests_for = |fingerprint: u64| {
             meter_rows
                 .iter()
@@ -918,19 +929,9 @@ impl Inner {
                 p95_size: batch_sketch.p95_ns(),
             },
             fairness: FairnessStatus {
-                tenant_queue_cap: self.tenants.cap(),
-                tenant_shed: stats.tenant_shed,
-                tenants: self
-                    .tenants
-                    .rows()
-                    .into_iter()
-                    .map(|row| TenantStatus {
-                        fingerprint: hex_fp(row.fingerprint),
-                        queued: row.queued,
-                        admitted: row.admitted,
-                        shed: row.shed,
-                    })
-                    .collect(),
+                tenant_queue_cap: self.ledger.cap(),
+                tenant_shed: tenants.iter().map(|tenant| tenant.shed).sum(),
+                tenants,
             },
             workers: self
                 .workers
@@ -959,54 +960,42 @@ impl Inner {
                 capacity: self.config.cache_capacity,
                 hit_rate: stats.cache_hit_rate,
             },
-            drift: {
-                let mut rows = self.drift.rows();
-                // Fingerprint-first ordering so `--status-out` artifacts
-                // from different runs diff cleanly regardless of which
-                // model family hit the detector first.
-                rows.sort_by_key(|row| (row.key.1, row.key.0.name(), row.key.2, row.key.3));
-                rows.into_iter()
-                    .map(|row| {
-                        let (model, fingerprint, k1, k2) = row.key;
-                        DriftSignatureStatus {
-                            model: model.name().to_owned(),
-                            fingerprint: hex_fp(fingerprint),
-                            k1,
-                            k2,
-                            ewma_residual: row.ewma_residual,
-                            last_residual: row.last_residual,
-                            samples: row.samples,
-                            flags: row.flags,
-                            cooldown: u64::from(row.cooldown),
-                            tenant_requests: requests_for(fingerprint),
-                        }
-                    })
-                    .collect()
-            },
-            input: {
-                let mut rows = self.inspect.rows();
-                rows.sort_by_key(|row| (row.key.1, row.key.0.name(), row.key.2, row.key.3));
-                rows.into_iter()
-                    .map(|row| {
-                        let (model, fingerprint, k1, k2) = row.key;
-                        InputSignatureStatus {
-                            model: model.name().to_owned(),
-                            fingerprint: hex_fp(fingerprint),
-                            k1,
-                            k2,
-                            band_l1: row.band_l1,
-                            cv_delta: row.cv_delta,
-                            live_avg_degree: row.live.avg_degree,
-                            live_degree_cv: row.live.degree_cv,
-                            reference_degree_cv: row.reference.degree_cv,
-                            samples: row.samples,
-                            flags: row.flags,
-                            cooldown: u64::from(row.cooldown),
-                            tenant_requests: requests_for(fingerprint),
-                        }
-                    })
-                    .collect()
-            },
+            drift: by_fingerprint(self.drift.rows())
+                .map(
+                    |((model, fingerprint, k1, k2), track)| DriftSignatureStatus {
+                        model: model.name().to_owned(),
+                        fingerprint: hex_fp(fingerprint),
+                        k1,
+                        k2,
+                        ewma_residual: track.smoothed.0,
+                        last_residual: track.last.0,
+                        samples: track.samples,
+                        flags: track.flags,
+                        cooldown: u64::from(track.cooldown),
+                        tenant_requests: requests_for(fingerprint),
+                    },
+                )
+                .collect(),
+            input: by_fingerprint(self.inspect.rows())
+                .map(|((model, fingerprint, k1, k2), track)| {
+                    let (live, reference) = (track.smoothed, track.reference);
+                    InputSignatureStatus {
+                        model: model.name().to_owned(),
+                        fingerprint: hex_fp(fingerprint),
+                        k1,
+                        k2,
+                        band_l1: live.band_l1(&reference),
+                        cv_delta: live.cv_delta(&reference),
+                        live_avg_degree: live.avg_degree,
+                        live_degree_cv: live.degree_cv,
+                        reference_degree_cv: reference.degree_cv,
+                        samples: track.samples,
+                        flags: track.flags,
+                        cooldown: u64::from(track.cooldown),
+                        tenant_requests: requests_for(fingerprint),
+                    }
+                })
+                .collect(),
             slo: self
                 .slo
                 .rows()
@@ -1060,6 +1049,16 @@ impl Inner {
             },
         }
     }
+}
+
+/// A drift lane's rows in fingerprint-first order, so `--status-out`
+/// artifacts from different runs diff cleanly regardless of which model
+/// family hit the lane first.
+fn by_fingerprint<S>(
+    mut rows: Vec<(PlanKey, Track<S>)>,
+) -> impl Iterator<Item = (PlanKey, Track<S>)> {
+    rows.sort_by_key(|((model, fingerprint, k1, k2), _)| (*fingerprint, model.name(), *k1, *k2));
+    rows.into_iter()
 }
 
 impl Drop for Server {
@@ -1125,7 +1124,7 @@ fn start_timeline_sampler(inner: &Arc<Inner>) -> SamplerHandle {
         samples.push((cols.cache_entries, stats.cache_len as f64));
         samples.push((
             cols.charged_ms,
-            inner.metering.totals().charged_ns as f64 / 1e6,
+            inner.ledger.totals().charged_ns as f64 / 1e6,
         ));
         samples.push((
             cols.hit_p95_ms,
@@ -1135,7 +1134,7 @@ fn start_timeline_sampler(inner: &Arc<Inner>) -> SamplerHandle {
             cols.miss_p95_ms,
             inner.latency.miss.snapshot("serve.latency.miss").p95_ns() / 1e6,
         ));
-        inner.metering.for_each(|row| {
+        inner.ledger.for_each(|row| {
             let (charged, requests) = *tenant_cols.entry(row.fingerprint).or_insert_with(|| {
                 let fp = hex_fp(row.fingerprint);
                 (
@@ -1172,12 +1171,18 @@ fn start_scrape_listener(inner: &Arc<Inner>) -> Option<ScrapeHandle> {
     }
 }
 
-/// Shed bookkeeping shared by every admission-reject path: counters, gauges
-/// (a shed must not leave them stale), the shed event, the flight-recorder
-/// record, and the shed-storm incident trigger.
-fn shed(inner: &Inner, id: u64, key: PlanKey, depth: usize, reason: &'static str) -> ServeError {
-    inner.counters.shed.fetch_add(1, Ordering::Relaxed);
-    inner.metering.note_shed(key.1);
+/// Shed bookkeeping shared by every admission-reject path: the tenant's
+/// shed meter, gauges (a shed must not leave them stale), the shed event,
+/// the flight-recorder record, and the shed-storm incident trigger.
+fn shed(
+    inner: &Inner,
+    id: u64,
+    key: PlanKey,
+    tenant: Tenant,
+    depth: usize,
+    reason: &'static str,
+) -> ServeError {
+    inner.ledger.note_shed(tenant);
     granii_telemetry::counter_add("serve.shed", 1);
     granii_telemetry::gauge_set("serve.queue_depth", depth as f64);
     granii_telemetry::gauge_set("serve.cache_hit_rate", inner.cache.hit_rate());
@@ -1245,7 +1250,7 @@ fn worker_loop(inner: &Inner, index: usize) {
             }
         }
         for job in &drained {
-            inner.tenants.release(job.key.1);
+            inner.ledger.release(job.tenant);
         }
         granii_telemetry::gauge_set("serve.queue_depth", inner.queue.len() as f64);
         // Coalesce by plan signature, preserving first-seen (queue) order.
@@ -1341,13 +1346,10 @@ fn process_group(inner: &Inner, exec: &Exec, mut jobs: Vec<Job>) {
         // The input-drift lane inspects every request's graph (one O(nodes)
         // pass, allocation-free on the tracked counters) — the same
         // statistics selection itself keys on.
-        job.profile = inner
-            .inspect
-            .config()
-            .enabled
-            .then(|| InputProfile::extract(&job.request.graph));
+        job.profile = Some(InputProfile::extract(&job.request.graph));
     }
-    let fail = |error, job: &Job| finish_job(inner, job.id, key, &job.reply, Err(error));
+    let fail =
+        |error, job: &Job| finish_job(inner, job.id, key, job.tenant, &job.reply, Err(error));
     match process_batch(inner, exec, jobs) {
         Ok(()) => {}
         Err((error, jobs)) if jobs.len() == 1 => fail(error, &jobs[0]),
@@ -1454,6 +1456,7 @@ fn process_batch(
     for (i, job) in jobs.into_iter().enumerate() {
         let Job {
             id,
+            tenant,
             request,
             submitted,
             trace,
@@ -1473,15 +1476,15 @@ fn process_batch(
             observe_drift(inner, id, &request, key, charged_seconds, predicted);
         }
         if let Some(p) = profile {
-            observe_input(inner, id, &request, key, &p);
+            observe_input(inner, id, &request, key, p);
         }
         let cache_hit = leader_hit || i > 0;
         let degraded = i == 0 && leader_degraded;
         if let Some(t) = trace {
             t.finish(request.model.name(), cache_hit, degraded);
         }
-        inner.metering.record(
-            key.1,
+        inner.ledger.record(
+            tenant,
             &MeterCharge {
                 charged_ns,
                 flops,
@@ -1505,7 +1508,7 @@ fn process_batch(
             degraded,
             batch_size: batch,
         };
-        finish_job(inner, id, key, &reply, Ok(response));
+        finish_job(inner, id, key, tenant, &reply, Ok(response));
     }
     Ok(())
 }
@@ -1559,21 +1562,21 @@ fn execute(
     Ok(())
 }
 
-/// Per-result bookkeeping and the reply send: completion/failure counters,
-/// outcome-split latency sketches, SLO window accounting, flight-recorder
-/// records (and the SLO-burn incident trigger), and events.
+/// Per-result bookkeeping and the reply send: the failure counter (the
+/// ledger has already metered a completion), outcome-split latency
+/// sketches, SLO accounting, flight-recorder records (and the SLO-burn
+/// incident trigger), and events.
 fn finish_job(
     inner: &Inner,
     id: u64,
     key: PlanKey,
+    tenant: Tenant,
     reply: &mpsc::Sender<Result<ServeResponse>>,
     result: Result<ServeResponse>,
 ) {
     match &result {
         Ok(response) => {
-            inner.counters.completed.fetch_add(1, Ordering::Relaxed);
             if response.degraded {
-                inner.counters.degraded.fetch_add(1, Ordering::Relaxed);
                 granii_telemetry::counter_add("serve.degraded", 1);
             }
             granii_telemetry::counter_add("serve.completed", 1);
@@ -1603,14 +1606,6 @@ fn finish_job(
             } else {
                 0
             };
-            // Per-tenant SLO accounting: a completed request over its
-            // outcome's objective threshold charges the tenant's
-            // violation meter (the monitor below keeps the window math).
-            if inner.slo.config().objectives.iter().any(|objective| {
-                objective.outcome == outcome && latency_ns as f64 > objective.threshold_ms * 1e6
-            }) {
-                inner.metering.note_slo_violation(key.1);
-            }
             granii_telemetry::histogram_record_seconds(metric, response.timing.total_seconds);
             inner.latency.for_outcome(outcome).record_ns(latency_ns);
             granii_telemetry::sketch_record_ns(metric, latency_ns);
@@ -1625,7 +1620,13 @@ fn finish_job(
                     degraded: response.degraded,
                 },
             );
-            match inner.slo.record(outcome, latency_ns) {
+            // The monitor decides the violation once; the tenant's meter
+            // charges exactly that verdict.
+            let (violated, verdict) = inner.slo.record(outcome, latency_ns);
+            if violated {
+                inner.ledger.note_slo_violation(tenant);
+            }
+            match verdict {
                 SloVerdict::Ok => {}
                 SloVerdict::WindowClosed {
                     objective,
@@ -1847,9 +1848,10 @@ fn observe_drift(
     charged_seconds: f64,
     predicted: f64,
 ) {
-    if let DriftVerdict::Flagged { ewma_residual } =
-        inner.drift.observe(key, charged_seconds, predicted)
-    {
+    let flag = Residual::between(charged_seconds, predicted)
+        .and_then(|residual| inner.drift.observe(key, residual));
+    if let Some(track) = flag {
+        let ewma_residual = track.smoothed.0;
         inner.cache.invalidate(key);
         inner.counters.drift_flagged.fetch_add(1, Ordering::Relaxed);
         granii_telemetry::counter_add("serve.drift_flagged", 1);
@@ -1885,29 +1887,18 @@ fn observe_drift(
 /// Orthogonal to the residual lane above — a stale plan executes its
 /// *bound* graph, so its cost residual stays clean while the live input
 /// walks away.
-fn observe_input(inner: &Inner, id: u64, request: &ServeRequest, key: PlanKey, p: &InputProfile) {
-    if let InspectVerdict::Flagged { band_l1, cv_delta } = inner.inspect.observe(key, p) {
+fn observe_input(inner: &Inner, id: u64, request: &ServeRequest, key: PlanKey, p: InputProfile) {
+    if let Some(track) = inner.inspect.observe(key, p) {
+        // The live and reference profiles the lane flagged on, read under
+        // its lock.
+        let (live, reference) = (track.smoothed, track.reference);
+        let (band_l1, cv_delta) = (live.band_l1(&reference), live.cv_delta(&reference));
         inner.cache.invalidate(key);
         inner
             .counters
             .input_drift_flagged
             .fetch_add(1, Ordering::Relaxed);
         granii_telemetry::counter_add("serve.input_drift_flagged", 1);
-        // The flag is the rare path: the row walk for the offending
-        // live-vs-reference deltas costs nothing in steady state.
-        let (live_avg_degree, live_cv, reference_cv) = inner
-            .inspect
-            .rows()
-            .into_iter()
-            .find(|row| row.key == key)
-            .map(|row| {
-                (
-                    row.live.avg_degree,
-                    row.live.degree_cv,
-                    row.reference.degree_cv,
-                )
-            })
-            .unwrap_or((p.avg_degree, p.degree_cv, 0.0));
         inner.recorder.record(
             id,
             key.1,
@@ -1923,9 +1914,9 @@ fn observe_input(inner: &Inner, id: u64, request: &ServeRequest, key: PlanKey, p
             RecordKind::InputDriftFlag {
                 band_l1,
                 cv_delta,
-                live_cv,
-                reference_cv,
-                live_avg_degree,
+                live_cv: live.degree_cv,
+                reference_cv: reference.degree_cv,
+                live_avg_degree: live.avg_degree,
             },
         );
         event!(

@@ -97,7 +97,7 @@ impl Default for SloConfig {
     }
 }
 
-/// What `record` decided for one request.
+/// What `record` decided about the request's burn-rate window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SloVerdict {
     /// Counters updated; no window closed (or nothing changed).
@@ -180,12 +180,14 @@ impl SloMonitor {
         &self.config
     }
 
-    /// Feeds one completed request. The fast path is two relaxed atomic
-    /// adds; the window arithmetic only runs on the request that fills a
-    /// window.
-    pub fn record(&self, outcome: Outcome, latency_ns: u64) -> SloVerdict {
+    /// Feeds one completed request. Returns whether it violated its
+    /// outcome's objective (never, when the monitor is disabled) — the one
+    /// verdict the per-tenant ledger meters — and the window verdict. The
+    /// fast path is two relaxed atomic adds; the window arithmetic only
+    /// runs on the request that fills a window.
+    pub fn record(&self, outcome: Outcome, latency_ns: u64) -> (bool, SloVerdict) {
         if !self.config.enabled {
-            return SloVerdict::Ok;
+            return (false, SloVerdict::Ok);
         }
         let window = self.config.window.max(1);
         for (index, objective) in self.config.objectives.iter().enumerate() {
@@ -199,7 +201,7 @@ impl SloMonitor {
             }
             let total = counters.total.fetch_add(1, Ordering::Relaxed) + 1;
             if !total.is_multiple_of(window) {
-                return SloVerdict::Ok;
+                return (violated, SloVerdict::Ok);
             }
             // Window boundary: compute the burn of the window that just
             // closed from the counter deltas since the previous boundary.
@@ -225,13 +227,14 @@ impl SloMonitor {
             } else {
                 None
             };
-            return SloVerdict::WindowClosed {
+            let verdict = SloVerdict::WindowClosed {
                 objective: index,
                 burn_rate: state.burn_rate,
                 crossed,
             };
+            return (violated, verdict);
         }
-        SloVerdict::Ok
+        (false, SloVerdict::Ok)
     }
 
     /// Snapshot of every objective, in configuration order.
@@ -284,7 +287,7 @@ mod tests {
     fn compliant_traffic_never_burns() {
         let m = monitor(10.0, 0.99, 8, 2.0);
         for _ in 0..64 {
-            let verdict = m.record(Outcome::Hit, 1_000_000); // 1 ms
+            let (_, verdict) = m.record(Outcome::Hit, 1_000_000); // 1 ms
             if let SloVerdict::WindowClosed {
                 burn_rate, crossed, ..
             } = verdict
@@ -306,7 +309,9 @@ mod tests {
         let m = monitor(10.0, 0.99, 10, 2.0);
         let mut crossings = Vec::new();
         for _ in 0..10 {
-            if let SloVerdict::WindowClosed { crossed, .. } = m.record(Outcome::Hit, 50_000_000) {
+            if let (_, SloVerdict::WindowClosed { crossed, .. }) =
+                m.record(Outcome::Hit, 50_000_000)
+            {
                 crossings.push(crossed);
             }
         }
@@ -315,7 +320,8 @@ mod tests {
         // A fully-compliant window recovers.
         let mut recovered = Vec::new();
         for _ in 0..10 {
-            if let SloVerdict::WindowClosed { crossed, .. } = m.record(Outcome::Hit, 1_000_000) {
+            if let (_, SloVerdict::WindowClosed { crossed, .. }) = m.record(Outcome::Hit, 1_000_000)
+            {
                 recovered.push(crossed);
             }
         }
@@ -331,7 +337,7 @@ mod tests {
         let mut burn = None;
         for i in 0..20 {
             let ns = if i < 2 { 50_000_000 } else { 1_000_000 };
-            if let SloVerdict::WindowClosed { burn_rate, .. } = m.record(Outcome::Hit, ns) {
+            if let (_, SloVerdict::WindowClosed { burn_rate, .. }) = m.record(Outcome::Hit, ns) {
                 burn = Some(burn_rate);
             }
         }
@@ -368,8 +374,20 @@ mod tests {
             ..SloConfig::default()
         });
         for _ in 0..200 {
-            assert_eq!(m.record(Outcome::Hit, u64::MAX), SloVerdict::Ok);
+            assert_eq!(m.record(Outcome::Hit, u64::MAX), (false, SloVerdict::Ok));
         }
         assert_eq!(m.rows()[0].total, 0);
+    }
+
+    #[test]
+    fn violation_is_decided_once_at_the_millisecond_boundary() {
+        // 4_193_000 ns is exactly the 4.193 ms threshold: not a violation.
+        // (Compared in nanoseconds instead, `4.193 * 1e6` rounds to just
+        // under 4_193_000 and would call it one.) One nanosecond more
+        // violates.
+        let m = monitor(4.193, 0.99, 64, 2.0);
+        assert_eq!(m.record(Outcome::Hit, 4_193_000), (false, SloVerdict::Ok));
+        assert_eq!(m.record(Outcome::Hit, 4_193_001), (true, SloVerdict::Ok));
+        assert_eq!(m.rows()[0].violations, 1);
     }
 }

@@ -19,7 +19,7 @@ use granii_core::{Granii, GraniiOptions};
 use granii_gnn::spec::{LayerConfig, ModelKind};
 use granii_graph::Graph;
 use granii_matrix::device::DeviceKind;
-use granii_serve::{ServeConfig, ServeRequest, ServeResponse, Server};
+use granii_serve::{InputProfile, RecordKind, ServeConfig, ServeRequest, ServeResponse, Server};
 
 /// Tenant-pinned plan-cache signature: "this is the same logical graph"
 /// across mutations. Without it the mutated graph's content fingerprint
@@ -182,6 +182,23 @@ fn mutated_graph_is_flagged_invalidated_and_reselected() {
     assert_eq!(row.flags, 1);
     assert!(row.cooldown > 0, "cooldown active after the flag");
     assert_eq!(row.model, "gcn");
+    // The flag's flight record carries the profiles the lane flagged on:
+    // the reference selection saw on the base graph (re-selection has since
+    // re-pinned the status row's reference to the mutated graph).
+    let (live_cv, reference_cv) = server
+        .flight_records()
+        .into_iter()
+        .find_map(|record| match record.kind {
+            RecordKind::InputDriftFlag {
+                live_cv,
+                reference_cv,
+                ..
+            } => Some((live_cv, reference_cv)),
+            _ => None,
+        })
+        .expect("the input-drift flag is in the flight recorder");
+    assert_eq!(reference_cv, InputProfile::extract(&base).degree_cv);
+    assert!(live_cv > reference_cv, "hub injection raised the live CV");
     assert_eq!(status.slo.len(), 3, "one SLO row per outcome class");
     let hit_latency = status
         .latency

@@ -254,7 +254,49 @@ fn sheds_and_slo_violations_are_attributed() {
     let status = server.status();
     assert_eq!(status.metering.total_requests, stats.completed);
     assert_eq!(status.metering.total_sheds, stats.shed);
+    // One ledger: the lifecycle counts, the fairness table, and the SLO
+    // table are all read from the same books, so they agree exactly.
+    assert_eq!(status.completed, status.metering.total_requests);
+    assert_eq!(status.shed, status.metering.total_sheds);
+    assert_eq!(
+        status.fairness.tenant_shed,
+        status.fairness.tenants.iter().map(|t| t.shed).sum::<u64>(),
+        "tenant_shed is the sum of the per-tenant bound sheds"
+    );
+    assert_eq!(
+        status.slo.iter().map(|row| row.violations).sum::<u64>(),
+        status.metering.total_slo_violations,
+        "the ledger meters exactly the SLO monitor's verdicts"
+    );
     let top = status.metering.tenants.first().expect("top tenant row");
     assert_eq!(top.fingerprint, format!("{:016x}", TENANTS[1]));
+    server.shutdown();
+}
+
+/// A disabled SLO monitor judges no request, so the ledger meters no
+/// violations even when every completion is over a zero threshold.
+#[test]
+fn disabled_slo_monitor_meters_no_violations() {
+    let server = Server::start(
+        granii(),
+        ServeConfig {
+            workers: 1,
+            slo: SloConfig {
+                enabled: false,
+                objectives: vec![
+                    LatencyObjective::new(Outcome::Hit, 0.0, 0.99),
+                    LatencyObjective::new(Outcome::Miss, 0.0, 0.99),
+                ],
+                ..SloConfig::default()
+            },
+            ..ServeConfig::default()
+        },
+    );
+    let request = ServeRequest::new(ModelKind::Gcn, graph(), 64, 128).with_signature(TENANTS[2]);
+    for _ in 0..4 {
+        server.process(request.clone()).expect("request completes");
+    }
+    assert_eq!(server.metering_totals().requests, 4);
+    assert_eq!(server.metering_totals().slo_violations, 0);
     server.shutdown();
 }

@@ -43,11 +43,6 @@ fn unsampled_cache_hits_do_not_allocate() {
     // and the metering ledger must not perturb the hit path's contract.
     assert!(config.timeline.enabled, "sampler must be on by default");
     config.timeline.interval = std::time::Duration::from_millis(2);
-    assert!(
-        config.inspect.enabled,
-        "the input-drift lane must be on so this test covers its per-request \
-         profile extraction"
-    );
     let server = Server::start(granii, config);
 
     // Warm the signature: the miss selects, binds, and allocates workspaces.
