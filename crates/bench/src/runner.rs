@@ -64,7 +64,7 @@ pub fn evaluate_config(
         }
         Mode::Training => {
             let mut trainer = Trainer::new(cfg.model, layer_cfg, SEED, 0.01)?;
-            baseline.charge_normalization(&exec, &ctx);
+            baseline.charge_normalization(&exec, &ctx)?;
             trainer.step(&exec, &ctx, &h, &target, baseline.composition())?;
             engine.take_profile().total_seconds()
         }

@@ -255,7 +255,8 @@ pub fn train_measured_cpu(
                                     .map_err(crate::CoreError::Gnn)?;
                             }
                             (PrimitiveKind::Elementwise, _) => {
-                                exec.map(&h, 1, |v| v.max(0.0));
+                                exec.map(&h, 1, |v| v.max(0.0))
+                                    .map_err(crate::CoreError::Gnn)?;
                             }
                             (PrimitiveKind::EdgeSoftmax, _) => {
                                 exec.edge_softmax(&weighted, irr)

@@ -17,9 +17,12 @@
 //!    share physical buffers via a liveness-driven free list), buffer
 //!    allocation, and one charged execution of the hoisted setup
 //!    instructions.
-//! 3. **Iterate** ([`BoundPlan::iterate`]): a flat loop over slot-addressed
-//!    instructions driving the `_into` kernels. No `Value` clone, no heap
-//!    allocation — every intermediate lands in a buffer assigned at bind
+//! 3. **Iterate** ([`BoundPlan::iterate_batched`]): a flat loop over
+//!    slot-addressed instructions driving the multi-RHS `Exec` methods at the
+//!    iteration's batch size. A batch of one ([`BoundPlan::iterate`]) runs on
+//!    the narrow slots; a larger batch runs the per-request values on the
+//!    wide twins [`BoundPlan::ensure_batch`] allocates. No `Value` clone, no
+//!    heap allocation — every intermediate lands in a buffer assigned at bind
 //!    time.
 //!
 //! The engine charges exactly the latencies the interpreter charges and
@@ -240,8 +243,8 @@ impl ExecPlan {
         }
 
         // Buffer allocation: leaves are seeded from the inputs, instruction
-        // outputs get zeroed buffers of the inferred shape. This is the last
-        // time this plan allocates.
+        // outputs get zeroed buffers of the inferred shape. Only
+        // `ensure_batch` allocates after this.
         let mut slots: Vec<Slot> = Vec::with_capacity(num_slots);
         slots.resize_with(num_slots, || Slot::Empty);
         for (id, leaf) in &self.leaves {
@@ -275,18 +278,19 @@ impl ExecPlan {
         // Batched (multi-RHS) lowering, decided once per bind: a value is
         // "batched" when it carries per-request columns — the Features leaf,
         // and everything the iteration derives from it. The plan admits
-        // batched execution iff every per-iteration instruction has a
+        // batches of two or more iff every per-iteration instruction has a
         // column-stacked kernel for its operand pattern (attention/edge-wise
-        // and diagonal iteration steps do not; those plans keep the serial
-        // path). Setup instructions ran above on narrow buffers and are
+        // and diagonal iteration steps do not; those plans run one request
+        // at a time). Setup instructions ran above on narrow buffers and are
         // block-invariant by construction, so they never need widening.
         let mut batched = vec![false; self.values.len()];
-        if let Some((features, _)) = self
+        let features = self
             .leaves
             .iter()
             .find(|(_, leaf)| matches!(leaf, Leaf::Features))
-        {
-            batched[*features] = true;
+            .map(|&(id, _)| id);
+        if let Some(id) = features {
+            batched[id] = true;
         }
         let mut supported = true;
         for instr in &self.iter {
@@ -306,31 +310,28 @@ impl ExecPlan {
             }
             batched[instr.out] = true;
         }
-        supported = supported && batched[self.output];
-        let batch_plan = if supported {
-            // Per-slot single-request block width for every slot that needs
-            // a wide twin (batched iteration outputs and operands).
-            let mut wide_cols = vec![0usize; num_slots];
-            for instr in &self.iter {
-                for v in instr.operands().into_iter().chain([instr.out]) {
-                    if batched[v] {
-                        let (_, c) = dense_dims(shape_of(&shape, v)?)?;
-                        wide_cols[slot_of[v]] = c;
-                    }
+        // A batched output derives from the Features leaf, so a lowered plan
+        // always reads it in the iteration.
+        let batch_plan = features
+            .filter(|_| supported && batched[self.output])
+            .map(|id| {
+                // The slots of the batched values the iteration touches.
+                // Every value sharing such a slot is batched too: shared
+                // slots only ever hold iteration outputs.
+                let mut twins: Vec<usize> = self
+                    .iter
+                    .iter()
+                    .flat_map(|instr| instr.operands().into_iter().chain([instr.out]))
+                    .filter(|&v| batched[v])
+                    .map(|v| slot_of[v])
+                    .collect();
+                twins.sort_unstable();
+                twins.dedup();
+                BatchLowering {
+                    twins,
+                    features_slot: slot_of[id],
                 }
-            }
-            let features_slot = self
-                .leaves
-                .iter()
-                .find(|(id, leaf)| matches!(leaf, Leaf::Features) && wide_cols[slot_of[*id]] > 0)
-                .map(|(id, _)| slot_of[*id]);
-            Some(BatchLowering {
-                wide_cols,
-                features_slot,
-            })
-        } else {
-            None
-        };
+            });
 
         let mut bound = BoundPlan {
             setup: self.setup.clone(),
@@ -344,23 +345,21 @@ impl ExecPlan {
             profiler: None,
             batch_plan,
             batch_state: None,
+            last_batch: 1,
         };
         // Hoisted precompute: charged once, here. Attribution is captured
         // per instruction so a later profile report can show the setup rows
         // even when steady-state profiling was never enabled.
-        for (i, instr) in bound.setup.iter().enumerate() {
-            let mark = exec.profile_mark();
-            let start = Instant::now();
-            exec_instr(
-                exec,
-                instr,
-                &bound.slot_of,
-                &mut bound.slots,
-                bound.irregularity,
-            )?;
-            let host_ns = start.elapsed().as_nanos() as u64;
-            bound.setup_stats[i].absorb(host_ns, &exec.charged_since(mark));
-        }
+        run_instrs(
+            exec,
+            &bound.setup,
+            &bound.slot_of,
+            &mut bound.slots,
+            &mut [],
+            1,
+            bound.irregularity,
+            Some(&mut bound.setup_stats),
+        )?;
         granii_telemetry::histogram_record_seconds("execplan.bind", t0.elapsed().as_secs_f64());
         Ok(bound)
     }
@@ -505,29 +504,29 @@ pub struct IterationObservation {
 }
 
 /// Bind-time batched lowering: which physical slots get wide (multi-RHS)
-/// twins, and how wide one request's block is in each. `None` on a
-/// [`BoundPlan`] means the plan has no column-stacked lowering and callers
-/// must iterate serially per request.
+/// twins — those of the per-request dense values, the Features leaf and
+/// every value the iteration derives from it. A block's width is always its
+/// narrow slot's column count. `None` on a [`BoundPlan`] means the plan has
+/// no column-stacked lowering and runs one request at a time.
 #[derive(Debug, Clone)]
 struct BatchLowering {
-    /// Per-slot single-request block width; `0` for slots without a wide
-    /// twin (sparse, diagonal, weight, and setup-only slots).
-    wide_cols: Vec<usize>,
-    /// Slot of the Features leaf when the iteration reads it — the wide twin
-    /// is seeded by tiling the bound `H` across every block.
-    features_slot: Option<usize>,
+    twins: Vec<usize>,
+    /// Slot of the Features leaf — its wide twin is seeded by tiling the
+    /// bound `H` across every block.
+    features_slot: usize,
 }
 
-/// Lazily-allocated wide buffers for batched execution, sized once for the
-/// widest batch (`capacity` blocks); a smaller batch touches only its
-/// leading blocks, so steady-state batched iteration allocates nothing.
+/// Wide buffers for batched execution, allocated by
+/// [`BoundPlan::ensure_batch`] for the widest batch (`capacity` blocks); a
+/// smaller batch touches only its leading blocks, so a batched iteration
+/// allocates nothing.
 #[derive(Debug)]
 struct BatchState {
     capacity: usize,
-    /// Per-slot wide twin (`rows × capacity·wide_cols[slot]`), `None` where
-    /// `wide_cols` is 0. `Option` also lets the executor vacate the output
-    /// buffer during a kernel, mirroring the serial slot protocol.
-    wide: Vec<Option<DenseMatrix>>,
+    /// Per-slot wide twin (`rows × capacity·cols` of the narrow slot), and
+    /// [`Slot::Empty`] for slots without one. The executor vacates a twin it
+    /// writes, as it does a narrow output slot.
+    wide: Vec<Slot>,
 }
 
 /// An [`ExecPlan`] bound to concrete inputs: every value has a physical
@@ -546,6 +545,8 @@ pub struct BoundPlan {
     profiler: Option<IterProfiler>,
     batch_plan: Option<BatchLowering>,
     batch_state: Option<BatchState>,
+    /// Batch size of the most recent iteration (1 before the first).
+    last_batch: usize,
 }
 
 impl BoundPlan {
@@ -556,6 +557,7 @@ impl BoundPlan {
     /// [`crate::cost::CostModelSet::predict_steady_state`] — the pair the
     /// serving runtime's drift detector compares. Allocation-free beyond
     /// what [`BoundPlan::iterate`] itself does (nothing, in steady state).
+    /// It is [`BoundPlan::iterate_batched_observed`] at batch one.
     ///
     /// The output buffer stays readable through [`BoundPlan::output`].
     ///
@@ -563,58 +565,18 @@ impl BoundPlan {
     ///
     /// Propagates kernel errors, as [`BoundPlan::iterate`] does.
     pub fn iterate_observed(&mut self, exec: &Exec) -> Result<IterationObservation> {
-        let mark = exec.profile_mark();
-        let start = Instant::now();
-        self.iterate(exec)?;
-        let host_seconds = start.elapsed().as_secs_f64();
-        let summary = exec.charged_since(mark);
-        Ok(IterationObservation {
-            host_seconds,
-            charged_seconds: summary.charged_seconds,
-            flops: summary.flops,
-            bytes: summary.bytes,
-        })
+        self.iterate_batched_observed(exec, 1)
     }
 
-    /// Runs one steady-state iteration and returns the output buffer.
+    /// Runs one steady-state iteration — [`BoundPlan::iterate_batched`] at
+    /// batch one, on the narrow slots — and returns the output buffer.
     ///
     /// # Errors
     ///
     /// Propagates kernel errors (shape mismatches cannot occur for plans that
     /// bound successfully).
     pub fn iterate(&mut self, exec: &Exec) -> Result<&DenseMatrix> {
-        let t0 = Instant::now();
-        if let Some(profiler) = &mut self.profiler {
-            profiler.iterations += 1;
-            for (i, instr) in self.iter.iter().enumerate() {
-                let mark = exec.profile_mark();
-                let start = Instant::now();
-                exec_instr(
-                    exec,
-                    instr,
-                    &self.slot_of,
-                    &mut self.slots,
-                    self.irregularity,
-                )?;
-                let host_ns = start.elapsed().as_nanos() as u64;
-                profiler.stats[i].absorb(host_ns, &exec.charged_since(mark));
-            }
-        } else {
-            for instr in &self.iter {
-                exec_instr(
-                    exec,
-                    instr,
-                    &self.slot_of,
-                    &mut self.slots,
-                    self.irregularity,
-                )?;
-            }
-        }
-        granii_telemetry::histogram_record_seconds(
-            "execplan.iteration",
-            t0.elapsed().as_secs_f64(),
-        );
-        granii_telemetry::counter_add("execplan.iterations", 1);
+        self.iterate_batched(exec, 1)?;
         self.output()
     }
 
@@ -625,8 +587,9 @@ impl BoundPlan {
         self.batch_plan.is_some()
     }
 
-    /// The widest batch [`BoundPlan::iterate_batched`] can currently run
-    /// (0 until [`BoundPlan::ensure_batch`] has allocated wide buffers).
+    /// The widest batch of two or more [`BoundPlan::iterate_batched`] can
+    /// currently run (0 until [`BoundPlan::ensure_batch`] has allocated wide
+    /// buffers; a batch of one needs none).
     pub fn batch_capacity(&self) -> usize {
         self.batch_state.as_ref().map_or(0, |s| s.capacity)
     }
@@ -634,9 +597,9 @@ impl BoundPlan {
     /// Makes sure wide buffers exist for batches up to `capacity` blocks,
     /// allocating (grow-only) when needed and tiling the bound features
     /// across every block. Returns `false` — allocating nothing — when the
-    /// plan has no batched lowering. This is the batched path's only
-    /// allocation site: treat it as bind-time warm-up; steady-state
-    /// [`BoundPlan::iterate_batched`] calls are allocation-free.
+    /// plan has no batched lowering. This is the only allocation after bind:
+    /// once it has run, batched [`BoundPlan::iterate_batched`] calls up to
+    /// `capacity` are allocation-free.
     ///
     /// # Errors
     ///
@@ -651,24 +614,21 @@ impl BoundPlan {
                 "batch capacity must be at least 1".into(),
             ));
         }
-        if let Some(state) = &self.batch_state {
-            if state.capacity >= capacity {
-                return Ok(true);
-            }
+        if self.batch_capacity() >= capacity {
+            return Ok(true);
         }
-        let mut wide: Vec<Option<DenseMatrix>> = vec![None; self.slots.len()];
-        for (slot, &k) in lowering.wide_cols.iter().enumerate() {
-            if k == 0 {
-                continue;
-            }
-            let rows = dense_at(&self.slots, slot, "batched buffer seed")?.rows();
-            wide[slot] = Some(DenseMatrix::zeros(rows, capacity * k)?);
+        let mut wide: Vec<Slot> = Vec::with_capacity(self.slots.len());
+        wide.resize_with(self.slots.len(), || Slot::Empty);
+        for &slot in &lowering.twins {
+            let narrow = dense_at(&self.slots, slot, "batched buffer seed")?;
+            wide[slot] = Slot::Dense(DenseMatrix::zeros(narrow.rows(), capacity * narrow.cols())?);
         }
-        if let Some(fs) = lowering.features_slot {
-            let narrow = dense_at(&self.slots, fs, "features")?;
-            let buf = wide[fs].as_mut().expect("features slot has a wide twin");
-            granii_matrix::ops::tile_cols_into(narrow, capacity, buf)?;
-        }
+        let fs = lowering.features_slot;
+        granii_matrix::ops::tile_cols_into(
+            dense_at(&self.slots, fs, "features")?,
+            capacity,
+            dense_out(&mut wide[fs], "features")?,
+        )?;
         self.batch_state = Some(BatchState { capacity, wide });
         Ok(true)
     }
@@ -676,7 +636,8 @@ impl BoundPlan {
     /// Overwrites block `t` of the wide features buffer with `h` — for
     /// callers whose stacked requests carry *distinct* right-hand sides.
     /// (After [`BoundPlan::ensure_batch`], every block defaults to the bound
-    /// `H`.) Uncharged, like leaf seeding at bind time.
+    /// `H`.) Uncharged, like leaf seeding at bind time. A batch of one reads
+    /// the narrow features, never this buffer.
     ///
     /// # Errors
     ///
@@ -687,7 +648,7 @@ impl BoundPlan {
         let fs = self
             .batch_plan
             .as_ref()
-            .and_then(|l| l.features_slot)
+            .map(|l| l.features_slot)
             .ok_or_else(|| CoreError::InvalidIr("plan has no batched features buffer".into()))?;
         let state = self.batch_state.as_mut().ok_or_else(|| {
             CoreError::InvalidIr("seed_batch_features before ensure_batch".into())
@@ -706,9 +667,7 @@ impl BoundPlan {
                 narrow.shape()
             )));
         }
-        let buf = state.wide[fs]
-            .as_mut()
-            .expect("features slot has a wide twin");
+        let buf = dense_out(&mut state.wide[fs], "features")?;
         let k = h.cols();
         for i in 0..h.rows() {
             buf.row_mut(i)[t * k..(t + 1) * k].copy_from_slice(h.row(i));
@@ -717,68 +676,55 @@ impl BoundPlan {
     }
 
     /// Runs one steady-state iteration over `batch` column-stacked requests
-    /// — ONE multi-RHS pass through the instruction list. Block `t`'s result
-    /// (readable via [`BoundPlan::output_block`]) is bitwise identical to a
-    /// serial [`BoundPlan::iterate`] for that request, and the engine is
-    /// charged exactly `batch` serial iterations (per-column charge
-    /// semantics unchanged), so a per-request share is `charged / batch`.
+    /// — ONE multi-RHS pass through the instruction list. A batch of one runs
+    /// on the narrow slots and works on every plan; a larger batch runs the
+    /// per-request values on their wide twins. Block `t`'s result (readable
+    /// via [`BoundPlan::output_block`]) is bitwise identical to a batch of
+    /// one for that request, and the engine is charged exactly `batch`
+    /// single-request iterations (per-column charge semantics unchanged), so
+    /// a per-request share is `charged / batch`.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidIr`] if the plan has no batched lowering
-    /// or `batch` exceeds the [`BoundPlan::ensure_batch`] capacity;
+    /// Returns [`CoreError::InvalidIr`] for a batch of two or more if the
+    /// plan has no batched lowering or `batch` exceeds the
+    /// [`BoundPlan::ensure_batch`] capacity, and for a batch of zero;
     /// propagates kernel errors.
     pub fn iterate_batched(&mut self, exec: &Exec, batch: usize) -> Result<()> {
         let t0 = Instant::now();
-        let Some(lowering) = &self.batch_plan else {
-            return Err(CoreError::InvalidIr(format!(
-                "plan {} has no batched lowering",
-                self.expr
-            )));
-        };
-        let Some(state) = &mut self.batch_state else {
-            return Err(CoreError::InvalidIr(
-                "iterate_batched before ensure_batch".into(),
-            ));
-        };
-        if batch == 0 || batch > state.capacity {
-            return Err(CoreError::InvalidIr(format!(
-                "batch {batch} outside the bound capacity {}",
-                state.capacity
-            )));
+        if batch != 1 {
+            if self.batch_plan.is_none() {
+                return Err(CoreError::InvalidIr(format!(
+                    "plan {} has no batched lowering",
+                    self.expr
+                )));
+            }
+            let capacity = self.batch_capacity();
+            if batch == 0 || batch > capacity {
+                return Err(CoreError::InvalidIr(format!(
+                    "batch {batch} outside the bound capacity {capacity}"
+                )));
+            }
         }
-        if let Some(profiler) = &mut self.profiler {
+        let wide: &mut [Slot] = match &mut self.batch_state {
+            Some(state) if batch > 1 => &mut state.wide,
+            _ => &mut [],
+        };
+        let stats = self.profiler.as_mut().map(|profiler| {
             profiler.iterations += 1;
-            for (i, instr) in self.iter.iter().enumerate() {
-                let mark = exec.profile_mark();
-                let start = Instant::now();
-                exec_batched_instr(
-                    exec,
-                    instr,
-                    &self.slot_of,
-                    &self.slots,
-                    lowering,
-                    &mut state.wide,
-                    batch,
-                    self.irregularity,
-                )?;
-                let host_ns = start.elapsed().as_nanos() as u64;
-                profiler.stats[i].absorb(host_ns, &exec.charged_since(mark));
-            }
-        } else {
-            for instr in &self.iter {
-                exec_batched_instr(
-                    exec,
-                    instr,
-                    &self.slot_of,
-                    &self.slots,
-                    lowering,
-                    &mut state.wide,
-                    batch,
-                    self.irregularity,
-                )?;
-            }
-        }
+            &mut profiler.stats[..]
+        });
+        run_instrs(
+            exec,
+            &self.iter,
+            &self.slot_of,
+            &mut self.slots,
+            wide,
+            batch,
+            self.irregularity,
+            stats,
+        )?;
+        self.last_batch = batch;
         granii_telemetry::histogram_record_seconds(
             "execplan.iteration",
             t0.elapsed().as_secs_f64(),
@@ -813,32 +759,42 @@ impl BoundPlan {
         })
     }
 
-    /// Extracts request `t`'s result from the most recent
-    /// [`BoundPlan::iterate_batched`] as a fresh single-request matrix (the
-    /// batched counterpart of cloning [`BoundPlan::output`]).
+    /// Request `t`'s result from the most recent iteration, whatever its
+    /// batch size, as a fresh single-request matrix built in one copy. Block
+    /// 0 of a batch of one is the narrow output, so this costs what cloning
+    /// [`BoundPlan::output`] does.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidIr`] if no batched state exists or `t`
-    /// lies outside the bound capacity.
+    /// Returns [`CoreError::InvalidIr`] if `t` lies outside the most recent
+    /// batch.
     pub fn output_block(&self, t: usize) -> Result<DenseMatrix> {
-        let state = self
-            .batch_state
-            .as_ref()
-            .ok_or_else(|| CoreError::InvalidIr("output_block before ensure_batch".into()))?;
+        if t >= self.last_batch {
+            return Err(CoreError::InvalidIr(format!(
+                "block {t} outside the last batch of {}",
+                self.last_batch
+            )));
+        }
         let slot = self.slot_of[self.output];
-        let src = wide_at(&state.wide, slot, "batched output")?;
         let narrow = dense_at(&self.slots, slot, "output")?;
+        let wide = match &self.batch_state {
+            Some(state) if self.last_batch > 1 => &state.wide[..],
+            _ => return Ok(narrow.clone()),
+        };
+        let src = dense_in(&self.slots, wide, slot, "batched output")?;
         let (rows, k) = narrow.shape();
-        let mut out = DenseMatrix::from_vec(rows, k, vec![0.0; rows * k])?;
-        granii_matrix::ops::copy_block_into(src, t, &mut out)?;
-        Ok(out)
+        let mut data = Vec::with_capacity(rows * k);
+        for i in 0..rows {
+            data.extend_from_slice(&src.row(i)[t * k..(t + 1) * k]);
+        }
+        Ok(DenseMatrix::from_vec(rows, k, data)?)
     }
 
-    /// Turns on per-instruction profiling for subsequent [`BoundPlan::iterate`]
-    /// calls. The per-instruction rows are pre-sized here — the profiled
-    /// steady-state loop itself performs no heap allocation, and when
-    /// profiling is off the only cost on the iterate path is one branch.
+    /// Turns on per-instruction profiling for subsequent iterations of any
+    /// batch size. The per-instruction rows are pre-sized here — the
+    /// profiled steady-state loop itself performs no heap allocation, and
+    /// when profiling is off the only cost on the iterate path is one branch
+    /// per instruction.
     pub fn enable_profiling(&mut self) {
         if self.profiler.is_none() {
             self.profiler = Some(IterProfiler {
@@ -883,7 +839,8 @@ impl BoundPlan {
         }
     }
 
-    /// The most recently computed output.
+    /// The narrow output buffer: the result of the most recent batch of one
+    /// (a larger batch's blocks are read with [`BoundPlan::output_block`]).
     ///
     /// # Errors
     ///
@@ -1016,133 +973,6 @@ fn merge_diags<'s>(
     }
 }
 
-fn wide_at<'s>(
-    wide: &'s [Option<DenseMatrix>],
-    slot: usize,
-    what: &str,
-) -> Result<&'s DenseMatrix> {
-    wide[slot]
-        .as_ref()
-        .ok_or_else(|| CoreError::InvalidIr(format!("{what}: wide buffer unavailable")))
-}
-
-/// Executes one instruction's batched lowering: batched dense operands read
-/// their wide twins, everything else (sparse, diagonal, weight) reads the
-/// normal narrow slots. The wide output is vacated for the duration of the
-/// call, mirroring the serial slot protocol (slot assignment guarantees it
-/// never aliases a live operand, and the wide twins inherit that aliasing
-/// structure).
-#[allow(clippy::too_many_arguments)]
-fn exec_batched_instr(
-    exec: &Exec,
-    instr: &Instr,
-    slot_of: &[usize],
-    slots: &[Slot],
-    lowering: &BatchLowering,
-    wide: &mut [Option<DenseMatrix>],
-    batch: usize,
-    irr: f64,
-) -> Result<()> {
-    let out_slot = slot_of[instr.out];
-    let mut out = wide[out_slot]
-        .take()
-        .ok_or_else(|| CoreError::InvalidIr("batched output buffer missing".into()))?;
-    let result = run_batched_into(
-        exec, instr, slot_of, slots, lowering, wide, batch, irr, &mut out,
-    );
-    wide[out_slot] = Some(out);
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_batched_into(
-    exec: &Exec,
-    instr: &Instr,
-    slot_of: &[usize],
-    slots: &[Slot],
-    lowering: &BatchLowering,
-    wide: &[Option<DenseMatrix>],
-    batch: usize,
-    irr: f64,
-    out: &mut DenseMatrix,
-) -> Result<()> {
-    match &instr.op {
-        Op::Gemm { a, b } => {
-            exec.gemm_rhs_blocks_into(
-                wide_at(wide, slot_of[*a], "batched gemm lhs")?,
-                dense_at(slots, slot_of[*b], "gemm rhs")?,
-                batch,
-                out,
-            )?;
-        }
-        Op::Spmm { adj, x, weighted } => {
-            exec.spmm_cols_into(
-                sparse_at(slots, slot_of[*adj], "spmm adj")?,
-                wide_at(wide, slot_of[*x], "batched spmm rhs")?,
-                lowering.wide_cols[slot_of[*x]],
-                batch,
-                semiring(*weighted),
-                irr,
-                out,
-            )?;
-        }
-        Op::RowBroadcast { d, x } => {
-            exec.row_broadcast_cols_into(
-                diag_at(slots, slot_of[*d], "row_broadcast diag")?,
-                wide_at(wide, slot_of[*x], "batched row_broadcast")?,
-                lowering.wide_cols[slot_of[*x]],
-                batch,
-                BroadcastOp::Mul,
-                out,
-            )?;
-        }
-        Op::ColBroadcast { x, d } => {
-            exec.col_broadcast_blocks_into(
-                wide_at(wide, slot_of[*x], "batched col_broadcast")?,
-                diag_at(slots, slot_of[*d], "col_broadcast diag")?,
-                batch,
-                BroadcastOp::Mul,
-                out,
-            )?;
-        }
-        Op::Relu { x } => {
-            exec.map_cols_into(
-                wide_at(wide, slot_of[*x], "batched relu")?,
-                lowering.wide_cols[slot_of[*x]],
-                batch,
-                1,
-                |v| v.max(0.0),
-                out,
-            )?;
-        }
-        Op::Add { a, b } => {
-            let k = lowering.wide_cols[slot_of[*a]];
-            // Uncharged seed copy of the left term, then one charged
-            // element-wise add — mirroring the serial Add.
-            granii_matrix::ops::copy_cols_into(
-                wide_at(wide, slot_of[*a], "batched add")?,
-                batch * k,
-                out,
-            )?;
-            exec.zip_cols_assign(
-                out,
-                wide_at(wide, slot_of[*b], "batched add")?,
-                k,
-                batch,
-                1,
-                |a, b| a + b,
-            )?;
-        }
-        other => {
-            return Err(CoreError::InvalidIr(format!(
-                "instruction {} has no batched lowering",
-                other.name()
-            )))
-        }
-    }
-    Ok(())
-}
-
 /// The semiring of a weighted or pattern-only SpMM.
 fn semiring(weighted: bool) -> Semiring {
     if weighted {
@@ -1152,43 +982,101 @@ fn semiring(weighted: bool) -> Semiring {
     }
 }
 
-/// Executes one instruction against the slot table. The output slot is
-/// vacated for the duration of the call; slot assignment guarantees it never
-/// aliases a live operand.
+/// Runs `instrs` in order at `batch` requests, attributing each one's host
+/// time and engine charges to its row of `stats` when given.
+#[allow(clippy::too_many_arguments)]
+fn run_instrs(
+    exec: &Exec,
+    instrs: &[Instr],
+    slot_of: &[usize],
+    slots: &mut [Slot],
+    wide: &mut [Slot],
+    batch: usize,
+    irr: f64,
+    mut stats: Option<&mut [InstrStat]>,
+) -> Result<()> {
+    for (i, instr) in instrs.iter().enumerate() {
+        let mark = stats
+            .is_some()
+            .then(|| (exec.profile_mark(), Instant::now()));
+        exec_instr(exec, instr, slot_of, slots, wide, batch, irr)?;
+        if let (Some(stats), Some((mark, start))) = (stats.as_deref_mut(), mark) {
+            stats[i].absorb(start.elapsed().as_nanos() as u64, &exec.charged_since(mark));
+        }
+    }
+    Ok(())
+}
+
+/// The buffer a dense operand reads: its wide twin when the running batch
+/// has one, the narrow slot otherwise.
+fn dense_in<'s>(
+    slots: &'s [Slot],
+    wide: &'s [Slot],
+    slot: usize,
+    what: &str,
+) -> Result<&'s DenseMatrix> {
+    match wide.get(slot) {
+        Some(Slot::Dense(m)) => Ok(m),
+        _ => dense_at(slots, slot, what),
+    }
+}
+
+/// Executes one instruction at `batch` requests. `wide` holds the twins of
+/// a batch of two or more and is empty for a batch of one, so every operand
+/// and output without a twin is its narrow slot. The output is vacated for
+/// the duration of the call; slot assignment guarantees it never aliases a
+/// live operand, and the wide twins inherit that aliasing structure.
 fn exec_instr(
     exec: &Exec,
     instr: &Instr,
     slot_of: &[usize],
     slots: &mut [Slot],
+    wide: &mut [Slot],
+    batch: usize,
     irr: f64,
 ) -> Result<()> {
     let out_slot = slot_of[instr.out];
-    let mut out = std::mem::replace(&mut slots[out_slot], Slot::Empty);
-    let result = run_into(exec, instr, slot_of, slots, irr, &mut out);
-    slots[out_slot] = out;
+    let twin = matches!(wide.get(out_slot), Some(Slot::Dense(_)));
+    let table = if twin { &mut *wide } else { &mut *slots };
+    let mut out = std::mem::replace(&mut table[out_slot], Slot::Empty);
+    let result = run_into(exec, instr, slot_of, slots, wide, batch, irr, &mut out);
+    if twin {
+        wide[out_slot] = out;
+    } else {
+        slots[out_slot] = out;
+    }
     result
 }
 
+#[allow(clippy::too_many_arguments)]
 fn run_into(
     exec: &Exec,
     instr: &Instr,
     slot_of: &[usize],
     slots: &[Slot],
+    wide: &[Slot],
+    batch: usize,
     irr: f64,
     out: &mut Slot,
 ) -> Result<()> {
+    let dense = |v: ValueId, what| dense_in(slots, wide, slot_of[v], what);
+    // One request's column count: the narrow slot's, at every batch size.
+    let cols = |v: ValueId| dense_at(slots, slot_of[v], "block width").map(DenseMatrix::cols);
     match &instr.op {
         Op::Gemm { a, b } => {
-            exec.gemm_into(
-                dense_at(slots, slot_of[*a], "gemm lhs")?,
-                dense_at(slots, slot_of[*b], "gemm rhs")?,
+            exec.gemm_rhs_blocks_into(
+                dense(*a, "gemm lhs")?,
+                dense(*b, "gemm rhs")?,
+                batch,
                 dense_out(out, "gemm")?,
             )?;
         }
         Op::Spmm { adj, x, weighted } => {
-            exec.spmm_into(
+            exec.spmm_cols_into(
                 sparse_at(slots, slot_of[*adj], "spmm adj")?,
-                dense_at(slots, slot_of[*x], "spmm rhs")?,
+                dense(*x, "spmm rhs")?,
+                cols(*x)?,
+                batch,
                 semiring(*weighted),
                 irr,
                 dense_out(out, "spmm")?,
@@ -1217,17 +1105,20 @@ fn run_into(
             )?;
         }
         Op::RowBroadcast { d, x } => {
-            exec.row_broadcast_into(
+            exec.row_broadcast_cols_into(
                 diag_at(slots, slot_of[*d], "row_broadcast diag")?,
-                dense_at(slots, slot_of[*x], "row_broadcast")?,
+                dense(*x, "row_broadcast")?,
+                cols(*x)?,
+                batch,
                 BroadcastOp::Mul,
                 dense_out(out, "row_broadcast")?,
             )?;
         }
         Op::ColBroadcast { x, d } => {
-            exec.col_broadcast_into(
-                dense_at(slots, slot_of[*x], "col_broadcast")?,
+            exec.col_broadcast_blocks_into(
+                dense(*x, "col_broadcast")?,
                 diag_at(slots, slot_of[*d], "col_broadcast diag")?,
+                batch,
                 BroadcastOp::Mul,
                 dense_out(out, "col_broadcast")?,
             )?;
@@ -1254,27 +1145,22 @@ fn run_into(
             )?;
         }
         Op::Relu { x } => {
-            exec.map_into(
-                dense_at(slots, slot_of[*x], "relu")?,
+            exec.map_cols_into(
+                dense(*x, "relu")?,
+                cols(*x)?,
+                batch,
                 1,
                 |v| v.max(0.0),
                 dense_out(out, "relu")?,
             )?;
         }
         Op::Add { a, b } => {
+            let k = cols(*a)?;
             let dst = dense_out(out, "add")?;
-            let first = dense_at(slots, slot_of[*a], "add")?;
-            if dst.shape() != first.shape() {
-                return Err(CoreError::InvalidIr(format!(
-                    "add output shape {:?} does not match operand {:?}",
-                    dst.shape(),
-                    first.shape()
-                )));
-            }
             // Uncharged copy of the left term, then the same charged
             // element-wise add the interpreter performs.
-            dst.as_mut_slice().copy_from_slice(first.as_slice());
-            exec.zip_assign(dst, dense_at(slots, slot_of[*b], "add")?, 1, |a, b| a + b)?;
+            granii_matrix::ops::copy_cols_into(dense(*a, "add")?, batch * k, dst)?;
+            exec.zip_cols_assign(dst, dense(*b, "add")?, k, batch, 1, |a, b| a + b)?;
         }
         Op::DiagMerge { a, b } => {
             let dst = diag_out(out, "diag merge")?;
@@ -1661,6 +1547,96 @@ mod tests {
                     plan.expr()
                 );
             }
+            checked += 1;
+        }
+        assert!(checked > 0, "no GCN candidate lowered to a batch");
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn batch_of_one_is_iterate_on_attention_plans() {
+        // A batch of one runs on the narrow slots, so it works on every plan
+        // — GAT's edge-wise instructions included — with the bits and the
+        // charges of `iterate`.
+        let cfg = LayerConfig::new(5, 3);
+        let compiled = plan_for(ModelKind::Gat, cfg);
+        let g = generators::power_law(18, 3, 9).unwrap();
+        let ctx = GraphCtx::new(&g).unwrap();
+        let h = DenseMatrix::random(18, 5, 1.0, 4);
+        let inputs = PlanInputs::for_model(ModelKind::Gat, cfg, &ctx, h, 6);
+        let engine = Engine::modeled(DeviceKind::Cpu);
+        let exec = Exec::real(&engine);
+        for cand in &compiled.candidates {
+            let plan = ExecPlan::build(&cand.program).unwrap();
+            let mut serial = plan.bind(&exec, &inputs.as_program_inputs()).unwrap();
+            let mark = exec.profile_mark();
+            let want = bits(serial.iterate(&exec).unwrap());
+            let want_charge = exec.charged_since(mark);
+            let mut bound = plan.bind(&exec, &inputs.as_program_inputs()).unwrap();
+            assert!(!bound.batch_supported(), "{}", plan.expr());
+            let mark = exec.profile_mark();
+            bound.iterate_batched(&exec, 1).unwrap();
+            let charge = exec.charged_since(mark);
+            assert_eq!(
+                bits(&bound.output_block(0).unwrap()),
+                want,
+                "{}",
+                plan.expr()
+            );
+            assert_eq!(bits(bound.output().unwrap()), want, "{}", plan.expr());
+            assert_eq!(charge.kernels, want_charge.kernels, "{}", plan.expr());
+            assert_eq!(charge.charged_seconds, want_charge.charged_seconds);
+            assert_eq!(
+                (charge.flops, charge.bytes),
+                (want_charge.flops, want_charge.bytes)
+            );
+            assert!(bound.output_block(1).is_err(), "{}", plan.expr());
+        }
+    }
+
+    #[test]
+    fn batch_of_one_reads_the_narrow_slots_on_a_plan_with_twins() {
+        // Once a plan has grown wide twins, a batch of one still runs on the
+        // narrow slots: its block 0 is the serial output, whatever the twins
+        // hold from an earlier batch with distinct features.
+        let cfg = LayerConfig::new(5, 3);
+        let model = ModelKind::Gcn;
+        let compiled = plan_for(model, cfg);
+        let g = generators::power_law(19, 3, 13).unwrap();
+        let ctx = GraphCtx::new(&g).unwrap();
+        let engine = Engine::modeled(DeviceKind::Cpu);
+        let exec = Exec::real(&engine);
+        let h = DenseMatrix::random(19, 5, 1.0, 100);
+        let other = DenseMatrix::random(19, 5, 1.0, 101);
+        let inputs = PlanInputs::for_model(model, cfg, &ctx, h, 17);
+        let mut checked = 0;
+        for cand in &compiled.candidates {
+            let plan = ExecPlan::build(&cand.program).unwrap();
+            let mut serial = plan.bind(&exec, &inputs.as_program_inputs()).unwrap();
+            let want = bits(serial.iterate(&exec).unwrap());
+            let mut bound = plan.bind(&exec, &inputs.as_program_inputs()).unwrap();
+            if !bound.ensure_batch(3).unwrap() {
+                continue;
+            }
+            bound.seed_batch_features(0, &other).unwrap();
+            bound.iterate_batched(&exec, 3).unwrap();
+            assert_ne!(
+                bits(&bound.output_block(0).unwrap()),
+                want,
+                "{}",
+                plan.expr()
+            );
+            bound.iterate_batched(&exec, 1).unwrap();
+            assert_eq!(
+                bits(&bound.output_block(0).unwrap()),
+                want,
+                "{}",
+                plan.expr()
+            );
+            assert!(bound.output_block(1).is_err(), "{}", plan.expr());
             checked += 1;
         }
         assert!(checked > 0, "no GCN candidate lowered to a batch");

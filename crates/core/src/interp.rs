@@ -162,7 +162,7 @@ fn eval(exec: &Exec, op: &Op<&Value>, irr: f64) -> Result<Value> {
             })?)
         }
         Op::EdgeSoftmax { scored } => Value::Sparse(exec.edge_softmax(as_sparse(scored)?, irr)?),
-        Op::Relu { x } => Value::Dense(exec.map(as_dense(x)?, 1, |v| v.max(0.0))),
+        Op::Relu { x } => Value::Dense(exec.map(as_dense(x)?, 1, |v| v.max(0.0))?),
         Op::Add { a, b } => Value::Dense(exec.zip(as_dense(a)?, as_dense(b)?, 1, |a, b| a + b)?),
         Op::DiagMerge { a, b } => {
             let (a, b) = (as_diag(a)?, as_diag(b)?);

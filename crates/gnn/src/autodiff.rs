@@ -317,7 +317,7 @@ impl<'e> Tape<'e> {
     ///
     /// Propagates kernel errors.
     pub fn relu(&mut self, x: Var) -> Result<Var> {
-        let out = self.exec.map(self.dense(x)?, 1, |v| v.max(0.0));
+        let out = self.exec.map(self.dense(x)?, 1, |v| v.max(0.0))?;
         let needs = self.nodes[x.0].needs_grad;
         Ok(self.push(Value::Dense(out), Op::Relu { x: x.0 }, needs))
     }
@@ -328,7 +328,7 @@ impl<'e> Tape<'e> {
     ///
     /// Propagates kernel errors.
     pub fn scale(&mut self, x: Var, c: f32) -> Result<Var> {
-        let out = self.exec.map(self.dense(x)?, 1, move |v| c * v);
+        let out = self.exec.map(self.dense(x)?, 1, move |v| c * v)?;
         let needs = self.nodes[x.0].needs_grad;
         Ok(self.push(Value::Dense(out), Op::Scale { x: x.0, c }, needs))
     }
@@ -451,7 +451,7 @@ impl<'e> Tape<'e> {
         } else {
             0.0
         };
-        let seed = self.exec.map(&diff, 1, move |v| 2.0 * v / n);
+        let seed = self.exec.map(&diff, 1, move |v| 2.0 * v / n)?;
         let grads = self.backward(pred, Grad::Dense(seed))?;
         Ok((loss, grads))
     }
@@ -549,7 +549,7 @@ impl<'e> Tape<'e> {
                 (Op::Scale { x, c }, Grad::Dense(g)) => {
                     if grad_needed(&self.nodes, *x) {
                         let c = *c;
-                        let gx = self.exec.map(g, 1, move |v| c * v);
+                        let gx = self.exec.map(g, 1, move |v| c * v)?;
                         accumulate(&self.exec, &mut grads[*x], Grad::Dense(gx))?;
                     }
                 }

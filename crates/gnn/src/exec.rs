@@ -5,6 +5,13 @@
 //! (3) charges it to the underlying [`Engine`] — measuring wall time or
 //! modeling device latency depending on the engine's policy.
 //!
+//! Each dense primitive — GEMM, SpMM, row and column broadcast, the
+//! element-wise map and the add-assign — does those three steps in exactly
+//! one method, its multi-RHS form (`gemm_rhs_blocks_into`, `spmm_cols_into`,
+//! …). The serial `_into` methods check exact shapes and call it at batch
+//! one, and every allocating method allocates its output and calls its
+//! `_into` twin, so all forms of a primitive charge alike by construction.
+//!
 //! `Exec` has two value modes:
 //!
 //! - **real**: kernels compute actual values (correctness tests, examples,
@@ -12,7 +19,8 @@
 //! - **virtual**: kernels are skipped; outputs are zero-filled with the right
 //!   shape/pattern. Latency charges are identical (they depend only on shapes
 //!   and sparsity structure), which is what lets the evaluation harness sweep
-//!   the paper's full configuration grid in seconds.
+//!   the paper's full configuration grid in seconds. Shapes are checked in
+//!   both modes.
 
 use granii_matrix::device::{ChargeSummary, Engine};
 use granii_matrix::ops::{self, BroadcastOp};
@@ -74,21 +82,9 @@ impl<'e> Exec<'e> {
     ///
     /// Propagates kernel shape errors.
     pub fn gemm(&self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-        let stats = WorkStats::gemm(a.rows(), a.cols(), b.cols());
-        if self.compute {
-            Ok(self.engine.run(stats, || ops::gemm(a, b))?)
-        } else {
-            if a.cols() != b.rows() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "gemm",
-                    lhs: a.shape(),
-                    rhs: b.shape(),
-                }
-                .into());
-            }
-            self.engine.charge(stats);
-            Ok(DenseMatrix::zeros(a.rows(), b.cols())?)
-        }
+        let mut out = DenseMatrix::zeros(a.rows(), b.cols())?;
+        self.gemm_into(a, b, &mut out)?;
+        Ok(out)
     }
 
     /// Generalized SpMM; `irregularity` is the adjacency's degree CV.
@@ -103,22 +99,9 @@ impl<'e> Exec<'e> {
         semiring: Semiring,
         irregularity: f64,
     ) -> Result<DenseMatrix> {
-        let weighted = semiring.mul.reads_edge() && adj.is_weighted();
-        let stats = WorkStats::spmm(adj.rows(), adj.nnz(), x.cols(), weighted, irregularity);
-        if self.compute {
-            Ok(self.engine.run(stats, || ops::spmm(adj, x, semiring))?)
-        } else {
-            if adj.cols() != x.rows() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "spmm",
-                    lhs: adj.shape(),
-                    rhs: x.shape(),
-                }
-                .into());
-            }
-            self.engine.charge(stats);
-            Ok(DenseMatrix::zeros(adj.rows(), x.cols())?)
-        }
+        let mut out = DenseMatrix::zeros(adj.rows(), x.cols())?;
+        self.spmm_into(adj, x, semiring, irregularity, &mut out)?;
+        Ok(out)
     }
 
     /// Generalized SDDMM (`mask ∘ (U · Vᵀ)`).
@@ -133,24 +116,9 @@ impl<'e> Exec<'e> {
         v: &DenseMatrix,
         irregularity: f64,
     ) -> Result<CsrMatrix> {
-        let stats = WorkStats::sddmm(mask.rows(), mask.nnz(), u.cols(), irregularity);
-        if self.compute {
-            Ok(self.engine.run(stats, || ops::sddmm(mask, u, v))?)
-        } else {
-            if u.cols() != v.cols() || u.rows() != mask.rows() || v.rows() != mask.cols() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "sddmm",
-                    lhs: u.shape(),
-                    rhs: v.shape(),
-                }
-                .into());
-            }
-            self.engine.charge(stats);
-            Ok(mask
-                .clone()
-                .drop_values()
-                .with_values(vec![0.0; mask.nnz()])?)
-        }
+        let mut out = weighted_like(mask)?;
+        self.sddmm_into(mask, u, v, irregularity, &mut out)?;
+        Ok(out)
     }
 
     /// SDDMM with `u_add_v` on per-node scalars (GAT logits).
@@ -165,26 +133,9 @@ impl<'e> Exec<'e> {
         vr: &[f32],
         irregularity: f64,
     ) -> Result<CsrMatrix> {
-        let stats = WorkStats::sddmm(mask.rows(), mask.nnz(), 1, irregularity);
-        if self.compute {
-            Ok(self
-                .engine
-                .run(stats, || ops::sddmm_u_add_v(mask, ul, vr))?)
-        } else {
-            if ul.len() != mask.rows() || vr.len() != mask.cols() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "sddmm_u_add_v",
-                    lhs: mask.shape(),
-                    rhs: (ul.len(), vr.len()),
-                }
-                .into());
-            }
-            self.engine.charge(stats);
-            Ok(mask
-                .clone()
-                .drop_values()
-                .with_values(vec![0.0; mask.nnz()])?)
-        }
+        let mut out = weighted_like(mask)?;
+        self.sddmm_u_add_v_into(mask, ul, vr, irregularity, &mut out)?;
+        Ok(out)
     }
 
     /// `diag(dl) · a · diag(dr)` edge scaling, charged as an SDDMM with k = 1
@@ -200,21 +151,9 @@ impl<'e> Exec<'e> {
         dr: Option<&[f32]>,
         irregularity: f64,
     ) -> Result<CsrMatrix> {
-        let stats = WorkStats::sddmm(a.rows(), a.nnz(), 1, irregularity);
-        if self.compute {
-            Ok(self.engine.run(stats, || ops::scale_csr(dl, a, dr))?)
-        } else {
-            if dl.is_some_and(|d| d.len() != a.rows()) || dr.is_some_and(|d| d.len() != a.cols()) {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "scale_csr",
-                    lhs: a.shape(),
-                    rhs: (dl.map_or(0, <[f32]>::len), dr.map_or(0, <[f32]>::len)),
-                }
-                .into());
-            }
-            self.engine.charge(stats);
-            Ok(a.clone().drop_values().with_values(vec![0.0; a.nnz()])?)
-        }
+        let mut out = weighted_like(a)?;
+        self.scale_csr_into(dl, a, dr, irregularity, &mut out)?;
+        Ok(out)
     }
 
     /// Row-broadcast (`d[i] ⊙ row i`).
@@ -228,21 +167,9 @@ impl<'e> Exec<'e> {
         m: &DenseMatrix,
         op: BroadcastOp,
     ) -> Result<DenseMatrix> {
-        let stats = WorkStats::row_broadcast(m.rows(), m.cols());
-        if self.compute {
-            Ok(self.engine.run(stats, || ops::row_broadcast(d, m, op))?)
-        } else {
-            if d.len() != m.rows() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "row_broadcast",
-                    lhs: (d.len(), 1),
-                    rhs: m.shape(),
-                }
-                .into());
-            }
-            self.engine.charge(stats);
-            Ok(DenseMatrix::zeros(m.rows(), m.cols())?)
-        }
+        let mut out = DenseMatrix::zeros(m.rows(), m.cols())?;
+        self.row_broadcast_into(d, m, op, &mut out)?;
+        Ok(out)
     }
 
     /// Column-broadcast (`d[j] ⊙ column j`).
@@ -256,32 +183,25 @@ impl<'e> Exec<'e> {
         d: &[f32],
         op: BroadcastOp,
     ) -> Result<DenseMatrix> {
-        let stats = WorkStats::col_broadcast(m.rows(), m.cols());
-        if self.compute {
-            Ok(self.engine.run(stats, || ops::col_broadcast(m, d, op))?)
-        } else {
-            if d.len() != m.cols() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "col_broadcast",
-                    lhs: m.shape(),
-                    rhs: (d.len(), 1),
-                }
-                .into());
-            }
-            self.engine.charge(stats);
-            Ok(DenseMatrix::zeros(m.rows(), m.cols())?)
-        }
+        let mut out = DenseMatrix::zeros(m.rows(), m.cols())?;
+        self.col_broadcast_into(m, d, op, &mut out)?;
+        Ok(out)
     }
 
     /// Element-wise map over a dense matrix (ReLU and friends).
-    pub fn map(&self, m: &DenseMatrix, flops_per_elem: u32, f: impl Fn(f32) -> f32) -> DenseMatrix {
-        let stats = WorkStats::elementwise(m.rows() * m.cols(), flops_per_elem);
-        if self.compute {
-            self.engine.run(stats, || m.map(f))
-        } else {
-            self.engine.charge(stats);
-            DenseMatrix::zeros(m.rows(), m.cols()).expect("same shape as input")
-        }
+    ///
+    /// # Errors
+    ///
+    /// Propagates the allocation guard's error.
+    pub fn map(
+        &self,
+        m: &DenseMatrix,
+        flops_per_elem: u32,
+        f: impl Fn(f32) -> f32 + Sync,
+    ) -> Result<DenseMatrix> {
+        let mut out = DenseMatrix::zeros(m.rows(), m.cols())?;
+        self.map_into(m, flops_per_elem, f, &mut out)?;
+        Ok(out)
     }
 
     /// Element-wise combination of two dense matrices.
@@ -294,23 +214,11 @@ impl<'e> Exec<'e> {
         a: &DenseMatrix,
         b: &DenseMatrix,
         flops_per_elem: u32,
-        f: impl Fn(f32, f32) -> f32,
+        f: impl Fn(f32, f32) -> f32 + Sync,
     ) -> Result<DenseMatrix> {
-        let stats = WorkStats::elementwise(a.rows() * a.cols(), flops_per_elem);
-        if self.compute {
-            Ok(self.engine.run(stats, || a.zip_with(b, f))?)
-        } else {
-            if a.shape() != b.shape() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "zip_with",
-                    lhs: a.shape(),
-                    rhs: b.shape(),
-                }
-                .into());
-            }
-            self.engine.charge(stats);
-            Ok(DenseMatrix::zeros(a.rows(), a.cols())?)
-        }
+        let mut out = DenseMatrix::zeros(a.rows(), a.cols())?;
+        self.zip_into(a, b, flops_per_elem, f, &mut out)?;
+        Ok(out)
     }
 
     /// Element-wise map over sparse values (leaky-ReLU on attention logits).
@@ -319,19 +227,9 @@ impl<'e> Exec<'e> {
     ///
     /// Returns an error if the matrix is unweighted.
     pub fn map_csr_values(&self, a: &CsrMatrix, f: impl Fn(f32) -> f32) -> Result<CsrMatrix> {
-        let stats = WorkStats::elementwise(a.nnz(), 1);
-        let vals = a
-            .values()
-            .ok_or(MatrixError::MissingValues("map_csr_values"))?;
-        if self.compute {
-            let out = self
-                .engine
-                .run(stats, || vals.iter().map(|&v| f(v)).collect::<Vec<_>>());
-            Ok(a.clone().drop_values().with_values(out)?)
-        } else {
-            self.engine.charge(stats);
-            Ok(a.clone().drop_values().with_values(vec![0.0; a.nnz()])?)
-        }
+        let mut out = a.clone();
+        self.map_csr_assign(&mut out, f)?;
+        Ok(out)
     }
 
     /// Edge softmax (attention normalization).
@@ -340,16 +238,9 @@ impl<'e> Exec<'e> {
     ///
     /// Returns an error if the matrix is unweighted.
     pub fn edge_softmax(&self, a: &CsrMatrix, irregularity: f64) -> Result<CsrMatrix> {
-        let stats = WorkStats::edge_softmax(a.rows(), a.nnz(), irregularity);
-        if self.compute {
-            Ok(self.engine.run(stats, || ops::edge_softmax(a))?)
-        } else {
-            if !a.is_weighted() {
-                return Err(MatrixError::MissingValues("edge_softmax").into());
-            }
-            self.engine.charge(stats);
-            Ok(a.clone().drop_values().with_values(vec![0.0; a.nnz()])?)
-        }
+        let mut out = weighted_like(a)?;
+        self.edge_softmax_into(a, irregularity, &mut out)?;
+        Ok(out)
     }
 
     /// Degree computation by scatter-add binning (WiseGraph's normalization
@@ -373,9 +264,9 @@ impl<'e> Exec<'e> {
 
     // ------------------------------------------------------------------
     // `_into` variants: identical latency charges, but results land in
-    // caller-provided (workspace-recycled) buffers. These are the kernels the
-    // compile-once execution engine drives in steady state — no allocation,
-    // no clone, bitwise-equal outputs.
+    // caller-provided (workspace-recycled) buffers — no allocation, no
+    // clone, bitwise-equal outputs. The dense ones check exact shapes and
+    // run their multi-RHS twin at batch one.
     // ------------------------------------------------------------------
 
     /// [`Exec::gemm`] writing into `out`; same charge, no allocation.
@@ -384,23 +275,11 @@ impl<'e> Exec<'e> {
     ///
     /// Propagates kernel shape errors (including a mis-shaped `out`).
     pub fn gemm_into(&self, a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
-        let stats = WorkStats::gemm(a.rows(), a.cols(), b.cols());
-        if self.compute {
-            self.engine.run(stats, || ops::gemm_into(a, b, out))?;
-        } else {
-            if a.cols() != b.rows() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "gemm",
-                    lhs: a.shape(),
-                    rhs: b.shape(),
-                }
-                .into());
-            }
-            check_dense_out("gemm_into", (a.rows(), b.cols()), out)?;
-            self.engine.charge(stats);
-            out.as_mut_slice().fill(0.0);
+        if a.cols() != b.rows() {
+            return Err(mismatch("gemm", a.shape(), b.shape()));
         }
-        Ok(())
+        check_out("gemm_into", (a.rows(), b.cols()), out)?;
+        self.gemm_rhs_blocks_into(a, b, 1, out)
     }
 
     /// [`Exec::spmm`] writing into `out`; same charge, no allocation.
@@ -416,25 +295,11 @@ impl<'e> Exec<'e> {
         irregularity: f64,
         out: &mut DenseMatrix,
     ) -> Result<()> {
-        let weighted = semiring.mul.reads_edge() && adj.is_weighted();
-        let stats = WorkStats::spmm(adj.rows(), adj.nnz(), x.cols(), weighted, irregularity);
-        if self.compute {
-            self.engine
-                .run(stats, || ops::spmm_into(adj, x, semiring, out))?;
-        } else {
-            if adj.cols() != x.rows() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "spmm",
-                    lhs: adj.shape(),
-                    rhs: x.shape(),
-                }
-                .into());
-            }
-            check_dense_out("spmm_into", (adj.rows(), x.cols()), out)?;
-            self.engine.charge(stats);
-            out.as_mut_slice().fill(0.0);
+        if adj.cols() != x.rows() {
+            return Err(mismatch("spmm", adj.shape(), x.shape()));
         }
-        Ok(())
+        check_out("spmm_into", (adj.rows(), x.cols()), out)?;
+        self.spmm_cols_into(adj, x, x.cols(), 1, semiring, irregularity, out)
     }
 
     /// [`Exec::sddmm`] writing into `out`; same charge, no allocation.
@@ -456,12 +321,7 @@ impl<'e> Exec<'e> {
                 .run(stats, || ops::sddmm_into(mask, u, v, out))?;
         } else {
             if u.cols() != v.cols() || u.rows() != mask.rows() || v.rows() != mask.cols() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "sddmm",
-                    lhs: u.shape(),
-                    rhs: v.shape(),
-                }
-                .into());
+                return Err(mismatch("sddmm", u.shape(), v.shape()));
             }
             check_csr_out("sddmm_into", mask, out)?;
             self.engine.charge(stats);
@@ -489,12 +349,11 @@ impl<'e> Exec<'e> {
                 .run(stats, || ops::sddmm_u_add_v_into(mask, ul, vr, out))?;
         } else {
             if ul.len() != mask.rows() || vr.len() != mask.cols() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "sddmm_u_add_v",
-                    lhs: mask.shape(),
-                    rhs: (ul.len(), vr.len()),
-                }
-                .into());
+                return Err(mismatch(
+                    "sddmm_u_add_v",
+                    mask.shape(),
+                    (ul.len(), vr.len()),
+                ));
             }
             check_csr_out("sddmm_u_add_v_into", mask, out)?;
             self.engine.charge(stats);
@@ -522,12 +381,11 @@ impl<'e> Exec<'e> {
                 .run(stats, || ops::scale_csr_into(dl, a, dr, out))?;
         } else {
             if dl.is_some_and(|d| d.len() != a.rows()) || dr.is_some_and(|d| d.len() != a.cols()) {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "scale_csr",
-                    lhs: a.shape(),
-                    rhs: (dl.map_or(0, <[f32]>::len), dr.map_or(0, <[f32]>::len)),
-                }
-                .into());
+                return Err(mismatch(
+                    "scale_csr",
+                    a.shape(),
+                    (dl.map_or(0, <[f32]>::len), dr.map_or(0, <[f32]>::len)),
+                ));
             }
             check_csr_out("scale_csr_into", a, out)?;
             self.engine.charge(stats);
@@ -548,24 +406,11 @@ impl<'e> Exec<'e> {
         op: BroadcastOp,
         out: &mut DenseMatrix,
     ) -> Result<()> {
-        let stats = WorkStats::row_broadcast(m.rows(), m.cols());
-        if self.compute {
-            self.engine
-                .run(stats, || ops::row_broadcast_into(d, m, op, out))?;
-        } else {
-            if d.len() != m.rows() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "row_broadcast",
-                    lhs: (d.len(), 1),
-                    rhs: m.shape(),
-                }
-                .into());
-            }
-            check_dense_out("row_broadcast_into", m.shape(), out)?;
-            self.engine.charge(stats);
-            out.as_mut_slice().fill(0.0);
+        if d.len() != m.rows() {
+            return Err(mismatch("row_broadcast", (d.len(), 1), m.shape()));
         }
-        Ok(())
+        check_out("row_broadcast_into", m.shape(), out)?;
+        self.row_broadcast_cols_into(d, m, m.cols(), 1, op, out)
     }
 
     /// [`Exec::col_broadcast`] writing into `out`; same charge, no allocation.
@@ -580,24 +425,11 @@ impl<'e> Exec<'e> {
         op: BroadcastOp,
         out: &mut DenseMatrix,
     ) -> Result<()> {
-        let stats = WorkStats::col_broadcast(m.rows(), m.cols());
-        if self.compute {
-            self.engine
-                .run(stats, || ops::col_broadcast_into(m, d, op, out))?;
-        } else {
-            if d.len() != m.cols() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "col_broadcast",
-                    lhs: m.shape(),
-                    rhs: (d.len(), 1),
-                }
-                .into());
-            }
-            check_dense_out("col_broadcast_into", m.shape(), out)?;
-            self.engine.charge(stats);
-            out.as_mut_slice().fill(0.0);
+        if d.len() != m.cols() {
+            return Err(mismatch("col_broadcast", m.shape(), (d.len(), 1)));
         }
-        Ok(())
+        check_out("col_broadcast_into", m.shape(), out)?;
+        self.col_broadcast_blocks_into(m, d, 1, op, out)
     }
 
     /// [`Exec::edge_softmax`] writing into `out`; same charge, no allocation.
@@ -634,36 +466,15 @@ impl<'e> Exec<'e> {
         &self,
         m: &DenseMatrix,
         flops_per_elem: u32,
-        f: impl Fn(f32) -> f32,
+        f: impl Fn(f32) -> f32 + Sync,
         out: &mut DenseMatrix,
     ) -> Result<()> {
-        check_dense_out("map_into", m.shape(), out)?;
-        let stats = WorkStats::elementwise(m.rows() * m.cols(), flops_per_elem);
-        if self.compute {
-            self.engine.run(stats, || {
-                for (o, &v) in out.as_mut_slice().iter_mut().zip(m.as_slice()) {
-                    *o = f(v);
-                }
-            });
-        } else {
-            self.engine.charge(stats);
-            out.as_mut_slice().fill(0.0);
-        }
-        Ok(())
+        check_out("map_into", m.shape(), out)?;
+        self.map_cols_into(m, m.cols(), 1, flops_per_elem, f, out)
     }
 
-    /// [`Exec::map`] applied in place (`m = f(m)` element-wise); same charge.
-    pub fn map_assign(&self, m: &mut DenseMatrix, flops_per_elem: u32, f: impl Fn(f32) -> f32) {
-        let stats = WorkStats::elementwise(m.rows() * m.cols(), flops_per_elem);
-        if self.compute {
-            self.engine.run(stats, || m.map_inplace(f));
-        } else {
-            self.engine.charge(stats);
-            m.as_mut_slice().fill(0.0);
-        }
-    }
-
-    /// [`Exec::zip`] writing into `out`; same charge, no allocation.
+    /// [`Exec::zip`] writing into `out`: an uncharged copy of `a`, then
+    /// [`Exec::zip_assign`] with `b`. Same charge, no allocation.
     ///
     /// # Errors
     ///
@@ -673,35 +484,15 @@ impl<'e> Exec<'e> {
         a: &DenseMatrix,
         b: &DenseMatrix,
         flops_per_elem: u32,
-        f: impl Fn(f32, f32) -> f32,
+        f: impl Fn(f32, f32) -> f32 + Sync,
         out: &mut DenseMatrix,
     ) -> Result<()> {
         if a.shape() != b.shape() {
-            return Err(MatrixError::ShapeMismatch {
-                op: "zip_with",
-                lhs: a.shape(),
-                rhs: b.shape(),
-            }
-            .into());
+            return Err(mismatch("zip_with", a.shape(), b.shape()));
         }
-        check_dense_out("zip_into", a.shape(), out)?;
-        let stats = WorkStats::elementwise(a.rows() * a.cols(), flops_per_elem);
-        if self.compute {
-            self.engine.run(stats, || {
-                for ((o, &x), &y) in out
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(a.as_slice())
-                    .zip(b.as_slice())
-                {
-                    *o = f(x, y);
-                }
-            });
-        } else {
-            self.engine.charge(stats);
-            out.as_mut_slice().fill(0.0);
-        }
-        Ok(())
+        check_out("zip_into", a.shape(), out)?;
+        out.as_mut_slice().copy_from_slice(a.as_slice());
+        self.zip_assign(out, b, flops_per_elem, f)
     }
 
     /// [`Exec::zip`] applied in place (`acc = f(acc, b)` element-wise); same
@@ -715,28 +506,12 @@ impl<'e> Exec<'e> {
         acc: &mut DenseMatrix,
         b: &DenseMatrix,
         flops_per_elem: u32,
-        f: impl Fn(f32, f32) -> f32,
+        f: impl Fn(f32, f32) -> f32 + Sync,
     ) -> Result<()> {
         if acc.shape() != b.shape() {
-            return Err(MatrixError::ShapeMismatch {
-                op: "zip_with",
-                lhs: acc.shape(),
-                rhs: b.shape(),
-            }
-            .into());
+            return Err(mismatch("zip_with", acc.shape(), b.shape()));
         }
-        let stats = WorkStats::elementwise(acc.rows() * acc.cols(), flops_per_elem);
-        if self.compute {
-            self.engine.run(stats, || {
-                for (o, &y) in acc.as_mut_slice().iter_mut().zip(b.as_slice()) {
-                    *o = f(*o, y);
-                }
-            });
-        } else {
-            self.engine.charge(stats);
-            acc.as_mut_slice().fill(0.0);
-        }
-        Ok(())
+        self.zip_cols_assign(acc, b, acc.cols(), 1, flops_per_elem, f)
     }
 
     /// [`Exec::map_csr_values`] applied in place over `a`'s stored values;
@@ -763,7 +538,7 @@ impl<'e> Exec<'e> {
         Ok(())
     }
 
-    // --- Batched (multi-RHS) variants -----------------------------------
+    // --- Multi-RHS methods: the one charge path of each dense primitive --
     //
     // One kernel invocation serves `batch` column-stacked requests. The
     // charge contract is "unchanged per-column semantics": the stacked
@@ -771,14 +546,33 @@ impl<'e> Exec<'e> {
     // are charged `batch - 1` more times — so the total charge equals
     // exactly `batch` serial executions and a per-request share (total /
     // batch) is bitwise the serial per-request charge on the modeled
-    // engine.
+    // engine. Every method checks its shapes in both value modes; virtual
+    // mode zero-fills the active columns of `out`.
 
-    /// Charges the single-request `stats` for the `batch - 1` stacked
-    /// requests that rode along with the one the kernel ran under.
-    fn charge_followers(&self, stats: WorkStats, batch: usize) {
+    /// Runs `kernel` on `out` under one request's `stats` (virtual mode:
+    /// charges them and zero-fills `out`'s leading `active` columns), then
+    /// charges the same stats for the `batch - 1` requests that rode along.
+    fn run_blocks(
+        &self,
+        stats: WorkStats,
+        batch: usize,
+        active: usize,
+        out: &mut DenseMatrix,
+        kernel: impl FnOnce(&mut DenseMatrix) -> std::result::Result<(), MatrixError>,
+    ) -> Result<()> {
+        if self.compute {
+            self.engine.run(stats, || kernel(out))?;
+        } else {
+            self.engine.charge(stats);
+            let width = out.cols().max(1);
+            for row in out.as_mut_slice().chunks_exact_mut(width) {
+                row[..active].fill(0.0);
+            }
+        }
         for _ in 1..batch {
             self.engine.charge(stats);
         }
+        Ok(())
     }
 
     /// Batched [`Exec::gemm_into`]: per block `t < batch`,
@@ -795,19 +589,18 @@ impl<'e> Exec<'e> {
         batch: usize,
         out: &mut DenseMatrix,
     ) -> Result<()> {
-        let stats = WorkStats::gemm(a.rows(), b.rows(), b.cols());
-        if self.compute {
-            self.engine
-                .run(stats, || ops::gemm_rhs_blocks_into(a, b, batch, out))?;
-        } else {
-            self.engine.charge(stats);
-        }
-        self.charge_followers(stats, batch);
-        Ok(())
+        let (k1, k2) = b.shape();
+        check_wide("gemm_rhs_blocks", a.rows(), batch * k1, a)?;
+        check_wide("gemm_rhs_blocks_into", a.rows(), batch * k2, out)?;
+        let stats = WorkStats::gemm(a.rows(), k1, k2);
+        self.run_blocks(stats, batch, batch * k2, out, |out| {
+            ops::gemm_rhs_blocks_into(a, b, batch, out)
+        })
     }
 
     /// Batched [`Exec::spmm_into`]: one adjacency pass over the leading
-    /// `batch · k` columns, charged as `batch` serial `k`-column SpMMs.
+    /// `batch · block_cols` columns, charged as `batch` serial
+    /// `block_cols`-column SpMMs.
     ///
     /// # Errors
     ///
@@ -823,17 +616,17 @@ impl<'e> Exec<'e> {
         irregularity: f64,
         out: &mut DenseMatrix,
     ) -> Result<()> {
+        let active = batch * block_cols;
+        if adj.cols() != x.rows() {
+            return Err(mismatch("spmm_cols", adj.shape(), x.shape()));
+        }
+        check_wide("spmm_cols", x.rows(), active, x)?;
+        check_wide("spmm_cols_into", adj.rows(), active, out)?;
         let weighted = semiring.mul.reads_edge() && adj.is_weighted();
         let stats = WorkStats::spmm(adj.rows(), adj.nnz(), block_cols, weighted, irregularity);
-        if self.compute {
-            self.engine.run(stats, || {
-                ops::spmm_cols_into(adj, x, batch * block_cols, semiring, out)
-            })?;
-        } else {
-            self.engine.charge(stats);
-        }
-        self.charge_followers(stats, batch);
-        Ok(())
+        self.run_blocks(stats, batch, active, out, |out| {
+            ops::spmm_cols_into(adj, x, active, semiring, out)
+        })
     }
 
     /// Batched [`Exec::row_broadcast_into`] over the leading `batch ·
@@ -851,16 +644,16 @@ impl<'e> Exec<'e> {
         op: BroadcastOp,
         out: &mut DenseMatrix,
     ) -> Result<()> {
-        let stats = WorkStats::row_broadcast(m.rows(), block_cols);
-        if self.compute {
-            self.engine.run(stats, || {
-                ops::row_broadcast_cols_into(d, m, batch * block_cols, op, out)
-            })?;
-        } else {
-            self.engine.charge(stats);
+        let active = batch * block_cols;
+        if d.len() != m.rows() {
+            return Err(mismatch("row_broadcast_cols", (d.len(), 1), m.shape()));
         }
-        self.charge_followers(stats, batch);
-        Ok(())
+        check_wide("row_broadcast_cols", m.rows(), active, m)?;
+        check_wide("row_broadcast_cols_into", m.rows(), active, out)?;
+        let stats = WorkStats::row_broadcast(m.rows(), block_cols);
+        self.run_blocks(stats, batch, active, out, |out| {
+            ops::row_broadcast_cols_into(d, m, active, op, out)
+        })
     }
 
     /// Batched [`Exec::col_broadcast_into`]: applies the shared per-column
@@ -878,16 +671,13 @@ impl<'e> Exec<'e> {
         op: BroadcastOp,
         out: &mut DenseMatrix,
     ) -> Result<()> {
+        let active = batch * d.len();
+        check_wide("col_broadcast_blocks", m.rows(), active, m)?;
+        check_wide("col_broadcast_blocks_into", m.rows(), active, out)?;
         let stats = WorkStats::col_broadcast(m.rows(), d.len());
-        if self.compute {
-            self.engine.run(stats, || {
-                ops::col_broadcast_blocks_into(m, d, batch, op, out)
-            })?;
-        } else {
-            self.engine.charge(stats);
-        }
-        self.charge_followers(stats, batch);
-        Ok(())
+        self.run_blocks(stats, batch, active, out, |out| {
+            ops::col_broadcast_blocks_into(m, d, batch, op, out)
+        })
     }
 
     /// Batched [`Exec::map_into`] over the leading `batch · block_cols`
@@ -905,15 +695,13 @@ impl<'e> Exec<'e> {
         f: impl Fn(f32) -> f32 + Sync,
         out: &mut DenseMatrix,
     ) -> Result<()> {
+        let active = batch * block_cols;
+        check_wide("map_cols", m.rows(), active, m)?;
+        check_wide("map_cols_into", m.rows(), active, out)?;
         let stats = WorkStats::elementwise(m.rows() * block_cols, flops_per_elem);
-        if self.compute {
-            self.engine
-                .run(stats, || ops::map_cols_into(m, batch * block_cols, f, out))?;
-        } else {
-            self.engine.charge(stats);
-        }
-        self.charge_followers(stats, batch);
-        Ok(())
+        self.run_blocks(stats, batch, active, out, |out| {
+            ops::map_cols_into(m, active, f, out)
+        })
     }
 
     /// Batched [`Exec::zip_assign`] over the leading `batch · block_cols`
@@ -931,34 +719,45 @@ impl<'e> Exec<'e> {
         flops_per_elem: u32,
         f: impl Fn(f32, f32) -> f32 + Sync,
     ) -> Result<()> {
+        let active = batch * block_cols;
+        check_wide("zip_cols_src", acc.rows(), active, b)?;
+        check_wide("zip_cols_dst", b.rows(), active, acc)?;
         let stats = WorkStats::elementwise(acc.rows() * block_cols, flops_per_elem);
-        if self.compute {
-            self.engine.run(stats, || {
-                ops::zip_cols_assign(acc, b, batch * block_cols, f)
-            })?;
-        } else {
-            self.engine.charge(stats);
-        }
-        self.charge_followers(stats, batch);
-        Ok(())
+        self.run_blocks(stats, batch, active, acc, |acc| {
+            ops::zip_cols_assign(acc, b, active, f)
+        })
     }
 }
 
-/// Validates a dense output buffer's shape for the virtual-mode `_into` paths
-/// (real mode validates inside the kernel).
-fn check_dense_out(
-    op: &'static str,
-    want: (usize, usize),
-    out: &DenseMatrix,
-) -> std::result::Result<(), MatrixError> {
+/// The shape-mismatch error `op` reports for operands `lhs` and `rhs`.
+fn mismatch(op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) -> crate::GnnError {
+    MatrixError::ShapeMismatch { op, lhs, rhs }.into()
+}
+
+/// Validates an exact-shape dense output buffer.
+fn check_out(op: &'static str, want: (usize, usize), out: &DenseMatrix) -> Result<()> {
     if out.shape() != want {
-        return Err(MatrixError::ShapeMismatch {
-            op,
-            lhs: want,
-            rhs: out.shape(),
-        });
+        return Err(mismatch(op, want, out.shape()));
     }
     Ok(())
+}
+
+/// Validates a multi-RHS operand or output: `rows` rows and at least `cols`
+/// columns (the active blocks of a wider buffer).
+fn check_wide(op: &'static str, rows: usize, cols: usize, m: &DenseMatrix) -> Result<()> {
+    if m.rows() != rows || m.cols() < cols {
+        return Err(mismatch(op, (rows, cols), m.shape()));
+    }
+    Ok(())
+}
+
+/// A weighted CSR with `pattern`'s structure and zero values: the output
+/// buffer of the allocating sparse-output methods.
+fn weighted_like(pattern: &CsrMatrix) -> Result<CsrMatrix> {
+    Ok(pattern
+        .clone()
+        .drop_values()
+        .with_values(vec![0.0; pattern.nnz()])?)
 }
 
 /// Validates a CSR output buffer against the pattern source for the
@@ -1011,7 +810,7 @@ mod tests {
         let run = |exec: Exec| {
             let agg = exec.spmm(&a, &x, Semiring::plus_mul(), 0.0).unwrap();
             let up = exec.gemm(&agg, &w).unwrap();
-            exec.map(&up, 1, |v| v.max(0.0))
+            exec.map(&up, 1, |v| v.max(0.0)).unwrap()
         };
         let real_out = run(Exec::real(&e1));
         let virt_out = run(Exec::virtual_only(&e2));
@@ -1035,6 +834,16 @@ mod tests {
         assert!(exec.gemm(&a, &b).is_err());
         assert!(exec.spmm(&adj(), &b, Semiring::plus_mul(), 0.0).is_err());
         assert!(exec.row_broadcast(&[1.0], &a, BroadcastOp::Mul).is_err());
+        // The multi-RHS methods check too: an `out` one block short of the
+        // batch is rejected before anything is charged.
+        let w = DenseMatrix::zeros(2, 2).unwrap();
+        let x = DenseMatrix::zeros(3, 2 * 3).unwrap();
+        let mut narrow = DenseMatrix::zeros(3, 2).unwrap();
+        assert!(exec.gemm_rhs_blocks_into(&x, &w, 3, &mut narrow).is_err());
+        assert!(exec
+            .spmm_cols_into(&adj(), &x, 2, 3, Semiring::plus_mul(), 0.0, &mut narrow)
+            .is_err());
+        assert_eq!(e.profile_len(), 0, "a rejected call charges nothing");
     }
 
     #[test]

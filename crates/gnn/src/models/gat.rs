@@ -11,6 +11,7 @@
 
 use granii_matrix::{CsrMatrix, DenseMatrix, Semiring, Workspace};
 
+use crate::models::relu_ws;
 use crate::spec::{GatStrategy, LayerConfig};
 use crate::{Exec, GraphCtx, Result};
 
@@ -126,7 +127,7 @@ impl Gat {
         let irr = ctx.irregularity();
         let n = h.rows();
         let (theta, alpha) = self.attention_ws(exec, ctx, h, ws)?;
-        let mut z = match strategy {
+        let z = match strategy {
             GatStrategy::Reuse => {
                 // Eq. 5: α · Θ, width K2.
                 let mut z = ws.take_dense(n, self.cfg.k_out)?;
@@ -145,8 +146,7 @@ impl Gat {
         };
         ws.give_dense(theta);
         ws.give_csr(alpha);
-        exec.map_assign(&mut z, 1, |v| v.max(0.0));
-        Ok(z)
+        relu_ws(exec, z, ws)
     }
 }
 

@@ -8,7 +8,7 @@
 use granii_matrix::ops::BroadcastOp;
 use granii_matrix::{DenseMatrix, Semiring, Workspace};
 
-use crate::models::Prepared;
+use crate::models::{relu_ws, Prepared};
 use crate::spec::{LayerConfig, NormStrategy, OpOrder};
 use crate::{Exec, GraphCtx, Result};
 
@@ -96,7 +96,7 @@ impl Gcn {
         ws: &mut Workspace,
     ) -> Result<DenseMatrix> {
         let n = h.rows();
-        let mut z = match norm {
+        let z = match norm {
             NormStrategy::Dynamic => {
                 let d = ctx.deg_inv_sqrt();
                 // D^{-1/2} · A · D^{-1/2} · x with a two-buffer ping-pong:
@@ -173,8 +173,7 @@ impl Gcn {
                 }
             }
         };
-        exec.map_assign(&mut z, 1, |v| v.max(0.0));
-        Ok(z)
+        relu_ws(exec, z, ws)
     }
 }
 

@@ -8,6 +8,7 @@
 
 use granii_matrix::{DenseMatrix, Workspace};
 
+use crate::models::relu_ws;
 use crate::spec::{LayerConfig, OpOrder};
 use crate::{Exec, GraphCtx, Result};
 
@@ -74,7 +75,7 @@ impl Gin {
         let adj = ctx.graph().adj();
         let irr = ctx.irregularity();
         let n = h.rows();
-        let mut hidden = match order {
+        let hidden = match order {
             OpOrder::AggregateFirst => {
                 // ((1+ε)H + A·H) · W₁
                 let mut agg = ws.take_dense(n, h.cols())?;
@@ -102,7 +103,7 @@ impl Gin {
                 selfed
             }
         };
-        exec.map_assign(&mut hidden, 1, |v| v.max(0.0));
+        let hidden = relu_ws(exec, hidden, ws)?;
         let mut out = ws.take_dense(n, self.cfg.k_out)?;
         exec.gemm_into(&hidden, &self.w2, &mut out)?;
         ws.give_dense(hidden);

@@ -229,6 +229,15 @@ pub(crate) fn check_input(ctx: &GraphCtx, h: &DenseMatrix, cfg: LayerConfig) -> 
     Ok(())
 }
 
+/// A layer's ReLU epilogue: `relu(z)` lands in a workspace buffer and `z`
+/// goes back to the pool.
+pub(crate) fn relu_ws(exec: &Exec, z: DenseMatrix, ws: &mut Workspace) -> Result<DenseMatrix> {
+    let mut out = ws.take_dense(z.rows(), z.cols())?;
+    exec.map_into(&z, 1, |v| v.max(0.0), &mut out)?;
+    ws.give_dense(z);
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

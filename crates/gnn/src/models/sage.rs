@@ -8,6 +8,7 @@
 
 use granii_matrix::{DenseMatrix, Semiring, Workspace};
 
+use crate::models::relu_ws;
 use crate::spec::{LayerConfig, OpOrder};
 use crate::{Exec, GraphCtx, Result};
 
@@ -91,8 +92,7 @@ impl Sage {
         };
         exec.zip_assign(&mut self_term, &neigh_term, 1, |a, b| a + b)?;
         ws.give_dense(neigh_term);
-        exec.map_assign(&mut self_term, 1, |v| v.max(0.0));
-        Ok(self_term)
+        relu_ws(exec, self_term, ws)
     }
 }
 

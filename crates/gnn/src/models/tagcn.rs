@@ -9,7 +9,7 @@
 use granii_matrix::ops::BroadcastOp;
 use granii_matrix::{DenseMatrix, Semiring, Workspace};
 
-use crate::models::Prepared;
+use crate::models::{relu_ws, Prepared};
 use crate::spec::{LayerConfig, NormStrategy, OpOrder};
 use crate::{Exec, GraphCtx, Result};
 
@@ -136,7 +136,7 @@ impl Tagcn {
         ws: &mut Workspace,
     ) -> Result<DenseMatrix> {
         let n = h.rows();
-        let mut acc = match order {
+        let acc = match order {
             OpOrder::AggregateFirst => {
                 // acc = Σ_k (Ñ^k H) W_k, propagating at width K1.
                 let mut acc = ws.take_dense(n, self.cfg.k_out)?;
@@ -173,8 +173,7 @@ impl Tagcn {
                 acc
             }
         };
-        exec.map_assign(&mut acc, 1, |v| v.max(0.0));
-        Ok(acc)
+        relu_ws(exec, acc, ws)
     }
 }
 

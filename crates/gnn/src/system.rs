@@ -194,13 +194,17 @@ impl BaselineRunner {
             nodes = ctx.graph().num_nodes(),
         );
         granii_telemetry::counter_add("baseline.iterations", 1);
-        self.charge_normalization(exec, ctx);
+        self.charge_normalization(exec, ctx)?;
         self.layer.forward(exec, ctx, &self.prepared, h, self.comp)
     }
 
     /// Charges the per-iteration normalization work without running a forward
     /// (used by the training harness, which forwards through the tape).
-    pub fn charge_normalization(&self, exec: &Exec, ctx: &GraphCtx) {
+    ///
+    /// # Errors
+    ///
+    /// Propagates the allocation guard's error.
+    pub fn charge_normalization(&self, exec: &Exec, ctx: &GraphCtx) -> Result<()> {
         if let Some(path) = self.system.normalization_path(self.layer.kind()) {
             let degs = match path {
                 NormPath::Binning => exec.degrees_by_binning(ctx.adj()),
@@ -208,8 +212,9 @@ impl BaselineRunner {
             };
             // d^{-1/2} map over the nodes.
             let dm = DenseMatrix::from_vec(degs.len(), 1, degs).expect("length matches");
-            let _ = exec.map(&dm, 2, |v| if v > 0.0 { 1.0 / v.sqrt() } else { 0.0 });
+            exec.map(&dm, 2, |v| if v > 0.0 { 1.0 / v.sqrt() } else { 0.0 })?;
         }
+        Ok(())
     }
 }
 

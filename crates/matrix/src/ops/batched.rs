@@ -1,4 +1,4 @@
-//! Multi-RHS (batched) variants of the hot `_into` kernels.
+//! Multi-RHS (batched) kernels: the one body of each dense primitive.
 //!
 //! The serving runtime coalesces same-signature requests into one batched
 //! execution: request `t`'s operand columns live in block `t` of a
@@ -7,21 +7,23 @@
 //! (`capacity`) and a batch of `batch ≤ capacity` touches only the leading
 //! `batch` blocks, so steady-state batched execution allocates nothing.
 //!
-//! Every kernel here mirrors its serial sibling's inner loop **exactly** per
-//! block/column (same accumulation order, same zero-skip, same identity
-//! fill), which makes each block of a batched result bitwise identical to
-//! the serial `_into` result for that request — the correctness contract the
-//! serving tests assert.
+//! A batch of one on exact-shape buffers is the serial primitive: the
+//! serial `gemm_into`, `spmm_into`, `row_broadcast_into` and
+//! `col_broadcast_into` check exact shapes and call the kernel here at batch
+//! one. Each block of a batched result therefore runs the very loop the
+//! serial result for that request runs (same accumulation order, same
+//! zero-skip, same identity fill) and is bitwise identical to it — the
+//! correctness contract the serving tests assert.
 //!
-//! Parallelism remains deterministic: `par_rows` splits disjoint output rows
-//! exactly as in the serial kernels (with the stacked width, a batch crosses
-//! the parallel threshold earlier — small graphs that ran serially per
-//! request parallelize across the batch for free).
+//! Parallelism remains deterministic: the schedulers split disjoint output
+//! rows (with the stacked width, a batch crosses the parallel threshold
+//! earlier — small graphs that ran serially per request parallelize across
+//! the batch for free).
 
-use crate::parallel::{par_rows, par_rows_weighted};
+use crate::parallel::{par_row_blocks, par_rows, par_rows_weighted};
 use crate::{CsrMatrix, DenseMatrix, MatrixError, Result, Semiring};
 
-use super::rowkernel::{gemm_row, spmm_row, GemmTile};
+use super::rowkernel::{gemm_block, spmm_row, GemmTile, GEMM_ROW_BLOCK};
 use super::BroadcastOp;
 
 fn check_wide(op: &'static str, want_rows: usize, want_cols: usize, m: &DenseMatrix) -> Result<()> {
@@ -39,12 +41,10 @@ fn check_wide(op: &'static str, want_rows: usize, want_cols: usize, m: &DenseMat
 /// `out[:, t·k2..(t+1)·k2] = a[:, t·k1..(t+1)·k1] · b`.
 ///
 /// `a` and `out` are column-stacked batched buffers (at least `batch` blocks
-/// wide); `b` is the shared (unbatched) `k1 × k2` right-hand side. Each
-/// block runs the serial [`gemm_into`](super::gemm_into) tile (`i-k-j`,
-/// zero-filled), with the instance chosen once per call the same way: no
-/// zero-`aik` skip in the vector loops when every entry of `b` is finite,
-/// AVX2 when the host has it. Block `t` is therefore bitwise equal to the
-/// serial product for request `t`.
+/// wide); `b` is the shared (unbatched) `k1 × k2` right-hand side. Blocks of
+/// four output rows run the register tile for each request in turn, with the instance chosen once per call: no zero-`aik` skip in the
+/// vector loops when every entry of `b` is finite, AVX2 when the host has
+/// it. [`gemm_into`](super::gemm_into) is this kernel at batch one.
 ///
 /// # Errors
 ///
@@ -59,33 +59,31 @@ pub fn gemm_rhs_blocks_into(
     let (k1, k2) = (b.rows(), b.cols());
     check_wide("gemm_rhs_blocks", a.rows(), batch * k1, a)?;
     check_wide("gemm_rhs_blocks_into", a.rows(), batch * k2, out)?;
-    let rows = a.rows();
     let width = out.cols();
     let tile = GemmTile::for_rhs(b);
-    par_rows(out.as_mut_slice(), rows, width, |i, out_row| {
-        let a_row = a.row(i);
-        for t in 0..batch {
-            // The shared GEMM row kernel: same tile instance, same k order,
-            // and the same SIMD column tiling as the serial `gemm_into` path.
-            gemm_row(
-                tile,
-                &a_row[t * k1..(t + 1) * k1],
-                b,
-                &mut out_row[t * k2..(t + 1) * k2],
-            );
-        }
-    });
+    par_row_blocks(
+        out.as_mut_slice(),
+        a.rows(),
+        width,
+        GEMM_ROW_BLOCK,
+        |r0, rows| {
+            for t in 0..batch {
+                gemm_block(tile, a, r0, t, b, rows, width);
+            }
+        },
+    );
     Ok(())
 }
 
-/// Multi-column SpMM: [`spmm_into`](super::spmm_into) over the leading
-/// `active` columns of a wide feature/output pair.
+/// Multi-column SpMM over the leading `active` columns of a wide
+/// feature/output pair; [`spmm_into`](super::spmm_into) is this kernel over
+/// every column.
 ///
 /// One pass over the adjacency serves every stacked request: per edge the
 /// column index and edge weight are loaded once and folded into all `active`
-/// columns. Per column the fold sequence is identical to the serial kernel
-/// (same edge order, same identity, same mean finish), so each column — and
-/// therefore each request's block — is bitwise equal to its serial result.
+/// columns. Per column the fold sequence (edge order, identity, mean finish)
+/// depends neither on `active` nor on where the vector strips fall, so each
+/// request's block is bitwise equal to its result as a batch of one.
 ///
 /// # Errors
 ///
@@ -108,10 +106,10 @@ pub fn spmm_cols_into(
     check_wide("spmm_cols", feats.rows(), active, feats)?;
     check_wide("spmm_cols_into", adj.rows(), active, out)?;
     let width = out.cols();
-    // The shared SpMM row kernel over the leading `active` columns, with the
-    // same nnz-weighted scheduling as the serial path: per column the fold
-    // order is identical to `spmm_into`, so each block stays bitwise equal
-    // to its serial result.
+    // nnz-weighted scheduling: chunk boundaries follow the row-length
+    // distribution, so a hub row costs one chunk instead of skewing a
+    // 64-row chunk. The per-row kernel picks its band (short-row vs hub-row
+    // strategy) from the same distribution; see `ops::rowkernel`.
     par_rows_weighted(
         out.as_mut_slice(),
         adj.rows(),
@@ -131,9 +129,9 @@ pub fn spmm_cols_into(
 }
 
 /// Multi-column row-broadcast: combines `d[i]` with the leading `active`
-/// elements of row `i` (the batched form of
-/// [`row_broadcast_into`](super::row_broadcast_into) — `d` is per-node, so
-/// one vector serves every stacked request).
+/// elements of row `i` (`d` is per-node, so one vector serves every stacked
+/// request); [`row_broadcast_into`](super::row_broadcast_into) is this
+/// kernel over every column.
 ///
 /// # Errors
 ///
@@ -155,8 +153,8 @@ pub fn row_broadcast_cols_into(
     }
     check_wide("row_broadcast_cols", m.rows(), active, m)?;
     check_wide("row_broadcast_cols_into", m.rows(), active, out)?;
-    // The op match is hoisted out of the element loop: each arm monomorphizes
-    // a branch-free (and autovectorizable) inner loop.
+    // Hoisted op dispatch: each arm monomorphizes a branch-free inner loop
+    // that LLVM autovectorizes (same technique as `ops::rowkernel`).
     match op {
         BroadcastOp::Mul => row_broadcast_cols_run(d, m, active, out, |di, mv| di * mv),
         BroadcastOp::Add => row_broadcast_cols_run(d, m, active, out, |di, mv| di + mv),
@@ -183,7 +181,9 @@ fn row_broadcast_cols_run<F: Fn(f32, f32) -> f32 + Sync>(
 
 /// Block-batched column-broadcast: applies the shared per-column vector `d`
 /// (length `k`, one request's column count) to every block:
-/// `out[i, t·k + j] = op(d[j], m[i, t·k + j])` for `t < batch`.
+/// `out[i, t·k + j] = op(d[j], m[i, t·k + j])` for `t < batch`;
+/// [`col_broadcast_into`](super::col_broadcast_into) is this kernel at
+/// batch one.
 ///
 /// # Errors
 ///
@@ -231,8 +231,48 @@ fn col_broadcast_blocks_run<F: Fn(f32, f32) -> f32 + Sync>(
     });
 }
 
+/// Rows per run of the element-wise kernels when their buffers are exactly
+/// `active` wide: one scheduler chunk, so parallel claiming is unchanged.
+const RUN_ROWS: usize = 64;
+
+/// Elements below which a contiguous element-wise pass stays on the calling
+/// thread. At about one flop per element it is much cheaper per element than
+/// the kernels [`crate::parallel::PARALLEL_THRESHOLD`] is set for: on a
+/// 2-vCPU host a 32-column ReLU over 2,000 rows took 7 µs serially and 12 µs
+/// on the pool, broke even at 8,000 rows, and won from 20,000 rows.
+const FLAT_PARALLEL_ELEMS: usize = 1 << 18;
+
+/// Runs `f(r, run)` over the leading `active` columns of `out`'s rows, `r`
+/// being the first row of `run`; the elements a source `s` pairs with are
+/// `&s.as_slice()[r * s.cols()..][..run.len()]`. When `flat` — `out` and
+/// every source are exactly `active` wide, as at a batch of one on narrow
+/// buffers — a run covers [`RUN_ROWS`] whole rows (the whole buffer, below
+/// [`FLAT_PARALLEL_ELEMS`]), so an element-wise loop streams contiguously
+/// instead of restarting on every short row, which doubled a 32-column ReLU
+/// over 500 rows.
+fn par_runs(
+    out: &mut DenseMatrix,
+    active: usize,
+    flat: bool,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if flat && out.as_slice().len() < FLAT_PARALLEL_ELEMS {
+        return f(0, out.as_mut_slice());
+    }
+    let (rows, width) = out.shape();
+    par_row_blocks(out.as_mut_slice(), rows, width, RUN_ROWS, |r0, block| {
+        if flat {
+            f(r0, block);
+        } else {
+            for (i, row) in block.chunks_exact_mut(width).enumerate() {
+                f(r0 + i, &mut row[..active]);
+            }
+        }
+    });
+}
+
 /// Multi-column element-wise map over the leading `active` columns
-/// (the batched form of the dense map the ReLU step lowers to).
+/// (the dense map a plan's ReLU lowers to).
 ///
 /// # Errors
 ///
@@ -246,9 +286,9 @@ pub fn map_cols_into(
 ) -> Result<()> {
     check_wide("map_cols", m.rows(), active, m)?;
     check_wide("map_cols_into", m.rows(), active, out)?;
-    let width = out.cols();
-    par_rows(out.as_mut_slice(), m.rows(), width, |i, full_row| {
-        for (v, &mv) in full_row[..active].iter_mut().zip(&m.row(i)[..active]) {
+    let flat = m.cols() == active && out.cols() == active;
+    par_runs(out, active, flat, |r, run| {
+        for (v, &mv) in run.iter_mut().zip(&m.as_slice()[r * m.cols()..]) {
             *v = f(mv);
         }
     });
@@ -256,8 +296,8 @@ pub fn map_cols_into(
 }
 
 /// Multi-column element-wise zip-accumulate over the leading `active`
-/// columns: `dst[i, c] = f(dst[i, c], src[i, c])` (the batched form of the
-/// in-place accumulation the AddN step lowers to).
+/// columns: `dst[i, c] = f(dst[i, c], src[i, c])` (the in-place accumulation
+/// a plan's `Add` lowers to).
 ///
 /// # Errors
 ///
@@ -271,18 +311,17 @@ pub fn zip_cols_assign(
 ) -> Result<()> {
     check_wide("zip_cols_src", dst.rows(), active, src)?;
     check_wide("zip_cols_dst", src.rows(), active, dst)?;
-    let width = dst.cols();
-    let rows = dst.rows();
-    par_rows(dst.as_mut_slice(), rows, width, |i, full_row| {
-        for (v, &sv) in full_row[..active].iter_mut().zip(&src.row(i)[..active]) {
+    let flat = src.cols() == active && dst.cols() == active;
+    par_runs(dst, active, flat, |r, run| {
+        for (v, &sv) in run.iter_mut().zip(&src.as_slice()[r * src.cols()..]) {
             *v = f(*v, sv);
         }
     });
     Ok(())
 }
 
-/// Copies the leading `active` columns of `src` into `dst` (row by row; the
-/// batched form of the uncharged seed copy AddN starts from).
+/// Copies the leading `active` columns of `src` into `dst` (the uncharged
+/// seed copy a plan's `Add` starts from).
 ///
 /// # Errors
 ///
@@ -291,10 +330,9 @@ pub fn zip_cols_assign(
 pub fn copy_cols_into(src: &DenseMatrix, active: usize, dst: &mut DenseMatrix) -> Result<()> {
     check_wide("copy_cols_src", dst.rows(), active, src)?;
     check_wide("copy_cols_dst", src.rows(), active, dst)?;
-    let width = dst.cols();
-    let rows = dst.rows();
-    par_rows(dst.as_mut_slice(), rows, width, |i, full_row| {
-        full_row[..active].copy_from_slice(&src.row(i)[..active]);
+    let flat = src.cols() == active && dst.cols() == active;
+    par_runs(dst, active, flat, |r, run| {
+        run.copy_from_slice(&src.as_slice()[r * src.cols()..][..run.len()]);
     });
     Ok(())
 }
@@ -321,25 +359,6 @@ pub fn tile_cols_into(src: &DenseMatrix, batch: usize, dst: &mut DenseMatrix) ->
     Ok(())
 }
 
-/// Copies block `t` (width `dst.cols()`) of the wide `src` into the
-/// per-request `dst` — how one request's result is extracted from a batched
-/// output buffer.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::ShapeMismatch`] if block `t` lies outside `src`.
-pub fn copy_block_into(src: &DenseMatrix, t: usize, dst: &mut DenseMatrix) -> Result<()> {
-    let k = dst.cols();
-    check_wide("copy_block", dst.rows(), (t + 1) * k, src)?;
-    let base = t * k;
-    let rows = dst.rows();
-    let width = dst.cols();
-    par_rows(dst.as_mut_slice(), rows, width, |i, row| {
-        row.copy_from_slice(&src.row(i)[base..base + k]);
-    });
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{col_broadcast_into, gemm_into, row_broadcast_into, spmm_into};
@@ -351,9 +370,7 @@ mod tests {
     }
 
     fn block(src: &DenseMatrix, t: usize, k: usize) -> DenseMatrix {
-        let mut out = DenseMatrix::from_vec(src.rows(), k, vec![0.0; src.rows() * k]).unwrap();
-        copy_block_into(src, t, &mut out).unwrap();
-        out
+        DenseMatrix::from_fn(src.rows(), k, |i, j| src.get(i, t * k + j))
     }
 
     fn sample_adj() -> CsrMatrix {
@@ -458,11 +475,43 @@ mod tests {
     }
 
     #[test]
+    fn element_wise_kernels_match_the_definition_in_every_layout() {
+        // Exact-width buffers take the flat runs (one serial pass below
+        // FLAT_PARALLEL_ELEMS, row blocks above it); wider buffers go row by
+        // row. Each must apply the element-wise definition to the active
+        // columns and leave the others untouched.
+        let big = FLAT_PARALLEL_ELEMS / 32 + 9;
+        for (rows, k, cap, batch) in [(5, 3, 1, 1), (7, 3, 4, 2), (big, 32, 1, 1), (big, 8, 4, 3)] {
+            let (width, active) = (cap * k, batch * k);
+            let m = wide(rows, width, 11);
+            let s = wide(rows, width, 12);
+            let mut out = DenseMatrix::from_vec(rows, width, vec![f32::NAN; rows * width]).unwrap();
+            let check = |out: &DenseMatrix, want: &dyn Fn(usize, usize) -> f32| {
+                for i in 0..rows {
+                    for c in 0..width {
+                        let (got, want) = (out.get(i, c), want(i, c));
+                        if c < active {
+                            assert_eq!(got.to_bits(), want.to_bits(), "{rows}x{width} ({i}, {c})");
+                        } else {
+                            assert!(got.is_nan(), "{rows}x{width} wrote inactive ({i}, {c})");
+                        }
+                    }
+                }
+            };
+            map_cols_into(&m, active, |v| v.max(0.0), &mut out).unwrap();
+            check(&out, &|i, c| m.get(i, c).max(0.0));
+            copy_cols_into(&m, active, &mut out).unwrap();
+            check(&out, &|i, c| m.get(i, c));
+            zip_cols_assign(&mut out, &s, active, |a, b| a + b).unwrap();
+            check(&out, &|i, c| m.get(i, c) + s.get(i, c));
+        }
+    }
+
+    #[test]
     fn narrow_buffers_are_rejected() {
         let a = wide(2, 4, 1);
         let b = wide(2, 2, 2);
         let mut out = DenseMatrix::from_vec(2, 2, vec![0.0; 4]).unwrap();
         assert!(gemm_rhs_blocks_into(&a, &b, 3, &mut out).is_err());
-        assert!(copy_block_into(&a, 2, &mut out).is_err());
     }
 }

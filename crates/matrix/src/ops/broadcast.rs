@@ -1,6 +1,5 @@
 use serde::{Deserialize, Serialize};
 
-use crate::parallel::par_rows;
 use crate::{DenseMatrix, MatrixError, Result};
 
 /// The element-wise combination used by a broadcast.
@@ -48,7 +47,9 @@ pub fn row_broadcast(d: &[f32], m: &DenseMatrix, op: BroadcastOp) -> Result<Dens
     Ok(out)
 }
 
-/// [`row_broadcast`] writing into a caller-provided buffer of `m`'s shape.
+/// [`row_broadcast`] writing into a caller-provided buffer of `m`'s shape:
+/// [`row_broadcast_cols_into`](super::row_broadcast_cols_into) over every
+/// column.
 ///
 /// Reads straight from `m`, so no clone happens and recycled workspace
 /// buffers are safe; results are bitwise equal to [`row_broadcast`]'s.
@@ -77,29 +78,7 @@ pub fn row_broadcast_into(
             rhs: out.shape(),
         });
     }
-    // Hoisted op dispatch: each arm monomorphizes a branch-free inner loop
-    // that LLVM autovectorizes (same technique as `ops::rowkernel`).
-    match op {
-        BroadcastOp::Mul => row_broadcast_run(d, m, out, |di, mv| di * mv),
-        BroadcastOp::Add => row_broadcast_run(d, m, out, |di, mv| di + mv),
-    }
-    Ok(())
-}
-
-#[inline(always)]
-fn row_broadcast_run<F: Fn(f32, f32) -> f32 + Sync>(
-    d: &[f32],
-    m: &DenseMatrix,
-    out: &mut DenseMatrix,
-    f: F,
-) {
-    let k = m.cols();
-    par_rows(out.as_mut_slice(), m.rows(), k, |i, row| {
-        let di = d[i];
-        for (v, &mv) in row.iter_mut().zip(m.row(i)) {
-            *v = f(di, mv);
-        }
-    });
+    super::row_broadcast_cols_into(d, m, m.cols(), op, out)
 }
 
 /// Column-broadcast: combines `d[j]` with every element of column `j`
@@ -121,7 +100,9 @@ pub fn col_broadcast(m: &DenseMatrix, d: &[f32], op: BroadcastOp) -> Result<Dens
     Ok(out)
 }
 
-/// [`col_broadcast`] writing into a caller-provided buffer of `m`'s shape.
+/// [`col_broadcast`] writing into a caller-provided buffer of `m`'s shape:
+/// the batch-of-one case of
+/// [`col_broadcast_blocks_into`](super::col_broadcast_blocks_into).
 ///
 /// # Errors
 ///
@@ -147,26 +128,7 @@ pub fn col_broadcast_into(
             rhs: out.shape(),
         });
     }
-    match op {
-        BroadcastOp::Mul => col_broadcast_run(m, d, out, |dj, mv| dj * mv),
-        BroadcastOp::Add => col_broadcast_run(m, d, out, |dj, mv| dj + mv),
-    }
-    Ok(())
-}
-
-#[inline(always)]
-fn col_broadcast_run<F: Fn(f32, f32) -> f32 + Sync>(
-    m: &DenseMatrix,
-    d: &[f32],
-    out: &mut DenseMatrix,
-    f: F,
-) {
-    let k = m.cols();
-    par_rows(out.as_mut_slice(), m.rows(), k, |i, row| {
-        for ((v, &mv), &dj) in row.iter_mut().zip(m.row(i)).zip(d) {
-            *v = f(dj, mv);
-        }
-    });
+    super::col_broadcast_blocks_into(m, d, 1, op, out)
 }
 
 #[cfg(test)]

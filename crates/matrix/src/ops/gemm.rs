@@ -1,5 +1,3 @@
-use super::rowkernel::{gemm_block, GemmTile, GEMM_ROW_BLOCK};
-use crate::parallel::par_row_blocks;
 use crate::{DenseMatrix, MatrixError, Result};
 
 /// Dense matrix multiplication `A (n x k1) · B (k1 x k2) → n x k2`.
@@ -40,11 +38,15 @@ pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     Ok(out)
 }
 
-/// [`gemm`] writing into a caller-provided `a.rows() × b.cols()` buffer.
+/// [`gemm`] writing into a caller-provided `a.rows() × b.cols()` buffer:
+/// the batch-of-one case of [`gemm_rhs_blocks_into`](super::gemm_rhs_blocks_into).
 ///
-/// The buffer's previous contents are overwritten (rows are zeroed before
-/// accumulation), so recycled workspace buffers are safe. The accumulation
-/// order is identical to [`gemm`]'s, making results bitwise equal.
+/// Every output element is overwritten, so recycled workspace buffers are
+/// safe. Blocks of consecutive output rows run register-tiled, with the tile
+/// instance chosen once for the call: the vector loops drop the zero-aik
+/// skip when every entry of B is finite, and run as AVX2 code when the host
+/// has it. Accumulation order per element is unchanged (k ascending), so
+/// results stay bitwise equal to the scalar row loop.
 ///
 /// # Errors
 ///
@@ -65,19 +67,7 @@ pub fn gemm_into(a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix) -> Res
             rhs: out.shape(),
         });
     }
-    let k2 = b.cols();
-    let rows = a.rows();
-    // Register-tiled blocks of GEMM_ROW_BLOCK consecutive output rows: each
-    // loaded B vector is reused across the whole row block. The tile
-    // instance is chosen once for the call: the vector loops drop the
-    // zero-aik skip when every entry of B is finite, and run as AVX2 code
-    // when the host has it. Accumulation order per element is unchanged (k
-    // ascending), so results stay bitwise equal to the scalar row loop.
-    let tile = GemmTile::for_rhs(b);
-    par_row_blocks(out.as_mut_slice(), rows, k2, GEMM_ROW_BLOCK, |r0, blk| {
-        gemm_block(tile, a, r0, b, blk);
-    });
-    Ok(())
+    super::gemm_rhs_blocks_into(a, b, 1, out)
 }
 
 #[cfg(test)]

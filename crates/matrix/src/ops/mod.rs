@@ -15,8 +15,11 @@
 //!
 //! Every hot kernel also has a `*_into` variant writing into a caller-provided
 //! buffer (recycled via [`crate::Workspace`]); the allocating form delegates to
-//! it, so the two are bitwise identical. The `_into` forms are what the
-//! compile-once execution engine drives in steady state.
+//! it, so the two are bitwise identical. The dense `_into` forms are in turn
+//! the batch-of-one case of their multi-RHS twins ([`gemm_rhs_blocks_into`],
+//! [`spmm_cols_into`], [`row_broadcast_cols_into`],
+//! [`col_broadcast_blocks_into`]), which the compile-once execution engine
+//! drives at every batch size: each primitive has one kernel body.
 
 mod batched;
 mod broadcast;
@@ -27,8 +30,8 @@ mod sddmm;
 mod spmm;
 
 pub use batched::{
-    col_broadcast_blocks_into, copy_block_into, copy_cols_into, gemm_rhs_blocks_into,
-    map_cols_into, row_broadcast_cols_into, spmm_cols_into, tile_cols_into, zip_cols_assign,
+    col_broadcast_blocks_into, copy_cols_into, gemm_rhs_blocks_into, map_cols_into,
+    row_broadcast_cols_into, spmm_cols_into, tile_cols_into, zip_cols_assign,
 };
 pub use broadcast::{
     col_broadcast, col_broadcast_into, row_broadcast, row_broadcast_into, BroadcastOp,

@@ -1,8 +1,9 @@
 //! Shared per-row kernels behind the hot `_into` primitives.
 //!
-//! Both `spmm_into`/`spmm_cols_into` and `gemm_into`/`gemm_rhs_blocks_into`
-//! funnel into this module, so the serial and batched forms are the same
-//! code by construction — the batched-bitwise-identity contract falls out
+//! The multi-RHS kernels `spmm_cols_into` and `gemm_rhs_blocks_into` run
+//! these row kernels, and the serial `spmm_into` / `gemm_into` are those
+//! kernels at batch one, so the serial and batched forms are the same code
+//! by construction — the batched-bitwise-identity contract falls out
 //! structurally instead of being re-proven per kernel.
 //!
 //! Every kernel runs [`F32x8`] register tiles over the feature/column
@@ -332,7 +333,8 @@ fn fold_cols_scalar<I, M, R>(
 // ---------------------------------------------------------------------------
 
 /// The instance of the register-tiled GEMM body one call runs, chosen once
-/// per `gemm_into` / `gemm_rhs_blocks_into` call by [`GemmTile::for_rhs`].
+/// per `gemm_rhs_blocks_into` call (and so per `gemm_into`) by
+/// [`GemmTile::for_rhs`].
 /// Neither choice can change a bit of the result:
 ///
 /// - **The zero-`aik` skip.** When every entry of B is finite, `±0 · b` is
@@ -360,20 +362,21 @@ impl GemmTile {
         }
     }
 
-    /// Runs this instance over up to [`GEMM_ROW_BLOCK`] rows: the AVX2
-    /// wrapper, or the tile body compiled for the build's baseline target.
+    /// Runs this instance over up to [`GEMM_ROW_BLOCK`] rows, output row `i`
+    /// starting at `out[i * stride]`: the AVX2 wrapper, or the tile body
+    /// compiled for the build's baseline target.
     #[inline]
-    fn rows(self, a_rows: &[&[f32]], b: &DenseMatrix, k2: usize, out_block: &mut [f32]) {
+    fn rows(self, a_rows: &[&[f32]], b: &DenseMatrix, stride: usize, out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         if self.avx2 {
             // SAFETY: `avx2` is true only when `is_x86_feature_detected!("avx2")`
             // found the feature on this host (`avx2_detected`).
-            return unsafe { gemm_rows_avx2(self.skip_zeros, a_rows, b, k2, out_block) };
+            return unsafe { gemm_rows_avx2(self.skip_zeros, a_rows, b, stride, out) };
         }
         if self.skip_zeros {
-            gemm_rows_tiled::<true>(a_rows, b, k2, out_block);
+            gemm_rows_tiled::<true>(a_rows, b, stride, out);
         } else {
-            gemm_rows_tiled::<false>(a_rows, b, k2, out_block);
+            gemm_rows_tiled::<false>(a_rows, b, stride, out);
         }
     }
 }
@@ -399,46 +402,38 @@ pub(crate) fn gemm_instance() -> &'static str {
     }
 }
 
-/// Computes a block of consecutive GEMM output rows starting at `r0`:
-/// `out_block = a[r0.., :] · b`, register-tiled when `b` is at least one
-/// vector wide. The block layout matches `par_row_blocks`
-/// (`nrows = out_block.len() / b.cols()` rows, the last block possibly
-/// short).
+/// Computes request `t`'s share of one `par_row_blocks` block of a
+/// column-stacked GEMM: `out[r0 + i, t·k2..(t+1)·k2] = a[r0 + i,
+/// t·k1..(t+1)·k1] · b` for each of the block's rows (`rows.len() / stride`
+/// full output rows of `stride` columns, the last block possibly short).
+/// Register-tiled when `b` is at least one vector wide. At batch one
+/// (`t = 0`, `stride = k2`) this is the serial product.
 #[inline]
 pub(crate) fn gemm_block(
     tile: GemmTile,
     a: &DenseMatrix,
     r0: usize,
+    t: usize,
     b: &DenseMatrix,
-    out_block: &mut [f32],
+    rows: &mut [f32],
+    stride: usize,
 ) {
-    let k2 = b.cols();
+    let (k1, k2) = (b.rows(), b.cols());
     if k2 == 0 {
         return;
     }
-    let nrows = out_block.len() / k2;
-    if k2 >= LANES {
-        let mut a_rows: [&[f32]; GEMM_ROW_BLOCK] = [&[]; GEMM_ROW_BLOCK];
-        for (i, slot) in a_rows.iter_mut().enumerate().take(nrows) {
-            *slot = a.row(r0 + i);
-        }
-        tile.rows(&a_rows[..nrows], b, k2, out_block);
-    } else {
-        for (i, out_row) in out_block.chunks_exact_mut(k2).enumerate() {
-            gemm_row_scalar(a.row(r0 + i), b, out_row);
-        }
+    let nrows = rows.len() / stride;
+    let out = &mut rows[t * k2..];
+    let mut a_rows: [&[f32]; GEMM_ROW_BLOCK] = [&[]; GEMM_ROW_BLOCK];
+    for (i, slot) in a_rows.iter_mut().enumerate().take(nrows) {
+        *slot = &a.row(r0 + i)[t * k1..(t + 1) * k1];
     }
-}
-
-/// Computes one GEMM output row from an explicit A-row slice (the batched
-/// kernels carve A-rows out of wide buffers). Dispatches to the tiled path
-/// with a single-row "block".
-#[inline]
-pub(crate) fn gemm_row(tile: GemmTile, a_row: &[f32], b: &DenseMatrix, out_row: &mut [f32]) {
-    if out_row.len() >= LANES {
-        tile.rows(&[a_row], b, out_row.len(), out_row);
+    if k2 >= LANES {
+        tile.rows(&a_rows[..nrows], b, stride, out);
     } else {
-        gemm_row_scalar(a_row, b, out_row);
+        for (i, a_row) in a_rows[..nrows].iter().enumerate() {
+            gemm_row_scalar(a_row, b, &mut out[i * stride..i * stride + k2]);
+        }
     }
 }
 
@@ -467,31 +462,32 @@ fn gemm_rows_avx2(
     skip_zeros: bool,
     a_rows: &[&[f32]],
     b: &DenseMatrix,
-    k2: usize,
-    out_block: &mut [f32],
+    stride: usize,
+    out: &mut [f32],
 ) {
     if skip_zeros {
-        gemm_rows_tiled::<true>(a_rows, b, k2, out_block);
+        gemm_rows_tiled::<true>(a_rows, b, stride, out);
     } else {
-        gemm_rows_tiled::<false>(a_rows, b, k2, out_block);
+        gemm_rows_tiled::<false>(a_rows, b, stride, out);
     }
 }
 
-/// Register-tiled GEMM over up to [`GEMM_ROW_BLOCK`] rows: every loaded B
-/// vector is reused across all rows of the tile and `k` runs ascending, so
-/// each output element accumulates in the exact scalar order. The two vector
-/// loops skip zero `aik` only when `SKIP_ZEROS` is set (see [`GemmTile`] for
-/// why dropping the skip on a finite B keeps every bit); the scalar tail
-/// always skips, like [`gemm_row_scalar`].
+/// Register-tiled GEMM over up to [`GEMM_ROW_BLOCK`] rows, output row `i`
+/// being `out[i * stride..i * stride + k2]`: every loaded B vector is reused
+/// across all rows of the tile and `k` runs ascending, so each output
+/// element accumulates in the exact scalar order. The two vector loops skip
+/// zero `aik` only when `SKIP_ZEROS` is set (see [`GemmTile`] for why
+/// dropping the skip on a finite B keeps every bit); the scalar tail always
+/// skips, like [`gemm_row_scalar`].
 #[inline(always)]
 fn gemm_rows_tiled<const SKIP_ZEROS: bool>(
     a_rows: &[&[f32]],
     b: &DenseMatrix,
-    k2: usize,
-    out_block: &mut [f32],
+    stride: usize,
+    out: &mut [f32],
 ) {
     let nrows = a_rows.len();
-    let k1 = b.rows();
+    let (k1, k2) = (b.rows(), b.cols());
     let mut c = 0;
     while c + GEMM_COL_TILE * LANES <= k2 {
         let mut acc = [[F32x8::splat(0.0); GEMM_COL_TILE]; GEMM_ROW_BLOCK];
@@ -514,7 +510,7 @@ fn gemm_rows_tiled<const SKIP_ZEROS: bool>(
         }
         for (i, row_acc) in acc.iter().enumerate().take(nrows) {
             for (g, v) in row_acc.iter().enumerate() {
-                v.store(&mut out_block[i * k2 + c + g * LANES..]);
+                v.store(&mut out[i * stride + c + g * LANES..]);
             }
         }
         c += GEMM_COL_TILE * LANES;
@@ -532,13 +528,13 @@ fn gemm_rows_tiled<const SKIP_ZEROS: bool>(
             }
         }
         for (i, v) in acc.iter().enumerate().take(nrows) {
-            v.store(&mut out_block[i * k2 + c..]);
+            v.store(&mut out[i * stride + c..]);
         }
         c += LANES;
     }
     if c < k2 {
         for (i, a_row) in a_rows.iter().enumerate() {
-            let tail = &mut out_block[i * k2 + c..i * k2 + k2];
+            let tail = &mut out[i * stride + c..i * stride + k2];
             tail.fill(0.0);
             for (k, &aik) in a_row.iter().enumerate() {
                 if aik == 0.0 {
@@ -645,7 +641,7 @@ mod tests {
             for r0 in [0usize, 4] {
                 let nrows = (r0 + GEMM_ROW_BLOCK).min(7) - r0;
                 let mut fast = vec![f32::NAN; nrows * k2];
-                gemm_block(GemmTile::for_rhs(&b), &a, r0, &b, &mut fast);
+                gemm_block(GemmTile::for_rhs(&b), &a, r0, 0, &b, &mut fast, k2);
                 for i in 0..nrows {
                     let mut slow = vec![f32::NAN; k2];
                     gemm_row_scalar(a.row(r0 + i), &b, &mut slow);

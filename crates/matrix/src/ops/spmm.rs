@@ -1,5 +1,3 @@
-use super::rowkernel::spmm_row;
-use crate::parallel::par_rows_weighted;
 use crate::{CsrMatrix, DenseMatrix, MatrixError, Result, Semiring};
 
 /// Generalized sparse-dense matrix multiplication (g-SpMM, paper §II-B).
@@ -47,7 +45,8 @@ pub fn spmm(adj: &CsrMatrix, feats: &DenseMatrix, semiring: Semiring) -> Result<
     Ok(out)
 }
 
-/// [`spmm`] writing into a caller-provided `adj.rows() × feats.cols()` buffer.
+/// [`spmm`] writing into a caller-provided `adj.rows() × feats.cols()`
+/// buffer: [`spmm_cols_into`](super::spmm_cols_into) over every column.
 ///
 /// Every output element is written (empty rows get the reduce identity), so
 /// recycled workspace buffers are safe; results are bitwise equal to
@@ -77,27 +76,7 @@ pub fn spmm_into(
             rhs: out.shape(),
         });
     }
-    let k = feats.cols();
-    // nnz-weighted scheduling: chunk boundaries follow the row-length
-    // distribution, so a hub row costs one chunk instead of skewing a
-    // 64-row chunk. The per-row kernel picks its band (short-row vs hub-row
-    // strategy) from the same distribution; see `ops::rowkernel`.
-    par_rows_weighted(
-        out.as_mut_slice(),
-        adj.rows(),
-        k,
-        adj.indptr(),
-        |i, out_row| {
-            spmm_row(
-                out_row,
-                adj.row_indices(i),
-                adj.row_values(i),
-                feats,
-                semiring,
-            );
-        },
-    );
-    Ok(())
+    super::spmm_cols_into(adj, feats, feats.cols(), semiring, out)
 }
 
 #[cfg(test)]

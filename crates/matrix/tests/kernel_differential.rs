@@ -160,6 +160,16 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Block `t` (`k` columns wide) of a column-stacked buffer, read element by
+/// element.
+fn block_of(m: &DenseMatrix, t: usize, k: usize) -> DenseMatrix {
+    DenseMatrix::from_fn(m.rows(), k, |i, j| m.get(i, t * k + j))
+}
+
+/// Capacity, in blocks, of the wide buffers the batched oracles fill: one
+/// more than the widest batch, so a trailing block always stays untouched.
+const BATCH_CAP: usize = 4;
+
 fn with_zeros(m: DenseMatrix) -> DenseMatrix {
     m.map(|v| if v.abs() < 0.3 { 0.0 } else { v })
 }
@@ -247,17 +257,15 @@ proptest! {
         for k2 in GEMM_CASCADE_WIDTHS {
             let a_wide = with_zeros(DenseMatrix::random(n, BATCH * k1, 1.0, seed));
             let b = with_non_finite(DenseMatrix::random(k1, k2, 1.0, seed ^ 0xbeef), seed);
-            let mut a = DenseMatrix::from_vec(n, k1, vec![0.0; n * k1]).unwrap();
-            ops::copy_block_into(&a_wide, 0, &mut a).unwrap();
+            let a = block_of(&a_wide, 0, k1);
             let got = ops::gemm(&a, &b).unwrap();
             prop_assert_eq!(bits(got.as_slice()), bits(&naive_gemm(&a, &b)), "serial k2 {}", k2);
             let mut wide =
                 DenseMatrix::from_vec(n, BATCH * k2, vec![f32::NAN; n * BATCH * k2]).unwrap();
             ops::gemm_rhs_blocks_into(&a_wide, &b, BATCH, &mut wide).unwrap();
             for t in 0..BATCH {
-                ops::copy_block_into(&a_wide, t, &mut a).unwrap();
-                let mut block = DenseMatrix::from_vec(n, k2, vec![0.0; n * k2]).unwrap();
-                ops::copy_block_into(&wide, t, &mut block).unwrap();
+                let a = block_of(&a_wide, t, k1);
+                let block = block_of(&wide, t, k2);
                 prop_assert_eq!(
                     bits(block.as_slice()),
                     bits(&naive_gemm(&a, &b)),
@@ -354,12 +362,10 @@ proptest! {
             for s in [Semiring::plus_mul(), Semiring::mean_copy_rhs(), Semiring::max_copy_rhs()] {
                 ops::spmm_cols_into(&adj, &feats, batch * k, s, &mut wide).unwrap();
                 for t in 0..batch {
-                    let mut f_t = DenseMatrix::from_vec(n, k, vec![0.0; n * k]).unwrap();
-                    ops::copy_block_into(&feats, t, &mut f_t).unwrap();
+                    let f_t = block_of(&feats, t, k);
                     let mut want = DenseMatrix::from_vec(n, k, vec![0.0; n * k]).unwrap();
                     ops::spmm_into(&adj, &f_t, s, &mut want).unwrap();
-                    let mut got = DenseMatrix::from_vec(n, k, vec![0.0; n * k]).unwrap();
-                    ops::copy_block_into(&wide, t, &mut got).unwrap();
+                    let got = block_of(&wide, t, k);
                     prop_assert_eq!(
                         bits(got.as_slice()),
                         bits(want.as_slice()),
@@ -371,17 +377,105 @@ proptest! {
             let mut wide = DenseMatrix::from_vec(n, CAP * k, vec![f32::NAN; n * CAP * k]).unwrap();
             ops::gemm_rhs_blocks_into(&a_wide, &b, batch, &mut wide).unwrap();
             for t in 0..batch {
-                let mut a_t = DenseMatrix::from_vec(n, k, vec![0.0; n * k]).unwrap();
-                ops::copy_block_into(&a_wide, t, &mut a_t).unwrap();
+                let a_t = block_of(&a_wide, t, k);
                 let mut want = DenseMatrix::from_vec(n, k, vec![0.0; n * k]).unwrap();
                 ops::gemm_into(&a_t, &b, &mut want).unwrap();
-                let mut got = DenseMatrix::from_vec(n, k, vec![0.0; n * k]).unwrap();
-                ops::copy_block_into(&wide, t, &mut got).unwrap();
+                let got = block_of(&wide, t, k);
                 prop_assert_eq!(
                     bits(got.as_slice()),
                     bits(want.as_slice()),
                     "gemm batch {} block {}", batch, t
                 );
+            }
+        }
+    }
+
+    /// Batched GEMM against the naive oracle directly: every active block of
+    /// the wide result is the naive product of its A block, across the tile
+    /// cascade, with a row count off the 4-row tile (so the last row block
+    /// is short) and zeros in A. Blocks past the batch keep their NaN
+    /// sentinels.
+    #[test]
+    fn batched_gemm_bitwise_matches_naive(
+        quads in 0usize..4,
+        tail in 1usize..4,
+        k1 in 1usize..12,
+        seed in 0u64..500,
+    ) {
+        let n = 4 * quads + tail;
+        let a_wide = with_zeros(DenseMatrix::random(n, BATCH_CAP * k1, 1.0, seed));
+        for k2 in GEMM_CASCADE_WIDTHS {
+            let b = DenseMatrix::random(k1, k2, 1.0, seed ^ 0xbeef);
+            for batch in 1..BATCH_CAP {
+                let mut wide = DenseMatrix::from_vec(
+                    n,
+                    BATCH_CAP * k2,
+                    vec![f32::NAN; n * BATCH_CAP * k2],
+                )
+                .unwrap();
+                ops::gemm_rhs_blocks_into(&a_wide, &b, batch, &mut wide).unwrap();
+                for t in 0..BATCH_CAP {
+                    let got = block_of(&wide, t, k2);
+                    if t < batch {
+                        let want = naive_gemm(&block_of(&a_wide, t, k1), &b);
+                        prop_assert_eq!(
+                            bits(got.as_slice()),
+                            bits(&want),
+                            "k2 {} batch {} block {}", k2, batch, t
+                        );
+                    } else {
+                        prop_assert!(
+                            got.as_slice().iter().all(|v| v.is_nan()),
+                            "k2 {} batch {} wrote trailing block {}", k2, batch, t
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Batched SpMM against the naive oracle directly: every active block is
+    /// the naive g-SpMM of its feature block for every semiring, weighted
+    /// and unweighted, across the degree-distribution families. Blocks past
+    /// the batch keep their NaN sentinels.
+    #[test]
+    fn batched_spmm_bitwise_matches_naive(
+        shape_ix in 0usize..4,
+        n in 3usize..20,
+        k in 1usize..20,
+        seed in 0u64..500,
+        weighted_ix in 0usize..2,
+    ) {
+        let mut adj = graph(SHAPES[shape_ix], n, n, seed);
+        if weighted_ix == 0 {
+            adj = adj.drop_values();
+        }
+        let feats = DenseMatrix::random(n, BATCH_CAP * k, 1.0, seed ^ 0x1234);
+        for s in ALL_SEMIRINGS {
+            for batch in 1..BATCH_CAP {
+                let mut wide = DenseMatrix::from_vec(
+                    n,
+                    BATCH_CAP * k,
+                    vec![f32::NAN; n * BATCH_CAP * k],
+                )
+                .unwrap();
+                ops::spmm_cols_into(&adj, &feats, batch * k, s, &mut wide).unwrap();
+                for t in 0..BATCH_CAP {
+                    let got = block_of(&wide, t, k);
+                    if t < batch {
+                        let want = naive_spmm(&adj, &block_of(&feats, t, k), k, s);
+                        prop_assert_eq!(
+                            bits(got.as_slice()),
+                            bits(&want),
+                            "{:?} {:?} batch {} block {}", SHAPES[shape_ix], s, batch, t
+                        );
+                    } else {
+                        prop_assert!(
+                            got.as_slice().iter().all(|v| v.is_nan()),
+                            "{:?} batch {} wrote trailing block {}", s, batch, t
+                        );
+                    }
+                }
             }
         }
     }

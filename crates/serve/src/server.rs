@@ -5,9 +5,10 @@
 //! with shed-don't-block semantics and a per-tenant fairness bound (the
 //! tenant ledger, [`crate::metering`]); workers drain the ring into
 //! signature-keyed batch groups and serve every group, a group of one
-//! included, through one execution path: a group of two or more runs as one
-//! multi-RHS `iterate_batched` (column-stacked blocks, bitwise identical to
-//! serial per-request execution — see DESIGN.md §12).
+//! included, through one execution path: one multi-RHS `iterate_batched`
+//! per group (column-stacked blocks for two or more, bitwise identical to
+//! one request at a time; a group of one runs on the narrow buffers — see
+//! DESIGN.md §12).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -1365,13 +1366,9 @@ fn process_group(inner: &Inner, exec: &Exec, mut jobs: Vec<Job>) {
 
 /// Executes one group whose dequeue bookkeeping is done: one cache
 /// interaction (the leader's lookup or miss-bind; followers ride it as
-/// shared hits), then one steady-state iteration per member under the
-/// entry lock — a single multi-RHS `iterate_batched` over column-stacked
-/// blocks when the group has two or more members and the plan has a
-/// batched lowering with room for them, each member's serial
-/// `iterate_observed` otherwise (a group of one, attention plans). Replies
-/// to every member on success; on failure returns the error together with
-/// the members, none of which has been answered.
+/// shared hits), then the group's iteration under the entry lock (see
+/// [`execute`]). Replies to every member on success; on failure returns the
+/// error together with the members, none of which has been answered.
 fn process_batch(
     inner: &Inner,
     exec: &Exec,
@@ -1426,7 +1423,8 @@ fn process_batch(
     }
     let (composition, predicted_steady_seconds) = {
         let mut cached = entry.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(e) = execute(exec, &mut cached.bound, &mut jobs, t_execute) {
+        let max_batch = inner.config.max_batch;
+        if let Err(e) = execute(exec, &mut cached.bound, &mut jobs, max_batch, t_execute) {
             return Err((e.into(), jobs));
         }
         (cached.composition, cached.predicted_steady_seconds)
@@ -1514,46 +1512,41 @@ fn process_batch(
 }
 
 /// Runs one steady-state iteration for every member on the group's bound
-/// plan and leaves each member's output and charge in its job.
+/// plan and leaves each member's output and charge in its job. A group of
+/// two or more first makes sure the plan has wide buffers for `max_batch`
+/// (allocated once, at the plan's first such group) and then runs as one
+/// multi-RHS iteration; a group of one, or any group on a plan without a
+/// batched lowering (attention), runs one member at a time on the narrow
+/// buffers.
 fn execute(
     exec: &Exec,
     bound: &mut BoundPlan,
     jobs: &mut [Job],
+    max_batch: usize,
     start: Instant,
 ) -> granii_core::Result<()> {
-    let batch = jobs.len();
-    if batch > 1 && bound.batch_supported() && bound.batch_capacity() >= batch {
-        // Every entry bound by this server pre-warmed its wide buffers at
-        // bind time, so this is the allocation-free batched path.
-        let observed = bound.iterate_batched_observed(exec, batch)?;
-        // Metering attribution: convert the group's engine charge to
+    let chunk = if jobs.len() > 1 && bound.ensure_batch(max_batch)? {
+        max_batch
+    } else {
+        1
+    };
+    for members in jobs.chunks_mut(chunk) {
+        let n = members.len();
+        let observed = bound.iterate_batched_observed(exec, n)?;
+        // Metering attribution: convert the iteration's engine charge to
         // integers ONCE, then hand each member an exact integer share — the
         // per-tenant ledger sums back to the group totals bitwise. Each
-        // member's modeled charge is an equal share of the group's (equal to
-        // its serial charge — the drift lane sees no difference).
+        // member's modeled charge is an equal share (equal to its charge as
+        // a group of one — the drift lane sees no difference).
         let group_ns = (observed.charged_seconds * 1e9).round() as u64;
-        for (t, job) in jobs.iter_mut().enumerate() {
+        for (t, job) in members.iter_mut().enumerate() {
             job.executed = Some(Executed {
                 output: bound.output_block(t)?,
-                charged_seconds: observed.charged_seconds / batch as f64,
+                charged_seconds: observed.charged_seconds / n as f64,
                 charge: (
-                    exact_share(group_ns, batch, t),
-                    exact_share(observed.flops, batch, t),
-                    exact_share(observed.bytes, batch, t),
-                ),
-                execute_seconds: start.elapsed().as_secs_f64(),
-            });
-        }
-    } else {
-        for job in jobs {
-            let observed = bound.iterate_observed(exec)?;
-            job.executed = Some(Executed {
-                output: bound.output()?.clone(),
-                charged_seconds: observed.charged_seconds,
-                charge: (
-                    (observed.charged_seconds * 1e9).round() as u64,
-                    observed.flops,
-                    observed.bytes,
+                    exact_share(group_ns, n, t),
+                    exact_share(observed.flops, n, t),
+                    exact_share(observed.bytes, n, t),
                 ),
                 execute_seconds: start.elapsed().as_secs_f64(),
             });
@@ -1752,8 +1745,7 @@ fn choose_composition(
     Ok((first.composition, true, Vec::new()))
 }
 
-/// The cache-miss slow path: select (or degrade), build, bind, pre-warm the
-/// multi-RHS batch buffers, and insert. Records the selection audit (chosen
+/// The cache-miss slow path: select (or degrade), build, bind, and insert. Records the selection audit (chosen
 /// composition, every candidate's predicted cost, and the input profile
 /// that keyed the choice) so a later incident against this signature can
 /// replay the decision. Returns the cached entry, whether the degraded
@@ -1796,13 +1788,9 @@ fn bind_miss(
     let h = DenseMatrix::random(request.graph.num_nodes(), request.k1, 1.0, SERVE_SEED);
     let plan_inputs = PlanInputs::for_model(request.model, cfg, &ctx, h, SERVE_SEED + 1);
     let exec_plan = ExecPlan::build(&candidate.program)?;
-    let mut bound = exec_plan.bind(exec, &plan_inputs.as_program_inputs())?;
-    if inner.config.max_batch > 1 {
-        // Pre-warm the wide multi-RHS buffers while the miss is already
-        // paying for allocation: steady-state batched hits then stay on the
-        // zero-alloc contract, exactly like serial hits.
-        bound.ensure_batch(inner.config.max_batch)?;
-    }
+    // No wide buffers yet: `execute` grows them at this plan's first group
+    // of two or more, so a signature that is never batched never pays them.
+    let bound = exec_plan.bind(exec, &plan_inputs.as_program_inputs())?;
     let entry = inner.cache.insert(
         key,
         CachedPlan {
