@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use granii_serve::{FlightRecorder, RecordKind, RecorderConfig};
+use granii_serve::{FlightRecorder, RecordKind, RECORDER_CAPACITY};
 
 const USAGE: &str = "usage: recorder_bench [--records N] [--threads N] [--capacity N]";
 
@@ -49,7 +49,7 @@ fn payload(i: u64) -> RecordKind {
 }
 
 fn single_writer(records: u64, capacity: usize) -> f64 {
-    let recorder = FlightRecorder::new(RecorderConfig { capacity });
+    let recorder = FlightRecorder::new(capacity);
     let start = Instant::now();
     for i in 0..records {
         recorder.record(i, i.wrapping_mul(0x9e37_79b9), "gcn", payload(i));
@@ -60,7 +60,7 @@ fn single_writer(records: u64, capacity: usize) -> f64 {
 }
 
 fn contended(records_per_thread: u64, threads: usize, capacity: usize) -> (f64, f64, usize) {
-    let recorder = Arc::new(FlightRecorder::new(RecorderConfig { capacity }));
+    let recorder = Arc::new(FlightRecorder::new(capacity));
     let stop = Arc::new(AtomicBool::new(false));
     // A continuous snapshotter prices the reader side of the seqlock while
     // writers publish: its validation loads are the traffic record() must
@@ -110,7 +110,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut records = 2_000_000u64;
     let mut threads = 8usize;
-    let mut capacity = RecorderConfig::default().capacity;
+    let mut capacity = RECORDER_CAPACITY;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {

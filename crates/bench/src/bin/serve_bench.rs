@@ -36,7 +36,7 @@ use granii_core::{Granii, GraniiOptions};
 use granii_gnn::spec::ModelKind;
 use granii_graph::datasets::{Dataset, Scale};
 use granii_matrix::device::DeviceKind;
-use granii_serve::{ServeConfig, ServeRequest, ServeStats};
+use granii_serve::{ServeConfig, ServeRequest, ServerStatus};
 
 const USAGE: &str = "usage: serve_bench [--clients N] [--requests N] [--workers N] \
                      [--queue-depth N] [--cache N] [--max-batch N] [--fairness-share F] \
@@ -191,37 +191,41 @@ fn main() {
             cfg.serve.max_batch
         );
         let report = serve_load::run_open_loop(granii, &workload, &cfg);
+        let load = &report.load;
         println!(
             "serve_bench: open loop, {} offered ({:.1} req/s realized) in {:.2}s on {device}",
-            report.offered, report.offered_rps, report.wall_seconds
+            report.offered, report.offered_rps, load.wall_seconds
         );
-        println!("  throughput      {:>10.1} req/s", report.throughput_rps);
+        println!("  throughput      {:>10.1} req/s", load.throughput_rps);
         println!(
             "  latency (ms)    p50 {:.3}  p95 {:.3}  p99 {:.3}  max {:.3}  mean {:.3}",
-            report.latency.p50_ms,
-            report.latency.p95_ms,
-            report.latency.p99_ms,
-            report.latency.max_ms,
-            report.latency.mean_ms
+            load.latency.p50_ms,
+            load.latency.p95_ms,
+            load.latency.p99_ms,
+            load.latency.max_ms,
+            load.latency.mean_ms
         );
+        let batching = &load.status.batching;
         println!(
             "  batch           groups {}  batches {}  batched reqs {}  size mean {:.2} p50 {:.0} p95 {:.0}",
-            report.batch.count,
-            report.stats.batches,
-            report.stats.batched_requests,
-            report.batch.mean_ns(),
-            report.batch.p50_ns(),
-            report.batch.p95_ns()
+            batching.groups,
+            batching.batches,
+            batching.batched_requests,
+            batching.mean_size,
+            batching.p50_size,
+            batching.p95_size
         );
         println!(
             "  outcomes        completed {}  shed {} (tenant {})  failed {}  degraded {}",
-            report.completed, report.shed, report.stats.tenant_shed, report.failed, report.degraded
+            load.completed, load.shed, load.status.fairness.tenant_shed, load.failed, load.degraded
         );
-        print_sketches(&report.latency_sketches);
-        print_cache(&report.stats);
-        print_metering(&report.status.metering);
-        if report.failed > 0 {
-            eprintln!("serve_bench: FAILED — {} requests errored", report.failed);
+        print_sketches(&load.latency_sketches);
+        print_cache(&load.status);
+        // The ledger's totals line and ranked tenant table: who actually
+        // consumed the engine under the zipf-skewed mix.
+        print!("{}", load.status.metering);
+        if load.failed > 0 {
+            eprintln!("serve_bench: FAILED — {} requests errored", load.failed);
             std::process::exit(1);
         }
         return;
@@ -262,7 +266,7 @@ fn main() {
         "  outcomes        completed {}  shed {}  failed {}  degraded {}",
         report.completed, report.shed, report.failed, report.degraded
     );
-    print_cache(&report.stats);
+    print_cache(&report.status);
     if report.failed > 0 {
         eprintln!("serve_bench: FAILED — {} requests errored", report.failed);
         std::process::exit(1);
@@ -299,41 +303,12 @@ fn print_sketches(sketches: &[granii_telemetry::SketchSnapshot]) {
     }
 }
 
-fn print_cache(stats: &ServeStats) {
+fn print_cache(status: &ServerStatus) {
     println!(
         "  cache           hits {}  misses {}  evictions {}  hit rate {:.1}%",
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_evictions,
-        stats.cache_hit_rate * 100.0
+        status.cache.hits,
+        status.cache.misses,
+        status.cache.evictions,
+        status.cache.hit_rate * 100.0
     );
-}
-
-/// The per-tenant metering ledger under the zipf-skewed open-loop mix: who
-/// actually consumed the engine, ranked by charged time.
-fn print_metering(metering: &granii_serve::MeteringStatus) {
-    println!(
-        "  metering        {} requests  charged {:.2} ms  sheds {}  slo violations {}",
-        metering.total_requests,
-        metering.total_charged_ms,
-        metering.total_sheds,
-        metering.total_slo_violations
-    );
-    println!(
-        "    {:<16} {:>7} {:>8} {:>12} {:>10} {:>6} {:>6} {:>6}",
-        "tenant", "reqs", "batched", "charged-ms", "wait-ms", "share", "hit%", "shed"
-    );
-    for t in &metering.tenants {
-        println!(
-            "    {:<16} {:>7} {:>8} {:>12.3} {:>10.3} {:>6.2} {:>6.1} {:>6}",
-            t.fingerprint,
-            t.requests,
-            t.batched_requests,
-            t.charged_ms,
-            t.mean_queue_wait_ms,
-            t.mean_batch_share,
-            t.hit_rate * 100.0,
-            t.sheds
-        );
-    }
 }

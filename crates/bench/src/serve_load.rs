@@ -20,8 +20,8 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use granii_core::Granii;
-use granii_serve::{ServeConfig, ServeError, ServeRequest, ServeStats, Server, Ticket};
-use granii_telemetry::SketchSnapshot;
+use granii_serve::{ServeConfig, ServeError, ServeRequest, Server, ServerStatus, Ticket};
+use granii_telemetry::{MetricsSnapshot, SketchSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,8 +80,8 @@ pub struct LoadReport {
     pub throughput_rps: f64,
     /// End-to-end (submit-to-reply) latency distribution.
     pub latency: LatencySummary,
-    /// The server's own counters at the end of the run.
-    pub stats: ServeStats,
+    /// The server's status at the end of the run.
+    pub status: ServerStatus,
     /// The server's per-outcome latency sketches (`serve.latency.hit` /
     /// `.miss` / `.degraded`), captured before shutdown. Mergeable into one
     /// whole-server distribution for deep-tail (p99/p999) quantiles the
@@ -145,7 +145,7 @@ pub fn run_load(granii: Arc<Granii>, workload: &[ServeRequest], cfg: &LoadConfig
     assert!(!workload.is_empty(), "load test needs at least one request");
     let server = Server::start(granii, cfg.serve.clone());
     let t0 = Instant::now();
-    let per_client: Vec<(Vec<f64>, u64, u64, u64)> = std::thread::scope(|s| {
+    let per_client: Vec<Outcomes> = std::thread::scope(|s| {
         let server = &server;
         let handles: Vec<_> = (0..cfg.clients.max(1))
             .map(|c| {
@@ -174,34 +174,48 @@ pub fn run_load(granii: Arc<Granii>, workload: &[ServeRequest], cfg: &LoadConfig
             .map(|h| h.join().expect("load client panicked"))
             .collect()
     });
+    finish(server, t0, per_client)
+}
+
+/// One client's outcomes: reply latencies in seconds, then its shed,
+/// failed and degraded counts.
+type Outcomes = (Vec<f64>, u64, u64, u64);
+
+/// Reads the server's final status and sketches, shuts it down, and folds
+/// every client's outcomes into one report.
+fn finish(server: Server, t0: Instant, outcomes: Vec<Outcomes>) -> LoadReport {
     let wall_seconds = t0.elapsed().as_secs_f64();
-    let stats = server.stats();
+    let status = server.status();
     let latency_sketches = server.latency_sketches();
     server.shutdown();
-
-    let mut all_latencies = Vec::new();
+    let mut latencies = Vec::new();
     let (mut shed, mut failed, mut degraded) = (0u64, 0u64, 0u64);
-    for (lat, s, f, d) in per_client {
-        all_latencies.extend(lat);
+    for (lat, s, f, d) in outcomes {
+        latencies.extend(lat);
         shed += s;
         failed += f;
         degraded += d;
     }
-    let completed = all_latencies.len() as u64;
+    let completed = latencies.len() as u64;
     LoadReport {
         wall_seconds,
         completed,
         shed,
         failed,
         degraded,
-        throughput_rps: if wall_seconds > 0.0 {
-            completed as f64 / wall_seconds
-        } else {
-            0.0
-        },
-        latency: summarize_latencies(&all_latencies),
-        stats,
+        throughput_rps: per_second(completed, wall_seconds),
+        latency: summarize_latencies(&latencies),
+        status,
         latency_sketches,
+    }
+}
+
+/// `n / seconds`, 0 for an empty interval.
+fn per_second(n: u64, seconds: f64) -> f64 {
+    if seconds > 0.0 {
+        n as f64 / seconds
+    } else {
+        0.0
     }
 }
 
@@ -243,34 +257,14 @@ impl Default for OpenLoopConfig {
 /// The outcome of one open-loop run.
 #[derive(Debug, Clone)]
 pub struct OpenLoopReport {
-    /// Wall time from first arrival to last reply.
-    pub wall_seconds: f64,
     /// Arrivals the schedule offered.
     pub offered: u64,
     /// Offered rate actually realized (`offered / wall`).
     pub offered_rps: f64,
-    /// Requests that completed with a response.
-    pub completed: u64,
-    /// Requests shed at admission (queue depth or tenant bound).
-    pub shed: u64,
-    /// Requests that failed with any other error (0 in a healthy run).
-    pub failed: u64,
-    /// Responses served via the degradation fallback.
-    pub degraded: u64,
-    /// Completed requests per wall-clock second.
-    pub throughput_rps: f64,
-    /// End-to-end (submit-to-reply) latency distribution.
-    pub latency: LatencySummary,
-    /// The server's batch-group size distribution (`serve.batch.size`).
-    pub batch: SketchSnapshot,
-    /// The server's own counters at the end of the run.
-    pub stats: ServeStats,
-    /// Per-outcome latency sketches, as in [`LoadReport`].
-    pub latency_sketches: Vec<SketchSnapshot>,
-    /// Final live status snapshot; carries the per-tenant metering ledger
-    /// (`status.metering`) so the harness can report who consumed what
-    /// under the skewed open-loop tenant mix.
-    pub status: granii_serve::ServerStatus,
+    /// Completions, latencies, and the server's final status: its counters
+    /// and the per-tenant metering ledger (`status.metering`), so the
+    /// harness can report who consumed what under the skewed tenant mix.
+    pub load: LoadReport,
 }
 
 /// Pre-generates the Poisson arrival schedule: cumulative exponential gaps
@@ -326,7 +320,7 @@ pub fn run_open_loop(
     let rx = Arc::new(Mutex::new(rx));
 
     let t0 = Instant::now();
-    let (per_waiter, shed, submit_failed) = std::thread::scope(|s| {
+    let outcomes = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.waiters.max(1))
             .map(|_| {
                 let rx = rx.clone();
@@ -352,7 +346,7 @@ pub fn run_open_loop(
                             Err(_) => failed += 1,
                         }
                     }
-                    (latencies, failed, degraded)
+                    (latencies, 0, failed, degraded)
                 })
             })
             .collect();
@@ -372,49 +366,18 @@ pub fn run_open_loop(
             }
         }
         drop(tx); // waiters exit once the in-flight tickets drain
-        let per_waiter: Vec<(Vec<f64>, u64, u64)> = handles
+        let mut outcomes: Vec<Outcomes> = handles
             .into_iter()
             .map(|h| h.join().expect("open-loop waiter panicked"))
             .collect();
-        (per_waiter, shed, submit_failed)
+        outcomes.push((Vec::new(), shed, submit_failed, 0));
+        outcomes
     });
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let stats = server.stats();
-    let batch = server.batch_sketch();
-    let latency_sketches = server.latency_sketches();
-    let status = server.status();
-    server.shutdown();
-
-    let mut all_latencies = Vec::new();
-    let (mut failed, mut degraded) = (submit_failed, 0u64);
-    for (lat, f, d) in per_waiter {
-        all_latencies.extend(lat);
-        failed += f;
-        degraded += d;
-    }
-    let completed = all_latencies.len() as u64;
+    let load = finish(server, t0, outcomes);
     OpenLoopReport {
-        wall_seconds,
         offered,
-        offered_rps: if wall_seconds > 0.0 {
-            offered as f64 / wall_seconds
-        } else {
-            0.0
-        },
-        completed,
-        shed,
-        failed,
-        degraded,
-        throughput_rps: if wall_seconds > 0.0 {
-            completed as f64 / wall_seconds
-        } else {
-            0.0
-        },
-        latency: summarize_latencies(&all_latencies),
-        batch,
-        stats,
-        latency_sketches,
-        status,
+        offered_rps: per_second(offered, load.wall_seconds),
+        load,
     }
 }
 
@@ -445,7 +408,9 @@ pub struct DriftScenarioReport {
     /// Phase 3: serving after the clean models were restored.
     pub clean_after: DriftPhaseReport,
     /// Final live status snapshot (drift table included).
-    pub status: granii_serve::ServerStatus,
+    pub status: ServerStatus,
+    /// The server's metrics snapshot at the end of the run.
+    pub metrics: MetricsSnapshot,
 }
 
 fn run_drift_phase(server: &Server, request: &ServeRequest, requests: usize) -> DriftPhaseReport {
@@ -463,13 +428,13 @@ fn run_drift_phase(server: &Server, request: &ServeRequest, requests: usize) -> 
             Err(_) => failed += 1,
         }
     }
-    let stats = server.stats();
+    let status = server.status();
     DriftPhaseReport {
         completed,
         failed,
         compositions,
-        drift_flagged: stats.drift_flagged,
-        cache_invalidations: stats.cache_invalidations,
+        drift_flagged: status.drift_flagged,
+        cache_invalidations: status.cache.invalidations,
     }
 }
 
@@ -504,12 +469,14 @@ pub fn run_drift_scenario(
     server.replace_granii(clean);
     let clean_after = run_drift_phase(&server, request, requests_per_phase);
     let status = server.status();
+    let metrics = server.metrics_snapshot();
     server.shutdown();
     DriftScenarioReport {
         clean_before,
         corrupted: corrupted_phase,
         clean_after,
         status,
+        metrics,
     }
 }
 

@@ -4,8 +4,9 @@
 //! invalidates its cached plan, and that restoring the clean model recovers
 //! zero regret (cross-checked against `granii.verify`'s oracle).
 //!
-//! Runs as a single `#[test]` in its own binary: the scenario reads global
-//! telemetry (metrics + events), which parallel tests would race.
+//! Runs as a single `#[test]` in its own binary: the scenario reads the
+//! global telemetry event stream, which parallel tests would race. Its
+//! counters come from the server's own metrics snapshot.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -143,8 +144,8 @@ fn corrupted_model_is_flagged_invalidated_and_recovers() {
     );
     granii_telemetry::disable();
     let events = granii_telemetry::take_events();
-    let snapshot = granii_telemetry::metrics_snapshot();
     granii_telemetry::reset();
+    let snapshot = &report.metrics;
 
     eprintln!(
         "phases: clean={:?} corrupted={:?} recovered={:?}",
@@ -190,8 +191,8 @@ fn corrupted_model_is_flagged_invalidated_and_recovers() {
         report.corrupted.drift_flagged
     );
 
-    // The flag surfaces everywhere the tentpole promises: server stats and
-    // status, the metrics counter, and the structured event stream.
+    // The flag surfaces everywhere: the server's status, its metrics
+    // counter, and the structured event stream.
     assert_eq!(report.status.drift_flagged, 1);
     assert!(
         report.status.drift.iter().any(|row| row.model == "gcn"),
@@ -208,7 +209,7 @@ fn corrupted_model_is_flagged_invalidated_and_recovers() {
         "serve.drift_flagged in metrics_json"
     );
     assert!(
-        granii_telemetry::export::metrics_json(&snapshot).contains("serve.drift_flagged"),
+        granii_telemetry::export::metrics_json(snapshot).contains("serve.drift_flagged"),
         "metrics export must carry the drift counter"
     );
     let drift_events: Vec<_> = events.iter().filter(|e| e.name == "serve.drift").collect();

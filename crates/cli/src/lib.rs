@@ -252,7 +252,9 @@ pub fn load_graph(args: &Args) -> Result<Graph, CliError> {
 /// Runs a parsed command, returning the text to print. When any of the
 /// observability flags (`--trace-out`, `--metrics-out`, `--trace-summary`) is
 /// present, telemetry is enabled for the duration of the command and the
-/// requested exports are produced afterwards.
+/// requested exports are produced afterwards. The metrics export is the
+/// process registry's snapshot merged with the books of the server a
+/// command ran (`serve-demo`).
 ///
 /// # Errors
 ///
@@ -263,7 +265,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         || args.get("trace-summary").is_some()
         || args.get("events-out").is_some();
     if !tracing {
-        return dispatch(args);
+        return dispatch(args).map(|(out, _)| out);
     }
     granii_telemetry::reset();
     granii_telemetry::enable();
@@ -271,9 +273,12 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     granii_telemetry::disable();
     let spans = granii_telemetry::take_spans();
     let events = granii_telemetry::take_events();
-    let snapshot = granii_telemetry::metrics_snapshot();
+    let mut snapshot = granii_telemetry::metrics_snapshot();
     granii_telemetry::reset();
-    let mut out = result?;
+    let (mut out, served) = result?;
+    if let Some(served) = served {
+        merge_metrics(&mut snapshot, served);
+    }
     if let Some(path) = args.get("trace-out") {
         std::fs::write(path, granii_telemetry::export::chrome_trace(&spans))
             .map_err(|e| format!("write {path}: {e}"))?;
@@ -310,22 +315,39 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn dispatch(args: &Args) -> Result<String, CliError> {
-    match args.command.as_str() {
+/// Appends a server's metrics to the process registry's snapshot. The
+/// names never collide: a server's are `serve.*` and `tenant.*`, and it
+/// writes nothing into the registry.
+fn merge_metrics(
+    into: &mut granii_telemetry::MetricsSnapshot,
+    from: granii_telemetry::MetricsSnapshot,
+) {
+    into.counters.extend(from.counters);
+    into.gauges.extend(from.gauges);
+    into.histograms.extend(from.histograms);
+    into.sketches.extend(from.sketches);
+    into.distincts.extend(from.distincts);
+}
+
+/// Runs the command: its output text, plus the metrics of the server it
+/// ran, if any.
+fn dispatch(args: &Args) -> Result<(String, Option<granii_telemetry::MetricsSnapshot>), CliError> {
+    let out = match args.command.as_str() {
         "train" => cmd_train(args),
         "select" => cmd_select(args),
         "compile" => cmd_compile(args),
         "generate" => cmd_generate(args),
         "inspect" => cmd_inspect(args),
         "bench" => cmd_bench(args),
-        "serve-demo" => cmd_serve_demo(args),
+        "serve-demo" => return cmd_serve_demo(args).map(|(out, served)| (out, Some(served))),
         "serve-status" => cmd_serve_status(args),
         "top" => cmd_top(args),
         "kernels" => Ok(cmd_kernels()),
         "incident-show" => cmd_incident_show(args),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(format!("unknown command {other}\n{}", usage())),
-    }
+    };
+    out.map(|out| (out, None))
 }
 
 fn cmd_train(args: &Args) -> Result<String, CliError> {
@@ -577,7 +599,8 @@ fn cmd_bench(args: &Args) -> Result<String, CliError> {
 
 /// Serving demo: replays one request signature through a multi-worker
 /// [`granii_serve::Server`] and reports cache-cold vs. cache-hot latency.
-fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
+/// Also returns the server's metrics snapshot for `--metrics-out`.
+fn cmd_serve_demo(args: &Args) -> Result<(String, granii_telemetry::MetricsSnapshot), CliError> {
     use granii_serve::{
         IncidentConfig, LatencyObjective, Outcome, ScrapeConfig, ServeConfig, ServeRequest, Server,
     };
@@ -714,8 +737,8 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
         std::thread::sleep(std::time::Duration::from_millis(scrape_hold_ms as u64));
     }
     let bundles = server.incidents();
-    let stats = server.stats();
     let status = server.status();
+    let served = server.metrics_snapshot();
     let timeline_line = match args.get("timeline-out") {
         Some(path) => {
             let snapshot = server.timeline_snapshot();
@@ -756,12 +779,12 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
     writeln!(
         out,
         "  stats: completed {} | cache hits {} misses {} (hit rate {:.1}%) | degraded {} | shed {}",
-        stats.completed,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_hit_rate * 100.0,
-        stats.degraded,
-        stats.shed
+        status.completed,
+        status.cache.hits,
+        status.cache.misses,
+        status.cache.hit_rate * 100.0,
+        status.degraded,
+        status.shed
     )
     .expect("fmt");
     if let Some(dir) = &incident_dir {
@@ -792,7 +815,7 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
         out.push_str(&line);
         out.push('\n');
     }
-    Ok(out)
+    Ok((out, served))
 }
 
 /// Renders the per-tenant metering ledger from a status snapshot — the
@@ -812,56 +835,13 @@ fn cmd_top(args: &Args) -> Result<String, CliError> {
         let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         let status = granii_serve::ServerStatus::from_json(&json)
             .map_err(|e| format!("parse {path}: {e}"))?;
-        let m = &status.metering;
         writeln!(
             out,
-            "granii top — uptime {:.1}s | {} metered requests | charged {:.2} ms | \
-             {:.3e} flops | {:.3e} bytes | sheds {} | slo violations {}",
-            status.uptime_seconds,
-            m.total_requests,
-            m.total_charged_ms,
-            m.total_flops,
-            m.total_bytes,
-            m.total_sheds,
-            m.total_slo_violations
+            "granii top — uptime {:.1}s | {} metered requests",
+            status.uptime_seconds, status.metering.total_requests
         )
         .expect("fmt");
-        if m.tenants.is_empty() {
-            out.push_str("  (no tenants metered yet)\n");
-            continue;
-        }
-        writeln!(
-            out,
-            "  {:<16} {:>7} {:>8} {:>12} {:>10} {:>6} {:>6} {:>6} {:>6} {:>6}",
-            "tenant",
-            "reqs",
-            "batched",
-            "charged-ms",
-            "wait-ms",
-            "share",
-            "hit%",
-            "shed",
-            "degr",
-            "slo"
-        )
-        .expect("fmt");
-        for t in &m.tenants {
-            writeln!(
-                out,
-                "  {:<16} {:>7} {:>8} {:>12.3} {:>10.3} {:>6.2} {:>6.1} {:>6} {:>6} {:>6}",
-                t.fingerprint,
-                t.requests,
-                t.batched_requests,
-                t.charged_ms,
-                t.mean_queue_wait_ms,
-                t.mean_batch_share,
-                t.hit_rate * 100.0,
-                t.sheds,
-                t.degraded,
-                t.slo_violations
-            )
-            .expect("fmt");
-        }
+        write!(out, "{}", status.metering).expect("fmt");
     }
     Ok(out)
 }

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use crate::cache::PlanKey;
 use crate::drift::InputProfile;
 use crate::recorder::{FlightRecord, RecordKind};
-use crate::status::ServerStatus;
+use crate::status::{hex_fp, ServerStatus};
 
 /// Bounded size of the selection-audit table (signatures). Oldest entries
 /// evict first; 256 signatures of a few hundred bytes is noise next to the
@@ -146,7 +146,9 @@ impl IncidentTrigger {
 
     pub(crate) fn info(&self) -> TriggerInfo {
         let (model, fingerprint, k1, k2) = match self.key() {
-            Some((model, fp, k1, k2)) => (model.name().to_owned(), hex(fp), k1 as u64, k2 as u64),
+            Some((model, fp, k1, k2)) => {
+                (model.name().to_owned(), hex_fp(fp), k1 as u64, k2 as u64)
+            }
             None => (String::new(), String::new(), 0, 0),
         };
         let (value, detail) = match self {
@@ -247,10 +249,6 @@ impl AuditTable {
     fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(PlanKey, SelectionAudit)>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
-
-fn hex(fingerprint: u64) -> String {
-    crate::status::hex_fp(fingerprint)
 }
 
 // ---------------------------------------------------------------------------
@@ -382,7 +380,7 @@ impl RingEntry {
             fingerprint: if r.fingerprint == 0 {
                 String::new()
             } else {
-                hex(r.fingerprint)
+                hex_fp(r.fingerprint)
             },
             batch,
             members,
@@ -442,7 +440,7 @@ impl SelectionAuditInfo {
     pub fn from_audit(key: PlanKey, audit: &SelectionAudit) -> Self {
         SelectionAuditInfo {
             model: key.0.name().to_owned(),
-            fingerprint: hex(key.1),
+            fingerprint: hex_fp(key.1),
             k1: key.2 as u64,
             k2: key.3 as u64,
             composition: audit.composition.clone(),
@@ -740,6 +738,7 @@ pub struct IncidentCapturer {
     state: Mutex<CaptureState>,
     captured: AtomicU64,
     suppressed: AtomicU64,
+    io_errors: AtomicU64,
 }
 
 impl IncidentCapturer {
@@ -759,6 +758,7 @@ impl IncidentCapturer {
             }),
             captured: AtomicU64::new(0),
             suppressed: AtomicU64::new(0),
+            io_errors: AtomicU64::new(0),
         }
     }
 
@@ -837,7 +837,9 @@ impl IncidentCapturer {
         }
     }
 
-    /// Retains a captured bundle (memory, and disk when `dir` is set).
+    /// Retains a captured bundle (memory, and disk when `dir` is set). A
+    /// failed write is counted ([`IncidentCapturer::io_errors`]); the bundle
+    /// is still retained in memory.
     pub fn store(&self, bundle: IncidentBundle) {
         if let Some(dir) = &self.config.dir {
             let path = dir.join(format!(
@@ -847,7 +849,7 @@ impl IncidentCapturer {
             let write =
                 std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, bundle.to_json()));
             if write.is_err() {
-                granii_telemetry::counter_add("serve.incident.io_error", 1);
+                self.io_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
         let mut state = self.lock();
@@ -871,6 +873,11 @@ impl IncidentCapturer {
     /// Triggers suppressed by the rate limits so far.
     pub fn suppressed(&self) -> u64 {
         self.suppressed.load(Ordering::Relaxed)
+    }
+
+    /// Bundles whose write to `dir` failed so far.
+    pub fn io_errors(&self) -> u64 {
+        self.io_errors.load(Ordering::Relaxed)
     }
 
     /// Kind of the most recently captured trigger (`""` when none).
@@ -1147,6 +1154,25 @@ mod tests {
         assert_eq!(recent[1].seq, 4);
         assert_eq!(capturer.last_trigger(), "input_drift");
         assert_eq!(capturer.captured(), 4);
+    }
+
+    #[test]
+    fn failed_bundle_writes_are_counted_with_telemetry_off() {
+        // A directory under a regular file can never be created.
+        let file =
+            std::env::temp_dir().join(format!("granii-incident-io-error-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        granii_telemetry::disable();
+        let capturer = IncidentCapturer::new(IncidentConfig {
+            dir: Some(file.join("incidents")),
+            ..IncidentConfig::default()
+        });
+        let mut bundle = sample_bundle();
+        bundle.seq = capturer.next_seq();
+        capturer.store(bundle);
+        std::fs::remove_file(&file).ok();
+        assert_eq!(capturer.io_errors(), 1, "the failed write is counted");
+        assert_eq!(capturer.recent().len(), 1, "the bundle is kept in memory");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   prediction failure falls back to the plan's default composition (the
 //!   first eligible candidate) instead of failing the request, and the
 //!   response is marked `degraded` with a matching counter in
-//!   [`ServeStats`].
+//!   [`ServerStatus`].
 //! - **Request-scoped tracing** ([`RequestTrace`] via
 //!   `ServeConfig::trace_sample_every`): 1-in-N sampled requests export a
 //!   per-request lane (queue / select / execute stages) through the
@@ -51,6 +51,13 @@
 //! - **Live status surface** ([`ServerStatus`] from [`Server::status`]):
 //!   queue depth, per-worker utilization, cache counters, degradation
 //!   rates, and the drift table — as JSON and a human-readable table.
+//! - **One instrument catalog**: a `const` table declares every exported
+//!   number once (dotted name, Prometheus family, label, kind, help, and a
+//!   reader over [`ServerStatus`]); `/metrics`, the timeline, and
+//!   [`Server::metrics_snapshot`] (`--metrics-out`) are loops over it. The
+//!   server is the only home of its numbers: two servers in one process
+//!   keep separate books, and nothing is written to the process-global
+//!   telemetry registry.
 //! - **Always-on flight recorder** ([`FlightRecorder`]): a fixed-slot,
 //!   lock-free ring every serve layer streams structured records into —
 //!   admission, shed, batch formation (group signature + member ids),
@@ -71,8 +78,8 @@
 //!   "top tenants" table in [`ServerStatus`] and per-tenant time-series
 //!   rows.
 //! - **On-host time-series ring** ([`TimelineConfig`]): a background
-//!   sampler captures periodic frames of the server's counters, gauges,
-//!   and sketch quantiles into a fixed-capacity
+//!   sampler captures periodic frames of every catalog series (counters,
+//!   gauges, sketch quantiles, per-tenant lanes) into a fixed-capacity
 //!   [`granii_telemetry::TimeSeriesRing`] — snapshotable as dashboard
 //!   JSON, and incident bundles carry the last minutes of timeline.
 //! - **Prometheus scrape endpoint** ([`ScrapeConfig`]): a std-only
@@ -106,6 +113,7 @@
 //! ```
 
 mod cache;
+mod catalog;
 mod drift;
 mod error;
 mod incident;
@@ -125,11 +133,12 @@ pub use incident::{
     SelectionAuditInfo, TimelineColumnInfo, TimelineInfo, TriggerInfo, AUDIT_CAPACITY,
 };
 pub use metering::MeterRow;
-pub use recorder::{FlightRecord, FlightRecorder, RecordKind, RecorderConfig, MAX_BATCH_MEMBERS};
+pub use recorder::{
+    FlightRecord, FlightRecorder, RecordKind, MAX_BATCH_MEMBERS, RECORDER_CAPACITY,
+};
 pub use scrape::{render_prometheus, start_scrape, ScrapeConfig, ScrapeHandle};
 pub use server::{
-    RequestTiming, ServeConfig, ServeRequest, ServeResponse, ServeStats, Server, Ticket,
-    TimelineConfig,
+    RequestTiming, ServeConfig, ServeRequest, ServeResponse, Server, Ticket, TimelineConfig,
 };
 pub use slo::{LatencyObjective, Outcome, SloConfig, SloMonitor, SloRow, SloVerdict};
 pub use status::{

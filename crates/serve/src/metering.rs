@@ -375,14 +375,6 @@ impl TenantLedger {
         self.totals.row(0)
     }
 
-    /// Requests shed by the per-tenant bound, over every tenant.
-    pub(crate) fn tenant_shed(&self) -> u64 {
-        self.admission
-            .iter()
-            .map(|slot| slot.shed.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Every tenant that saw traffic, as `(fingerprint, slot index)`:
     /// claimed slots in slot order, then the overflow aggregate once it has
     /// admitted, metered, or shed a request.
@@ -402,20 +394,13 @@ impl TenantLedger {
             })
     }
 
-    /// Visits the meters of every tenant that saw traffic without
-    /// allocating — [`MeterRow`] is `Copy`. Built for the sampler thread's
-    /// per-tenant timeline columns.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(MeterRow)) {
-        for (fp, index) in self.active() {
-            f(self.meters[index].row(fp));
-        }
-    }
-
     /// Meters of every tenant that saw traffic, ranked by charged time
     /// descending (the "top tenants" order), fingerprint ascending on ties.
     pub(crate) fn rows(&self) -> Vec<MeterRow> {
-        let mut rows = Vec::new();
-        self.for_each(|row| rows.push(row));
+        let mut rows: Vec<MeterRow> = self
+            .active()
+            .map(|(fp, index)| self.meters[index].row(fp))
+            .collect();
         rows.sort_by(|a, b| {
             b.charged_ns
                 .cmp(&a.charged_ns)
@@ -477,7 +462,8 @@ mod tests {
         assert_eq!(hot.admitted, 5);
         assert_eq!(hot.shed, 1);
         assert_eq!(hot.queued, 4);
-        assert_eq!(ledger.tenant_shed(), 1);
+        let tenant_shed: u64 = ledger.admission_rows().iter().map(|r| r.shed).sum();
+        assert_eq!(tenant_shed, 1);
     }
 
     #[test]

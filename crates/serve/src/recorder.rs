@@ -178,19 +178,9 @@ pub struct FlightRecord {
     pub kind: RecordKind,
 }
 
-/// Recorder tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct RecorderConfig {
-    /// Ring capacity in records (fixed at construction; each slot is
-    /// ~120 bytes). The default keeps roughly the last 4096 serve moments.
-    pub capacity: usize,
-}
-
-impl Default for RecorderConfig {
-    fn default() -> Self {
-        RecorderConfig { capacity: 4096 }
-    }
-}
+/// A server's ring capacity in records (each slot is ~120 bytes): roughly
+/// the last 4096 serve moments.
+pub const RECORDER_CAPACITY: usize = 4096;
 
 /// Slot stamps: `0` never written, `2·idx + 1` writer mid-copy of record
 /// `idx`, `2·idx + 2` record `idx` published.
@@ -217,9 +207,9 @@ unsafe impl Send for FlightRecorder {}
 unsafe impl Sync for FlightRecorder {}
 
 impl FlightRecorder {
-    /// Creates a recorder with `config.capacity` slots (minimum 1).
-    pub fn new(config: RecorderConfig) -> Self {
-        let capacity = config.capacity.max(1);
+    /// Creates a recorder with `capacity` slots (minimum 1).
+    pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         FlightRecorder {
             next: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -322,7 +312,7 @@ mod tests {
 
     #[test]
     fn records_come_back_in_order_with_payloads() {
-        let r = FlightRecorder::new(RecorderConfig { capacity: 16 });
+        let r = FlightRecorder::new(16);
         r.record(7, 0xabc, "gcn", RecordKind::Enqueue { depth: 3 });
         r.record(
             8,
@@ -346,9 +336,7 @@ mod tests {
     #[test]
     fn wraparound_keeps_the_newest_capacity_records() {
         let cap = 8u64;
-        let r = FlightRecorder::new(RecorderConfig {
-            capacity: cap as usize,
-        });
+        let r = FlightRecorder::new(cap as usize);
         for i in 0..3 * cap {
             r.record(i, 0, "", RecordKind::Enqueue { depth: i as u32 });
         }
@@ -366,7 +354,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_non_destructive() {
-        let r = FlightRecorder::new(RecorderConfig::default());
+        let r = FlightRecorder::new(RECORDER_CAPACITY);
         r.record(1, 0, "", RecordKind::ModelSwap);
         assert_eq!(r.snapshot().len(), 1);
         assert_eq!(r.snapshot().len(), 1, "snapshot must not consume");
@@ -374,7 +362,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_clamps_to_one() {
-        let r = FlightRecorder::new(RecorderConfig { capacity: 0 });
+        let r = FlightRecorder::new(0);
         assert_eq!(r.capacity(), 1);
         r.record(0, 0, "", RecordKind::Failed);
         r.record(1, 0, "", RecordKind::Failed);

@@ -7,7 +7,8 @@
 //! answer with **zero new dependencies**: a `std::net::TcpListener` on its
 //! own thread speaking just enough HTTP/1.1 for scrapers, rendering the
 //! live [`ServerStatus`] in the Prometheus text exposition format
-//! (version 0.0.4) — counters, gauges, latency/batch sketch quantiles as
+//! (version 0.0.4) as the families of the instrument catalog
+//! (`crate::catalog`) — counters, gauges, latency/batch sketch quantiles as
 //! summaries, and per-tenant series labeled `tenant="<fingerprint>"` from
 //! the metering ledger.
 //!
@@ -16,12 +17,14 @@
 //! time-limited so a slow client cannot wedge the thread. One scrape costs
 //! one status assembly — nothing here touches the request hot path.
 
+use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::catalog::{Rows, CATALOG};
 use crate::status::ServerStatus;
 
 /// Scrape-listener tuning.
@@ -188,24 +191,89 @@ where
 // Prometheus text-exposition rendering.
 // ---------------------------------------------------------------------------
 
-fn push_value(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
-    // Scrapers reject NaN/inf samples from buggy exporters; emit 0 instead.
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push('0');
+/// Renders a status snapshot in the Prometheus text exposition format: one
+/// `# HELP` / `# TYPE` header per family of the instrument catalog, then
+/// its samples (counters, gauges, summaries, per-tenant labeled series).
+/// Pure function of the snapshot so tests can check the format strictly.
+pub fn render_prometheus(status: &ServerStatus) -> String {
+    let mut out = String::with_capacity(8 * 1024);
+    for family in CATALOG.iter().filter(|f| !f.prometheus.is_empty()) {
+        let name = family.prometheus;
+        let _ = writeln!(out, "# HELP {name} {}", family.help);
+        let _ = writeln!(out, "# TYPE {name} {}", family.kind.prometheus());
+        match family.rows {
+            Rows::Scalar(_, read) => sample(&mut out, name, &[], read(status)),
+            Rows::Scalars(key, scalars) => {
+                for &(_, value, read) in scalars {
+                    sample(&mut out, name, &[(key, value)], read(status));
+                }
+            }
+            Rows::Workers(_, read) => {
+                for w in &status.workers {
+                    sample(&mut out, name, &[("worker", &w.index.to_string())], read(w));
+                }
+            }
+            Rows::Objectives(_, read) => {
+                for row in &status.slo {
+                    sample(&mut out, name, &[("outcome", &row.outcome)], read(row));
+                }
+            }
+            Rows::Tenants(_, read) => {
+                for t in &status.metering.tenants {
+                    sample(&mut out, name, &[("tenant", &t.fingerprint)], read(t));
+                }
+            }
+            Rows::Latency => {
+                for row in &status.latency {
+                    let quantiles = [
+                        ("0.5", row.p50_ms),
+                        ("0.95", row.p95_ms),
+                        ("0.99", row.p99_ms),
+                        ("0.999", row.p999_ms),
+                    ];
+                    let sum = row.mean_ms * row.count as f64;
+                    let labels = [("outcome", row.outcome.as_str())];
+                    summary(&mut out, name, &labels, &quantiles, sum, row.count);
+                }
+            }
+            Rows::BatchSize => {
+                let b = &status.batching;
+                let quantiles = [("0.5", b.p50_size), ("0.95", b.p95_size)];
+                summary(
+                    &mut out,
+                    name,
+                    &[],
+                    &quantiles,
+                    b.mean_size * b.groups as f64,
+                    b.groups,
+                );
+            }
+        }
     }
+    out
 }
 
-fn family(out: &mut String, name: &str, kind: &str, help: &str) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
+/// A summary's quantile-labeled samples, then its `_sum` and `_count`.
+fn summary(
+    out: &mut String,
+    name: &str,
+    labels: &[(&str, &str)],
+    quantiles: &[(&str, f64)],
+    sum: f64,
+    count: u64,
+) {
+    for &(q, value) in quantiles {
+        let mut with_q = labels.to_vec();
+        with_q.push(("quantile", q));
+        sample(out, name, &with_q, value);
+    }
+    sample(out, &format!("{name}_sum"), labels, sum);
+    sample(out, &format!("{name}_count"), labels, count as f64);
 }
 
+/// One sample line, label values escaped. Scrapers reject NaN/inf samples
+/// from buggy exporters, so a non-finite value is written as 0.
 fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
-    use std::fmt::Write as _;
     out.push_str(name);
     if !labels.is_empty() {
         out.push('{');
@@ -227,448 +295,12 @@ fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
         out.push('}');
     }
     out.push(' ');
-    push_value(out, value);
+    if value.is_finite() {
+        let _ = write!(out, "{value}");
+    } else {
+        out.push('0');
+    }
     out.push('\n');
-}
-
-/// Renders a status snapshot in the Prometheus text exposition format
-/// (counters, gauges, summaries, per-tenant labeled series). Pure function
-/// of the snapshot so tests can check the format strictly.
-pub fn render_prometheus(status: &ServerStatus) -> String {
-    let mut out = String::with_capacity(8 * 1024);
-
-    family(
-        &mut out,
-        "granii_serve_uptime_seconds",
-        "gauge",
-        "Seconds since the server started.",
-    );
-    sample(
-        &mut out,
-        "granii_serve_uptime_seconds",
-        &[],
-        status.uptime_seconds,
-    );
-
-    family(
-        &mut out,
-        "granii_serve_requests_total",
-        "counter",
-        "Requests by lifecycle state.",
-    );
-    for (state, value) in [
-        ("submitted", status.submitted),
-        ("completed", status.completed),
-        ("failed", status.failed),
-        ("shed", status.shed),
-        ("degraded", status.degraded),
-        ("deadline_expired", status.deadline_expired),
-    ] {
-        sample(
-            &mut out,
-            "granii_serve_requests_total",
-            &[("state", state)],
-            value as f64,
-        );
-    }
-
-    family(
-        &mut out,
-        "granii_serve_queue_depth",
-        "gauge",
-        "Requests currently queued.",
-    );
-    sample(
-        &mut out,
-        "granii_serve_queue_depth",
-        &[],
-        status.queue_depth as f64,
-    );
-    family(
-        &mut out,
-        "granii_serve_queue_capacity",
-        "gauge",
-        "Configured admission queue bound.",
-    );
-    sample(
-        &mut out,
-        "granii_serve_queue_capacity",
-        &[],
-        status.queue_capacity as f64,
-    );
-
-    family(
-        &mut out,
-        "granii_serve_cache_lookups_total",
-        "counter",
-        "Plan-cache lookups by result.",
-    );
-    for (result, value) in [("hit", status.cache.hits), ("miss", status.cache.misses)] {
-        sample(
-            &mut out,
-            "granii_serve_cache_lookups_total",
-            &[("result", result)],
-            value as f64,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_cache_evictions_total",
-        "counter",
-        "Plan-cache entries dropped by LRU pressure.",
-    );
-    sample(
-        &mut out,
-        "granii_serve_cache_evictions_total",
-        &[],
-        status.cache.evictions as f64,
-    );
-    family(
-        &mut out,
-        "granii_serve_cache_invalidations_total",
-        "counter",
-        "Plan-cache entries dropped by drift flags or model swaps.",
-    );
-    sample(
-        &mut out,
-        "granii_serve_cache_invalidations_total",
-        &[],
-        status.cache.invalidations as f64,
-    );
-    family(
-        &mut out,
-        "granii_serve_cache_entries",
-        "gauge",
-        "Bound plans currently cached.",
-    );
-    sample(
-        &mut out,
-        "granii_serve_cache_entries",
-        &[],
-        status.cache.len as f64,
-    );
-
-    family(
-        &mut out,
-        "granii_serve_distinct_signatures",
-        "gauge",
-        "Estimated distinct plan signatures served (HyperLogLog).",
-    );
-    sample(
-        &mut out,
-        "granii_serve_distinct_signatures",
-        &[],
-        status.distinct_signatures,
-    );
-
-    family(
-        &mut out,
-        "granii_serve_drift_flags_total",
-        "counter",
-        "Signature flags by drift lane.",
-    );
-    for (lane, value) in [
-        ("cost_model", status.drift_flagged),
-        ("input", status.input_drift_flagged),
-    ] {
-        sample(
-            &mut out,
-            "granii_serve_drift_flags_total",
-            &[("lane", lane)],
-            value as f64,
-        );
-    }
-
-    family(
-        &mut out,
-        "granii_serve_worker_utilization",
-        "gauge",
-        "Busy share of uptime per worker.",
-    );
-    for w in &status.workers {
-        let index = w.index.to_string();
-        sample(
-            &mut out,
-            "granii_serve_worker_utilization",
-            &[("worker", &index)],
-            w.utilization,
-        );
-    }
-
-    // Latency sketches as Prometheus summaries: quantile-labeled samples
-    // plus the _sum/_count pair, one series set per outcome class.
-    family(
-        &mut out,
-        "granii_serve_latency_ms",
-        "summary",
-        "Request latency quantiles (milliseconds) by outcome.",
-    );
-    for row in &status.latency {
-        for (q, value) in [
-            ("0.5", row.p50_ms),
-            ("0.95", row.p95_ms),
-            ("0.99", row.p99_ms),
-            ("0.999", row.p999_ms),
-        ] {
-            sample(
-                &mut out,
-                "granii_serve_latency_ms",
-                &[("outcome", &row.outcome), ("quantile", q)],
-                value,
-            );
-        }
-        sample(
-            &mut out,
-            "granii_serve_latency_ms_sum",
-            &[("outcome", &row.outcome)],
-            row.mean_ms * row.count as f64,
-        );
-        sample(
-            &mut out,
-            "granii_serve_latency_ms_count",
-            &[("outcome", &row.outcome)],
-            row.count as f64,
-        );
-    }
-
-    family(
-        &mut out,
-        "granii_serve_batch_size",
-        "summary",
-        "Coalesced batch-group size quantiles.",
-    );
-    for (q, value) in [
-        ("0.5", status.batching.p50_size),
-        ("0.95", status.batching.p95_size),
-    ] {
-        sample(
-            &mut out,
-            "granii_serve_batch_size",
-            &[("quantile", q)],
-            value,
-        );
-    }
-    sample(
-        &mut out,
-        "granii_serve_batch_size_sum",
-        &[],
-        status.batching.mean_size * status.batching.groups as f64,
-    );
-    sample(
-        &mut out,
-        "granii_serve_batch_size_count",
-        &[],
-        status.batching.groups as f64,
-    );
-
-    family(
-        &mut out,
-        "granii_serve_slo_violations_total",
-        "counter",
-        "Requests over their SLO threshold by outcome.",
-    );
-    for row in &status.slo {
-        sample(
-            &mut out,
-            "granii_serve_slo_violations_total",
-            &[("outcome", &row.outcome)],
-            row.violations as f64,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_slo_burn_rate",
-        "gauge",
-        "Burn rate of the most recently closed SLO window by outcome.",
-    );
-    for row in &status.slo {
-        sample(
-            &mut out,
-            "granii_serve_slo_burn_rate",
-            &[("outcome", &row.outcome)],
-            row.burn_rate,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_slo_burning",
-        "gauge",
-        "Whether the objective's last window was at or above the alert burn (0/1).",
-    );
-    for row in &status.slo {
-        sample(
-            &mut out,
-            "granii_serve_slo_burning",
-            &[("outcome", &row.outcome)],
-            if row.burning { 1.0 } else { 0.0 },
-        );
-    }
-
-    family(
-        &mut out,
-        "granii_serve_recorder_records_total",
-        "counter",
-        "Flight-recorder records written and dropped.",
-    );
-    for (state, value) in [
-        ("written", status.recorder.written),
-        ("dropped", status.recorder.dropped),
-    ] {
-        sample(
-            &mut out,
-            "granii_serve_recorder_records_total",
-            &[("state", state)],
-            value as f64,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_incidents_total",
-        "counter",
-        "Incident bundles captured and triggers suppressed.",
-    );
-    for (state, value) in [
-        ("captured", status.recorder.incidents),
-        ("suppressed", status.recorder.suppressed),
-    ] {
-        sample(
-            &mut out,
-            "granii_serve_incidents_total",
-            &[("state", state)],
-            value as f64,
-        );
-    }
-
-    // Per-tenant series from the metering ledger, tenant-labeled with the
-    // hex fingerprint — the "which tenant is burning the budget" answer.
-    family(
-        &mut out,
-        "granii_serve_tenant_requests_total",
-        "counter",
-        "Completed requests per tenant fingerprint.",
-    );
-    for t in &status.metering.tenants {
-        sample(
-            &mut out,
-            "granii_serve_tenant_requests_total",
-            &[("tenant", &t.fingerprint)],
-            t.requests as f64,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_tenant_charged_ms_total",
-        "counter",
-        "Engine-charged milliseconds attributed per tenant.",
-    );
-    for t in &status.metering.tenants {
-        sample(
-            &mut out,
-            "granii_serve_tenant_charged_ms_total",
-            &[("tenant", &t.fingerprint)],
-            t.charged_ms,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_tenant_flops_total",
-        "counter",
-        "Floating-point operations attributed per tenant.",
-    );
-    for t in &status.metering.tenants {
-        sample(
-            &mut out,
-            "granii_serve_tenant_flops_total",
-            &[("tenant", &t.fingerprint)],
-            t.flops,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_tenant_bytes_total",
-        "counter",
-        "Bytes (read + written) attributed per tenant.",
-    );
-    for t in &status.metering.tenants {
-        sample(
-            &mut out,
-            "granii_serve_tenant_bytes_total",
-            &[("tenant", &t.fingerprint)],
-            t.bytes,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_tenant_sheds_total",
-        "counter",
-        "Requests shed before execution per tenant.",
-    );
-    for t in &status.metering.tenants {
-        sample(
-            &mut out,
-            "granii_serve_tenant_sheds_total",
-            &[("tenant", &t.fingerprint)],
-            t.sheds as f64,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_tenant_slo_violations_total",
-        "counter",
-        "SLO-threshold violations per tenant.",
-    );
-    for t in &status.metering.tenants {
-        sample(
-            &mut out,
-            "granii_serve_tenant_slo_violations_total",
-            &[("tenant", &t.fingerprint)],
-            t.slo_violations as f64,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_tenant_batch_share",
-        "gauge",
-        "Mean fraction of an execute occupied per request, per tenant (1 = serial).",
-    );
-    for t in &status.metering.tenants {
-        sample(
-            &mut out,
-            "granii_serve_tenant_batch_share",
-            &[("tenant", &t.fingerprint)],
-            t.mean_batch_share,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_tenant_hit_rate",
-        "gauge",
-        "Plan-cache hit rate per tenant.",
-    );
-    for t in &status.metering.tenants {
-        sample(
-            &mut out,
-            "granii_serve_tenant_hit_rate",
-            &[("tenant", &t.fingerprint)],
-            t.hit_rate,
-        );
-    }
-    family(
-        &mut out,
-        "granii_serve_tenant_queue_wait_ms",
-        "gauge",
-        "Mean queue wait per completed request, per tenant (milliseconds).",
-    );
-    for t in &status.metering.tenants {
-        sample(
-            &mut out,
-            "granii_serve_tenant_queue_wait_ms",
-            &[("tenant", &t.fingerprint)],
-            t.mean_queue_wait_ms,
-        );
-    }
-
-    out
 }
 
 #[cfg(test)]

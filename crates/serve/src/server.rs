@@ -26,18 +26,19 @@ use granii_graph::Graph;
 use granii_matrix::device::Engine;
 use granii_matrix::DenseMatrix;
 use granii_telemetry::{
-    event, start_sampler, ColumnId, DistinctCounter, SampleKind, SamplerHandle, Sketch,
+    event, start_sampler, ColumnId, DistinctCounter, MetricsSnapshot, SamplerHandle, Sketch,
     SketchSnapshot, TimeSeriesRing, TimeSeriesSnapshot, DEFAULT_SKETCH_ALPHA,
 };
 
 use crate::cache::{CachedPlan, PlanCache, PlanKey};
+use crate::catalog::{self, BATCH_SIZE, LATENCY};
 use crate::drift::{InputProfile, Lane, Residual, Track};
 use crate::incident::{
     render_events, IncidentBundle, IncidentCapturer, IncidentConfig, IncidentTrigger, RecorderInfo,
     RingEntry, SelectionAudit, SelectionAuditInfo, SketchSummary, TimelineInfo,
 };
 use crate::metering::{exact_share, MeterCharge, MeterRow, Tenant, TenantLedger};
-use crate::recorder::{FlightRecorder, RecordKind, RecorderConfig, MAX_BATCH_MEMBERS};
+use crate::recorder::{FlightRecorder, RecordKind, MAX_BATCH_MEMBERS, RECORDER_CAPACITY};
 use crate::scrape::{ScrapeConfig, ScrapeHandle};
 use crate::slo::{Outcome, SloConfig, SloMonitor, SloVerdict};
 use crate::status::{
@@ -59,19 +60,18 @@ const SERVE_SEED: u64 = 41;
 /// belt-and-braces bound on any missed wakeup.
 const PARK_TIMEOUT: Duration = Duration::from_millis(10);
 
+/// Frames the on-host time-series ring retains: at the default 250 ms
+/// interval, the last minute.
+const TIMELINE_FRAMES: usize = 240;
+
 /// On-host time-series ring tuning: a background sampler thread captures
-/// a frame of the server's counters, gauges, and sketch quantiles (plus a
-/// per-tenant lane from the metering ledger) every `interval` into a
-/// fixed-capacity [`granii_telemetry::TimeSeriesRing`]. With the defaults
-/// (240 frames x 250ms) the ring holds the last minute — enough for an
-/// incident bundle to answer "what was trending before this fired".
+/// one frame of every catalog series (counters, gauges, sketch quantiles,
+/// per-tenant lanes) every `interval` into a ring of the last 240 frames
+/// ([`granii_telemetry::TimeSeriesRing`]). At the default interval the
+/// ring holds the last minute — enough for an incident bundle to answer
+/// "what was trending before this fired".
 #[derive(Debug, Clone)]
 pub struct TimelineConfig {
-    /// Whether to run the sampler thread at all (the ring itself always
-    /// exists; disabled just means it stays empty).
-    pub enabled: bool,
-    /// Retained frames (ring capacity).
-    pub capacity: usize,
     /// Sampling period.
     pub interval: Duration,
 }
@@ -79,8 +79,6 @@ pub struct TimelineConfig {
 impl Default for TimelineConfig {
     fn default() -> Self {
         TimelineConfig {
-            enabled: true,
-            capacity: 240,
             interval: Duration::from_millis(250),
         }
     }
@@ -109,8 +107,6 @@ pub struct ServeConfig {
     pub trace_sample_every: u64,
     /// Latency-SLO objectives and burn-rate monitoring tuning.
     pub slo: SloConfig,
-    /// Always-on flight-recorder ring sizing.
-    pub recorder: RecorderConfig,
     /// Automatic incident-capture policy (triggers, rate limits, artifact
     /// directory).
     pub incident: IncidentConfig,
@@ -132,7 +128,6 @@ impl Default for ServeConfig {
             fairness_share: 0.5,
             trace_sample_every: 0,
             slo: SloConfig::default(),
-            recorder: RecorderConfig::default(),
             incident: IncidentConfig::default(),
             timeline: TimelineConfig::default(),
             scrape: ScrapeConfig::default(),
@@ -248,48 +243,6 @@ pub struct ServeResponse {
     pub batch_size: usize,
 }
 
-/// Point-in-time serving counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServeStats {
-    /// Requests accepted into the queue.
-    pub submitted: u64,
-    /// Requests that completed with a response.
-    pub completed: u64,
-    /// Requests that failed with an error.
-    pub failed: u64,
-    /// Requests shed at submit because the queue was full.
-    pub shed: u64,
-    /// Requests shed by the per-tenant fairness bound (subset of `shed`).
-    pub tenant_shed: u64,
-    /// Requests served via the default-composition fallback.
-    pub degraded: u64,
-    /// Requests whose deadline had expired when their batch group formed.
-    pub deadline_expired: u64,
-    /// Batch groups of two or more requests executed as one multi-RHS
-    /// iterate.
-    pub batches: u64,
-    /// Requests served inside such groups.
-    pub batched_requests: u64,
-    /// Plan-cache hits.
-    pub cache_hits: u64,
-    /// Plan-cache misses.
-    pub cache_misses: u64,
-    /// Plan-cache evictions.
-    pub cache_evictions: u64,
-    /// Plan-cache entries dropped by drift flags or model hot-swaps.
-    pub cache_invalidations: u64,
-    /// Bound plans currently cached.
-    pub cache_len: usize,
-    /// Hit fraction over all cache lookups.
-    pub cache_hit_rate: f64,
-    /// Requests currently queued.
-    pub queue_depth: usize,
-    /// Signatures flagged by the online drift detector (total flags).
-    pub drift_flagged: u64,
-    /// Signatures flagged by the input-drift lane (total flags).
-    pub input_drift_flagged: u64,
-}
-
 /// Lifecycle counters the tenant ledger does not already keep (it owns
 /// completions, degradations, and sheds).
 #[derive(Default)]
@@ -304,42 +257,6 @@ struct Counters {
     drift_flagged: AtomicU64,
     /// Same lifetime semantics, for the input-drift lane.
     input_drift_flagged: AtomicU64,
-}
-
-/// Server-owned latency sketches, one per outcome class. Always recorded
-/// (like the atomic [`Counters`]) so the status surface, SLO math, and
-/// `serve_bench` get SLO-grade quantiles without telemetry being enabled;
-/// the telemetry registry gets a gated mirror on the same names.
-struct LatencySketches {
-    hit: Sketch,
-    miss: Sketch,
-    degraded: Sketch,
-}
-
-impl LatencySketches {
-    fn new() -> Self {
-        LatencySketches {
-            hit: Sketch::new(DEFAULT_SKETCH_ALPHA),
-            miss: Sketch::new(DEFAULT_SKETCH_ALPHA),
-            degraded: Sketch::new(DEFAULT_SKETCH_ALPHA),
-        }
-    }
-
-    fn for_outcome(&self, outcome: Outcome) -> &Sketch {
-        match outcome {
-            Outcome::Hit => &self.hit,
-            Outcome::Miss => &self.miss,
-            Outcome::Degraded => &self.degraded,
-        }
-    }
-
-    fn snapshots(&self) -> Vec<SketchSnapshot> {
-        vec![
-            self.hit.snapshot("serve.latency.hit"),
-            self.miss.snapshot("serve.latency.miss"),
-            self.degraded.snapshot("serve.latency.degraded"),
-        ]
-    }
 }
 
 /// Per-worker activity slots (status surface): nanoseconds spent processing
@@ -409,7 +326,11 @@ struct Inner {
     /// The input-profile lane.
     inspect: Lane<InputProfile>,
     slo: SloMonitor,
-    latency: LatencySketches,
+    /// Latency sketches, one per outcome class, indexed in [`Outcome::ALL`]
+    /// order. Always recorded (like the atomic [`Counters`]) so the status
+    /// surface, SLO math, and `serve_bench` get SLO-grade quantiles without
+    /// telemetry being enabled.
+    latency: [Sketch; 3],
     /// Batch-group size distribution (recorded per formed group, including
     /// groups of one — sequential traffic honestly shows p50 = 1).
     batch_sizes: Sketch,
@@ -443,8 +364,7 @@ struct Inner {
     /// Lock-free per-tenant admission bounds and resource meters (see
     /// [`crate::metering`]).
     ledger: TenantLedger,
-    /// On-host time-series ring (always present; populated by the sampler
-    /// thread when `TimelineConfig::enabled`).
+    /// On-host time-series ring, filled by the sampler thread.
     timeline: Arc<TimeSeriesRing>,
 }
 
@@ -530,7 +450,7 @@ impl Ticket {
 pub struct Server {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    /// The timeline sampler thread, when `TimelineConfig::enabled`.
+    /// The timeline sampler thread.
     sampler: Option<SamplerHandle>,
     /// The scrape listener, when `ScrapeConfig::enabled` and the bind
     /// succeeded.
@@ -547,7 +467,7 @@ impl Server {
             drift: Lane::new(),
             inspect: Lane::new(),
             slo: SloMonitor::new(config.slo.clone()),
-            latency: LatencySketches::new(),
+            latency: Outcome::ALL.map(|_| Sketch::new(DEFAULT_SKETCH_ALPHA)),
             batch_sizes: Sketch::new(DEFAULT_SKETCH_ALPHA),
             distinct_signatures: DistinctCounter::new(),
             queue: ArrayQueue::new(config.queue_depth.max(1)),
@@ -558,11 +478,11 @@ impl Server {
                 available: Condvar::new(),
                 sleepers: AtomicUsize::new(0),
             },
-            recorder: FlightRecorder::new(config.recorder),
+            recorder: FlightRecorder::new(RECORDER_CAPACITY),
             incidents: IncidentCapturer::new(config.incident.clone()),
             batch_trace_seq: AtomicU64::new(0),
             ledger: TenantLedger::new(config.queue_depth, config.fairness_share),
-            timeline: Arc::new(TimeSeriesRing::new(config.timeline.capacity)),
+            timeline: Arc::new(TimeSeriesRing::new(TIMELINE_FRAMES)),
             config: config.clone(),
             counters: Counters::default(),
             next_request_id: AtomicU64::new(0),
@@ -583,11 +503,7 @@ impl Server {
                     .expect("spawn serve worker")
             })
             .collect();
-        let sampler = inner
-            .config
-            .timeline
-            .enabled
-            .then(|| start_timeline_sampler(&inner));
+        let sampler = Some(start_timeline_sampler(&inner));
         let scrape = if inner.config.scrape.enabled {
             start_scrape_listener(&inner)
         } else {
@@ -639,7 +555,6 @@ impl Server {
             return Err(shed(inner, id, key, tenant, depth, "queue_full"));
         }
         if !inner.ledger.try_admit(tenant) {
-            granii_telemetry::counter_add("serve.tenant_shed", 1);
             return Err(shed(inner, id, key, tenant, depth, "tenant_cap"));
         }
         let (tx, rx) = mpsc::channel();
@@ -665,7 +580,6 @@ impl Server {
             return Err(shed(inner, id, key, tenant, depth, "queue_full"));
         }
         inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        granii_telemetry::counter_add("serve.submitted", 1);
         let depth = inner.queue.len();
         inner.recorder.record(
             id,
@@ -675,7 +589,6 @@ impl Server {
                 depth: depth as u32,
             },
         );
-        granii_telemetry::gauge_set("serve.queue_depth", depth as f64);
         event!("serve.enqueue", id = id, depth = depth);
         // Close the admission window before waking: the push must be
         // visible to any worker deciding whether it may exit.
@@ -727,19 +640,9 @@ impl Server {
     /// mergeable, so a caller can fold them into one whole-server
     /// distribution with [`SketchSnapshot::merge`].
     pub fn latency_sketches(&self) -> Vec<SketchSnapshot> {
-        self.inner.latency.snapshots()
-    }
-
-    /// Snapshot of the batch-group size distribution (`serve.batch.size`),
-    /// recorded once per formed group — including groups of one, so
-    /// sequential traffic honestly reports p50 = 1.
-    pub fn batch_sketch(&self) -> SketchSnapshot {
-        self.inner.batch_sizes.snapshot("serve.batch.size")
-    }
-
-    /// Current serving counters.
-    pub fn stats(&self) -> ServeStats {
-        self.inner.stats()
+        let mut sketches = self.inner.sketches();
+        sketches.truncate(Outcome::ALL.len());
+        sketches
     }
 
     /// Assembles the live status snapshot (see [`ServerStatus`]): queue and
@@ -748,6 +651,16 @@ impl Server {
     /// table, and flight-recorder health.
     pub fn status(&self) -> ServerStatus {
         self.inner.status()
+    }
+
+    /// This server's numbers as a metrics snapshot (what `--metrics-out`
+    /// writes): every series of the instrument catalog under its dotted
+    /// name (`serve.completed`, `serve.queue_depth`, ...), read from one
+    /// [`ServerStatus`] when called, plus the latency and batch-size
+    /// sketches. Always populated, telemetry enabled or not, and never
+    /// shared with another server in the process.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        catalog::metrics(&self.status(), self.inner.sketches())
     }
 
     /// The incident bundles captured so far and still retained in memory,
@@ -763,11 +676,6 @@ impl Server {
         self.inner.recorder.snapshot()
     }
 
-    /// Flight-recorder write/drop counters: `(written, dropped)`.
-    pub fn recorder_counters(&self) -> (u64, u64) {
-        (self.inner.recorder.written(), self.inner.recorder.dropped())
-    }
-
     /// Per-tenant meter rows, engine-charged time descending (the ranked
     /// "top tenants" view).
     pub fn metering_rows(&self) -> Vec<MeterRow> {
@@ -781,8 +689,8 @@ impl Server {
         self.inner.ledger.totals()
     }
 
-    /// A snapshot of the on-host time-series ring (empty when the sampler
-    /// is disabled). Render with [`granii_telemetry::timeseries_json`].
+    /// A snapshot of the on-host time-series ring (empty until the sampler's
+    /// first tick). Render with [`granii_telemetry::timeseries_json`].
     pub fn timeline_snapshot(&self) -> TimeSeriesSnapshot {
         self.inner.timeline.snapshot()
     }
@@ -817,34 +725,16 @@ impl Server {
 }
 
 impl Inner {
-    fn stats(&self) -> ServeStats {
-        self.stats_with(&self.ledger.totals())
-    }
-
-    /// [`Inner::stats`] over an already-read ledger totals row, so a status
-    /// snapshot's lifecycle counts and its metering section agree exactly.
-    fn stats_with(&self, totals: &MeterRow) -> ServeStats {
-        let c = &self.counters;
-        ServeStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            completed: totals.requests,
-            failed: c.failed.load(Ordering::Relaxed),
-            shed: totals.sheds,
-            tenant_shed: self.ledger.tenant_shed(),
-            degraded: totals.degraded,
-            deadline_expired: c.deadline_expired.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batched_requests: c.batched_requests.load(Ordering::Relaxed),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_evictions: self.cache.evictions(),
-            cache_invalidations: self.cache.invalidations(),
-            cache_len: self.cache.len(),
-            cache_hit_rate: self.cache.hit_rate(),
-            queue_depth: self.queue.len(),
-            drift_flagged: c.drift_flagged.load(Ordering::Relaxed),
-            input_drift_flagged: c.input_drift_flagged.load(Ordering::Relaxed),
-        }
+    /// The latency sketches (`serve.latency.<outcome>`, [`Outcome::ALL`]
+    /// order), then the batch-group size sketch (`serve.batch.size`,
+    /// recorded once per formed group — including groups of one, so
+    /// sequential traffic honestly reports p50 = 1).
+    fn sketches(&self) -> Vec<SketchSnapshot> {
+        let latency = Outcome::ALL.iter().zip(&self.latency);
+        latency
+            .map(|(outcome, sketch)| sketch.snapshot(&format!("{LATENCY}.{}", outcome.name())))
+            .chain([self.batch_sizes.snapshot(BATCH_SIZE)])
+            .collect()
     }
 
     /// `/readyz` semantics: accepting traffic, queue below the shed
@@ -876,10 +766,19 @@ impl Inner {
         // AND the per-tenant request counts on the drift/input tables.
         let meter_rows = self.ledger.rows();
         let meter_totals = self.ledger.totals();
-        let stats = self.stats_with(&meter_totals);
+        let c = &self.counters;
         let uptime_seconds = self.started.elapsed().as_secs_f64();
-        let completed = stats.completed.max(1) as f64;
-        let batch_sketch = self.batch_sizes.snapshot("serve.batch.size");
+        let completed = meter_totals.requests;
+        let deadline_expired = c.deadline_expired.load(Ordering::Relaxed);
+        let rate = |n: u64| {
+            if completed == 0 {
+                0.0
+            } else {
+                n as f64 / completed as f64
+            }
+        };
+        let mut sketches = self.sketches();
+        let batch_sketch = sketches.pop().expect("the batch-size sketch comes last");
         let tenants: Vec<TenantStatus> = self
             .ledger
             .admission_rows()
@@ -899,32 +798,24 @@ impl Inner {
         };
         ServerStatus {
             uptime_seconds,
-            queue_depth: stats.queue_depth,
+            queue_depth: self.queue.len(),
             queue_capacity: self.config.queue_depth,
-            submitted: stats.submitted,
-            completed: stats.completed,
-            failed: stats.failed,
-            shed: stats.shed,
-            degraded: stats.degraded,
-            deadline_expired: stats.deadline_expired,
-            degraded_rate: if stats.completed == 0 {
-                0.0
-            } else {
-                stats.degraded as f64 / completed
-            },
-            deadline_expired_rate: if stats.completed == 0 {
-                0.0
-            } else {
-                stats.deadline_expired as f64 / completed
-            },
-            drift_flagged: stats.drift_flagged,
-            input_drift_flagged: stats.input_drift_flagged,
+            submitted: c.submitted.load(Ordering::Relaxed),
+            completed,
+            failed: c.failed.load(Ordering::Relaxed),
+            shed: meter_totals.sheds,
+            degraded: meter_totals.degraded,
+            deadline_expired,
+            degraded_rate: rate(meter_totals.degraded),
+            deadline_expired_rate: rate(deadline_expired),
+            drift_flagged: c.drift_flagged.load(Ordering::Relaxed),
+            input_drift_flagged: c.input_drift_flagged.load(Ordering::Relaxed),
             distinct_signatures: self.distinct_signatures.estimate(),
             batching: BatchingStatus {
                 max_batch: self.config.max_batch,
                 groups: batch_sketch.count,
-                batches: stats.batches,
-                batched_requests: stats.batched_requests,
+                batches: c.batches.load(Ordering::Relaxed),
+                batched_requests: c.batched_requests.load(Ordering::Relaxed),
                 mean_size: batch_sketch.mean_ns(),
                 p50_size: batch_sketch.p50_ns(),
                 p95_size: batch_sketch.p95_ns(),
@@ -953,13 +844,13 @@ impl Inner {
                 })
                 .collect(),
             cache: CacheStatus {
-                hits: stats.cache_hits,
-                misses: stats.cache_misses,
-                evictions: stats.cache_evictions,
-                invalidations: stats.cache_invalidations,
-                len: stats.cache_len,
+                hits: self.cache.hits(),
+                misses: self.cache.misses(),
+                evictions: self.cache.evictions(),
+                invalidations: self.cache.invalidations(),
+                len: self.cache.len(),
                 capacity: self.config.cache_capacity,
-                hit_rate: stats.cache_hit_rate,
+                hit_rate: self.cache.hit_rate(),
             },
             drift: by_fingerprint(self.drift.rows())
                 .map(
@@ -1013,12 +904,11 @@ impl Inner {
                     windows_closed: row.windows_closed,
                 })
                 .collect(),
-            latency: self
-                .latency
-                .snapshots()
-                .into_iter()
-                .map(|s| LatencySketchStatus {
-                    outcome: s.name.rsplit('.').next().unwrap_or(&s.name).to_owned(),
+            latency: Outcome::ALL
+                .iter()
+                .zip(sketches)
+                .map(|(outcome, s)| LatencySketchStatus {
+                    outcome: outcome.name().to_owned(),
                     count: s.count,
                     mean_ms: s.mean_ns() / 1e6,
                     p50_ms: s.p50_ns() / 1e6,
@@ -1033,6 +923,7 @@ impl Inner {
                 dropped: self.recorder.dropped(),
                 incidents: self.incidents.captured(),
                 suppressed: self.incidents.suppressed(),
+                incident_io_errors: self.incidents.io_errors(),
                 events_dropped: granii_telemetry::events_dropped(),
                 last_trigger: self.incidents.last_trigger(),
             },
@@ -1068,83 +959,27 @@ impl Drop for Server {
     }
 }
 
-/// Column handles for the global timeline lanes, registered once at
-/// startup so the sampler tick itself is lookup-free.
-struct TimelineCols {
-    submitted: ColumnId,
-    completed: ColumnId,
-    failed: ColumnId,
-    shed: ColumnId,
-    degraded: ColumnId,
-    cache_hits: ColumnId,
-    cache_misses: ColumnId,
-    queue_depth: ColumnId,
-    cache_entries: ColumnId,
-    charged_ms: ColumnId,
-    hit_p95_ms: ColumnId,
-    miss_p95_ms: ColumnId,
-}
-
-/// Spawns the timeline sampler: every tick captures one frame of global
-/// counters/gauges/quantiles plus a per-tenant lane
-/// (`tenant.<fingerprint>.charged_ms` / `.requests`) from the metering
-/// ledger. The thread is an observer — it reads atomics and pushes into
-/// the ring; nothing on the request path waits for it.
+/// Spawns the timeline sampler: every tick reads one status and appends a
+/// frame holding every dotted series of the instrument catalog, per-tenant
+/// lanes (`tenant.<fingerprint>.charged_ms` / `.requests`) included. The
+/// thread is an observer; nothing on the request path waits for it.
 fn start_timeline_sampler(inner: &Arc<Inner>) -> SamplerHandle {
-    let ring = Arc::clone(&inner.timeline);
-    let cols = TimelineCols {
-        submitted: ring.column("serve.submitted", SampleKind::Counter),
-        completed: ring.column("serve.completed", SampleKind::Counter),
-        failed: ring.column("serve.failed", SampleKind::Counter),
-        shed: ring.column("serve.shed", SampleKind::Counter),
-        degraded: ring.column("serve.degraded", SampleKind::Counter),
-        cache_hits: ring.column("serve.cache_hits", SampleKind::Counter),
-        cache_misses: ring.column("serve.cache_misses", SampleKind::Counter),
-        queue_depth: ring.column("serve.queue_depth", SampleKind::Gauge),
-        cache_entries: ring.column("serve.cache_entries", SampleKind::Gauge),
-        charged_ms: ring.column("serve.charged_ms", SampleKind::Counter),
-        hit_p95_ms: ring.column("serve.latency.hit.p95_ms", SampleKind::Gauge),
-        miss_p95_ms: ring.column("serve.latency.miss.p95_ms", SampleKind::Gauge),
-    };
     let inner = Arc::clone(inner);
-    // Tenant columns register lazily, the first tick a tenant shows
-    // traffic; the map makes every later tick lookup-only.
-    let mut tenant_cols: HashMap<u64, (ColumnId, ColumnId)> = HashMap::new();
-    let mut samples: Vec<(ColumnId, f64)> = Vec::with_capacity(32);
+    // A column registers the first tick its series appears (a tenant's
+    // first traffic); the map makes every later tick a lookup.
+    let mut columns: HashMap<String, ColumnId> = HashMap::new();
+    let mut samples: Vec<(ColumnId, f64)> = Vec::new();
     start_sampler(inner.config.timeline.interval, move || {
         samples.clear();
-        let stats = inner.stats();
-        samples.push((cols.submitted, stats.submitted as f64));
-        samples.push((cols.completed, stats.completed as f64));
-        samples.push((cols.failed, stats.failed as f64));
-        samples.push((cols.shed, stats.shed as f64));
-        samples.push((cols.degraded, stats.degraded as f64));
-        samples.push((cols.cache_hits, stats.cache_hits as f64));
-        samples.push((cols.cache_misses, stats.cache_misses as f64));
-        samples.push((cols.queue_depth, stats.queue_depth as f64));
-        samples.push((cols.cache_entries, stats.cache_len as f64));
-        samples.push((
-            cols.charged_ms,
-            inner.ledger.totals().charged_ns as f64 / 1e6,
-        ));
-        samples.push((
-            cols.hit_p95_ms,
-            inner.latency.hit.snapshot("serve.latency.hit").p95_ns() / 1e6,
-        ));
-        samples.push((
-            cols.miss_p95_ms,
-            inner.latency.miss.snapshot("serve.latency.miss").p95_ns() / 1e6,
-        ));
-        inner.ledger.for_each(|row| {
-            let (charged, requests) = *tenant_cols.entry(row.fingerprint).or_insert_with(|| {
-                let fp = hex_fp(row.fingerprint);
-                (
-                    ring.column(&format!("tenant.{fp}.charged_ms"), SampleKind::Counter),
-                    ring.column(&format!("tenant.{fp}.requests"), SampleKind::Counter),
-                )
-            });
-            samples.push((charged, row.charged_ns as f64 / 1e6));
-            samples.push((requests, row.requests as f64));
+        let ring = &inner.timeline;
+        catalog::for_each_series(&inner.status(), |name, kind, value| {
+            let column = match columns.get(name) {
+                Some(&column) => column,
+                None => *columns
+                    .entry(name.to_owned())
+                    .or_insert_with(|| ring.column(name, kind.sample_kind())),
+            };
+            samples.push((column, value));
         });
         ring.push_now(&samples);
     })
@@ -1173,8 +1008,8 @@ fn start_scrape_listener(inner: &Arc<Inner>) -> Option<ScrapeHandle> {
 }
 
 /// Shed bookkeeping shared by every admission-reject path: the tenant's
-/// shed meter, gauges (a shed must not leave them stale), the shed event,
-/// the flight-recorder record, and the shed-storm incident trigger.
+/// shed meter, the shed event, the flight-recorder record, and the
+/// shed-storm incident trigger.
 fn shed(
     inner: &Inner,
     id: u64,
@@ -1184,9 +1019,6 @@ fn shed(
     reason: &'static str,
 ) -> ServeError {
     inner.ledger.note_shed(tenant);
-    granii_telemetry::counter_add("serve.shed", 1);
-    granii_telemetry::gauge_set("serve.queue_depth", depth as f64);
-    granii_telemetry::gauge_set("serve.cache_hit_rate", inner.cache.hit_rate());
     inner.recorder.record(
         id,
         key.1,
@@ -1253,7 +1085,6 @@ fn worker_loop(inner: &Inner, index: usize) {
         for job in &drained {
             inner.ledger.release(job.tenant);
         }
-        granii_telemetry::gauge_set("serve.queue_depth", inner.queue.len() as f64);
         // Coalesce by plan signature, preserving first-seen (queue) order.
         let mut groups: Vec<(PlanKey, Vec<Job>)> = Vec::new();
         for job in drained {
@@ -1285,7 +1116,6 @@ fn worker_loop(inner: &Inner, index: usize) {
 fn process_group(inner: &Inner, exec: &Exec, mut jobs: Vec<Job>) {
     let batch = jobs.len();
     inner.batch_sizes.record_ns(batch as u64);
-    granii_telemetry::sketch_record_ns("serve.batch.size", batch as u64);
     // Every formed group — including groups of one — leaves a ring record
     // naming its signature and member ids: the incident timeline can always
     // answer "which batch carried the triggering request".
@@ -1311,8 +1141,6 @@ fn process_group(inner: &Inner, exec: &Exec, mut jobs: Vec<Job>) {
             .counters
             .batched_requests
             .fetch_add(batch as u64, Ordering::Relaxed);
-        granii_telemetry::counter_add("serve.batches", 1);
-        granii_telemetry::counter_add("serve.batched_requests", batch as u64);
     }
     // Per-member dequeue bookkeeping. The deadline is checked here, at group
     // formation (not at ring pop): earlier groups from the same drain may
@@ -1323,7 +1151,6 @@ fn process_group(inner: &Inner, exec: &Exec, mut jobs: Vec<Job>) {
             t.mark_dequeued();
         }
         job.queue_seconds = formed.duration_since(job.enqueued).as_secs_f64();
-        granii_telemetry::histogram_record_seconds("serve.queue_wait", job.queue_seconds);
         event!(
             "serve.dequeue",
             id = job.id,
@@ -1337,13 +1164,11 @@ fn process_group(inner: &Inner, exec: &Exec, mut jobs: Vec<Job>) {
                 .counters
                 .deadline_expired
                 .fetch_add(1, Ordering::Relaxed);
-            granii_telemetry::counter_add("serve.deadline_expired", 1);
             inner
                 .recorder
                 .record(job.id, key.1, key.0.name(), RecordKind::DeadlineExpired);
         }
         inner.distinct_signatures.observe(key.1);
-        granii_telemetry::distinct_observe("serve.distinct_signatures", key.1);
         // The input-drift lane inspects every request's graph (one O(nodes)
         // pass, allocation-free on the tracked counters) — the same
         // statistics selection itself keys on.
@@ -1400,7 +1225,6 @@ fn process_batch(
     };
     inner.cache.note_shared_hits(batch as u64 - 1);
     if leader_hit {
-        granii_telemetry::counter_add("serve.cache_hits", batch as u64);
         inner.recorder.record(
             jobs[0].id,
             key.1,
@@ -1409,9 +1233,6 @@ fn process_batch(
                 shared: batch as u32 - 1,
             },
         );
-    } else {
-        granii_telemetry::counter_add("serve.cache_misses", 1);
-        granii_telemetry::counter_add("serve.cache_hits", batch as u64 - 1);
     }
 
     let t_execute = Instant::now();
@@ -1569,19 +1390,8 @@ fn finish_job(
 ) {
     match &result {
         Ok(response) => {
-            if response.degraded {
-                granii_telemetry::counter_add("serve.degraded", 1);
-            }
-            granii_telemetry::counter_add("serve.completed", 1);
-            granii_telemetry::histogram_record_seconds(
-                "serve.request_latency",
-                response.timing.total_seconds,
-            );
             // Outcome-split latency: a healthy hit rate can hide a
-            // pathological miss tail in the combined figures. The
-            // histogram is the legacy log₂ view; the sketch carries the
-            // SLO-grade quantiles (always recorded server-side, gated
-            // mirror into the telemetry registry under the same name).
+            // pathological miss tail in the combined figures.
             let outcome = if response.degraded {
                 Outcome::Degraded
             } else if response.cache_hit {
@@ -1589,19 +1399,12 @@ fn finish_job(
             } else {
                 Outcome::Miss
             };
-            let metric = match outcome {
-                Outcome::Hit => "serve.latency.hit",
-                Outcome::Miss => "serve.latency.miss",
-                Outcome::Degraded => "serve.latency.degraded",
-            };
             let latency_ns = if response.timing.total_seconds > 0.0 {
                 (response.timing.total_seconds * 1e9) as u64
             } else {
                 0
             };
-            granii_telemetry::histogram_record_seconds(metric, response.timing.total_seconds);
-            inner.latency.for_outcome(outcome).record_ns(latency_ns);
-            granii_telemetry::sketch_record_ns(metric, latency_ns);
+            inner.latency[outcome as usize].record_ns(latency_ns);
             inner.recorder.record(
                 id,
                 key.1,
@@ -1628,10 +1431,8 @@ fn finish_job(
                 } => {
                     let objective = &inner.slo.config().objectives[objective];
                     let name = objective.outcome.name();
-                    granii_telemetry::gauge_set(&format!("serve.slo.burn.{name}"), burn_rate);
                     match crossed {
                         Some(true) => {
-                            granii_telemetry::counter_add("serve.slo_breached", 1);
                             inner.recorder.record(
                                 id,
                                 key.1,
@@ -1677,7 +1478,6 @@ fn finish_job(
                     }
                 }
             }
-            granii_telemetry::gauge_set("serve.cache_hit_rate", inner.cache.hit_rate());
             event!(
                 "serve.complete",
                 id = id,
@@ -1689,15 +1489,9 @@ fn finish_job(
         }
         Err(_) => {
             inner.counters.failed.fetch_add(1, Ordering::Relaxed);
-            granii_telemetry::counter_add("serve.failed", 1);
             inner
                 .recorder
                 .record(id, key.1, key.0.name(), RecordKind::Failed);
-            // The gauges must track reality on the failure path too —
-            // a failed request still consumed a queue slot and a cache
-            // lookup.
-            granii_telemetry::gauge_set("serve.cache_hit_rate", inner.cache.hit_rate());
-            granii_telemetry::gauge_set("serve.queue_depth", inner.queue.len() as f64);
             event!("serve.failed", id = id);
         }
     }
@@ -1842,7 +1636,6 @@ fn observe_drift(
         let ewma_residual = track.smoothed.0;
         inner.cache.invalidate(key);
         inner.counters.drift_flagged.fetch_add(1, Ordering::Relaxed);
-        granii_telemetry::counter_add("serve.drift_flagged", 1);
         inner.recorder.record(
             id,
             key.1,
@@ -1886,7 +1679,6 @@ fn observe_input(inner: &Inner, id: u64, request: &ServeRequest, key: PlanKey, p
             .counters
             .input_drift_flagged
             .fetch_add(1, Ordering::Relaxed);
-        granii_telemetry::counter_add("serve.input_drift_flagged", 1);
         inner.recorder.record(
             id,
             key.1,
@@ -1938,7 +1730,6 @@ fn capture_incident(inner: &Inner, trigger: IncidentTrigger) {
         return;
     }
     let seq = inner.incidents.next_seq();
-    granii_telemetry::counter_add("serve.incidents", 1);
     event!("serve.incident", seq = seq, kind = trigger.kind());
     // Ring excerpt: the newest `ring_tail` records, oldest-first.
     let ring_all = inner.recorder.snapshot();
@@ -1957,24 +1748,19 @@ fn capture_incident(inner: &Inner, trigger: IncidentTrigger) {
             .get(key)
             .map(|audit| SelectionAuditInfo::from_audit(key, &audit))
     });
-    // Sketches: the three per-outcome latency sketches, their merge (one
-    // whole-server latency distribution), and the batch-size sketch.
-    let mut sketches = Vec::new();
-    let latency = inner.latency.snapshots();
-    let mut merged = latency.first().cloned();
-    for snapshot in latency.iter().skip(1) {
-        if let Some(m) = merged.as_mut() {
-            m.merge(snapshot);
-        }
+    // Sketches: the merge of the per-outcome latency sketches (one
+    // whole-server latency distribution), then each latency sketch and the
+    // batch-size sketch.
+    let sketches = inner.sketches();
+    let mut all = sketches[0].clone();
+    for outcome in &sketches[1..Outcome::ALL.len()] {
+        all.merge(outcome);
     }
-    if let Some(mut m) = merged {
-        m.name = "serve.latency.all".to_owned();
-        sketches.push(SketchSummary::from_snapshot(&m));
-    }
-    sketches.extend(latency.iter().map(SketchSummary::from_snapshot));
-    sketches.push(SketchSummary::from_snapshot(
-        &inner.batch_sizes.snapshot("serve.batch.size"),
-    ));
+    all.name = "serve.latency.all".to_owned();
+    let sketches = std::iter::once(&all)
+        .chain(&sketches)
+        .map(SketchSummary::from_snapshot)
+        .collect();
     let events = render_events(
         &granii_telemetry::snapshot_events(),
         inner.incidents.config().event_tail,

@@ -35,6 +35,9 @@ pub enum Outcome {
 }
 
 impl Outcome {
+    /// Every outcome, in declaration order (the discriminants index it).
+    pub const ALL: [Outcome; 3] = [Outcome::Hit, Outcome::Miss, Outcome::Degraded];
+
     /// Stable lowercase name (metric suffixes, status rows).
     pub fn name(self) -> &'static str {
         match self {
@@ -102,8 +105,8 @@ impl Default for SloConfig {
 pub enum SloVerdict {
     /// Counters updated; no window closed (or nothing changed).
     Ok,
-    /// A window just closed. The caller should refresh the `serve.slo.*`
-    /// gauges, and emit a burn/recover event when `crossed` is set.
+    /// A window just closed. The caller should emit a burn/recover event
+    /// when `crossed` is set.
     WindowClosed {
         /// Index into [`SloConfig::objectives`].
         objective: usize,

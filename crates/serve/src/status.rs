@@ -230,6 +230,9 @@ pub struct RecorderStatus {
     pub incidents: u64,
     /// Incident triggers suppressed by the rate limits.
     pub suppressed: u64,
+    /// Incident bundles that could not be written to the incident
+    /// directory (0 in snapshots from before the count existed).
+    pub incident_io_errors: u64,
     /// Telemetry events dropped by the bounded event sink.
     pub events_dropped: u64,
     /// Kind of the most recent captured trigger (`""` when none).
@@ -249,6 +252,8 @@ impl serde::Deserialize for RecorderStatus {
             dropped: serde::get_field(m, "dropped")?,
             incidents: serde::get_field(m, "incidents")?,
             suppressed: serde::get_field(m, "suppressed")?,
+            incident_io_errors: serde::get_field::<Option<u64>>(m, "incident_io_errors")?
+                .unwrap_or(0),
             events_dropped: serde::get_field(m, "events_dropped")?,
             last_trigger: serde::get_field(m, "last_trigger")?,
         })
@@ -328,6 +333,57 @@ pub struct MeteringStatus {
     pub total_slo_violations: u64,
     /// Per-tenant meters, charged time descending.
     pub tenants: Vec<TenantMeterStatus>,
+}
+
+/// The metering totals line, then the ranked tenant table — the one
+/// rendering shared by the status table, `granii top` and `serve_bench`.
+impl fmt::Display for MeteringStatus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "  metering {} requests | charged {:.2}ms | {:.0} flops | {:.0} bytes | sheds {} | slo violations {}",
+            self.total_requests,
+            self.total_charged_ms,
+            self.total_flops,
+            self.total_bytes,
+            self.total_sheds,
+            self.total_slo_violations
+        )?;
+        if self.tenants.is_empty() {
+            return Ok(());
+        }
+        writeln!(
+            f,
+            "           {:<18} {:>6} {:>7} {:>10} {:>6} {:>8} {:>5} {:>5} {:>5} {:>4}",
+            "top tenant",
+            "reqs",
+            "batched",
+            "charged",
+            "share",
+            "wait",
+            "hit%",
+            "shed",
+            "degr",
+            "slo"
+        )?;
+        for row in &self.tenants {
+            writeln!(
+                f,
+                "           {:<18} {:>6} {:>7} {:>8.2}ms {:>6.2} {:>6.2}ms {:>5.1} {:>5} {:>5} {:>4}",
+                row.fingerprint,
+                row.requests,
+                row.batched_requests,
+                row.charged_ms,
+                row.mean_batch_share,
+                row.mean_queue_wait_ms,
+                row.hit_rate * 100.0,
+                row.sheds,
+                row.degraded,
+                row.slo_violations
+            )?;
+        }
+        Ok(())
+    }
 }
 
 impl serde::Deserialize for MeteringStatus {
@@ -521,12 +577,13 @@ impl fmt::Display for ServerStatus {
         )?;
         writeln!(
             f,
-            "  recorder {} written | {} dropped (cap {}) | incidents {} (suppressed {}){} | events dropped {}",
+            "  recorder {} written | {} dropped (cap {}) | incidents {} (suppressed {}, io errors {}){} | events dropped {}",
             self.recorder.written,
             self.recorder.dropped,
             self.recorder.capacity,
             self.recorder.incidents,
             self.recorder.suppressed,
+            self.recorder.incident_io_errors,
             if self.recorder.last_trigger.is_empty() {
                 String::new()
             } else {
@@ -548,48 +605,7 @@ impl fmt::Display for ServerStatus {
                 )?;
             }
         }
-        writeln!(
-            f,
-            "  metering {} requests | charged {:.2}ms | {:.0} flops | {:.0} bytes | sheds {} | slo violations {}",
-            self.metering.total_requests,
-            self.metering.total_charged_ms,
-            self.metering.total_flops,
-            self.metering.total_bytes,
-            self.metering.total_sheds,
-            self.metering.total_slo_violations
-        )?;
-        if !self.metering.tenants.is_empty() {
-            writeln!(
-                f,
-                "           {:<18} {:>6} {:>7} {:>10} {:>6} {:>8} {:>5} {:>5} {:>5} {:>4}",
-                "top tenant",
-                "reqs",
-                "batched",
-                "charged",
-                "share",
-                "wait",
-                "hit%",
-                "shed",
-                "degr",
-                "slo"
-            )?;
-            for row in &self.metering.tenants {
-                writeln!(
-                    f,
-                    "           {:<18} {:>6} {:>7} {:>8.2}ms {:>6.2} {:>6.2}ms {:>5.1} {:>5} {:>5} {:>4}",
-                    row.fingerprint,
-                    row.requests,
-                    row.batched_requests,
-                    row.charged_ms,
-                    row.mean_batch_share,
-                    row.mean_queue_wait_ms,
-                    row.hit_rate * 100.0,
-                    row.sheds,
-                    row.degraded,
-                    row.slo_violations
-                )?;
-            }
-        }
+        write!(f, "{}", self.metering)?;
         if !self.latency.is_empty() {
             writeln!(
                 f,
@@ -828,6 +844,7 @@ mod tests {
                 dropped: 2,
                 incidents: 1,
                 suppressed: 3,
+                incident_io_errors: 2,
                 events_dropped: 7,
                 last_trigger: "slo_burn".to_owned(),
             },
@@ -892,6 +909,7 @@ mod tests {
         assert_eq!(parsed.recorder.written, 321);
         assert_eq!(parsed.recorder.incidents, 1);
         assert_eq!(parsed.recorder.events_dropped, 7);
+        assert_eq!(parsed.recorder.incident_io_errors, 2);
         assert_eq!(parsed.recorder.last_trigger, "slo_burn");
         assert_eq!(parsed.drift[0].tenant_requests, Some(70));
         assert_eq!(parsed.input[0].tenant_requests, Some(70));
@@ -924,10 +942,31 @@ mod tests {
             .expect("missing recorder section defaults");
         assert_eq!(recorder.written, 0);
         assert_eq!(recorder.last_trigger, "");
+        // A recorder section from before the incident write-error count.
+        let mut old = sample().recorder;
+        old.incident_io_errors = 5;
+        let mut json = serde::Serialize::serialize(&old);
+        if let serde::Value::Object(m) = &mut json {
+            assert!(m.remove("incident_io_errors").is_some());
+        }
+        let recorder = <RecorderStatus as serde::Deserialize>::deserialize(&json)
+            .expect("a recorder section without io errors parses");
+        assert_eq!(recorder.incident_io_errors, 0);
+        assert_eq!(recorder.written, 321);
         let metering = <MeteringStatus as serde::Deserialize>::deserialize(&serde::Value::Null)
             .expect("missing metering section defaults");
         assert_eq!(metering.total_requests, 0);
         assert!(metering.tenants.is_empty());
+    }
+
+    #[test]
+    fn prometheus_rendering_of_the_fixture_is_pinned() {
+        // Byte-for-byte: `/metrics` is read by external scrapers, so a
+        // change to any family, label, help text or value format shows here.
+        assert_eq!(
+            crate::scrape::render_prometheus(&sample()),
+            include_str!("../tests/data/status_fixture.prom")
+        );
     }
 
     #[test]

@@ -93,9 +93,9 @@ fn batched_outputs_are_bitwise_identical_to_serial() {
         }
     }
     assert!(batched_seen, "no batch of two or more ever formed");
-    let stats = server.stats();
-    assert!(stats.batches >= 1);
-    assert!(stats.batched_requests >= 2);
+    let stats = server.status();
+    assert!(stats.batching.batches >= 1);
+    assert!(stats.batching.batched_requests >= 2);
     assert_eq!(stats.failed, 0);
     server.shutdown();
 }
@@ -134,7 +134,7 @@ fn mixed_signature_bursts_batch_per_signature_and_stay_bitwise() {
         assert_eq!(response.composition, reference.composition);
         assert!(response.cache_hit, "both signatures were warmed");
     }
-    let stats = server.stats();
+    let stats = server.status();
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.completed, 26);
     server.shutdown();
@@ -172,7 +172,7 @@ fn degraded_and_expired_requests_keep_their_outcomes_inside_bursts() {
         assert!(!response.degraded);
         assert_eq!(response.output.as_slice(), first.output.as_slice());
     }
-    let stats = server.stats();
+    let stats = server.status();
     assert_eq!(stats.deadline_expired, 4);
     assert_eq!(stats.degraded, 1);
     assert_eq!(stats.failed, 0);
@@ -214,9 +214,9 @@ fn failed_groups_retry_members_without_repeating_their_dequeue() {
         );
     }
     busy.wait().expect("the busy request completes");
-    let stats = server.stats();
+    let stats = server.status();
     assert!(
-        stats.batches >= 1,
+        stats.batching.batches >= 1,
         "no group of two or more formed and failed"
     );
     assert_eq!(stats.failed, 12);
@@ -300,7 +300,7 @@ fn hot_tenant_cannot_capture_the_queue() {
             Err(_) => {
                 // Either the tenant bound or the global depth shed it; the
                 // stats below pin down that the tenant bound fired.
-                tenant_shed_seen = server.stats().tenant_shed > 0;
+                tenant_shed_seen = server.status().fairness.tenant_shed > 0;
                 if tenant_shed_seen {
                     break;
                 }
@@ -316,9 +316,9 @@ fn hot_tenant_cannot_capture_the_queue() {
     for ticket in tickets {
         ticket.wait().expect("admitted hot requests complete");
     }
-    let stats = server.stats();
-    assert!(stats.tenant_shed >= 1);
-    assert!(stats.shed >= stats.tenant_shed);
+    let stats = server.status();
+    assert!(stats.fairness.tenant_shed >= 1);
+    assert!(stats.shed >= stats.fairness.tenant_shed);
     assert_eq!(stats.failed, 0);
     server.shutdown();
 }

@@ -1,10 +1,10 @@
-//! Gauge-freshness acceptance: the `serve.queue_depth` gauge must read 0
-//! after a graceful shutdown drains the queue, the shed path must refresh the
-//! gauges it would otherwise leave stale, and the outcome-split latency
-//! histograms must partition completed requests exactly.
+//! Gauge acceptance on the server's own books: the `serve.queue_depth`
+//! gauge reads 0 once every queued request was served, a shed is counted
+//! even when the queue never accepted anything, and the outcome-split
+//! latency sketches partition the completed requests exactly.
 //!
-//! Single `#[test]` binary: the telemetry metrics registry is
-//! process-global, so no other test may record serve metrics concurrently.
+//! Gauges are read from the server when the snapshot is taken, so they
+//! cannot go stale between updates.
 
 use std::sync::Arc;
 
@@ -23,12 +23,20 @@ fn gauge(snapshot: &MetricsSnapshot, name: &str) -> Option<f64> {
         .map(|&(_, v)| v)
 }
 
-fn histogram_count(snapshot: &MetricsSnapshot, name: &str) -> u64 {
+fn counter(snapshot: &MetricsSnapshot, name: &str) -> Option<u64> {
     snapshot
-        .histograms
+        .counters
         .iter()
-        .find(|h| h.name == name)
-        .map_or(0, |h| h.count)
+        .find(|(n, _)| n == name)
+        .map(|&(_, v)| v)
+}
+
+fn sketch_count(snapshot: &MetricsSnapshot, name: &str) -> u64 {
+    snapshot
+        .sketches
+        .iter()
+        .find(|s| s.name == name)
+        .map_or(0, |s| s.count)
 }
 
 #[test]
@@ -40,12 +48,8 @@ fn queue_depth_gauge_drains_to_zero_and_latency_splits_partition() {
     let graph = Arc::new(Dataset::CoAuthorsCiteseer.load(Scale::Tiny).unwrap());
     let request = || ServeRequest::new(ModelKind::Gcn, graph.clone(), 64, 128);
 
-    granii_telemetry::reset();
-    granii_telemetry::enable();
-
     // Burst 8 requests at a single worker so the queue observably builds,
-    // then shut down: the drain must serve every accepted request and leave
-    // the gauge at its true final value — zero.
+    // then wait for every reply: the gauge must read its true value — zero.
     let server = Server::start(
         granii.clone(),
         ServeConfig {
@@ -57,16 +61,16 @@ fn queue_depth_gauge_drains_to_zero_and_latency_splits_partition() {
     let tickets: Vec<_> = (0..8)
         .map(|_| server.submit(request()).expect("queue has room"))
         .collect();
-    server.shutdown();
     for ticket in tickets {
-        ticket.wait().expect("drained request completes");
+        ticket.wait().expect("queued request completes");
     }
 
-    let snapshot = granii_telemetry::metrics_snapshot();
+    let snapshot = server.metrics_snapshot();
+    server.shutdown();
     assert_eq!(
         gauge(&snapshot, "serve.queue_depth"),
         Some(0.0),
-        "queue-depth gauge must read 0 after the shutdown drain"
+        "queue-depth gauge must read 0 once the queue is served"
     );
     assert_eq!(
         gauge(&snapshot, "serve.cache_hit_rate").map(|v| v > 0.0),
@@ -75,14 +79,13 @@ fn queue_depth_gauge_drains_to_zero_and_latency_splits_partition() {
     );
 
     // One signature, 8 requests: exactly 1 miss, 7 hits, 0 degraded — the
-    // outcome-split histograms must partition the combined latency histogram.
-    assert_eq!(histogram_count(&snapshot, "serve.latency.miss"), 1);
-    assert_eq!(histogram_count(&snapshot, "serve.latency.hit"), 7);
-    assert_eq!(histogram_count(&snapshot, "serve.latency.degraded"), 0);
-    assert_eq!(histogram_count(&snapshot, "serve.request_latency"), 8);
+    // outcome-split sketches must partition the completed requests.
+    assert_eq!(sketch_count(&snapshot, "serve.latency.miss"), 1);
+    assert_eq!(sketch_count(&snapshot, "serve.latency.hit"), 7);
+    assert_eq!(sketch_count(&snapshot, "serve.latency.degraded"), 0);
+    assert_eq!(counter(&snapshot, "serve.completed"), Some(8));
 
-    // Shed path: a zero-depth queue sheds every submit, and the shed branch
-    // must still refresh both gauges rather than leave the last drain values.
+    // Shed path: a zero-depth queue sheds every submit.
     let full = Server::start(
         granii,
         ServeConfig {
@@ -95,20 +98,12 @@ fn queue_depth_gauge_drains_to_zero_and_latency_splits_partition() {
         Err(ServeError::Overloaded { .. }) => {}
         other => panic!("expected Overloaded, got {other:?}", other = other.err()),
     }
+    let snapshot = full.metrics_snapshot();
     full.shutdown();
-    let snapshot = granii_telemetry::metrics_snapshot();
-    let shed = snapshot
-        .counters
-        .iter()
-        .find(|(n, _)| n == "serve.shed")
-        .map(|&(_, v)| v);
-    assert_eq!(shed, Some(1));
+    assert_eq!(counter(&snapshot, "serve.shed"), Some(1));
     assert_eq!(
         gauge(&snapshot, "serve.queue_depth"),
         Some(0.0),
-        "shed branch reports the (full) queue's observed depth"
+        "the shed request never reached the queue"
     );
-
-    granii_telemetry::disable();
-    granii_telemetry::reset();
 }

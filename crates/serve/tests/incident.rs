@@ -115,7 +115,7 @@ fn input_drift_anomaly_automatically_produces_a_correlated_bundle() {
     for _ in 0..5 {
         serve(&server, &mutated);
     }
-    let stats = server.stats();
+    let stats = server.status();
     assert_eq!(stats.input_drift_flagged, 1);
     assert_eq!(stats.completed, 11);
 

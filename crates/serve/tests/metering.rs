@@ -103,7 +103,6 @@ proptest! {
                 // with the ledger writes it reads.
                 timeline: TimelineConfig {
                     interval: Duration::from_millis(2),
-                    ..TimelineConfig::default()
                 },
                 ..ServeConfig::default()
             },
@@ -131,7 +130,7 @@ proptest! {
         let rows = server.metering_rows();
         let totals = server.metering_totals();
         prop_assert_eq!(totals.requests, expected, "ledger metered every completed request");
-        prop_assert_eq!(totals.requests, server.stats().completed);
+        prop_assert_eq!(totals.requests, server.status().completed);
         assert_rows_sum_to_totals(&rows, &totals);
         prop_assert!(totals.charged_ns > 0, "engine charges attributed");
         prop_assert!(totals.flops > 0, "flops attributed");
@@ -186,7 +185,7 @@ fn batched_and_serial_paths_attribute_exactly() {
     let rows = server.metering_rows();
     let totals = server.metering_totals();
     assert_rows_sum_to_totals(&rows, &totals);
-    assert_eq!(totals.requests, server.stats().completed);
+    assert_eq!(totals.requests, server.status().completed);
     assert!(totals.batched_requests > 0, "batched traffic metered");
     assert!(
         totals.batched_requests < totals.requests,
@@ -238,7 +237,7 @@ fn sheds_and_slo_violations_are_attributed() {
     for ticket in tickets {
         let _ = ticket.wait();
     }
-    let stats = server.stats();
+    let stats = server.status();
     let totals = server.metering_totals();
     assert!(stats.shed > 0, "flood must shed against a depth-2 queue");
     assert_eq!(

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use granii_serve::{FlightRecorder, RecordKind, RecorderConfig};
+use granii_serve::{FlightRecorder, RecordKind};
 
 /// A payload whose fields are all derived from the sequence-unique `probe`
 /// value: any torn read (fields from two different records) breaks the
@@ -51,7 +51,7 @@ fn eight_writers_wrap_the_ring_without_tearing_or_duplicates() {
     const WRITERS: usize = 8;
     const PER_WRITER: u64 = 20_000;
     // Small ring so the writers lap it thousands of times.
-    let recorder = Arc::new(FlightRecorder::new(RecorderConfig { capacity: 64 }));
+    let recorder = Arc::new(FlightRecorder::new(64));
 
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
@@ -105,7 +105,7 @@ fn eight_writers_wrap_the_ring_without_tearing_or_duplicates() {
 
 #[test]
 fn drop_counter_is_monotone_while_writers_run() {
-    let recorder = Arc::new(FlightRecorder::new(RecorderConfig { capacity: 16 }));
+    let recorder = Arc::new(FlightRecorder::new(16));
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..4)
         .map(|w| {
@@ -146,7 +146,7 @@ fn drop_counter_is_monotone_while_writers_run() {
 
 #[test]
 fn snapshots_taken_while_writing_never_observe_torn_records() {
-    let recorder = Arc::new(FlightRecorder::new(RecorderConfig { capacity: 32 }));
+    let recorder = Arc::new(FlightRecorder::new(32));
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..4)
         .map(|w| {

@@ -55,7 +55,7 @@ fn serves_a_request_end_to_end() {
     assert!(!response.degraded);
     assert!(!response.cache_hit, "first request of a signature misses");
     assert!(response.timing.total_seconds >= response.timing.execute_seconds);
-    let stats = server.stats();
+    let stats = server.status();
     assert_eq!(stats.submitted, 1);
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.failed, 0);
@@ -88,14 +88,14 @@ fn repeated_workload_exceeds_90_percent_hit_rate() {
             }
         }
     }
-    let stats = server.stats();
+    let stats = server.status();
     assert_eq!(stats.completed, 120);
-    assert_eq!(stats.cache_misses, 3, "one miss per signature");
-    assert_eq!(stats.cache_hits, 117);
+    assert_eq!(stats.cache.misses, 3, "one miss per signature");
+    assert_eq!(stats.cache.hits, 117);
     assert!(
-        stats.cache_hit_rate > 0.9,
+        stats.cache.hit_rate > 0.9,
         "steady-state hit rate {} must exceed 90%",
-        stats.cache_hit_rate
+        stats.cache.hit_rate
     );
     server.shutdown();
 }
@@ -118,7 +118,7 @@ fn full_queue_sheds_with_overloaded_not_abort() {
             other => panic!("expected Overloaded, got {other:?}", other = other.err()),
         }
     }
-    let stats = server.stats();
+    let stats = server.status();
     assert_eq!(stats.shed, 10);
     assert_eq!(stats.submitted, 0);
     server.shutdown();
@@ -151,7 +151,7 @@ fn saturated_queue_sheds_excess_and_completes_the_rest() {
         let response = ticket.wait().expect("accepted request completes");
         assert!(response.output.as_slice().iter().all(|v| v.is_finite()));
     }
-    let stats = server.stats();
+    let stats = server.status();
     assert_eq!(accepted + shed, 64);
     assert_eq!(stats.completed, accepted);
     assert_eq!(stats.shed, shed);
@@ -179,14 +179,14 @@ fn corrupted_cost_model_degrades_every_miss_but_completes_every_request() {
             }
         }
     }
-    let stats = server.stats();
+    let stats = server.status();
     assert_eq!(stats.completed, 10);
     assert_eq!(stats.failed, 0);
     assert_eq!(
-        stats.degraded, stats.cache_misses,
+        stats.degraded, stats.cache.misses,
         "degraded counter must match the fallback count (one per miss)"
     );
-    assert_eq!(stats.cache_misses, 2, "one miss per signature");
+    assert_eq!(stats.cache.misses, 2, "one miss per signature");
     server.shutdown();
 }
 
@@ -204,7 +204,7 @@ fn expired_deadline_serves_degraded_instead_of_failing() {
         response.degraded,
         "expired miss uses the default composition"
     );
-    let stats = server.stats();
+    let stats = server.status();
     assert_eq!(stats.deadline_expired, 1);
     assert_eq!(stats.degraded, 1);
 
@@ -215,7 +215,7 @@ fn expired_deadline_serves_degraded_instead_of_failing() {
         .expect("request completes");
     assert!(hit.cache_hit);
     assert!(!hit.degraded);
-    assert_eq!(server.stats().degraded, 1);
+    assert_eq!(server.status().degraded, 1);
     server.shutdown();
 }
 
@@ -236,19 +236,19 @@ fn lru_eviction_keeps_cache_at_capacity() {
             .process(ServeRequest::new(ModelKind::Gcn, graph.clone(), 64, k2))
             .expect("request completes");
     }
-    let stats = server.stats();
-    assert_eq!(stats.cache_len, 2);
-    assert_eq!(stats.cache_evictions, 2);
+    let stats = server.status();
+    assert_eq!(stats.cache.len, 2);
+    assert_eq!(stats.cache.evictions, 2);
     // The most recent signature is still cached; the oldest is not.
     server
         .process(ServeRequest::new(ModelKind::Gcn, graph.clone(), 64, 128))
         .expect("request completes");
-    assert_eq!(server.stats().cache_hits, 1);
+    assert_eq!(server.status().cache.hits, 1);
     server
         .process(ServeRequest::new(ModelKind::Gcn, graph, 64, 16))
         .expect("request completes");
     assert_eq!(
-        server.stats().cache_misses,
+        server.status().cache.misses,
         5,
         "evicted signature re-misses"
     );

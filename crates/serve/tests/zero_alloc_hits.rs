@@ -40,10 +40,10 @@ fn unsampled_cache_hits_do_not_allocate() {
         trace_sample_every: 0,
         ..ServeConfig::default()
     };
-    // Crank the timeline sampler so it provably ticks (and registers
-    // per-tenant columns) *during* the zero-alloc loops below: the sampler
-    // and the metering ledger must not perturb the hit path's contract.
-    assert!(config.timeline.enabled, "sampler must be on by default");
+    // Crank the timeline sampler (always on) so it provably ticks (and
+    // registers per-tenant columns) *during* the zero-alloc loops below: the
+    // sampler and the metering ledger must not perturb the hit path's
+    // contract.
     config.timeline.interval = std::time::Duration::from_millis(2);
     let server = Server::start(granii, config);
 
@@ -52,7 +52,8 @@ fn unsampled_cache_hits_do_not_allocate() {
     assert!(!warm.cache_hit);
 
     let before = allocation_counter_total();
-    let (recorder_before, dropped_before) = server.recorder_counters();
+    let recorder = server.status().recorder;
+    let (recorder_before, dropped_before) = (recorder.written, recorder.dropped);
     for _ in 0..10 {
         let response = server.process(request()).expect("hit completes");
         assert!(response.cache_hit, "warmed signature must hit");
@@ -67,7 +68,8 @@ fn unsampled_cache_hits_do_not_allocate() {
     // formation, cache-hit, and completion records through the ring — so
     // the zero-alloc budget above already includes `record()`. Prove the
     // recorder was actually live (not silently gated) across the loop.
-    let (recorder_after, dropped_after) = server.recorder_counters();
+    let recorder = server.status().recorder;
+    let (recorder_after, dropped_after) = (recorder.written, recorder.dropped);
     assert!(
         recorder_after - recorder_before >= 40,
         "recorder must stream >=4 records per hit while staying alloc-free \
@@ -141,7 +143,7 @@ fn unsampled_cache_hits_do_not_allocate() {
         batched_after_growth,
         "no batch of two or more formed after the plan's wide buffers grew"
     );
-    assert!(server.stats().batched_requests >= 4);
+    assert!(server.status().batching.batched_requests >= 4);
 
     // The metering ledger rode every one of those requests (all-atomic
     // recording inside the zero-alloc budget asserted above): its totals
@@ -150,7 +152,7 @@ fn unsampled_cache_hits_do_not_allocate() {
     let totals = server.metering_totals();
     assert_eq!(
         totals.requests,
-        server.stats().completed,
+        server.status().completed,
         "ledger metered every completed request"
     );
     let tenant_sum: u64 = server.metering_rows().iter().map(|r| r.charged_ns).sum();

@@ -178,7 +178,7 @@ fn concurrent_serving_outputs_are_bitwise_identical_to_serial() {
             });
         }
     });
-    let stats = server.stats();
+    let stats = server.status();
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.completed, (THREADS * ROUNDS * work.len()) as u64);
     assert_eq!(stats.shed, 0, "queue was sized to never shed");
