@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Writes `BENCH_<host>.json` (or `--out`) with per-cell steady-state
-//! ns/iter, selection regret, allocation counters, the git SHA, and the host
-//! name. Diff two snapshots with `bench_compare`.
+//! ns/iter, selection regret, steady-state kernel-buffer allocations, the
+//! git SHA, and the host name. Diff two snapshots with `bench_compare`.
 
 use granii_bench::snapshot;
 use granii_core::{Granii, GraniiOptions};
@@ -62,9 +62,6 @@ fn main() {
     }
     let out = out.unwrap_or_else(|| format!("BENCH_{}.json", snapshot::host_name()));
 
-    // Allocation counters come from the telemetry layer; keep it on for the
-    // whole run so steady-state allocations are observable.
-    granii_telemetry::enable();
     eprintln!("[offline] training cost models for {device}...");
     let granii = std::sync::Arc::new(
         Granii::train_for_device(device, GraniiOptions::fast()).expect("cost-model training"),

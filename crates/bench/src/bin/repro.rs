@@ -45,7 +45,6 @@ fn main() {
     let mut scale = Scale::Small;
     let mut records_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
     let mut trace_summary = false;
     let mut cmd = None;
     let mut i = 0;
@@ -64,14 +63,6 @@ fn main() {
                 trace_path = args.get(i).cloned();
                 if trace_path.is_none() {
                     eprintln!("--trace-out needs a path");
-                    std::process::exit(2);
-                }
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_path = args.get(i).cloned();
-                if metrics_path.is_none() {
-                    eprintln!("--metrics-out needs a path");
                     std::process::exit(2);
                 }
             }
@@ -96,12 +87,14 @@ fn main() {
         i += 1;
     }
     let Some(cmd) = cmd else {
-        eprintln!("usage: repro [--scale tiny|small] [--trace-out FILE] [--metrics-out FILE] [--trace-summary] <experiment>");
+        eprintln!(
+            "usage: repro [--scale tiny|small] [--trace-out FILE] [--trace-summary] <experiment>"
+        );
         eprintln!("experiments: counts fig6 fig3 fig1 fig2 table3 fig8 table4 fig9 table5 table6 overheads all");
         std::process::exit(2);
     };
 
-    let tracing = trace_path.is_some() || metrics_path.is_some() || trace_summary;
+    let tracing = trace_path.is_some() || trace_summary;
     if tracing {
         granii_telemetry::enable();
     }
@@ -152,17 +145,6 @@ fn main() {
             match std::fs::write(path, json) {
                 Ok(()) => eprintln!("[trace] {} spans -> {path}", spans.len()),
                 Err(e) => eprintln!("[trace] failed to write {path}: {e}"),
-            }
-        }
-        if let Some(path) = &metrics_path {
-            let snapshot = granii_telemetry::metrics_snapshot();
-            match std::fs::write(path, granii_telemetry::export::metrics_json(&snapshot)) {
-                Ok(()) => eprintln!(
-                    "[metrics] {} counters, {} histograms -> {path}",
-                    snapshot.counters.len(),
-                    snapshot.histograms.len()
-                ),
-                Err(e) => eprintln!("[metrics] failed to write {path}: {e}"),
             }
         }
         if trace_summary {

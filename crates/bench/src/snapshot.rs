@@ -5,8 +5,8 @@
 //! grid, the host-measured steady-state ns/iter of the GRANII-selected
 //! composition through the compile-once engine, the selection's regret
 //! against the measured oracle (via [`granii_core::audit::verify`]), and the
-//! steady-state allocation counters — stamped with the git SHA and host name
-//! so regressions can be traced to a commit and a machine.
+//! kernel buffers its steady state allocates — stamped with the git SHA and
+//! host name so regressions can be traced to a commit and a machine.
 //!
 //! [`compare`] diffs two snapshots cell by cell and flags any cell whose
 //! steady-state ns/iter regressed by more than a threshold. Host timings are
@@ -56,8 +56,9 @@ pub struct SnapshotEntry {
     pub regret_seconds: f64,
     /// Regret as a fraction of the oracle latency.
     pub relative_regret: f64,
-    /// Heap allocations observed across the steady-state iterations (the
-    /// compile-once contract keeps this at 0).
+    /// Fresh kernel buffers ([`granii_matrix::buffer_allocations`])
+    /// allocated across the steady-state iterations (the compile-once
+    /// contract keeps this at 0).
     pub steady_allocations: u64,
 }
 
@@ -132,9 +133,7 @@ pub fn git_sha() -> String {
 }
 
 /// Measures the full snapshot grid. `granii` must be trained for the device
-/// the snapshot should represent. Telemetry should be enabled by the caller
-/// if allocation counters are wanted (they read the telemetry counters and
-/// report 0 otherwise).
+/// the snapshot should represent.
 ///
 /// # Errors
 ///

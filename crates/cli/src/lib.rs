@@ -16,9 +16,10 @@
 //! - `granii serve-demo` — stand up the concurrent serving runtime
 //!   (`granii-serve`), replay a request signature through it, and report
 //!   cache-cold vs. cache-hot latency plus the server's counters; can dump a
-//!   live status snapshot (`--status-out`), per-request trace lanes
-//!   (`--trace-out` + `--trace-every`), and a structured event log
-//!   (`--events-out`); `--incident-dir` arms automatic incident capture
+//!   live status snapshot (`--status-out`), the server's metrics
+//!   (`--metrics-out`), per-request trace lanes (`--trace-out` +
+//!   `--trace-every`), and a structured event log (`--events-out`);
+//!   `--incident-dir` arms automatic incident capture
 //!   with demo-tight SLO and shed thresholds and floods the queue so at
 //!   least one bundle lands in the directory,
 //! - `granii serve-status` — render a dumped status snapshot as a
@@ -144,10 +145,12 @@ pub fn usage() -> String {
                  (--graph FILE | --dataset CODE [--scale tiny|small])\n\
        serve-demo --models FILE (--graph FILE | --dataset CODE [--scale ...])\n\
                  [--model NAME] [--k1 N] [--k2 N] [--requests N] [--workers N]\n\
-                 [--max-batch N] [--status-out FILE] [--trace-every N]\n\
-                 [--incident-dir DIR] [--scrape ADDR] [--scrape-hold-ms N]\n\
-                 [--timeline-out FILE]\n\
+                 [--max-batch N] [--status-out FILE] [--metrics-out FILE]\n\
+                 [--trace-every N] [--incident-dir DIR] [--scrape ADDR]\n\
+                 [--scrape-hold-ms N] [--timeline-out FILE]\n\
                  --status-out writes a live ServerStatus snapshot as JSON;\n\
+                 --metrics-out writes the server's counters, gauges, quantile\n\
+                 sketches (p50-p999) and distinct-count estimates as JSON;\n\
                  --trace-every samples every Nth request into its own trace\n\
                  lane (needs --trace-out; default 1, 0 disables);\n\
                  --incident-dir arms automatic incident capture with\n\
@@ -157,7 +160,8 @@ pub fn usage() -> String {
                  listener on ADDR (e.g. 127.0.0.1:9464; port 0 picks one);\n\
                  --scrape-hold-ms keeps the server (and listener) alive N ms\n\
                  after the workload so an external scraper can poll it;\n\
-                 --timeline-out dumps the on-host time-series ring as JSON\n\
+                 --timeline-out dumps the on-host time-series ring as JSON;\n\
+                 --trace-summary appends the server's status table\n\
        serve-status --status FILE\n\
                  render a serve-demo --status-out snapshot as a table\n\
        top       --status FILE [--watch N] [--interval-ms MS]\n\
@@ -171,11 +175,8 @@ pub fn usage() -> String {
                  a human-readable timeline\n\
      global observability flags (any command):\n\
        --trace-out FILE     write a Chrome trace-event JSON (Perfetto-loadable)\n\
-       --metrics-out FILE   write counters, latency histograms, quantile\n\
-                 sketches (p50-p999), and distinct-count estimates as JSON\n\
        --events-out FILE    write structured events (enqueue/shed/drift/...) as JSONL\n\
-       --trace-summary      append a hierarchical span summary (plus sketch\n\
-                 quantile and distinct-count tables, when recorded) to the output"
+       --trace-summary      append a hierarchical span summary to the output"
         .to_string()
 }
 
@@ -250,22 +251,28 @@ pub fn load_graph(args: &Args) -> Result<Graph, CliError> {
 }
 
 /// Runs a parsed command, returning the text to print. When any of the
-/// observability flags (`--trace-out`, `--metrics-out`, `--trace-summary`) is
+/// tracing flags (`--trace-out`, `--events-out`, `--trace-summary`) is
 /// present, telemetry is enabled for the duration of the command and the
-/// requested exports are produced afterwards. The metrics export is the
-/// process registry's snapshot merged with the books of the server a
-/// command ran (`serve-demo`).
+/// requested exports are produced afterwards.
 ///
 /// # Errors
 ///
-/// Returns a user-facing error message.
+/// Returns a user-facing error message, including a usage error for
+/// `--metrics-out` on any command but `serve-demo`.
 pub fn run(args: &Args) -> Result<String, CliError> {
+    if args.get("metrics-out").is_some() && args.command != "serve-demo" {
+        return Err(format!(
+            "--metrics-out is a serve-demo flag (a server's books); for {} use \
+             --trace-out FILE or --trace-summary, whose spans hold every kernel, \
+             selection and plan duration",
+            args.command
+        ));
+    }
     let tracing = args.get("trace-out").is_some()
-        || args.get("metrics-out").is_some()
         || args.get("trace-summary").is_some()
         || args.get("events-out").is_some();
     if !tracing {
-        return dispatch(args).map(|(out, _)| out);
+        return dispatch(args);
     }
     granii_telemetry::reset();
     granii_telemetry::enable();
@@ -273,28 +280,12 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     granii_telemetry::disable();
     let spans = granii_telemetry::take_spans();
     let events = granii_telemetry::take_events();
-    let mut snapshot = granii_telemetry::metrics_snapshot();
     granii_telemetry::reset();
-    let (mut out, served) = result?;
-    if let Some(served) = served {
-        merge_metrics(&mut snapshot, served);
-    }
+    let mut out = result?;
     if let Some(path) = args.get("trace-out") {
         std::fs::write(path, granii_telemetry::export::chrome_trace(&spans))
             .map_err(|e| format!("write {path}: {e}"))?;
         writeln!(out, "trace: {} spans -> {path}", spans.len()).expect("fmt");
-    }
-    if let Some(path) = args.get("metrics-out") {
-        std::fs::write(path, granii_telemetry::export::metrics_json(&snapshot))
-            .map_err(|e| format!("write {path}: {e}"))?;
-        writeln!(
-            out,
-            "metrics: {} counters, {} histograms, {} sketches -> {path}",
-            snapshot.counters.len(),
-            snapshot.histograms.len(),
-            snapshot.sketches.len()
-        )
-        .expect("fmt");
     }
     if let Some(path) = args.get("events-out") {
         std::fs::write(path, granii_telemetry::export::events_jsonl(&events))
@@ -304,50 +295,27 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     if args.get("trace-summary").is_some() {
         out.push('\n');
         out.push_str(&granii_telemetry::export::summary(&spans));
-        // Sketch-backed quantiles (and distinct-count estimates) ride along
-        // when anything recorded them — e.g. the serve-demo latency lanes.
-        let sketches = granii_telemetry::export::sketch_summary(&snapshot);
-        if !sketches.is_empty() {
-            out.push('\n');
-            out.push_str(&sketches);
-        }
     }
     Ok(out)
 }
 
-/// Appends a server's metrics to the process registry's snapshot. The
-/// names never collide: a server's are `serve.*` and `tenant.*`, and it
-/// writes nothing into the registry.
-fn merge_metrics(
-    into: &mut granii_telemetry::MetricsSnapshot,
-    from: granii_telemetry::MetricsSnapshot,
-) {
-    into.counters.extend(from.counters);
-    into.gauges.extend(from.gauges);
-    into.histograms.extend(from.histograms);
-    into.sketches.extend(from.sketches);
-    into.distincts.extend(from.distincts);
-}
-
-/// Runs the command: its output text, plus the metrics of the server it
-/// ran, if any.
-fn dispatch(args: &Args) -> Result<(String, Option<granii_telemetry::MetricsSnapshot>), CliError> {
-    let out = match args.command.as_str() {
+/// Runs the command and returns its output text.
+fn dispatch(args: &Args) -> Result<String, CliError> {
+    match args.command.as_str() {
         "train" => cmd_train(args),
         "select" => cmd_select(args),
         "compile" => cmd_compile(args),
         "generate" => cmd_generate(args),
         "inspect" => cmd_inspect(args),
         "bench" => cmd_bench(args),
-        "serve-demo" => return cmd_serve_demo(args).map(|(out, served)| (out, Some(served))),
+        "serve-demo" => cmd_serve_demo(args),
         "serve-status" => cmd_serve_status(args),
         "top" => cmd_top(args),
         "kernels" => Ok(cmd_kernels()),
         "incident-show" => cmd_incident_show(args),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(format!("unknown command {other}\n{}", usage())),
-    };
-    out.map(|out| (out, None))
+    }
 }
 
 fn cmd_train(args: &Args) -> Result<String, CliError> {
@@ -599,8 +567,9 @@ fn cmd_bench(args: &Args) -> Result<String, CliError> {
 
 /// Serving demo: replays one request signature through a multi-worker
 /// [`granii_serve::Server`] and reports cache-cold vs. cache-hot latency.
-/// Also returns the server's metrics snapshot for `--metrics-out`.
-fn cmd_serve_demo(args: &Args) -> Result<(String, granii_telemetry::MetricsSnapshot), CliError> {
+/// `--status-out` and `--metrics-out` dump the server's own books; with
+/// `--trace-summary` its status table is appended to the report.
+fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
     use granii_serve::{
         IncidentConfig, LatencyObjective, Outcome, ScrapeConfig, ServeConfig, ServeRequest, Server,
     };
@@ -738,7 +707,7 @@ fn cmd_serve_demo(args: &Args) -> Result<(String, granii_telemetry::MetricsSnaps
     }
     let bundles = server.incidents();
     let status = server.status();
-    let served = server.metrics_snapshot();
+    let metrics = server.metrics_snapshot();
     let timeline_line = match args.get("timeline-out") {
         Some(path) => {
             let snapshot = server.timeline_snapshot();
@@ -811,11 +780,28 @@ fn cmd_serve_demo(args: &Args) -> Result<(String, granii_telemetry::MetricsSnaps
         std::fs::write(path, status.to_json()).map_err(|e| format!("write {path}: {e}"))?;
         writeln!(out, "  status -> {path}").expect("fmt");
     }
+    if let Some(path) = args.get("metrics-out") {
+        std::fs::write(path, granii_telemetry::export::metrics_json(&metrics))
+            .map_err(|e| format!("write {path}: {e}"))?;
+        writeln!(
+            out,
+            "  metrics: {} counters, {} gauges, {} sketches -> {path}",
+            metrics.counters.len(),
+            metrics.gauges.len(),
+            metrics.sketches.len()
+        )
+        .expect("fmt");
+    }
     if let Some(line) = timeline_line {
         out.push_str(&line);
         out.push('\n');
     }
-    Ok((out, served))
+    if args.get("trace-summary").is_some() {
+        // The server's latency, batch-size and distinct-signature sketches,
+        // each in its own unit.
+        writeln!(out, "\n{status}").expect("fmt");
+    }
+    Ok(out)
 }
 
 /// Renders the per-tenant metering ledger from a status snapshot — the
@@ -1042,6 +1028,72 @@ mod tests {
         assert!(out.contains("cache-hot p50"), "{out}");
         assert!(out.contains("hit rate"), "{out}");
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn serve_demo_trace_summary_appends_the_status_table() {
+        let dir = std::env::temp_dir().join("granii-cli-serve-summary");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let models = dir.join("models.json");
+        let models_s = models.to_str().unwrap();
+        run(&args(&[
+            "train", "--device", "h100", "--fast", "true", "--out", models_s,
+        ]))
+        .unwrap();
+        let metrics = dir.join("metrics.json");
+        let out = run(&args(&[
+            "serve-demo",
+            "--models",
+            models_s,
+            "--dataset",
+            "MC",
+            "--requests",
+            "8",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            "--trace-summary",
+        ]))
+        .unwrap();
+        // The batch-size sketch is rendered in requests, not milliseconds.
+        let batching = out
+            .lines()
+            .find(|l| l.trim_start().starts_with("batching"))
+            .unwrap_or_else(|| panic!("no batching line: {out}"));
+        let p95: f64 = batching
+            .rsplit("p95 ")
+            .next()
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no p95 on the batching line: {batching}"));
+        assert!(p95 >= 1.0, "{batching}");
+        assert!(
+            !out.lines()
+                .any(|l| l.contains("serve.batch.size") && l.contains("ms")),
+            "{out}"
+        );
+        // --metrics-out holds the server's books and nothing else.
+        assert!(out.contains("metrics:"), "{out}");
+        let json = std::fs::read_to_string(&metrics).unwrap();
+        assert!(json.contains("\"serve.completed\":16"), "{json}");
+        assert!(json.contains("\"serve.batch.size\""), "{json}");
+        assert!(!json.contains("histograms"), "{json}");
+        assert!(!json.contains("engine.kernels"), "{json}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn metrics_out_is_a_serve_demo_flag() {
+        let err = run(&args(&[
+            "compile",
+            "--model",
+            "gcn",
+            "--metrics-out",
+            "m.json",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--trace-out"), "{err}");
+        assert!(err.contains("--trace-summary"), "{err}");
+        assert!(!std::path::Path::new("m.json").exists());
     }
 
     #[test]

@@ -1,28 +1,16 @@
-//! Selection-quality auditing: structured records of every selection
-//! decision, plus a verify mode that measures what each decision cost.
+//! Selection-quality auditing: a verify mode that measures what a
+//! selection decision cost.
 //!
 //! GRANII's value proposition is that the learned cost models pick the
-//! cheapest candidate per input (§IV-E, §VI-C) — but [`crate::runtime::select`]
-//! consumes the per-candidate predictions and discards them. This module
-//! keeps them:
-//!
-//! - **Audit log**: when enabled ([`enable`]), every selection emits a
-//!   [`SelectionAudit`] — the featurized input, every candidate's
-//!   eligibility and predicted ln-latency, and the chosen composition —
-//!   into a global sink drained by [`take_audits`]. The sink mirrors the
-//!   telemetry crate's span buffer: off by default, one atomic load when
-//!   disabled.
-//! - **Verify mode**: [`verify`] re-measures every eligible candidate
-//!   through the compile-once ExecPlan engine on a modeled device (charges
-//!   depend only on shapes and sparsity, so the result is deterministic)
-//!   and — reusing the interpreter-vs-ExecPlan differential machinery —
-//!   through the reference interpreter as a cross-check. From the
-//!   measurements it reports per-decision **regret** (chosen vs.
-//!   oracle-best) and the cost model's **MAPE on ln-latency**.
-
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+//! cheapest candidate per input (§IV-E, §VI-C). [`crate::runtime::select`]
+//! returns every eligible candidate's prediction in its
+//! [`Selection`]; [`verify`] re-measures each of those candidates through
+//! the compile-once ExecPlan engine on a modeled device (charges depend only
+//! on shapes and sparsity, so the result is deterministic) and — reusing
+//! the interpreter-vs-ExecPlan differential machinery — through the
+//! reference interpreter as a cross-check. From the measurements it reports
+//! per-decision **regret** (chosen vs. oracle-best) and the cost model's
+//! **MAPE on ln-latency**.
 
 use granii_gnn::spec::{Composition, LayerConfig, ModelKind};
 use granii_gnn::{Exec, GraphCtx};
@@ -31,7 +19,7 @@ use granii_matrix::device::Engine;
 use granii_matrix::DenseMatrix;
 use serde::{Deserialize, Serialize};
 
-use crate::cost::{CostModelSet, FeaturizedInput};
+use crate::cost::CostModelSet;
 use crate::execplan::{ExecPlan, PlanInputs};
 use crate::interp;
 use crate::plan::CompiledModel;
@@ -42,221 +30,6 @@ use crate::Result;
 /// plans to. Values never influence modeled charges (those depend only on
 /// shapes), but a fixed seed keeps verification runs bit-identical.
 const VERIFY_SEED: u64 = 17;
-
-// ---------------------------------------------------------------- audit log
-
-/// One candidate's view of a selection decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CandidateAudit {
-    /// The composition the candidate lowers to.
-    pub composition: Composition,
-    /// Canonical expression of its primitive program.
-    pub expr: String,
-    /// Whether the embedding-size condition admitted it.
-    pub eligible: bool,
-    /// Predicted latency in seconds (None when the candidate was pruned by
-    /// eligibility, or when a single-candidate fast path skipped the cost
-    /// models).
-    pub predicted_seconds: Option<f64>,
-    /// Predicted ln-latency — the quantity the per-primitive GBT models
-    /// actually regress (None under the same conditions).
-    pub predicted_ln_latency: Option<f64>,
-}
-
-/// Structured record of one `select` call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SelectionAudit {
-    /// The GNN model selected for.
-    pub model: ModelKind,
-    /// Input embedding width.
-    pub k1: usize,
-    /// Output embedding width.
-    pub k2: usize,
-    /// Iteration count hoisted work amortized over.
-    pub iterations: usize,
-    /// The featurized input the cost models saw (None when the decision was
-    /// resolved by a pure embedding-size condition without featurizing).
-    pub input: Option<FeaturizedInput>,
-    /// Every candidate of the compiled plan, in plan order.
-    pub candidates: Vec<CandidateAudit>,
-    /// The chosen composition.
-    pub chosen: Composition,
-    /// Whether the cost models were consulted.
-    pub used_cost_models: bool,
-    /// Wall time of featurization.
-    pub featurize_seconds: f64,
-    /// Wall time of eligibility + cost evaluation + argmin.
-    pub select_seconds: f64,
-}
-
-static AUDIT_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Default maximum number of retained audits. Each record carries full
-/// per-candidate vectors, so an unbounded sink leaks memory in a
-/// long-running serving process that audits but never drains; a few
-/// thousand records is hours of selection history at serving rates.
-pub const DEFAULT_AUDIT_CAPACITY: usize = 4096;
-
-/// The bounded audit store: a ring of the most recent audits plus a count
-/// of records evicted since the last drain.
-struct Sink {
-    audits: VecDeque<SelectionAudit>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Sink {
-    fn push(&mut self, audit: SelectionAudit) {
-        while self.audits.len() >= self.capacity {
-            self.audits.pop_front();
-            self.dropped += 1;
-        }
-        self.audits.push_back(audit);
-    }
-
-    fn take(&mut self) -> AuditDrain {
-        AuditDrain {
-            audits: std::mem::take(&mut self.audits).into(),
-            dropped: std::mem::take(&mut self.dropped),
-        }
-    }
-}
-
-fn sink() -> &'static Mutex<Sink> {
-    static SINK: OnceLock<Mutex<Sink>> = OnceLock::new();
-    SINK.get_or_init(|| {
-        Mutex::new(Sink {
-            audits: VecDeque::new(),
-            capacity: DEFAULT_AUDIT_CAPACITY,
-            dropped: 0,
-        })
-    })
-}
-
-fn with_sink<T>(f: impl FnOnce(&mut Sink) -> T) -> T {
-    f(&mut sink().lock().unwrap_or_else(PoisonError::into_inner))
-}
-
-/// Turns the audit log on: subsequent selections record a [`SelectionAudit`].
-pub fn enable() {
-    AUDIT_ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Turns the audit log off. Already-recorded audits are kept until
-/// [`take_audits`].
-pub fn disable() {
-    AUDIT_ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// Whether selections are currently audited.
-#[inline(always)]
-pub fn is_enabled() -> bool {
-    AUDIT_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Sets the sink capacity (clamped to at least 1). When the new capacity is
-/// below the current backlog, the oldest records are evicted immediately and
-/// counted as dropped.
-pub fn set_capacity(capacity: usize) {
-    with_sink(|s| {
-        s.capacity = capacity.max(1);
-        while s.audits.len() > s.capacity {
-            s.audits.pop_front();
-            s.dropped += 1;
-        }
-    });
-}
-
-/// The result of draining the audit sink: the retained records (recording
-/// order) plus how many older records were evicted to stay under capacity
-/// since the previous drain. Derefs to the audit vector, so existing
-/// `take_audits().iter()` call sites keep working.
-#[derive(Debug, Clone)]
-pub struct AuditDrain {
-    /// The retained audits, oldest first.
-    pub audits: Vec<SelectionAudit>,
-    /// Records evicted (drop-oldest) since the last drain.
-    pub dropped: u64,
-}
-
-impl std::ops::Deref for AuditDrain {
-    type Target = Vec<SelectionAudit>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.audits
-    }
-}
-
-impl IntoIterator for AuditDrain {
-    type Item = SelectionAudit;
-    type IntoIter = std::vec::IntoIter<SelectionAudit>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.audits.into_iter()
-    }
-}
-
-/// Drains and returns every retained audit, in recording order, along with
-/// the number of records dropped since the last drain.
-pub fn take_audits() -> AuditDrain {
-    with_sink(Sink::take)
-}
-
-/// Records an audit into the sink (called by [`crate::runtime::select`]).
-/// When the sink is at capacity the oldest record is evicted — recent
-/// decisions are the interesting ones in a long-running process.
-pub(crate) fn record(audit: SelectionAudit) {
-    with_sink(|s| s.push(audit));
-}
-
-/// Builds the audit record for one selection outcome. `input` is the
-/// featurized input when the cost models ran.
-pub(crate) fn audit_of_selection(
-    plan: &CompiledModel,
-    k1: usize,
-    k2: usize,
-    iterations: usize,
-    input: Option<&FeaturizedInput>,
-    selection: &Selection,
-) -> SelectionAudit {
-    let eligible = plan.eligible(k1, k2);
-    let candidates = plan
-        .candidates
-        .iter()
-        .map(|cand| {
-            let predicted = if selection.used_cost_models {
-                selection
-                    .predicted
-                    .iter()
-                    .find(|(comp, _)| *comp == cand.composition)
-                    .map(|&(_, cost)| cost)
-            } else {
-                None
-            };
-            CandidateAudit {
-                composition: cand.composition,
-                expr: cand.program.expr.clone(),
-                eligible: eligible.iter().any(|e| e.composition == cand.composition),
-                predicted_seconds: predicted,
-                predicted_ln_latency: predicted.map(f64::ln),
-            }
-        })
-        .collect();
-    SelectionAudit {
-        model: plan.model,
-        k1,
-        k2,
-        iterations,
-        input: input.cloned(),
-        candidates,
-        chosen: selection.composition,
-        used_cost_models: selection.used_cost_models,
-        featurize_seconds: selection.featurize_seconds,
-        select_seconds: selection.select_seconds,
-    }
-}
-
-// ---------------------------------------------------------------- verify
 
 /// One candidate's predicted-vs-measured comparison.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -456,7 +229,6 @@ pub fn verify(
         Some(ln_errors.iter().sum::<f64>() / ln_errors.len() as f64)
     };
 
-    granii_telemetry::counter_add("audit.verifications", 1);
     Ok(VerifyReport {
         model: plan.model,
         k1: cfg.k_in,
@@ -470,73 +242,4 @@ pub fn verify(
         candidates,
         selection,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use granii_gnn::spec::{NormStrategy, OpOrder};
-
-    fn tiny_audit(k1: usize) -> SelectionAudit {
-        SelectionAudit {
-            model: ModelKind::Gcn,
-            k1,
-            k2: 1,
-            iterations: 1,
-            input: None,
-            candidates: Vec::new(),
-            chosen: Composition::Gcn(NormStrategy::Dynamic, OpOrder::AggregateFirst),
-            used_cost_models: false,
-            featurize_seconds: 0.0,
-            select_seconds: 0.0,
-        }
-    }
-
-    #[test]
-    fn sink_caps_a_million_records_and_counts_drops() {
-        let mut sink = Sink {
-            audits: VecDeque::new(),
-            capacity: DEFAULT_AUDIT_CAPACITY,
-            dropped: 0,
-        };
-        const TOTAL: usize = 1_000_000;
-        for i in 0..TOTAL {
-            sink.push(tiny_audit(i));
-            assert!(sink.audits.len() <= DEFAULT_AUDIT_CAPACITY);
-        }
-        let drain = sink.take();
-        assert_eq!(drain.audits.len(), DEFAULT_AUDIT_CAPACITY);
-        assert_eq!(drain.dropped, (TOTAL - DEFAULT_AUDIT_CAPACITY) as u64);
-        // Drop-oldest: the survivors are exactly the most recent records.
-        assert_eq!(drain.audits[0].k1, TOTAL - DEFAULT_AUDIT_CAPACITY);
-        assert_eq!(drain.audits.last().unwrap().k1, TOTAL - 1);
-        // The drain resets the counter.
-        let empty = sink.take();
-        assert!(empty.audits.is_empty());
-        assert_eq!(empty.dropped, 0);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_oldest() {
-        let mut sink = Sink {
-            audits: VecDeque::new(),
-            capacity: 8,
-            dropped: 0,
-        };
-        for i in 0..8 {
-            sink.push(tiny_audit(i));
-        }
-        // Mirror set_capacity's shrink path on a local sink.
-        sink.capacity = 3;
-        while sink.audits.len() > sink.capacity {
-            sink.audits.pop_front();
-            sink.dropped += 1;
-        }
-        let drain = sink.take();
-        assert_eq!(drain.dropped, 5);
-        assert_eq!(
-            drain.audits.iter().map(|a| a.k1).collect::<Vec<_>>(),
-            vec![5, 6, 7]
-        );
-    }
 }

@@ -87,7 +87,6 @@ impl ExecPlan {
     /// a non-dense result) — the same programs the interpreter rejects.
     pub fn build(program: &CandidateProgram) -> Result<Self> {
         let _span = granii_telemetry::span!("execplan.build", expr = program.expr.as_str());
-        let t0 = Instant::now();
         program.check()?;
         let n = program.ops.len();
         let mut leaves: Vec<(ValueId, Leaf)> = Vec::new();
@@ -117,8 +116,6 @@ impl ExecPlan {
             .map(Op::result)
             .chain(leaves.iter().map(|(_, leaf)| leaf.kind()))
             .collect();
-        granii_telemetry::counter_add("execplan.instructions", n as u64);
-        granii_telemetry::histogram_record_seconds("execplan.build", t0.elapsed().as_secs_f64());
         Ok(Self {
             expr: program.expr.clone(),
             values,
@@ -156,7 +153,6 @@ impl ExecPlan {
     /// operand`) and propagates kernel errors from the setup run.
     pub fn bind(&self, exec: &Exec, inputs: &ProgramInputs) -> Result<BoundPlan> {
         let _span = granii_telemetry::span!("execplan.bind", expr = self.expr.as_str());
-        let t0 = Instant::now();
         let n = inputs.adj.rows();
 
         // Shape inference (setup instructions precede — and never read —
@@ -360,7 +356,6 @@ impl ExecPlan {
             bound.irregularity,
             Some(&mut bound.setup_stats),
         )?;
-        granii_telemetry::histogram_record_seconds("execplan.bind", t0.elapsed().as_secs_f64());
         Ok(bound)
     }
 }
@@ -691,7 +686,6 @@ impl BoundPlan {
     /// [`BoundPlan::ensure_batch`] capacity, and for a batch of zero;
     /// propagates kernel errors.
     pub fn iterate_batched(&mut self, exec: &Exec, batch: usize) -> Result<()> {
-        let t0 = Instant::now();
         if batch != 1 {
             if self.batch_plan.is_none() {
                 return Err(CoreError::InvalidIr(format!(
@@ -725,11 +719,6 @@ impl BoundPlan {
             stats,
         )?;
         self.last_batch = batch;
-        granii_telemetry::histogram_record_seconds(
-            "execplan.iteration",
-            t0.elapsed().as_secs_f64(),
-        );
-        granii_telemetry::counter_add("execplan.iterations", batch as u64);
         Ok(())
     }
 

@@ -52,7 +52,7 @@ pub mod ir;
 pub mod plan;
 pub mod runtime;
 
-pub use audit::{SelectionAudit, VerifyReport};
+pub use audit::VerifyReport;
 pub use error::CoreError;
 pub use granii::{Granii, GraniiOptions};
 pub use runtime::{Selection, SteadyStateReport};

@@ -84,23 +84,15 @@ pub fn select(
             model: plan.model.name().into(),
         });
     }
-    granii_telemetry::counter_add("select.invocations", 1);
     if eligible.len() == 1 {
         // Pure embedding-size condition: no featurization, no cost models.
-        granii_telemetry::counter_add("select.size_condition_hits", 1);
-        let selection = Selection {
+        return Ok(Selection {
             composition: eligible[0].composition,
             predicted: vec![(eligible[0].composition, 0.0)],
             featurize_seconds: 0.0,
             select_seconds: eligible_seconds,
             used_cost_models: false,
-        };
-        if crate::audit::is_enabled() {
-            crate::audit::record(crate::audit::audit_of_selection(
-                plan, k1, k2, iterations, None, &selection,
-            ));
-        }
-        return Ok(selection);
+        });
     }
 
     let t0 = Instant::now();
@@ -123,29 +115,14 @@ pub fn select(
         predicted.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"));
     }
     let select_seconds = eligible_seconds + t1.elapsed().as_secs_f64();
-    granii_telemetry::histogram_record_seconds(
-        "select.overhead",
-        featurize_seconds + select_seconds,
-    );
 
-    let selection = Selection {
+    Ok(Selection {
         composition: predicted[0].0,
         predicted,
         featurize_seconds,
         select_seconds,
         used_cost_models: true,
-    };
-    if crate::audit::is_enabled() {
-        crate::audit::record(crate::audit::audit_of_selection(
-            plan,
-            k1,
-            k2,
-            iterations,
-            Some(&input),
-            &selection,
-        ));
-    }
-    Ok(selection)
+    })
 }
 
 /// Phase breakdown of running a selected composition through the
@@ -169,9 +146,10 @@ pub struct SteadyStateReport {
     pub steady_seconds: f64,
     /// Number of steady-state iterations timed.
     pub steady_iterations: usize,
-    /// Heap allocations observed across the steady-state iterations via the
-    /// telemetry counters (always 0 when telemetry is disabled; the
-    /// compile-once contract is that it is also 0 when enabled).
+    /// Fresh kernel buffers ([`granii_matrix::buffer_allocations`])
+    /// allocated across the steady-state iterations; the compile-once
+    /// contract keeps it at 0. The count is process-wide, so it also
+    /// includes buffers other threads allocate meanwhile.
     pub steady_allocations: u64,
 }
 
@@ -191,27 +169,10 @@ impl SteadyStateReport {
     }
 }
 
-/// Sum of the allocation counters the steady-state contract is asserted
-/// against (dense buffers, sparse value buffers, and workspace misses). Only
-/// meaningful while telemetry is enabled.
-pub fn allocation_counter_total() -> u64 {
-    granii_telemetry::metrics_snapshot()
-        .counters
-        .iter()
-        .filter(|(name, _)| {
-            matches!(
-                name.as_str(),
-                "matrix.dense_allocs" | "matrix.sparse_vals_allocs" | "workspace.fresh_allocs"
-            )
-        })
-        .map(|&(_, v)| v)
-        .sum()
-}
-
 /// Runs `composition`'s program through the compile-once engine: builds and
 /// binds its [`ExecPlan`], runs one warm-up iteration, then times
 /// `iterations - 1` steady-state iterations, reporting the phase split and
-/// the allocation counter delta across the steady phase.
+/// the fresh kernel buffers allocated across the steady phase.
 ///
 /// # Errors
 ///
@@ -246,14 +207,14 @@ pub fn run_steady_state(
     bound.iterate(exec)?;
     let warmup_seconds = t_warmup.elapsed().as_secs_f64();
 
-    let allocs_before = allocation_counter_total();
+    let allocs_before = granii_matrix::buffer_allocations();
     let steady_iterations = iterations.saturating_sub(1);
     let t_steady = Instant::now();
     for _ in 0..steady_iterations {
         bound.iterate(exec)?;
     }
     let steady_seconds = t_steady.elapsed().as_secs_f64();
-    let steady_allocations = allocation_counter_total() - allocs_before;
+    let steady_allocations = granii_matrix::buffer_allocations() - allocs_before;
 
     Ok(SteadyStateReport {
         composition,

@@ -1,5 +1,5 @@
-//! Selection-quality audit tests (ISSUE 3): the audit log must expose
-//! per-candidate predictions, `audit::verify` must report regret ≈ 0 for
+//! Selection-quality audit tests: a selection must expose per-candidate
+//! predictions, `audit::verify` must report regret ≈ 0 for
 //! healthy cost models on the Table II synthetic graphs, and a deliberately
 //! corrupted cost model must produce non-zero regret while the report still
 //! identifies the true oracle candidate.
@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use granii_boost::{Dataset as BoostDataset, GbtParams, GbtRegressor};
-use granii_core::audit;
 use granii_core::cost::{CostModelSet, FeaturizedInput};
 use granii_core::{Granii, GraniiOptions};
 use granii_gnn::spec::{LayerConfig, ModelKind};
@@ -29,63 +28,44 @@ fn granii() -> &'static Granii {
 }
 
 #[test]
-fn audit_log_records_per_candidate_predictions() {
+fn selection_records_per_candidate_predictions() {
     let granii = granii();
     let g = Dataset::CoAuthorsCiteseer.load(Scale::Tiny).unwrap();
-
-    audit::enable();
     let selection = granii.select(ModelKind::Gcn, &g, 48, 96).unwrap();
-    let audits = audit::take_audits();
-    audit::disable();
 
-    // The sink is global; other tests may have contributed records. Ours is
-    // identifiable by its unique embedding sizes.
-    let audit = audits
-        .iter()
-        .find(|a| a.model == ModelKind::Gcn && a.k1 == 48 && a.k2 == 96)
-        .expect("selection under audit::enable() must be recorded");
-
-    assert_eq!(audit.chosen, selection.composition);
-    assert!(audit.used_cost_models, "GCN at 48x96 has rival candidates");
-    assert!(audit.input.is_some(), "featurized input must be captured");
-    assert!(audit.candidates.len() >= 2);
-    let predicted: Vec<_> = audit
-        .candidates
-        .iter()
-        .filter(|c| c.eligible && c.predicted_seconds.is_some())
-        .collect();
     assert!(
-        predicted.len() >= 2,
-        "every eligible candidate must carry a prediction"
+        selection.used_cost_models,
+        "GCN at 48x96 has rival candidates"
     );
-    for cand in &predicted {
-        let secs = cand.predicted_seconds.unwrap();
-        assert!(secs > 0.0 && secs.is_finite());
-        let ln = cand.predicted_ln_latency.unwrap();
+    let plan = granii
+        .compiled(ModelKind::Gcn, LayerConfig::new(48, 96))
+        .unwrap();
+    let eligible = plan.eligible(48, 96);
+    assert!(eligible.len() >= 2);
+    assert_eq!(selection.predicted.len(), eligible.len());
+    for cand in &eligible {
+        let secs = selection
+            .predicted
+            .iter()
+            .find(|(comp, _)| *comp == cand.composition)
+            .map(|&(_, secs)| secs)
+            .expect("every eligible candidate must carry a prediction");
         assert!(
-            (ln - secs.ln()).abs() < 1e-12,
-            "ln-latency must be the log of the predicted seconds"
+            secs > 0.0 && secs.is_finite(),
+            "{}: {secs}",
+            cand.composition
         );
     }
     // The chosen candidate is the predicted-cheapest among eligible ones.
-    let chosen_pred = predicted
+    let chosen_pred = selection
+        .predicted
         .iter()
-        .find(|c| c.composition == audit.chosen)
-        .expect("chosen candidate must appear in the audit")
-        .predicted_seconds
-        .unwrap();
-    for cand in &predicted {
-        assert!(chosen_pred <= cand.predicted_seconds.unwrap() + 1e-15);
+        .find(|(comp, _)| *comp == selection.composition)
+        .expect("chosen candidate must carry a prediction")
+        .1;
+    for &(_, secs) in &selection.predicted {
+        assert!(chosen_pred <= secs + 1e-15);
     }
-
-    // Disabled sink stays silent.
-    granii.select(ModelKind::Gcn, &g, 48, 96).unwrap();
-    assert!(
-        audit::take_audits()
-            .iter()
-            .all(|a| !(a.k1 == 48 && a.k2 == 96)),
-        "no records while disabled"
-    );
 }
 
 /// Rebuilds the model set with the `inflate`d primitives retrained on the

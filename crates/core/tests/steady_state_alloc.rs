@@ -1,18 +1,19 @@
 //! The compile-once contract: after warm-up, steady-state iterations of every
-//! built-in model's candidates perform **zero** dense/sparse heap allocations.
+//! built-in model's candidates allocate **zero** fresh kernel buffers
+//! (dense, sparse-value or workspace).
 //!
-//! This file deliberately contains a single `#[test]`: the telemetry
-//! allocation counters are process-global, so the assertion must run in a
-//! test binary where no other test can allocate matrices concurrently.
+//! This file deliberately contains a single `#[test]`: the buffer count
+//! ([`granii_matrix::buffer_allocations`]) is process-wide, so the assertion
+//! must run in a test binary where no other test can allocate matrices
+//! concurrently.
 
 use granii_core::execplan::{ExecPlan, PlanInputs};
 use granii_core::plan::CompiledModel;
-use granii_core::runtime::allocation_counter_total;
 use granii_gnn::spec::{LayerConfig, ModelKind};
 use granii_gnn::{Exec, GraphCtx};
 use granii_graph::generators;
 use granii_matrix::device::{DeviceKind, Engine};
-use granii_matrix::DenseMatrix;
+use granii_matrix::{buffer_allocations, DenseMatrix};
 
 #[test]
 fn steady_state_iterations_do_not_allocate() {
@@ -21,8 +22,6 @@ fn steady_state_iterations_do_not_allocate() {
     let engine = Engine::modeled(DeviceKind::Cpu);
     let exec = Exec::real(&engine);
 
-    granii_telemetry::reset();
-    granii_telemetry::enable();
     let models = [
         ModelKind::Gcn,
         ModelKind::Gin,
@@ -44,11 +43,11 @@ fn steady_state_iterations_do_not_allocate() {
                 // iteration must also be clean, but we assert only the
                 // steady phase, matching the acceptance criterion).
                 bound.iterate(&exec).unwrap();
-                let before = allocation_counter_total();
+                let before = buffer_allocations();
                 for _ in 0..5 {
                     bound.iterate(&exec).unwrap();
                 }
-                let after = allocation_counter_total();
+                let after = buffer_allocations();
                 assert_eq!(
                     after - before,
                     0,
@@ -58,5 +57,4 @@ fn steady_state_iterations_do_not_allocate() {
             }
         }
     }
-    granii_telemetry::disable();
 }

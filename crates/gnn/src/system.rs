@@ -193,7 +193,6 @@ impl BaselineRunner {
             model = self.layer.kind().name(),
             nodes = ctx.graph().num_nodes(),
         );
-        granii_telemetry::counter_add("baseline.iterations", 1);
         self.charge_normalization(exec, ctx)?;
         self.layer.forward(exec, ctx, &self.prepared, h, self.comp)
     }

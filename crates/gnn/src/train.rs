@@ -277,7 +277,6 @@ impl Trainer {
             k_in = self.cfg.k_in,
             k_out = self.cfg.k_out,
         );
-        granii_telemetry::counter_add("train.steps", 1);
         let mut tape = Tape::new(*exec);
         let (pred, param_vars) = self.build_forward(&mut tape, ctx, h, comp)?;
         let (loss, grads) = tape.backward_mse(pred, target)?;

@@ -54,13 +54,12 @@ impl DenseMatrix {
                 limit: DENSE_ALLOC_LIMIT,
             });
         }
-        // Every fresh dense buffer passes through here; the counter lets the
+        // Every fresh dense buffer passes through here; the count lets the
         // allocation-regression tests prove the steady-state path stays off it.
-        granii_telemetry::counter_add("matrix.dense_allocs", 1);
         Ok(Self {
             rows,
             cols,
-            data: vec![0.0; elements],
+            data: crate::fresh_vals(elements),
         })
     }
 

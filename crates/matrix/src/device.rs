@@ -363,8 +363,6 @@ impl Engine {
         };
         span.attr("charged_s", seconds);
         drop(span);
-        granii_telemetry::counter_add("engine.kernels", 1);
-        granii_telemetry::histogram_record_seconds(stats.kind.span_name(), seconds);
         self.profile.lock().entries.push(ProfileEntry {
             kind: stats.kind,
             seconds,
@@ -386,8 +384,6 @@ impl Engine {
             bytes = stats.bytes_total(),
             charged_s = seconds,
         );
-        granii_telemetry::counter_add("engine.kernels", 1);
-        granii_telemetry::histogram_record_seconds(stats.kind.span_name(), seconds);
         self.profile.lock().entries.push(ProfileEntry {
             kind: stats.kind,
             seconds,

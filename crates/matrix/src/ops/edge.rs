@@ -1,4 +1,5 @@
-use crate::ops::sddmm::{check_out_pattern, fresh_vals};
+use crate::fresh_vals;
+use crate::ops::sddmm::check_out_pattern;
 use crate::{CsrMatrix, MatrixError, Result};
 
 /// Scales a sparse matrix by diagonal matrices on both sides:

@@ -1,6 +1,6 @@
 use super::rowkernel::dot;
 use crate::parallel::par_sparse_rows;
-use crate::{CsrMatrix, DenseMatrix, MatrixError, Result};
+use crate::{fresh_vals, CsrMatrix, DenseMatrix, MatrixError, Result};
 
 /// Generalized sampled dense-dense matrix multiplication (g-SDDMM, §II-B).
 ///
@@ -127,13 +127,6 @@ pub fn sddmm_into(
         }
     });
     Ok(())
-}
-
-/// Allocates a fresh CSR value buffer, counting it for the
-/// allocation-regression telemetry.
-pub(crate) fn fresh_vals(nnz: usize) -> Vec<f32> {
-    granii_telemetry::counter_add("matrix.sparse_vals_allocs", 1);
-    vec![0f32; nnz]
 }
 
 /// Validates that `out` is a weighted CSR matching `pattern`'s shape and nnz.

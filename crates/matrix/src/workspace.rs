@@ -6,15 +6,13 @@
 //! dense/sparse/vector buffers sized at plan time and recycles them, so after
 //! a warm-up iteration every `take_*` call is satisfied from the pool.
 //!
-//! Every pool miss (a fresh heap allocation) increments both the workspace's
-//! local counter and the `workspace.fresh_allocs` telemetry counter, which is
-//! what the allocation-regression smoke tests assert on: after warm-up,
-//! steady-state iterations must not move the counter.
+//! Every pool miss (a fresh heap allocation) increments the workspace's
+//! local counter and allocates through the counted constructors, so it also
+//! moves [`crate::buffer_allocations`], which is what the
+//! allocation-regression smoke tests assert on: after warm-up, steady-state
+//! iterations must not move it.
 
-use crate::{CsrMatrix, DenseMatrix, Result};
-
-/// Telemetry counter bumped on every pool miss (fresh heap allocation).
-pub const FRESH_ALLOC_COUNTER: &str = "workspace.fresh_allocs";
+use crate::{fresh_vals, CsrMatrix, DenseMatrix, Result};
 
 /// A recycling pool of kernel output buffers.
 ///
@@ -66,11 +64,6 @@ impl Workspace {
         self.dense.len() + self.vals.len() + self.csr.len()
     }
 
-    fn record_miss(&mut self) {
-        self.fresh += 1;
-        granii_telemetry::counter_add(FRESH_ALLOC_COUNTER, 1);
-    }
-
     /// Hands out a `rows × cols` dense buffer. Contents are unspecified — the
     /// `_into` kernels overwrite every element.
     ///
@@ -82,7 +75,7 @@ impl Workspace {
         if let Some(i) = self.dense.iter().position(|m| m.shape() == (rows, cols)) {
             return Ok(self.dense.swap_remove(i));
         }
-        self.record_miss();
+        self.fresh += 1;
         DenseMatrix::zeros(rows, cols)
     }
 
@@ -97,8 +90,8 @@ impl Workspace {
         if let Some(i) = self.vals.iter().position(|v| v.len() == len) {
             return self.vals.swap_remove(i);
         }
-        self.record_miss();
-        vec![0.0; len]
+        self.fresh += 1;
+        fresh_vals(len)
     }
 
     /// Returns an `f32` buffer to the pool.
@@ -125,8 +118,8 @@ impl Workspace {
             }
             return Ok(m);
         }
-        self.record_miss();
-        let vals = vec![0.0; pattern.nnz()];
+        self.fresh += 1;
+        let vals = fresh_vals(pattern.nnz());
         pattern.clone().drop_values().with_values(vals)
     }
 

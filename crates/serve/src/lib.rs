@@ -56,8 +56,7 @@
 //!   reader over [`ServerStatus`]); `/metrics`, the timeline, and
 //!   [`Server::metrics_snapshot`] (`--metrics-out`) are loops over it. The
 //!   server is the only home of its numbers: two servers in one process
-//!   keep separate books, and nothing is written to the process-global
-//!   telemetry registry.
+//!   keep separate books.
 //! - **Always-on flight recorder** ([`FlightRecorder`]): a fixed-slot,
 //!   lock-free ring every serve layer streams structured records into —
 //!   admission, shed, batch formation (group signature + member ids),

@@ -141,7 +141,7 @@ pub struct SloObjectiveStatus {
 }
 
 /// Per-outcome latency quantiles from the server's bounded-relative-error
-/// sketches (not the log₂ histograms — these resolve the tail).
+/// sketches, which resolve the tail.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencySketchStatus {
     /// Outcome class (`hit`, `miss`, `degraded`).

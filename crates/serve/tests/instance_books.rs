@@ -1,9 +1,10 @@
 //! A server is the only home of its numbers: two servers in one process
-//! keep separate books, the process-global telemetry registry holds no
-//! `serve.*` metric even with telemetry enabled, and every view (status,
-//! metrics snapshot, `/metrics`) reads the same books.
+//! keep separate books, every view (status, metrics snapshot, `/metrics`)
+//! reads the same books, and the snapshot's clock is the server's monotonic
+//! uptime.
 
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use granii_core::{Granii, GraniiOptions};
 use granii_gnn::spec::ModelKind;
@@ -50,8 +51,6 @@ fn two_servers_in_one_process_keep_separate_books() {
         workers: 1,
         ..ServeConfig::default()
     };
-    granii_telemetry::reset();
-    granii_telemetry::enable();
     let a = Server::start(granii(), config());
     let b = Server::start(granii(), config());
     for _ in 0..3 {
@@ -64,9 +63,6 @@ fn two_servers_in_one_process_keep_separate_books() {
     let (status_a, status_b) = (a.status(), b.status());
     a.shutdown();
     b.shutdown();
-    let global = granii_telemetry::metrics_snapshot();
-    granii_telemetry::disable();
-    granii_telemetry::reset();
 
     for (books, status, n) in [(&books_a, &status_a, 3), (&books_b, &status_b, 5)] {
         assert_eq!(counter(books, "serve.submitted"), Some(n));
@@ -85,20 +81,53 @@ fn two_servers_in_one_process_keep_separate_books() {
         assert_eq!(counter(books, "serve.completed"), Some(status.completed));
         assert_eq!(counter(books, "serve.cache_hits"), Some(status.cache.hits));
     }
-    let serve_names: Vec<&str> = global
-        .counters
-        .iter()
-        .map(|(n, _)| n.as_str())
-        .chain(global.gauges.iter().map(|(n, _)| n.as_str()))
-        .chain(global.histograms.iter().map(|h| h.name.as_str()))
-        .chain(global.sketches.iter().map(|s| s.name.as_str()))
-        .chain(global.distincts.iter().map(|d| d.name.as_str()))
-        .filter(|n| n.starts_with("serve."))
-        .collect();
-    assert!(
-        serve_names.is_empty(),
-        "the process-global registry holds serve metrics: {serve_names:?}"
+}
+
+/// `uptime_ns` is derived from a monotonic `Instant`, never wall-clock
+/// subtraction, so an NTP step cannot make timelines or rates go negative:
+/// it grows by at least the real elapsed time between two snapshots and by
+/// no more than that plus slack, and `captured_at_ns` strictly increases.
+#[test]
+fn metrics_snapshot_clock_is_monotonic() {
+    let server = Server::start(
+        granii(),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
     );
+    let first = server.metrics_snapshot();
+    let wall = Instant::now();
+    std::thread::sleep(Duration::from_millis(30));
+    let second = server.metrics_snapshot();
+    let elapsed = wall.elapsed();
+    server.shutdown();
+
+    assert!(
+        second.uptime_ns >= first.uptime_ns,
+        "uptime went backwards: {} -> {}",
+        first.uptime_ns,
+        second.uptime_ns
+    );
+    let grew = second.uptime_ns - first.uptime_ns;
+    assert!(
+        grew >= 25_000_000,
+        "uptime must track monotonic elapsed time (grew {grew}ns over ~30ms)"
+    );
+    assert!(
+        grew <= elapsed.as_nanos() as u64 + 25_000_000,
+        "uptime grew {grew}ns but only {}ns elapsed",
+        elapsed.as_nanos()
+    );
+    assert!(
+        second.captured_at_ns > first.captured_at_ns,
+        "captured_at_ns must strictly increase ({} -> {})",
+        first.captured_at_ns,
+        second.captured_at_ns
+    );
+    // The JSON export carries the same monotonic value.
+    let json = granii_telemetry::export::metrics_json(&second);
+    assert!(json.contains(&format!("\"uptime_ns\":{}", second.uptime_ns)));
 }
 
 #[test]

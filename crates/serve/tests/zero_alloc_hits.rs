@@ -1,7 +1,8 @@
 //! The observability zero-overhead contract: with trace sampling disabled
-//! (`trace_sample_every: 0`), steady-state cache-hit serving performs zero
-//! dense/sparse/workspace heap allocations — the same counters the
-//! compile-once engine's steady-state contract is asserted against. Hits
+//! (`trace_sample_every: 0`), steady-state cache-hit serving allocates zero
+//! fresh dense/sparse/workspace kernel buffers — the same count
+//! ([`granii_matrix::buffer_allocations`]) the compile-once engine's
+//! steady-state contract is asserted against. Hits
 //! served one at a time never allocate; batched hits never allocate after
 //! the plan's first group of two or more, which grows its wide buffers once.
 //!
@@ -11,16 +12,16 @@
 //! increments), the HyperLogLog distinct counter, and the SLO window math
 //! all ride the hit path and must stay off the tracked allocators.
 //!
-//! Single `#[test]` binary: the allocation counters are process-global, so
-//! the assertion must run where no other test allocates matrices
-//! concurrently.
+//! Single `#[test]` binary: the buffer count is process-wide, so the
+//! assertion must run where no other test allocates matrices concurrently.
+//! The heap-true count of a hit is `heap_allocs_per_hit.rs`.
 
 use std::sync::Arc;
 
-use granii_core::runtime::allocation_counter_total;
 use granii_core::{Granii, GraniiOptions};
 use granii_gnn::spec::ModelKind;
 use granii_graph::datasets::{Dataset, Scale};
+use granii_matrix::buffer_allocations;
 use granii_matrix::device::DeviceKind;
 use granii_serve::{ServeConfig, ServeRequest, Server};
 
@@ -33,8 +34,6 @@ fn unsampled_cache_hits_do_not_allocate() {
     let graph = Arc::new(Dataset::Mycielskian17.load(Scale::Tiny).unwrap());
     let request = || ServeRequest::new(ModelKind::Gcn, graph.clone(), 64, 128);
 
-    granii_telemetry::reset();
-    granii_telemetry::enable();
     let mut config = ServeConfig {
         workers: 1,
         trace_sample_every: 0,
@@ -51,14 +50,14 @@ fn unsampled_cache_hits_do_not_allocate() {
     let warm = server.process(request()).expect("warm-up miss completes");
     assert!(!warm.cache_hit);
 
-    let before = allocation_counter_total();
+    let before = buffer_allocations();
     let recorder = server.status().recorder;
     let (recorder_before, dropped_before) = (recorder.written, recorder.dropped);
     for _ in 0..10 {
         let response = server.process(request()).expect("hit completes");
         assert!(response.cache_hit, "warmed signature must hit");
     }
-    let after = allocation_counter_total();
+    let after = buffer_allocations();
     assert_eq!(
         after - before,
         0,
@@ -107,7 +106,7 @@ fn unsampled_cache_hits_do_not_allocate() {
     let mut growth_bursts = 0;
     let mut batched_after_growth = false;
     for _ in 0..100 {
-        let before = allocation_counter_total();
+        let before = buffer_allocations();
         let tickets: Vec<_> = (0..12)
             .map(|_| server.submit(request()).expect("burst submit"))
             .collect();
@@ -117,7 +116,7 @@ fn unsampled_cache_hits_do_not_allocate() {
             assert!(response.cache_hit, "warmed signature must hit");
             batched |= response.batch_size >= 2;
         }
-        let allocated = allocation_counter_total() - before;
+        let allocated = buffer_allocations() - before;
         if batched && growth_bursts == 0 {
             assert!(
                 allocated > 0,
@@ -171,6 +170,4 @@ fn unsampled_cache_hits_do_not_allocate() {
     );
 
     server.shutdown();
-    granii_telemetry::disable();
-    granii_telemetry::reset();
 }

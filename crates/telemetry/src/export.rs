@@ -123,14 +123,12 @@ pub fn chrome_trace_with_counters(spans: &[SpanRecord], report: &ProfileReport) 
 
 /// Renders a metrics snapshot as a flat JSON object:
 /// `{"captured_at_ns": ..., "uptime_ns": ..., "events_dropped": ...,
-/// "counters": {name: value},
-/// "gauges": {name: value}, "histograms": {name: {count, sum_ns, ...}},
+/// "counters": {name: value}, "gauges": {name: value},
 /// "sketches": {name: {alpha, count, ..., p999_ns, buckets}},
 /// "distinct": {name: estimate}}`.
-/// Histogram and sketch buckets are emitted sparsely as
-/// `[[bucket_index, count], ...]`. `captured_at_ns` is monotonic since the
-/// process trace epoch, so two dumps from one long-running server can be
-/// ordered and diffed into rates.
+/// Sketch buckets are emitted sparsely as `[[bucket_index, count], ...]`.
+/// `captured_at_ns` is monotonic since the process trace epoch, so two
+/// dumps from one long-running server can be ordered and diffed into rates.
 pub fn metrics_json(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::from("{\n");
     let _ = write!(
@@ -156,38 +154,6 @@ pub fn metrics_json(snapshot: &MetricsSnapshot) -> String {
         push_json_string(&mut out, name);
         out.push(':');
         push_f64(&mut out, *value);
-    }
-    out.push_str("\n},\n\"histograms\":{");
-    for (i, h) in snapshot.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        push_json_string(&mut out, &h.name);
-        let _ = write!(
-            out,
-            ":{{\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":",
-            h.count, h.sum_ns, h.min_ns, h.max_ns
-        );
-        push_f64(&mut out, h.mean_ns());
-        out.push_str(",\"p50_ns\":");
-        push_f64(&mut out, h.p50_ns());
-        out.push_str(",\"p95_ns\":");
-        push_f64(&mut out, h.p95_ns());
-        out.push_str(",\"p99_ns\":");
-        push_f64(&mut out, h.p99_ns());
-        out.push_str(",\"buckets\":[");
-        let mut first = true;
-        for (idx, count) in h.buckets.iter().enumerate() {
-            if *count > 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{idx},{count}]");
-            }
-        }
-        out.push_str("]}");
     }
     out.push_str("\n},\n\"sketches\":{");
     for (i, s) in snapshot.sketches.iter().enumerate() {
@@ -233,39 +199,6 @@ pub fn metrics_json(snapshot: &MetricsSnapshot) -> String {
         push_f64(&mut out, d.estimate);
     }
     out.push_str("\n}\n}\n");
-    out
-}
-
-/// Renders the sketch section of a metrics snapshot as a quantile table —
-/// one line per sketch with count, mean, and p50/p95/p99/p999 in
-/// milliseconds, plus distinct-count estimates. Empty string when the
-/// snapshot holds no sketches, so callers can append it conditionally.
-pub fn sketch_summary(snapshot: &MetricsSnapshot) -> String {
-    if snapshot.sketches.is_empty() && snapshot.distincts.is_empty() {
-        return String::new();
-    }
-    let mut out = String::new();
-    if !snapshot.sketches.is_empty() {
-        out.push_str(
-            "sketch                                    count      mean       p50       p95       p99      p999\n",
-        );
-        for s in &snapshot.sketches {
-            let _ = writeln!(
-                out,
-                "{:<40} {:>7} {:>7.3}ms {:>7.3}ms {:>7.3}ms {:>7.3}ms {:>7.3}ms",
-                s.name,
-                s.count,
-                s.mean_ns() / 1e6,
-                s.p50_ns() / 1e6,
-                s.p95_ns() / 1e6,
-                s.p99_ns() / 1e6,
-                s.p999_ns() / 1e6
-            );
-        }
-    }
-    for d in &snapshot.distincts {
-        let _ = writeln!(out, "distinct {:<36} ~{:.0}", d.name, d.estimate);
-    }
     out
 }
 

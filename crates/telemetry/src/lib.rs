@@ -1,29 +1,33 @@
-//! Structured tracing + metrics for the GRANII stack.
+//! Structured tracing for the GRANII stack.
 //!
 //! The paper's central overhead claim (§VI-C1: selection costs "at most 7 ms
 //! on GPU, 0.42 s on CPU, incurred only once") and its per-primitive
 //! breakdowns (Fig 2) are only auditable if every kernel dispatch,
 //! featurization, selection, and training step is visible. This crate is the
 //! dependency-free observability layer the rest of the workspace reports
-//! through:
+//! through. Only spans and events are process-global; every number lives in
+//! the instance that spent it (an engine's `Profile`, a `Selection`, a
+//! server's books), and this crate supplies the types and renderers those
+//! instances share:
 //!
 //! - **Spans** ([`span()`], [`span!`]): nestable RAII regions recording wall
 //!   time, thread id, nesting depth, and key/value attributes into per-thread
 //!   buffers (each thread appends to its own mutex — only the collector ever
 //!   contends).
-//! - **Metrics** ([`counter_add`], [`histogram_record_seconds`]): named
-//!   counters and log₂-bucketed latency histograms.
-//! - **Sketches** ([`sketch_handle`], [`Sketch`]): mergeable bounded-
+//! - **Events** ([`event!`]): a bounded sink of structured point-in-time
+//!   records, exported as JSON Lines.
+//! - **Sketches** ([`Sketch`], [`DistinctCounter`]): mergeable bounded-
 //!   relative-error quantile sketches (for SLO-grade p99/p999) and a
-//!   distinct-count estimator for unique request fingerprints.
+//!   distinct-count estimator for unique request fingerprints, owned by
+//!   whoever records into them.
 //! - **Time series** ([`timeseries`], [`TimeSeriesRing`], [`start_sampler`]):
 //!   a fixed-capacity on-host ring of periodic samples (counters, gauges,
 //!   sketch quantiles) with read-time delta/rate derivation — the
 //!   continuous timeline snapshots and post-mortems both lack.
 //! - **Exporters** ([`export::chrome_trace`], [`export::metrics_json`],
 //!   [`export::summary`]): Chrome trace-event JSON (loadable in Perfetto /
-//!   `chrome://tracing`), a flat JSON metrics dump, and a human-readable
-//!   hierarchical summary.
+//!   `chrome://tracing`), a flat JSON dump of a [`MetricsSnapshot`], and a
+//!   human-readable hierarchical span summary.
 //!
 //! Telemetry is **off by default** and costs one relaxed atomic load per
 //! instrumentation point when disabled: [`span()`] returns an inert guard and
@@ -55,11 +59,7 @@ pub mod timeseries;
 pub use events::{
     event_record, events_dropped, snapshot_events, take_events, EventRecord, EVENT_CAPACITY,
 };
-pub use metrics::{
-    counter_add, distinct_handle, distinct_observe, gauge_set, histogram_record_ns,
-    histogram_record_seconds, metrics_snapshot, sketch_handle, sketch_record_ns, HistogramSnapshot,
-    MetricsSnapshot, HISTOGRAM_BUCKETS,
-};
+pub use metrics::MetricsSnapshot;
 pub use profile::{ProfileReport, ProfileRow};
 pub use sketch::{DistinctCounter, DistinctSnapshot, Sketch, SketchSnapshot, DEFAULT_SKETCH_ALPHA};
 pub use span::{now_us, record_span, span, take_spans, AttrValue, SpanGuard, SpanRecord};
@@ -72,7 +72,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Turns telemetry on: subsequent spans and metric updates are recorded.
+/// Turns telemetry on: subsequent spans and events are recorded.
 pub fn enable() {
     ENABLED.store(true, Ordering::SeqCst);
 }
@@ -89,12 +89,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Clears all recorded spans, metrics, and events (the enabled flag is
-/// untouched). Also re-stamps the metrics uptime baseline — see
-/// [`MetricsSnapshot::uptime_ns`].
+/// Clears all recorded spans and events (the enabled flag is untouched).
 pub fn reset() {
     span::clear_spans();
-    metrics::clear_metrics();
     events::clear_events();
 }
 

@@ -1,270 +1,21 @@
-//! Metrics registry: named counters and log₂-bucketed latency histograms.
+//! The metrics snapshot: a point-in-time copy of one owner's counters,
+//! gauges, quantile sketches and distinct-count estimates.
 //!
-//! Both live behind one global mutex keyed by `&'static str`-like string
-//! names. Recording is gated on [`crate::enabled`] so a disabled call site
-//! costs one relaxed atomic load, same as spans.
+//! This crate keeps no metric of its own. An instance that holds numbers
+//! (a serving runtime, say) fills a snapshot from its own books, and
+//! [`crate::export::metrics_json`] renders it.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use crate::sketch::{DistinctSnapshot, SketchSnapshot};
 
-use crate::sketch::{DistinctCounter, DistinctSnapshot, Sketch, SketchSnapshot};
-
-/// Number of histogram buckets: bucket 0 holds exact zeros, bucket `i ≥ 1`
-/// covers durations in `[2^(i-1), 2^i)` nanoseconds.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-#[derive(Debug, Clone)]
-struct Histogram {
-    count: u64,
-    sum_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    buckets: [u64; HISTOGRAM_BUCKETS],
-}
-
-impl Histogram {
-    fn new() -> Self {
-        Histogram {
-            count: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-            buckets: [0; HISTOGRAM_BUCKETS],
-        }
-    }
-
-    fn record(&mut self, ns: u64) {
-        self.count += 1;
-        self.sum_ns = self.sum_ns.saturating_add(ns);
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-        self.buckets[bucket_index(ns)] += 1;
-    }
-}
-
-/// Maps a nanosecond value to its log₂ bucket.
-pub(crate) fn bucket_index(ns: u64) -> usize {
-    if ns == 0 {
-        0
-    } else {
-        64 - ns.leading_zeros() as usize
-    }
-}
-
-/// Inclusive-lower/exclusive-upper nanosecond bounds of bucket `idx`.
-pub(crate) fn bucket_bounds(idx: usize) -> (u64, u64) {
-    if idx == 0 {
-        (0, 0)
-    } else if idx >= 64 {
-        (1u64 << 63, u64::MAX)
-    } else {
-        (1u64 << (idx - 1), 1u64 << idx)
-    }
-}
-
-struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-    sketches: BTreeMap<String, Arc<Sketch>>,
-    distincts: BTreeMap<String, Arc<DistinctCounter>>,
-}
-
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        Mutex::new(Registry {
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            sketches: BTreeMap::new(),
-            distincts: BTreeMap::new(),
-        })
-    })
-}
-
-fn with_registry(f: impl FnOnce(&mut Registry)) {
-    f(&mut registry().lock().unwrap_or_else(PoisonError::into_inner));
-}
-
-/// Adds `delta` to the counter named `name` (no-op when disabled).
-pub fn counter_add(name: &str, delta: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    with_registry(|r| {
-        *r.counters.entry(name.to_owned()).or_insert(0) += delta;
-    });
-}
-
-/// Sets the gauge named `name` to `value` (no-op when disabled). Unlike
-/// counters, a gauge is a last-write-wins instantaneous reading — queue
-/// depth, cache occupancy, hit rate — not an accumulation.
-pub fn gauge_set(name: &str, value: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    with_registry(|r| {
-        r.gauges.insert(name.to_owned(), value);
-    });
-}
-
-/// Records one nanosecond duration into the histogram named `name`
-/// (no-op when disabled).
-pub fn histogram_record_ns(name: &str, ns: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    with_registry(|r| {
-        r.histograms
-            .entry(name.to_owned())
-            .or_insert_with(Histogram::new)
-            .record(ns);
-    });
-}
-
-/// Records a duration given in seconds (converted to integer nanoseconds;
-/// negative or non-finite values are recorded as zero).
-pub fn histogram_record_seconds(name: &str, seconds: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    let ns = if seconds.is_finite() && seconds > 0.0 {
-        (seconds * 1e9) as u64
-    } else {
-        0
-    };
-    histogram_record_ns(name, ns);
-}
-
-/// Returns the registry's quantile sketch named `name`, creating it with
-/// [`crate::sketch::DEFAULT_SKETCH_ALPHA`] on first use. Unlike the gated
-/// record functions this always succeeds: callers that record on a hot path
-/// should hold the `Arc` and hit the sketch's lock-free atomics directly
-/// instead of paying the registry lock per sample.
-pub fn sketch_handle(name: &str) -> Arc<Sketch> {
-    let mut registry = registry().lock().unwrap_or_else(PoisonError::into_inner);
-    registry
-        .sketches
-        .entry(name.to_owned())
-        .or_insert_with(|| Arc::new(Sketch::new(crate::sketch::DEFAULT_SKETCH_ALPHA)))
-        .clone()
-}
-
-/// Records one nanosecond duration into the registry sketch named `name`
-/// (no-op when disabled).
-pub fn sketch_record_ns(name: &str, ns: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    sketch_handle(name).record_ns(ns);
-}
-
-/// Returns the registry's distinct-count estimator named `name`, creating it
-/// on first use. Always succeeds (see [`sketch_handle`]).
-pub fn distinct_handle(name: &str) -> Arc<DistinctCounter> {
-    let mut registry = registry().lock().unwrap_or_else(PoisonError::into_inner);
-    registry
-        .distincts
-        .entry(name.to_owned())
-        .or_insert_with(|| Arc::new(DistinctCounter::new()))
-        .clone()
-}
-
-/// Folds one key into the registry distinct-count estimator named `name`
-/// (no-op when disabled).
-pub fn distinct_observe(name: &str, key: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    distinct_handle(name).observe(key);
-}
-
-/// Point-in-time copy of one histogram.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Histogram name.
-    pub name: String,
-    /// Number of recorded values.
-    pub count: u64,
-    /// Sum of recorded values in nanoseconds.
-    pub sum_ns: u64,
-    /// Smallest recorded value in nanoseconds.
-    pub min_ns: u64,
-    /// Largest recorded value in nanoseconds.
-    pub max_ns: u64,
-    /// Per-bucket counts; see [`HISTOGRAM_BUCKETS`] for the bucket scheme.
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-}
-
-impl HistogramSnapshot {
-    /// Mean recorded value in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Estimated value at quantile `q ∈ [0, 1]` in nanoseconds.
-    ///
-    /// The log₂ buckets only bound each sample to a power-of-two interval,
-    /// so the estimate walks the cumulative counts to the bucket holding the
-    /// target rank and interpolates linearly inside it. The result is
-    /// clamped to the observed `[min_ns, max_ns]`, which makes single-value
-    /// histograms exact at every quantile.
-    pub fn quantile_ns(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        // `f64::clamp` passes NaN through; pin it to 0 so a garbage quantile
-        // degrades to the minimum instead of a NaN estimate.
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (idx, &bucket_count) in self.buckets.iter().enumerate() {
-            if bucket_count == 0 {
-                continue;
-            }
-            if seen + bucket_count >= target {
-                let (lo, hi) = bucket_bounds(idx);
-                let frac = (target - seen) as f64 / bucket_count as f64;
-                let est = lo as f64 + frac * (hi - lo) as f64;
-                return est.clamp(self.min_ns as f64, self.max_ns as f64);
-            }
-            seen += bucket_count;
-        }
-        self.max_ns as f64
-    }
-
-    /// Estimated median in nanoseconds.
-    pub fn p50_ns(&self) -> f64 {
-        self.quantile_ns(0.50)
-    }
-
-    /// Estimated 95th percentile in nanoseconds.
-    pub fn p95_ns(&self) -> f64 {
-        self.quantile_ns(0.95)
-    }
-
-    /// Estimated 99th percentile in nanoseconds.
-    pub fn p99_ns(&self) -> f64 {
-        self.quantile_ns(0.99)
-    }
-}
-
-/// Point-in-time copy of every counter and histogram.
+/// Point-in-time copy of one owner's metrics.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Monotonic capture timestamp: nanoseconds since the process trace
     /// epoch. Strictly increasing across successive snapshots, so two dumps
     /// from a long-running server can be ordered and rate-diffed.
     pub captured_at_ns: u64,
-    /// Nanoseconds since the metrics baseline — the last [`crate::reset`]
-    /// (process trace epoch if never reset). The CLI resets at startup, so
-    /// for a served process this is its uptime.
+    /// Nanoseconds since the owner started (for a server, its uptime),
+    /// measured on a monotonic clock.
     pub uptime_ns: u64,
     /// Events dropped (oldest-first) because the bounded event sink was at
     /// capacity — nonzero means `--events-out` artifacts have a hole.
@@ -273,158 +24,8 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// Gauge name → last set value, sorted by name.
     pub gauges: Vec<(String, f64)>,
-    /// Histograms, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
     /// Quantile sketches, sorted by name.
     pub sketches: Vec<SketchSnapshot>,
     /// Distinct-count estimates, sorted by name.
     pub distincts: Vec<DistinctSnapshot>,
-}
-
-/// Baseline for [`MetricsSnapshot::uptime_ns`]: stamped by `clear_metrics`.
-static BASELINE_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Copies the current metrics state without clearing it.
-pub fn metrics_snapshot() -> MetricsSnapshot {
-    let captured_at_ns = crate::span::now_ns();
-    let registry = registry().lock().unwrap_or_else(PoisonError::into_inner);
-    MetricsSnapshot {
-        captured_at_ns,
-        uptime_ns: captured_at_ns.saturating_sub(BASELINE_NS.load(Ordering::Relaxed)),
-        events_dropped: crate::events::events_dropped(),
-        counters: registry
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect(),
-        gauges: registry
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect(),
-        histograms: registry
-            .histograms
-            .iter()
-            .map(|(name, h)| HistogramSnapshot {
-                name: name.clone(),
-                count: h.count,
-                sum_ns: h.sum_ns,
-                min_ns: if h.count == 0 { 0 } else { h.min_ns },
-                max_ns: h.max_ns,
-                buckets: h.buckets,
-            })
-            .collect(),
-        sketches: registry
-            .sketches
-            .iter()
-            .map(|(name, s)| s.snapshot(name))
-            .collect(),
-        distincts: registry
-            .distincts
-            .iter()
-            .map(|(name, d)| DistinctSnapshot {
-                name: name.clone(),
-                estimate: d.estimate(),
-            })
-            .collect(),
-    }
-}
-
-pub(crate) fn clear_metrics() {
-    BASELINE_NS.store(crate::span::now_ns(), Ordering::Relaxed);
-    with_registry(|r| {
-        r.counters.clear();
-        r.gauges.clear();
-        r.histograms.clear();
-        // Sketches and distinct counters are cleared in place, not dropped:
-        // hot-path recorders hold `Arc` handles that must stay live.
-        for sketch in r.sketches.values() {
-            sketch.clear();
-        }
-        for distinct in r.distincts.values() {
-            distinct.clear();
-        }
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{bucket_bounds, bucket_index, HistogramSnapshot, HISTOGRAM_BUCKETS};
-
-    #[test]
-    fn bucket_boundaries() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1); // [1, 2)
-        assert_eq!(bucket_index(2), 2); // [2, 4)
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3); // [4, 8)
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), 64);
-    }
-
-    #[test]
-    fn bucket_bounds_match_index() {
-        for ns in [0u64, 1, 2, 3, 4, 1023, 1024, u64::MAX] {
-            let idx = bucket_index(ns);
-            let (lo, hi) = bucket_bounds(idx);
-            assert!(lo <= ns, "{ns} below bucket {idx} lower bound {lo}");
-            if idx > 0 && idx < 64 {
-                assert!(ns < hi, "{ns} at or above bucket {idx} upper bound {hi}");
-            }
-        }
-    }
-
-    fn snapshot_of(values: &[u64]) -> HistogramSnapshot {
-        let mut snap = HistogramSnapshot {
-            name: "t".to_owned(),
-            count: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-            buckets: [0; HISTOGRAM_BUCKETS],
-        };
-        for &v in values {
-            snap.count += 1;
-            snap.sum_ns += v;
-            snap.min_ns = snap.min_ns.min(v);
-            snap.max_ns = snap.max_ns.max(v);
-            snap.buckets[bucket_index(v)] += 1;
-        }
-        if snap.count == 0 {
-            snap.min_ns = 0;
-        }
-        snap
-    }
-
-    #[test]
-    fn quantiles_on_empty_histogram_are_zero() {
-        let snap = snapshot_of(&[]);
-        assert_eq!(snap.p50_ns(), 0.0);
-        assert_eq!(snap.p99_ns(), 0.0);
-    }
-
-    #[test]
-    fn quantiles_of_single_value_are_exact() {
-        let snap = snapshot_of(&[777]);
-        assert_eq!(snap.p50_ns(), 777.0);
-        assert_eq!(snap.p95_ns(), 777.0);
-        assert_eq!(snap.p99_ns(), 777.0);
-    }
-
-    #[test]
-    fn quantiles_are_monotone_and_bucket_accurate() {
-        // 90 fast values in [16, 32) and 10 slow ones in [1024, 2048): the
-        // p50 must land in the fast bucket and the p95/p99 in the slow one.
-        let mut values = vec![20u64; 90];
-        values.extend(std::iter::repeat_n(1500u64, 10));
-        let snap = snapshot_of(&values);
-        let (p50, p95, p99) = (snap.p50_ns(), snap.p95_ns(), snap.p99_ns());
-        assert!((16.0..32.0).contains(&p50), "p50 = {p50}");
-        assert!((1024.0..2048.0).contains(&p95), "p95 = {p95}");
-        assert!((1024.0..2048.0).contains(&p99), "p99 = {p99}");
-        assert!(p50 <= p95 && p95 <= p99);
-        assert!(snap.quantile_ns(0.0) >= snap.min_ns as f64);
-        assert!(snap.quantile_ns(1.0) <= snap.max_ns as f64);
-    }
 }

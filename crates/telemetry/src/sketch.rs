@@ -1,10 +1,9 @@
 //! Streaming sketches: a mergeable log-bucketed quantile sketch and a small
 //! distinct-count estimator.
 //!
-//! The fixed log₂ latency histograms ([`crate::histogram_record_seconds`])
-//! bound a sample to a power-of-two interval — fine for dashboards, useless
-//! for SLO math where "p999 under 50 ms" needs sub-2× resolution. The
-//! [`Sketch`] here is DDSketch-style: geometric buckets with ratio
+//! A fixed log₂ histogram bounds a sample to a power-of-two interval —
+//! fine for dashboards, useless for SLO math where "p999 under 50 ms" needs
+//! sub-2× resolution. The [`Sketch`] here is DDSketch-style: geometric buckets with ratio
 //! `γ = (1 + α)²` so every quantile estimate is within a configured
 //! **relative** error `α` of the exact sample quantile, at any scale from
 //! nanoseconds to hours. Two properties make it the right primitive for a
@@ -27,8 +26,8 @@
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-/// Default relative-error bound for registry-created sketches: quantile
-/// estimates are within 1% of the exact sample quantile.
+/// Default relative-error bound for sketches: quantile estimates are
+/// within 1% of the exact sample quantile.
 pub const DEFAULT_SKETCH_ALPHA: f64 = 0.01;
 
 /// A mergeable streaming quantile sketch over `u64` nanosecond values with
@@ -113,7 +112,7 @@ impl Sketch {
     }
 
     /// Records a duration given in seconds (negative/non-finite recorded as
-    /// zero, mirroring [`crate::histogram_record_seconds`]).
+    /// zero).
     pub fn record_seconds(&self, seconds: f64) {
         let ns = if seconds.is_finite() && seconds > 0.0 {
             (seconds * 1e9) as u64
@@ -153,19 +152,6 @@ impl Sketch {
                     (c > 0).then_some((idx as u32, c))
                 })
                 .collect(),
-        }
-    }
-
-    /// Zeroes every counter in place (registry reset). Handles held by
-    /// long-lived recorders stay valid — they simply start from empty.
-    pub fn clear(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.zero.store(0, Ordering::Relaxed);
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.min_ns.store(u64::MAX, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -259,8 +245,8 @@ impl SketchSnapshot {
         self.quantile_ns(0.99)
     }
 
-    /// Estimated 99.9th percentile in nanoseconds — the tail the fixed log₂
-    /// histograms cannot resolve.
+    /// Estimated 99.9th percentile in nanoseconds — the tail a fixed log₂
+    /// histogram cannot resolve.
     pub fn p999_ns(&self) -> f64 {
         self.quantile_ns(0.999)
     }
@@ -430,13 +416,6 @@ impl DistinctCounter {
             raw
         }
     }
-
-    /// Zeroes every register in place (registry reset).
-    pub fn clear(&self) {
-        for r in self.registers.iter() {
-            r.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Point-in-time copy of one [`DistinctCounter`]'s estimate.
@@ -556,17 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_in_place() {
-        let s = Sketch::new(0.01);
-        s.record_ns(123);
-        s.clear();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.snapshot("t").quantile_ns(0.5), 0.0);
-        s.record_ns(9);
-        assert_eq!(s.snapshot("t").quantile_ns(1.0), 9.0);
-    }
-
-    #[test]
     fn distinct_counter_tracks_cardinality_not_volume() {
         let d = DistinctCounter::new();
         for _ in 0..100 {
@@ -576,8 +544,6 @@ mod tests {
         }
         let est = d.estimate();
         assert!((est - 12.0).abs() <= 2.0, "{est}");
-        d.clear();
-        assert!(d.estimate() < 0.5);
     }
 
     #[test]

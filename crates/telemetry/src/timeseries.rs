@@ -1,7 +1,7 @@
 //! On-host time-series ring: a fixed-capacity buffer of periodic metric
 //! samples — a mini-TSDB that needs no external collector.
 //!
-//! Snapshots ([`crate::metrics_snapshot`], `ServerStatus`) answer "what is
+//! Snapshots ([`crate::MetricsSnapshot`], `ServerStatus`) answer "what is
 //! the state *now*"; the flight recorder answers "what happened around this
 //! request". Neither answers "what did the last two minutes look like" —
 //! the question every dashboard and every incident review starts with. The

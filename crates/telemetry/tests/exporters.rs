@@ -8,7 +8,9 @@
 
 use std::sync::Mutex;
 
-use granii_telemetry::{export, span, ProfileReport, ProfileRow};
+use granii_telemetry::{
+    export, span, MetricsSnapshot, ProfileReport, ProfileRow, Sketch, DEFAULT_SKETCH_ALPHA,
+};
 use serde_json::Value;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -160,18 +162,26 @@ fn chrome_trace_is_valid_under_concurrent_recording() {
     assert_eq!(tids.len(), 8);
 }
 
+/// A snapshot as an owner (a server, say) fills it: one counter and one
+/// latency sketch over five samples.
+fn sample_metrics() -> MetricsSnapshot {
+    let lat = Sketch::new(DEFAULT_SKETCH_ALPHA);
+    for ns in [100u64, 200, 300, 400, 50_000] {
+        lat.record_ns(ns);
+    }
+    MetricsSnapshot {
+        counters: vec![("kernels".to_owned(), 3)],
+        sketches: vec![lat.snapshot("lat")],
+        ..MetricsSnapshot::default()
+    }
+}
+
 #[test]
 fn metrics_json_parses_and_orders_quantiles() {
-    let _g = guard();
-    granii_telemetry::counter_add("kernels", 3);
-    for ns in [100u64, 200, 300, 400, 50_000] {
-        granii_telemetry::histogram_record_ns("lat", ns);
-    }
-    granii_telemetry::disable();
-    let json = export::metrics_json(&granii_telemetry::metrics_snapshot());
+    let json = export::metrics_json(&sample_metrics());
     let value: Value = serde_json::from_str(&json).expect("valid JSON");
     assert_eq!(num(field(&value, "counters"), "kernels"), 3.0);
-    let h = field(field(&value, "histograms"), "lat");
+    let h = field(field(&value, "sketches"), "lat");
     assert_eq!(num(h, "count"), 5.0);
     assert_eq!(num(h, "min_ns"), 100.0);
     assert_eq!(num(h, "max_ns"), 50_000.0);
@@ -268,28 +278,18 @@ fn profile_table_lists_every_instruction() {
 
 #[test]
 fn metrics_json_round_trips_capture_timestamps() {
-    let _g = guard();
-    granii_telemetry::counter_add("ticks", 1);
-    let first = granii_telemetry::metrics_snapshot();
-    std::thread::sleep(std::time::Duration::from_millis(2));
-    let second = granii_telemetry::metrics_snapshot();
-    granii_telemetry::disable();
-
-    // Successive snapshots are strictly ordered, and uptime counts from the
-    // last reset (which `guard()` just performed), so it tracks captured_at.
-    assert!(second.captured_at_ns > first.captured_at_ns);
-    assert!(second.uptime_ns > first.uptime_ns);
-    assert!(first.uptime_ns <= first.captured_at_ns);
-    let elapsed = second.captured_at_ns - first.captured_at_ns;
-    let uptime_delta = second.uptime_ns - first.uptime_ns;
-    assert_eq!(elapsed, uptime_delta, "both fields advance on one clock");
-
-    // And both fields survive the JSON round trip at top level.
-    for snap in [&first, &second] {
-        let value: Value = serde_json::from_str(&export::metrics_json(snap)).expect("valid JSON");
-        assert_eq!(num(&value, "captured_at_ns"), snap.captured_at_ns as f64);
-        assert_eq!(num(&value, "uptime_ns"), snap.uptime_ns as f64);
-    }
+    let snap = MetricsSnapshot {
+        captured_at_ns: 1_250_000_042,
+        uptime_ns: 1_000_000_007,
+        events_dropped: 3,
+        ..sample_metrics()
+    };
+    // The clock fields and the event-drop count survive the JSON round trip
+    // at top level.
+    let value: Value = serde_json::from_str(&export::metrics_json(&snap)).expect("valid JSON");
+    assert_eq!(num(&value, "captured_at_ns"), snap.captured_at_ns as f64);
+    assert_eq!(num(&value, "uptime_ns"), snap.uptime_ns as f64);
+    assert_eq!(num(&value, "events_dropped"), 3.0);
 }
 
 #[test]

@@ -2,12 +2,11 @@
 //!
 //! Two families of guarantees back the SLO surface: the sketch's merge must
 //! be a commutative monoid over snapshots (so per-worker sketches fold into
-//! fleet-level quantiles in any order), and every quantile estimate —
-//! sketch or fixed-bucket histogram — must be monotone in `q` and, for the
-//! sketch, within the configured relative error of the exact sample
-//! quantile.
+//! fleet-level quantiles in any order), and every quantile estimate must be
+//! monotone in `q` and within the configured relative error of the exact
+//! sample quantile.
 
-use granii_telemetry::{HistogramSnapshot, Sketch, SketchSnapshot, HISTOGRAM_BUCKETS};
+use granii_telemetry::{Sketch, SketchSnapshot};
 use proptest::prelude::*;
 
 const ALPHA: f64 = 0.01;
@@ -24,35 +23,6 @@ fn sketch_of(values: &[u64]) -> SketchSnapshot {
 fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
-}
-
-/// Mirrors `telemetry::metrics::bucket_index` (log₂ buckets) so the test
-/// can build histogram snapshots without the registry.
-fn histogram_of(values: &[u64]) -> HistogramSnapshot {
-    let mut snap = HistogramSnapshot {
-        name: "t".to_owned(),
-        count: 0,
-        sum_ns: 0,
-        min_ns: u64::MAX,
-        max_ns: 0,
-        buckets: [0; HISTOGRAM_BUCKETS],
-    };
-    for &v in values {
-        snap.count += 1;
-        snap.sum_ns = snap.sum_ns.saturating_add(v);
-        snap.min_ns = snap.min_ns.min(v);
-        snap.max_ns = snap.max_ns.max(v);
-        let idx = if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        };
-        snap.buckets[idx] += 1;
-    }
-    if snap.count == 0 {
-        snap.min_ns = 0;
-    }
-    snap
 }
 
 fn values() -> impl Strategy<Value = Vec<u64>> {
@@ -127,24 +97,6 @@ proptest! {
             prop_assert!(pair[0] <= pair[1], "non-monotone: {:?}", estimates);
         }
         prop_assert_eq!(snap.quantile_ns(f64::NAN), snap.quantile_ns(0.0));
-    }
-
-    /// Fixed-bucket histogram quantiles are monotone in q and clamp q
-    /// outside [0, 1] — the interpolation no longer trusts its caller.
-    #[test]
-    fn histogram_quantiles_monotone_and_clamped(vals in values(), qs in proptest::collection::vec(-1.0f64..2.0, 2..8)) {
-        let snap = histogram_of(&vals);
-        let mut sorted_qs = qs;
-        sorted_qs.sort_by(f64::total_cmp);
-        let estimates: Vec<f64> = sorted_qs.iter().map(|&q| snap.quantile_ns(q)).collect();
-        for pair in estimates.windows(2) {
-            prop_assert!(pair[0] <= pair[1], "non-monotone: {:?}", estimates);
-        }
-        prop_assert_eq!(snap.quantile_ns(-5.0), snap.quantile_ns(0.0));
-        prop_assert_eq!(snap.quantile_ns(5.0), snap.quantile_ns(1.0));
-        let nan_estimate = snap.quantile_ns(f64::NAN);
-        prop_assert!(nan_estimate.is_finite());
-        prop_assert_eq!(nan_estimate, snap.quantile_ns(0.0));
     }
 }
 

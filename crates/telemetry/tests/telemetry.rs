@@ -1,4 +1,4 @@
-//! Behavioral tests for spans, metrics, and exporters.
+//! Behavioral tests for spans, events, and exporters.
 //!
 //! Telemetry state is global (one enabled flag, shared buffers), so every
 //! test takes `TEST_LOCK` and starts from `reset()` — the default test
@@ -6,7 +6,7 @@
 
 use std::sync::Mutex;
 
-use granii_telemetry::{export, span, AttrValue};
+use granii_telemetry::{export, span, AttrValue, MetricsSnapshot, Sketch, DEFAULT_SKETCH_ALPHA};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -117,7 +117,6 @@ fn disabled_telemetry_records_nothing_and_is_cheap() {
                 i
             }
         );
-        granii_telemetry::counter_add("noop", 1);
     }
     let elapsed = start.elapsed();
     // Generous bound: 1M disabled instrumentation points in a debug build.
@@ -128,44 +127,6 @@ fn disabled_telemetry_records_nothing_and_is_cheap() {
         "disabled path took {elapsed:?}"
     );
     assert!(granii_telemetry::take_spans().is_empty());
-    assert!(granii_telemetry::metrics_snapshot().counters.is_empty());
-}
-
-#[test]
-fn histogram_buckets_are_log2() {
-    let _g = guard();
-    granii_telemetry::histogram_record_ns("h", 0);
-    granii_telemetry::histogram_record_ns("h", 1);
-    granii_telemetry::histogram_record_ns("h", 3);
-    granii_telemetry::histogram_record_ns("h", 4);
-    granii_telemetry::histogram_record_ns("h", 1024);
-    granii_telemetry::disable();
-    let snap = granii_telemetry::metrics_snapshot();
-    let h = &snap.histograms[0];
-    assert_eq!(h.name, "h");
-    assert_eq!(h.count, 5);
-    assert_eq!(h.min_ns, 0);
-    assert_eq!(h.max_ns, 1024);
-    assert_eq!(h.buckets[0], 1); // exact zero
-    assert_eq!(h.buckets[1], 1); // [1, 2)
-    assert_eq!(h.buckets[2], 1); // [2, 4) <- 3
-    assert_eq!(h.buckets[3], 1); // [4, 8) <- 4
-    assert_eq!(h.buckets[11], 1); // [1024, 2048)
-    assert_eq!(h.buckets.iter().sum::<u64>(), 5);
-}
-
-#[test]
-fn counters_accumulate() {
-    let _g = guard();
-    granii_telemetry::counter_add("a", 2);
-    granii_telemetry::counter_add("a", 3);
-    granii_telemetry::counter_add("b", 1);
-    granii_telemetry::disable();
-    let snap = granii_telemetry::metrics_snapshot();
-    assert_eq!(
-        snap.counters,
-        vec![("a".to_string(), 5), ("b".to_string(), 1)]
-    );
 }
 
 #[test]
@@ -195,37 +156,34 @@ fn chrome_trace_has_required_event_fields() {
 }
 
 #[test]
-fn metrics_json_lists_counters_and_histograms() {
-    let _g = guard();
-    granii_telemetry::counter_add("kernels", 9);
-    granii_telemetry::histogram_record_seconds("latency", 0.001);
-    granii_telemetry::disable();
-    let json = export::metrics_json(&granii_telemetry::metrics_snapshot());
+fn metrics_json_lists_counters_and_sketches() {
+    let latency = Sketch::new(DEFAULT_SKETCH_ALPHA);
+    latency.record_seconds(0.001);
+    let snap = MetricsSnapshot {
+        counters: vec![("kernels".to_owned(), 9)],
+        sketches: vec![latency.snapshot("latency")],
+        ..MetricsSnapshot::default()
+    };
+    let json = export::metrics_json(&snap);
     assert!(json.contains("\"kernels\":9"));
     assert!(json.contains("\"latency\""));
     assert!(json.contains("\"count\":1"));
-    assert!(json.contains("\"buckets\":[[20,1]]"), "{json}"); // 1ms = 1e6 ns -> bucket 20
+    assert!(json.contains("\"min_ns\":1000000"), "{json}");
 }
 
 #[test]
-fn gauges_are_last_write_wins_and_exported() {
-    let _g = guard();
-    granii_telemetry::gauge_set("serve.queue_depth", 3.0);
-    granii_telemetry::gauge_set("serve.queue_depth", 7.0);
-    granii_telemetry::gauge_set("serve.cache_hit_rate", 0.9375);
-    granii_telemetry::disable();
-    granii_telemetry::gauge_set("serve.queue_depth", 99.0); // disabled: no-op
-    let snap = granii_telemetry::metrics_snapshot();
-    assert_eq!(
-        snap.gauges,
-        vec![
+fn metrics_json_exports_gauges() {
+    let snap = MetricsSnapshot {
+        gauges: vec![
             ("serve.cache_hit_rate".to_owned(), 0.9375),
             ("serve.queue_depth".to_owned(), 7.0),
-        ]
-    );
+        ],
+        ..MetricsSnapshot::default()
+    };
     let json = export::metrics_json(&snap);
     assert!(json.contains("\"gauges\":{"), "{json}");
     assert!(json.contains("\"serve.queue_depth\":7"), "{json}");
+    assert!(json.contains("\"serve.cache_hit_rate\":0.9375"), "{json}");
 }
 
 #[test]

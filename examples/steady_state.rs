@@ -1,10 +1,11 @@
 //! Compile-once execution: plan-build vs steady-state timing.
 //!
 //! Selects a composition for a GCN layer, lowers it once into a
-//! slot-addressed `ExecPlan`, and runs 100 iterations. Telemetry splits the
-//! one-time costs (plan build, bind + hoisted precompute, warm-up) from the
-//! steady-state loop, and the allocation counters verify that after warm-up
-//! no iteration touches the heap.
+//! slot-addressed `ExecPlan`, and runs 100 iterations. The steady-state
+//! report splits the one-time costs (plan build, bind + hoisted precompute,
+//! warm-up) from the steady-state loop, the kernel-buffer count verifies
+//! that after warm-up no iteration allocates a buffer, and the engine's own
+//! profile splits the charged time by primitive.
 //!
 //! Run with: `cargo run --release --example steady_state`
 
@@ -12,7 +13,7 @@ use std::error::Error;
 
 use granii::core::execplan::PlanInputs;
 use granii::core::plan::CompiledModel;
-use granii::core::runtime::{self, run_steady_state};
+use granii::core::runtime::run_steady_state;
 use granii::core::{Granii, GraniiOptions};
 use granii::gnn::spec::{LayerConfig, ModelKind};
 use granii::gnn::{Exec, GraphCtx};
@@ -21,8 +22,6 @@ use granii::matrix::device::{DeviceKind, Engine};
 use granii::matrix::DenseMatrix;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    granii::telemetry::enable();
-
     let graph = generators::power_law(2_000, 12, 42)?;
     let ctx = GraphCtx::new(&graph)?;
     let cfg = LayerConfig::new(64, 32);
@@ -39,7 +38,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let engine = Engine::modeled(DeviceKind::Cpu);
     let exec = Exec::real(&engine);
 
-    let allocs_before = runtime::allocation_counter_total();
+    let allocs_before = granii::matrix::buffer_allocations();
     let report = run_steady_state(&exec, &plan, decision.composition, &inputs, 100)?;
     println!("\nprogram: {}", report.expr);
     println!("plan build:        {:>10.1} µs", report.build_seconds * 1e6);
@@ -54,22 +53,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         report.steady_iterations,
     );
     println!(
-        "steady-state heap allocations: {} (one-time setup allocated {})",
+        "steady-state buffer allocations: {} (one-time setup allocated {})",
         report.steady_allocations,
-        runtime::allocation_counter_total() - allocs_before - report.steady_allocations,
+        granii::matrix::buffer_allocations() - allocs_before - report.steady_allocations,
     );
 
-    // The same split is visible in the telemetry histograms.
-    println!("\ntelemetry histograms:");
-    for h in granii::telemetry::metrics_snapshot().histograms {
-        if h.name.starts_with("execplan.") {
-            println!(
-                "  {:<20} count {:>4}  mean {:>10.1} µs",
-                h.name,
-                h.count,
-                h.mean_ns() / 1e3,
-            );
-        }
-    }
+    // The engine that ran the plan holds its charged time per primitive.
+    println!("\ncharged time by primitive (bind + 100 iterations):");
+    print!("{}", engine.take_profile());
     Ok(())
 }

@@ -10,7 +10,8 @@
 //! - [`gnn`] — GNN models, message passing, autodiff, baseline systems,
 //! - [`core`] — the GRANII compiler and runtime itself,
 //! - [`serve`] — the concurrent serving runtime (plan cache, bounded queue),
-//! - [`telemetry`] — structured tracing, counters, and latency histograms.
+//! - [`telemetry`] — structured tracing (spans, events), quantile sketches,
+//!   and exporters.
 //!
 //! # Quickstart
 //!

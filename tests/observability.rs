@@ -173,12 +173,12 @@ fn every_primitive_kind_emits_a_span() {
         assert!(span.attrs.iter().any(|(k, _)| *k == "bytes"), "{span:?}");
     }
 
-    // Metrics side: one histogram per kind plus the dispatch counter.
-    let snapshot = granii_telemetry::metrics_snapshot();
-    assert!(snapshot
-        .counters
-        .iter()
-        .any(|(n, v)| n == "engine.kernels" && *v == 9));
-    assert_eq!(snapshot.histograms.len(), PrimitiveKind::ALL.len());
+    // The engine's own profile holds the numbers: one entry per dispatch,
+    // covering every kind.
+    let profile = engine.take_profile();
+    assert_eq!(profile.entries.len(), 9);
+    let kinds: BTreeSet<PrimitiveKind> = profile.entries.iter().map(|e| e.kind).collect();
+    assert_eq!(kinds.len(), PrimitiveKind::ALL.len(), "{kinds:?}");
+    assert_eq!(profile.by_kind().len(), PrimitiveKind::ALL.len());
     granii_telemetry::reset();
 }
