@@ -43,6 +43,7 @@ fn payload(i: u64) -> RecordKind {
     RecordKind::Complete {
         outcome: "hit",
         latency_us: i,
+        queue_us: 0,
         batch: 1,
         degraded: false,
     }

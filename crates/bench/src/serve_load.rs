@@ -20,7 +20,9 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use granii_core::Granii;
-use granii_serve::{ServeConfig, ServeError, ServeRequest, Server, ServerStatus, Ticket};
+use granii_serve::{
+    RecordKind, ServeConfig, ServeError, ServeRequest, Server, ServerStatus, Ticket,
+};
 use granii_telemetry::{MetricsSnapshot, SketchSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -411,6 +413,9 @@ pub struct DriftScenarioReport {
     pub status: ServerStatus,
     /// The server's metrics snapshot at the end of the run.
     pub metrics: MetricsSnapshot,
+    /// `drift_flag` records in the server's flight recorder at the end of
+    /// the run.
+    pub drift_flag_records: usize,
 }
 
 fn run_drift_phase(server: &Server, request: &ServeRequest, requests: usize) -> DriftPhaseReport {
@@ -470,6 +475,11 @@ pub fn run_drift_scenario(
     let clean_after = run_drift_phase(&server, request, requests_per_phase);
     let status = server.status();
     let metrics = server.metrics_snapshot();
+    let drift_flag_records = server
+        .flight_records()
+        .iter()
+        .filter(|r| matches!(r.kind, RecordKind::DriftFlag { .. }))
+        .count();
     server.shutdown();
     DriftScenarioReport {
         clean_before,
@@ -477,6 +487,7 @@ pub fn run_drift_scenario(
         clean_after,
         status,
         metrics,
+        drift_flag_records,
     }
 }
 

@@ -17,8 +17,8 @@
 //!   (`granii-serve`), replay a request signature through it, and report
 //!   cache-cold vs. cache-hot latency plus the server's counters; can dump a
 //!   live status snapshot (`--status-out`), the server's metrics
-//!   (`--metrics-out`), per-request trace lanes (`--trace-out` +
-//!   `--trace-every`), and a structured event log (`--events-out`);
+//!   (`--metrics-out`), its flight-recorder event log (`--events-out`), and
+//!   per-request trace lanes (`--trace-out` + `--trace-every`);
 //!   `--incident-dir` arms automatic incident capture
 //!   with demo-tight SLO and shed thresholds and floods the queue so at
 //!   least one bundle lands in the directory,
@@ -146,11 +146,13 @@ pub fn usage() -> String {
        serve-demo --models FILE (--graph FILE | --dataset CODE [--scale ...])\n\
                  [--model NAME] [--k1 N] [--k2 N] [--requests N] [--workers N]\n\
                  [--max-batch N] [--status-out FILE] [--metrics-out FILE]\n\
-                 [--trace-every N] [--incident-dir DIR] [--scrape ADDR]\n\
-                 [--scrape-hold-ms N] [--timeline-out FILE]\n\
+                 [--events-out FILE] [--trace-every N] [--incident-dir DIR]\n\
+                 [--scrape ADDR] [--scrape-hold-ms N] [--timeline-out FILE]\n\
                  --status-out writes a live ServerStatus snapshot as JSON;\n\
                  --metrics-out writes the server's counters, gauges, quantile\n\
                  sketches (p50-p999) and distinct-count estimates as JSON;\n\
+                 --events-out writes the server's flight-recorder ring\n\
+                 (enqueue/batch_formed/complete/shed/drift/...) as JSONL;\n\
                  --trace-every samples every Nth request into its own trace\n\
                  lane (needs --trace-out; default 1, 0 disables);\n\
                  --incident-dir arms automatic incident capture with\n\
@@ -175,7 +177,6 @@ pub fn usage() -> String {
                  a human-readable timeline\n\
      global observability flags (any command):\n\
        --trace-out FILE     write a Chrome trace-event JSON (Perfetto-loadable)\n\
-       --events-out FILE    write structured events (enqueue/shed/drift/...) as JSONL\n\
        --trace-summary      append a hierarchical span summary to the output"
         .to_string()
 }
@@ -250,27 +251,27 @@ pub fn load_graph(args: &Args) -> Result<Graph, CliError> {
     }
 }
 
-/// Runs a parsed command, returning the text to print. When any of the
-/// tracing flags (`--trace-out`, `--events-out`, `--trace-summary`) is
-/// present, telemetry is enabled for the duration of the command and the
-/// requested exports are produced afterwards.
+/// Runs a parsed command, returning the text to print. When either of the
+/// tracing flags (`--trace-out`, `--trace-summary`) is present, telemetry
+/// is enabled for the duration of the command and the requested exports
+/// are produced afterwards.
 ///
 /// # Errors
 ///
 /// Returns a user-facing error message, including a usage error for
-/// `--metrics-out` on any command but `serve-demo`.
+/// `--metrics-out` or `--events-out` on any command but `serve-demo`.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    if args.get("metrics-out").is_some() && args.command != "serve-demo" {
-        return Err(format!(
-            "--metrics-out is a serve-demo flag (a server's books); for {} use \
-             --trace-out FILE or --trace-summary, whose spans hold every kernel, \
-             selection and plan duration",
-            args.command
-        ));
+    for flag in ["metrics-out", "events-out"] {
+        if args.get(flag).is_some() && args.command != "serve-demo" {
+            return Err(format!(
+                "--{flag} is a serve-demo flag (a server's books); for {} use \
+                 --trace-out FILE or --trace-summary, whose spans hold every kernel, \
+                 selection and plan duration",
+                args.command
+            ));
+        }
     }
-    let tracing = args.get("trace-out").is_some()
-        || args.get("trace-summary").is_some()
-        || args.get("events-out").is_some();
+    let tracing = args.get("trace-out").is_some() || args.get("trace-summary").is_some();
     if !tracing {
         return dispatch(args);
     }
@@ -279,18 +280,12 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let result = dispatch(args);
     granii_telemetry::disable();
     let spans = granii_telemetry::take_spans();
-    let events = granii_telemetry::take_events();
     granii_telemetry::reset();
     let mut out = result?;
     if let Some(path) = args.get("trace-out") {
         std::fs::write(path, granii_telemetry::export::chrome_trace(&spans))
             .map_err(|e| format!("write {path}: {e}"))?;
         writeln!(out, "trace: {} spans -> {path}", spans.len()).expect("fmt");
-    }
-    if let Some(path) = args.get("events-out") {
-        std::fs::write(path, granii_telemetry::export::events_jsonl(&events))
-            .map_err(|e| format!("write {path}: {e}"))?;
-        writeln!(out, "events: {} -> {path}", events.len()).expect("fmt");
     }
     if args.get("trace-summary").is_some() {
         out.push('\n');
@@ -567,11 +562,13 @@ fn cmd_bench(args: &Args) -> Result<String, CliError> {
 
 /// Serving demo: replays one request signature through a multi-worker
 /// [`granii_serve::Server`] and reports cache-cold vs. cache-hot latency.
-/// `--status-out` and `--metrics-out` dump the server's own books; with
-/// `--trace-summary` its status table is appended to the report.
+/// `--status-out`, `--metrics-out` and `--events-out` dump the server's own
+/// books and flight recorder; with `--trace-summary` its status table is
+/// appended to the report.
 fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
     use granii_serve::{
-        IncidentConfig, LatencyObjective, Outcome, ScrapeConfig, ServeConfig, ServeRequest, Server,
+        IncidentConfig, LatencyObjective, Outcome, RingEntry, ScrapeConfig, ServeConfig,
+        ServeRequest, Server,
     };
 
     let path = args.require("models")?;
@@ -623,15 +620,13 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
         };
     }
     let queue_depth = config.queue_depth;
-    let scrape_armed = args.get("scrape").is_some();
     let server = Server::start(granii, config);
-    let scrape_line = match (scrape_armed, server.scrape_addr()) {
-        (true, Some(addr)) => Some(format!(
-            "  scrape: http://{addr}/metrics (/healthz, /readyz)"
-        )),
-        (true, None) => return Err("--scrape: failed to bind the listener".to_string()),
-        _ => None,
-    };
+    if let Some(e) = server.scrape_error() {
+        return Err(format!("--scrape: failed to bind the listener: {e}"));
+    }
+    let scrape_line = server
+        .scrape_addr()
+        .map(|addr| format!("  scrape: http://{addr}/metrics (/healthz, /readyz)"));
     let mut out = format!(
         "serving {model} {k1}x{k2} on {} ({} nodes, {} edges): {requests} requests, {workers} workers\n",
         graph.name(),
@@ -708,6 +703,7 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
     let bundles = server.incidents();
     let status = server.status();
     let metrics = server.metrics_snapshot();
+    let records = server.flight_records();
     let timeline_line = match args.get("timeline-out") {
         Some(path) => {
             let snapshot = server.timeline_snapshot();
@@ -757,10 +753,12 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
     )
     .expect("fmt");
     if let Some(dir) = &incident_dir {
+        // The recorder's count: `bundles` holds only the newest
+        // `IncidentConfig::keep_last`.
         writeln!(
             out,
             "  incidents: {} captured -> {}",
-            bundles.len(),
+            status.recorder.incidents,
             dir.display()
         )
         .expect("fmt");
@@ -791,6 +789,16 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
             metrics.sketches.len()
         )
         .expect("fmt");
+    }
+    if let Some(path) = args.get("events-out") {
+        let mut jsonl = String::new();
+        for record in &records {
+            let entry = RingEntry::from_record(record);
+            jsonl.push_str(&serde_json::to_string(&entry).expect("RingEntry serializes"));
+            jsonl.push('\n');
+        }
+        std::fs::write(path, jsonl).map_err(|e| format!("write {path}: {e}"))?;
+        writeln!(out, "  events: {} ring records -> {path}", records.len()).expect("fmt");
     }
     if let Some(line) = timeline_line {
         out.push_str(&line);
@@ -1097,6 +1105,73 @@ mod tests {
     }
 
     #[test]
+    fn events_out_is_a_serve_demo_flag() {
+        let err = run(&args(&[
+            "compile",
+            "--model",
+            "gcn",
+            "--events-out",
+            "e.jsonl",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--events-out is a serve-demo flag"), "{err}");
+        assert!(!std::path::Path::new("e.jsonl").exists());
+    }
+
+    #[test]
+    fn serve_demo_events_out_writes_the_flight_recorder() {
+        let dir = std::env::temp_dir().join("granii-cli-serve-events");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let models = dir.join("models.json");
+        let models_s = models.to_str().unwrap();
+        run(&args(&[
+            "train", "--device", "h100", "--fast", "true", "--out", models_s,
+        ]))
+        .unwrap();
+        let events = dir.join("events.jsonl");
+        let out = run(&args(&[
+            "serve-demo",
+            "--models",
+            models_s,
+            "--dataset",
+            "MC",
+            "--requests",
+            "4",
+            "--events-out",
+            events.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let written: usize = out
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("events: "))
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no events line: {out}"));
+        let text = std::fs::read_to_string(&events).unwrap();
+        let lines: Vec<granii_serve::RingEntry> = text
+            .lines()
+            .map(|line| serde_json::from_str(line).expect("each line is one ring record"))
+            .collect();
+        assert_eq!(lines.len(), written, "one line per ring record");
+        let ids = |kind: &str| -> Vec<u64> {
+            lines
+                .iter()
+                .filter(|e| e.kind == kind)
+                .map(|e| e.id)
+                .collect()
+        };
+        // Four sequential requests, then a burst of four.
+        let completed = ids("complete");
+        assert_eq!(completed.len(), 8, "{text}");
+        let enqueued = ids("enqueue");
+        assert!(completed.iter().all(|id| enqueued.contains(id)), "{text}");
+        // Telemetry stays off: the log is the server's, not the spans'.
+        assert!(!out.contains("trace:"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn serve_demo_incident_mode_writes_bundles_and_incident_show_renders() {
         let dir = std::env::temp_dir().join("granii-cli-incident-demo");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1122,14 +1197,25 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("flood:"), "{out}");
-        assert!(out.contains("incidents:"), "{out}");
         assert!(!out.contains("incidents: 0 captured"), "{out}");
         let mut files: Vec<_> = std::fs::read_dir(&incidents)
             .unwrap()
             .map(|e| e.unwrap().path())
+            .filter(|p| {
+                let name = p.file_name().unwrap().to_string_lossy();
+                name.starts_with("incident-") && name.ends_with(".json")
+            })
             .collect();
         files.sort();
         assert!(!files.is_empty(), "bundle files written");
+        // The printed count is every capture, not the in-memory tail.
+        let printed: usize = out
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("incidents: "))
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no incidents line: {out}"));
+        assert_eq!(printed, files.len(), "{out}");
         let rendered = run(&args(&[
             "incident-show",
             "--incident",
@@ -1178,6 +1264,24 @@ mod tests {
         assert!(rendered.contains("granii top"), "{rendered}");
         assert!(rendered.contains("metered requests"), "{rendered}");
         assert!(rendered.contains("tenant"), "{rendered}");
+        // A failed bind is an error that names the bind's own failure.
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = taken.local_addr().unwrap().to_string();
+        let err = run(&args(&[
+            "serve-demo",
+            "--models",
+            models_s,
+            "--dataset",
+            "MC",
+            "--requests",
+            "2",
+            "--scrape",
+            &addr,
+        ]))
+        .unwrap_err();
+        let bind_error = std::net::TcpListener::bind(&addr).unwrap_err();
+        assert!(err.contains("failed to bind"), "{err}");
+        assert!(err.contains(&bind_error.to_string()), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

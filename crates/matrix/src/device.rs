@@ -401,6 +401,13 @@ impl Engine {
         std::mem::take(&mut *self.profile.lock())
     }
 
+    /// Discards the accumulated profile but keeps its capacity, so an
+    /// engine that charges about as many kernels per round as the round
+    /// before does not reallocate the entries.
+    pub fn clear_profile(&self) {
+        self.profile.lock().entries.clear();
+    }
+
     /// Number of kernels charged so far. Use as a mark for
     /// [`Engine::summarize_since`] to attribute charges to a region without
     /// draining the profile (which [`Engine::take_profile`] would).
@@ -522,6 +529,9 @@ mod tests {
         assert!(s.flops > 0 && s.bytes > 0);
         // The profile is left intact, unlike take_profile().
         assert_eq!(e.profile_len(), 3);
+        e.clear_profile();
+        assert_eq!(e.profile_len(), 0);
+        assert_eq!(e.elapsed_seconds(), 0.0);
     }
 
     #[test]

@@ -424,7 +424,6 @@ pub(crate) fn metrics(status: &ServerStatus, mut sketches: Vec<SketchSnapshot>) 
     let mut snapshot = MetricsSnapshot {
         captured_at_ns: granii_telemetry::now_us().saturating_mul(1_000),
         uptime_ns: (status.uptime_seconds * 1e9) as u64,
-        events_dropped: status.recorder.events_dropped,
         ..MetricsSnapshot::default()
     };
     for_each_series(status, |name, kind, value| {

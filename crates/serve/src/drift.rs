@@ -37,8 +37,8 @@
 //! invalidation storm. The policy values are constants
 //! ([`Policy::SERVING`]). On a flag the server invalidates the signature's
 //! plan-cache entry so the next request re-selects, bumps
-//! `serve.drift_flagged` or `serve.input_drift_flagged`, and emits a
-//! structured `serve.drift` or `serve.input_drift` event.
+//! `serve.drift_flagged` or `serve.input_drift_flagged`, and writes a
+//! `drift_flag` or `input_drift_flag` flight record.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};

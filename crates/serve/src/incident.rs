@@ -4,14 +4,14 @@
 //! The serving runtime already *detects* trouble — cost-model drift, input
 //! drift, SLO burn, shed storms — but detection alone leaves the operator
 //! with a counter and no context. The incident capturer turns a trigger
-//! into a correlated **bundle**: the flight-recorder ring around the
-//! anomaly ([`crate::recorder`]), the full [`ServerStatus`], merged
-//! latency/batch sketch quantiles, a non-destructive snapshot of recent
-//! structured events, and — the paper's own question — the triggering
-//! signature's **selection audit**: which composition was chosen, what
-//! every candidate's predicted cost was, and the input statistics that
-//! keyed the choice. One JSON artifact answers "which input statistics
-//! drove the primitive selection that misbehaved".
+//! into a correlated **bundle**: the server's own flight-recorder ring
+//! around the anomaly ([`crate::recorder`]), the full [`ServerStatus`]
+//! (recorder health and latency quantiles included), the timeline tail,
+//! and — the paper's own question — the triggering signature's **selection
+//! audit**: which composition was chosen, what every candidate's predicted
+//! cost was, and the input statistics that keyed the choice. One JSON
+//! artifact answers "which input statistics drove the primitive selection
+//! that misbehaved", and every fact in it appears once.
 //!
 //! Capture is rate-limited (cooldown + max-per-window) so a burn storm
 //! cannot flood the disk: triggers beyond the limit are counted as
@@ -60,8 +60,6 @@ pub struct IncidentConfig {
     pub shed_window: Duration,
     /// Newest flight-recorder records included in a bundle.
     pub ring_tail: usize,
-    /// Newest telemetry events included in a bundle.
-    pub event_tail: usize,
     /// Bundles retained in memory (newest-last).
     pub keep_last: usize,
 }
@@ -77,7 +75,6 @@ impl Default for IncidentConfig {
             shed_threshold: 64,
             shed_window: Duration::from_secs(1),
             ring_tail: 256,
-            event_tail: 64,
             keep_last: 8,
         }
     }
@@ -361,15 +358,22 @@ impl RingEntry {
             RecordKind::Complete {
                 outcome,
                 latency_us,
+                queue_us,
                 batch,
                 degraded,
             } => (
                 u64::from(batch),
                 Vec::new(),
-                format!("outcome={outcome} latency_us={latency_us} degraded={degraded}"),
+                format!(
+                    "outcome={outcome} latency_us={latency_us} queue_us={queue_us} \
+                     degraded={degraded}"
+                ),
             ),
             RecordKind::Failed => (0, Vec::new(), String::new()),
             RecordKind::ModelSwap => (0, Vec::new(), String::new()),
+            RecordKind::Incident { seq, trigger } => {
+                (0, Vec::new(), format!("seq={seq} trigger={trigger}"))
+            }
         };
         RingEntry {
             seq: r.seq,
@@ -464,51 +468,6 @@ impl SelectionAuditInfo {
     }
 }
 
-/// Merged sketch quantiles (milliseconds for latency, raw for batch size).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SketchSummary {
-    /// Sketch name.
-    pub name: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Mean in nanoseconds (latency) or raw units (batch size).
-    pub mean_ns: f64,
-    /// Median.
-    pub p50_ns: f64,
-    /// 95th percentile.
-    pub p95_ns: f64,
-    /// 99th percentile.
-    pub p99_ns: f64,
-    /// 99.9th percentile.
-    pub p999_ns: f64,
-}
-
-impl SketchSummary {
-    /// Summarizes one sketch snapshot.
-    pub fn from_snapshot(s: &granii_telemetry::SketchSnapshot) -> Self {
-        SketchSummary {
-            name: s.name.clone(),
-            count: s.count,
-            mean_ns: s.mean_ns(),
-            p50_ns: s.p50_ns(),
-            p95_ns: s.p95_ns(),
-            p99_ns: s.p99_ns(),
-            p999_ns: s.p999_ns(),
-        }
-    }
-}
-
-/// Flight-recorder health at capture time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RecorderInfo {
-    /// Ring capacity in records.
-    pub capacity: u64,
-    /// Records ever claimed.
-    pub written: u64,
-    /// Records dropped on slot collision.
-    pub dropped: u64,
-}
-
 /// One column of the on-host time-series ring, flattened for the artifact.
 /// `null` entries mark frames captured before the column first existed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -569,23 +528,16 @@ pub struct IncidentBundle {
     pub captured_at_us: u64,
     /// What fired.
     pub trigger: TriggerInfo,
-    /// Flight-recorder health at capture.
-    pub recorder: RecorderInfo,
-    /// The ring excerpt, oldest-first (bounded by `ring_tail`).
+    /// The ring excerpt, oldest-first (bounded by `ring_tail`), ending
+    /// with this capture's own `incident` record.
     pub ring: Vec<RingEntry>,
     /// The triggering signature's selection audit, when one is retained.
     pub selection: Option<SelectionAuditInfo>,
-    /// Merged latency sketch + batch-size sketch quantiles.
-    pub sketches: Vec<SketchSummary>,
-    /// Recent structured telemetry events, oldest-first, rendered as
-    /// `name key=value ...` lines (empty when telemetry is disabled).
-    pub events: Vec<String>,
-    /// Telemetry events dropped by the bounded sink so far.
-    pub events_dropped: u64,
     /// The time-series ring tail at capture (`None` in bundles captured
     /// before the timeline existed, or when the sampler is disabled).
     pub timeline: Option<TimelineInfo>,
-    /// The full live status snapshot.
+    /// The full live status snapshot: recorder health, latency and
+    /// batch-size quantiles, and every other server number.
     pub status: ServerStatus,
 }
 
@@ -628,11 +580,6 @@ impl fmt::Display for IncidentBundle {
                 )
             }
         )?;
-        writeln!(
-            f,
-            "  recorder  {} written | {} dropped | ring capacity {}",
-            self.recorder.written, self.recorder.dropped, self.recorder.capacity
-        )?;
         if let Some(sel) = &self.selection {
             writeln!(
                 f,
@@ -669,13 +616,6 @@ impl fmt::Display for IncidentBundle {
                 )?;
             }
         }
-        for s in &self.sketches {
-            writeln!(
-                f,
-                "  sketch    {:<20} n={:<8} p50 {:.0} p95 {:.0} p99 {:.0} p999 {:.0}",
-                s.name, s.count, s.p50_ns, s.p95_ns, s.p99_ns, s.p999_ns
-            )?;
-        }
         if let Some(timeline) = &self.timeline {
             writeln!(
                 f,
@@ -684,13 +624,7 @@ impl fmt::Display for IncidentBundle {
                 timeline.columns.len()
             )?;
         }
-        writeln!(
-            f,
-            "  ring      {} records ({} telemetry events attached, {} dropped)",
-            self.ring.len(),
-            self.events.len(),
-            self.events_dropped
-        )?;
+        writeln!(f, "  ring      {} records", self.ring.len())?;
         let t0 = self.ring.first().map(|r| r.ts_us).unwrap_or(0);
         for r in &self.ring {
             let rel_ms = r.ts_us.saturating_sub(t0) as f64 / 1e3;
@@ -895,33 +829,6 @@ impl IncidentCapturer {
     }
 }
 
-/// Renders recent telemetry events (taken with the non-destructive
-/// [`granii_telemetry::snapshot_events`]) as `name key=value` lines.
-pub fn render_events(events: &[granii_telemetry::EventRecord], tail: usize) -> Vec<String> {
-    events
-        .iter()
-        .skip(events.len().saturating_sub(tail))
-        .map(|e| {
-            let mut line = format!("{} ts_us={}", e.name, e.ts_us);
-            for (key, value) in &e.fields {
-                use granii_telemetry::AttrValue;
-                match value {
-                    AttrValue::U64(v) => {
-                        line.push_str(&format!(" {key}={v}"));
-                    }
-                    AttrValue::F64(v) => {
-                        line.push_str(&format!(" {key}={v}"));
-                    }
-                    AttrValue::Str(v) => {
-                        line.push_str(&format!(" {key}={v}"));
-                    }
-                }
-            }
-            line
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,11 +886,6 @@ mod tests {
             seq: 1,
             captured_at_us: 1_500_000,
             trigger: trigger.info(),
-            recorder: RecorderInfo {
-                capacity: 4096,
-                written: 123,
-                dropped: 0,
-            },
             ring: vec![RingEntry::from_record(&FlightRecord {
                 seq: 9,
                 ts_us: 1_400_000,
@@ -1016,9 +918,6 @@ mod tests {
                     captured_at_us: 900_000,
                 },
             )),
-            sketches: Vec::new(),
-            events: vec!["serve.input_drift ts_us=1400000 id=7".to_owned()],
-            events_dropped: 0,
             timeline: Some(TimelineInfo {
                 at_ns: vec![1_000_000, 2_000_000],
                 columns: vec![TimelineColumnInfo {
@@ -1052,7 +951,6 @@ mod tests {
         let input = sel.input.as_ref().expect("input stats present");
         assert_eq!(input.bands.len(), 5);
         assert!((input.degree_cv - 0.8).abs() < 1e-12);
-        assert_eq!(parsed.events.len(), 1);
         assert_eq!(parsed.status.submitted, 10);
         let timeline = parsed.timeline.as_ref().expect("timeline attached");
         assert_eq!(timeline.frames(), 2);

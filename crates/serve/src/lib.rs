@@ -42,12 +42,12 @@
 //!   what the residual lane is blind to: a pinned-signature tenant
 //!   ([`ServeRequest::with_signature`]) whose graph mutates under a cached
 //!   plan. Sustained divergence flags the signature, invalidates its cached
-//!   plan (forcing re-selection), and surfaces in metrics, events, and
-//!   status.
+//!   plan (forcing re-selection), and surfaces in metrics, the flight
+//!   recorder, and status.
 //! - **Latency SLOs** ([`SloMonitor`]): declarative per-outcome objectives
 //!   with tumbling-window error-budget burn rates, backed by
 //!   bounded-relative-error latency sketches (p50–p999 on the status
-//!   surface, burn events when the budget burns too fast).
+//!   surface, burn records when the budget burns too fast).
 //! - **Live status surface** ([`ServerStatus`] from [`Server::status`]):
 //!   queue depth, per-worker utilization, cache counters, degradation
 //!   rates, and the drift table — as JSON and a human-readable table.
@@ -60,11 +60,12 @@
 //! - **Always-on flight recorder** ([`FlightRecorder`]): a fixed-slot,
 //!   lock-free ring every serve layer streams structured records into —
 //!   admission, shed, batch formation (group signature + member ids),
-//!   cache traffic, drift flags, SLO burn, completion. Writers never
-//!   block (collisions drop-and-count); readers snapshot without
-//!   destroying. When a detector fires, the [`IncidentCapturer`]
+//!   cache traffic, drift flags, SLO burn, completion, incident capture.
+//!   It is the server's only event log ([`Server::flight_records`]).
+//!   Writers never block (collisions drop-and-count); readers snapshot
+//!   without destroying. When a detector fires, the [`IncidentCapturer`]
 //!   assembles a correlated [`IncidentBundle`] — ring excerpt, full
-//!   status, merged sketches, and the triggering signature's selection
+//!   status, timeline tail, and the triggering signature's selection
 //!   audit (chosen composition, per-candidate predicted costs, and the
 //!   input statistics that keyed the choice) — as one JSON artifact,
 //!   rate-limited by cooldown + max-per-window.

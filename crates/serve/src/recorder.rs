@@ -128,6 +128,9 @@ pub enum RecordKind {
         outcome: &'static str,
         /// Submit-to-reply latency in microseconds.
         latency_us: u64,
+        /// Queue wait in microseconds: from the ring push until the
+        /// request's batch group formed.
+        queue_us: u64,
         /// Size of the batch group it executed in.
         batch: u32,
         /// Whether it fell back to the default composition.
@@ -137,6 +140,14 @@ pub enum RecordKind {
     Failed,
     /// `Server::replace_granii` hot-swapped the models.
     ModelSwap,
+    /// An incident bundle was captured.
+    Incident {
+        /// The bundle's incident number within this server (1-based).
+        seq: u64,
+        /// The trigger kind (`slo_burn` / `drift` / `input_drift` /
+        /// `shed_storm`).
+        trigger: &'static str,
+    },
 }
 
 impl RecordKind {
@@ -157,6 +168,7 @@ impl RecordKind {
             RecordKind::Complete { .. } => "complete",
             RecordKind::Failed => "failed",
             RecordKind::ModelSwap => "model_swap",
+            RecordKind::Incident { .. } => "incident",
         }
     }
 }
@@ -358,6 +370,17 @@ mod tests {
         r.record(1, 0, "", RecordKind::ModelSwap);
         assert_eq!(r.snapshot().len(), 1);
         assert_eq!(r.snapshot().len(), 1, "snapshot must not consume");
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn batch_formed_stays_the_largest_payload() {
+        // Two u32 counts and the member ids, plus the discriminant: a
+        // variant that outgrew this would grow every slot of the ring.
+        assert_eq!(
+            std::mem::size_of::<RecordKind>(),
+            8 + 8 + 8 * MAX_BATCH_MEMBERS
+        );
     }
 
     #[test]

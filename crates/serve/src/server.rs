@@ -26,7 +26,7 @@ use granii_graph::Graph;
 use granii_matrix::device::Engine;
 use granii_matrix::DenseMatrix;
 use granii_telemetry::{
-    event, start_sampler, ColumnId, DistinctCounter, MetricsSnapshot, SamplerHandle, Sketch,
+    start_sampler, ColumnId, DistinctCounter, MetricsSnapshot, SamplerHandle, Sketch,
     SketchSnapshot, TimeSeriesRing, TimeSeriesSnapshot, DEFAULT_SKETCH_ALPHA,
 };
 
@@ -34,11 +34,13 @@ use crate::cache::{CachedPlan, PlanCache, PlanKey};
 use crate::catalog::{self, BATCH_SIZE, LATENCY};
 use crate::drift::{InputProfile, Lane, Residual, Track};
 use crate::incident::{
-    render_events, IncidentBundle, IncidentCapturer, IncidentConfig, IncidentTrigger, RecorderInfo,
-    RingEntry, SelectionAudit, SelectionAuditInfo, SketchSummary, TimelineInfo,
+    IncidentBundle, IncidentCapturer, IncidentConfig, IncidentTrigger, RingEntry, SelectionAudit,
+    SelectionAuditInfo, TimelineInfo,
 };
 use crate::metering::{exact_share, MeterCharge, MeterRow, Tenant, TenantLedger};
-use crate::recorder::{FlightRecorder, RecordKind, MAX_BATCH_MEMBERS, RECORDER_CAPACITY};
+use crate::recorder::{
+    FlightRecord, FlightRecorder, RecordKind, MAX_BATCH_MEMBERS, RECORDER_CAPACITY,
+};
 use crate::scrape::{ScrapeConfig, ScrapeHandle};
 use crate::slo::{Outcome, SloConfig, SloMonitor, SloVerdict};
 use crate::status::{
@@ -452,9 +454,9 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
     /// The timeline sampler thread.
     sampler: Option<SamplerHandle>,
-    /// The scrape listener, when `ScrapeConfig::enabled` and the bind
-    /// succeeded.
-    scrape: Option<ScrapeHandle>,
+    /// The scrape listener when `ScrapeConfig::enabled`, or the error its
+    /// bind failed with.
+    scrape: Option<std::io::Result<ScrapeHandle>>,
 }
 
 impl Server {
@@ -504,11 +506,11 @@ impl Server {
             })
             .collect();
         let sampler = Some(start_timeline_sampler(&inner));
-        let scrape = if inner.config.scrape.enabled {
-            start_scrape_listener(&inner)
-        } else {
-            None
-        };
+        let scrape = inner
+            .config
+            .scrape
+            .enabled
+            .then(|| start_scrape_listener(&inner));
         Server {
             inner,
             workers,
@@ -589,7 +591,6 @@ impl Server {
                 depth: depth as u32,
             },
         );
-        event!("serve.enqueue", id = id, depth = depth);
         // Close the admission window before waking: the push must be
         // visible to any worker deciding whether it may exit.
         drop(admit_window);
@@ -631,7 +632,6 @@ impl Server {
             },
         );
         self.inner.recorder.record(0, 0, "", RecordKind::ModelSwap);
-        event!("serve.model_swap");
     }
 
     /// Point-in-time snapshots of the per-outcome latency sketches
@@ -671,8 +671,10 @@ impl Server {
     }
 
     /// A non-destructive snapshot of the flight-recorder ring, oldest
-    /// record first.
-    pub fn flight_records(&self) -> Vec<crate::recorder::FlightRecord> {
+    /// record first: this server's event log (what `--events-out` writes,
+    /// and what incident bundles excerpt). Never shared with another server
+    /// in the process.
+    pub fn flight_records(&self) -> Vec<FlightRecord> {
         self.inner.recorder.snapshot()
     }
 
@@ -698,7 +700,13 @@ impl Server {
     /// The scrape listener's bound address, when one is running (resolves
     /// a configured port 0 to the actual ephemeral port).
     pub fn scrape_addr(&self) -> Option<std::net::SocketAddr> {
-        self.scrape.as_ref().map(ScrapeHandle::addr)
+        self.scrape.as_ref()?.as_ref().ok().map(ScrapeHandle::addr)
+    }
+
+    /// The error the scrape listener's bind failed with, when it was
+    /// enabled and did not come up (the server serves without it).
+    pub fn scrape_error(&self) -> Option<&std::io::Error> {
+        self.scrape.as_ref()?.as_ref().err()
     }
 
     /// Shuts down gracefully: stops accepting requests, drains the queue,
@@ -714,7 +722,7 @@ impl Server {
         if let Some(sampler) = self.sampler.take() {
             sampler.stop();
         }
-        if let Some(scrape) = self.scrape.take() {
+        if let Some(Ok(scrape)) = self.scrape.take() {
             scrape.stop();
         }
         self.inner.wake_all();
@@ -924,7 +932,6 @@ impl Inner {
                 incidents: self.incidents.captured(),
                 suppressed: self.incidents.suppressed(),
                 incident_io_errors: self.incidents.io_errors(),
-                events_dropped: granii_telemetry::events_dropped(),
                 last_trigger: self.incidents.last_trigger(),
             },
             metering: MeteringStatus {
@@ -986,30 +993,21 @@ fn start_timeline_sampler(inner: &Arc<Inner>) -> SamplerHandle {
 }
 
 /// Binds the scrape listener. A bind failure (address in use, permission)
-/// is reported as an event and the server runs without the endpoint —
-/// observability must never take serving down.
-fn start_scrape_listener(inner: &Arc<Inner>) -> Option<ScrapeHandle> {
+/// is kept for [`Server::scrape_error`] and the server runs without the
+/// endpoint — observability must never take serving down.
+fn start_scrape_listener(inner: &Arc<Inner>) -> std::io::Result<ScrapeHandle> {
     let metrics_inner = Arc::clone(inner);
     let ready_inner = Arc::clone(inner);
-    match crate::scrape::start_scrape(
+    crate::scrape::start_scrape(
         &inner.config.scrape.addr,
         move || crate::scrape::render_prometheus(&metrics_inner.status()),
         move || ready_inner.readiness(),
-    ) {
-        Ok(handle) => {
-            event!("serve.scrape_listen", addr = format!("{}", handle.addr()));
-            Some(handle)
-        }
-        Err(e) => {
-            event!("serve.scrape_bind_failed", error = format!("{e}"));
-            None
-        }
-    }
+    )
 }
 
 /// Shed bookkeeping shared by every admission-reject path: the tenant's
-/// shed meter, the shed event, the flight-recorder record, and the
-/// shed-storm incident trigger.
+/// shed meter, the flight-recorder record, and the shed-storm incident
+/// trigger.
 fn shed(
     inner: &Inner,
     id: u64,
@@ -1028,7 +1026,6 @@ fn shed(
             reason,
         },
     );
-    event!("serve.shed", id = id, depth = depth, reason = reason);
     if let Some(sheds) = inner.incidents.note_shed() {
         capture_incident(
             inner,
@@ -1065,17 +1062,21 @@ fn next_job(inner: &Inner) -> Option<Job> {
 fn worker_loop(inner: &Inner, index: usize) {
     // Each worker owns its engine: `Engine` accumulates a profile under a
     // mutex per kernel charge, so sharing one across workers would serialize
-    // them — and the profile is drained per drain-cycle below to keep a
+    // them — and the profile is cleared per drain-cycle below to keep a
     // long-running server's memory flat.
     let engine = Engine::modeled(inner.granii().device());
     let exec = Exec::real(&engine);
     let max_batch = inner.config.max_batch.max(1);
+    // The drain and group lists live across cycles: a cycle reuses their
+    // capacity instead of allocating them per request.
+    let mut drained: Vec<Job> = Vec::with_capacity(max_batch);
+    let mut groups: Vec<(PlanKey, Vec<Job>)> = Vec::with_capacity(max_batch);
     loop {
         let Some(first) = next_job(inner) else { return };
         // Continuous batching: opportunistically drain whatever else is
         // already queued, up to the batch bound. No waiting — an empty ring
         // means the batch is whatever arrived while we were busy.
-        let mut drained = vec![first];
+        drained.push(first);
         while drained.len() < max_batch {
             match inner.queue.pop() {
                 Some(job) => drained.push(job),
@@ -1086,14 +1087,13 @@ fn worker_loop(inner: &Inner, index: usize) {
             inner.ledger.release(job.tenant);
         }
         // Coalesce by plan signature, preserving first-seen (queue) order.
-        let mut groups: Vec<(PlanKey, Vec<Job>)> = Vec::new();
-        for job in drained {
+        for job in drained.drain(..) {
             match groups.iter_mut().find(|(k, _)| *k == job.key) {
                 Some((_, members)) => members.push(job),
                 None => groups.push((job.key, vec![job])),
             }
         }
-        for (_, members) in groups {
+        for (_, members) in groups.drain(..) {
             let n = members.len() as u64;
             let processing = Instant::now();
             process_group(inner, &exec, members);
@@ -1102,8 +1102,9 @@ fn worker_loop(inner: &Inner, index: usize) {
                 .fetch_add(processing.elapsed().as_nanos() as u64, Ordering::Relaxed);
             slot.requests.fetch_add(n, Ordering::Relaxed);
         }
-        // Keep the per-worker profile from growing without bound.
-        engine.take_profile();
+        // Keep the per-worker profile from growing without bound; its
+        // capacity stays for the next cycle's charges.
+        engine.clear_profile();
     }
 }
 
@@ -1151,11 +1152,6 @@ fn process_group(inner: &Inner, exec: &Exec, mut jobs: Vec<Job>) {
             t.mark_dequeued();
         }
         job.queue_seconds = formed.duration_since(job.enqueued).as_secs_f64();
-        event!(
-            "serve.dequeue",
-            id = job.id,
-            queue_seconds = job.queue_seconds
-        );
         // An expired request is still served — a late answer beats none —
         // but a miss skips the cost models.
         job.expired = job.deadline.is_some_and(|d| formed >= d);
@@ -1292,10 +1288,10 @@ fn process_batch(
             execute_seconds,
         } = executed.expect("execute left a result in every member");
         if let Some(predicted) = predicted_steady_seconds {
-            observe_drift(inner, id, &request, key, charged_seconds, predicted);
+            observe_drift(inner, id, key, charged_seconds, predicted);
         }
         if let Some(p) = profile {
-            observe_input(inner, id, &request, key, p);
+            observe_input(inner, id, key, p);
         }
         let cache_hit = leader_hit || i > 0;
         let degraded = i == 0 && leader_degraded;
@@ -1378,8 +1374,8 @@ fn execute(
 
 /// Per-result bookkeeping and the reply send: the failure counter (the
 /// ledger has already metered a completion), outcome-split latency
-/// sketches, SLO accounting, flight-recorder records (and the SLO-burn
-/// incident trigger), and events.
+/// sketches, SLO accounting, and flight-recorder records (and the SLO-burn
+/// incident trigger).
 fn finish_job(
     inner: &Inner,
     id: u64,
@@ -1412,6 +1408,7 @@ fn finish_job(
                 RecordKind::Complete {
                     outcome: outcome.name(),
                     latency_us: latency_ns / 1_000,
+                    queue_us: (response.timing.queue_seconds * 1e6) as u64,
                     batch: response.batch_size as u32,
                     degraded: response.degraded,
                 },
@@ -1443,13 +1440,6 @@ fn finish_job(
                                     threshold_ms: objective.threshold_ms,
                                 },
                             );
-                            event!(
-                                "serve.slo_burn",
-                                outcome = name,
-                                burn_rate = burn_rate,
-                                threshold_ms = objective.threshold_ms,
-                                target = objective.target,
-                            );
                             // The request that closed the burning window is
                             // the incident's triggering signature.
                             capture_incident(
@@ -1472,27 +1462,17 @@ fn finish_job(
                                     burn_rate,
                                 },
                             );
-                            event!("serve.slo_recover", outcome = name, burn_rate = burn_rate,);
                         }
                         None => {}
                     }
                 }
             }
-            event!(
-                "serve.complete",
-                id = id,
-                total_seconds = response.timing.total_seconds,
-                cache_hit = u64::from(response.cache_hit),
-                degraded = u64::from(response.degraded),
-                batch_size = response.batch_size,
-            );
         }
         Err(_) => {
             inner.counters.failed.fetch_add(1, Ordering::Relaxed);
             inner
                 .recorder
                 .record(id, key.1, key.0.name(), RecordKind::Failed);
-            event!("serve.failed", id = id);
         }
     }
     // Receiver may have given up; a dead ticket is not a worker error.
@@ -1516,20 +1496,15 @@ fn choose_composition(
     request: &ServeRequest,
     cfg: LayerConfig,
     expired: bool,
-    id: u64,
 ) -> Result<Chosen> {
     if !expired {
         match granii.select_with_config(request.model, &request.graph, cfg, request.iterations) {
             Ok(selection) => {
                 return Ok((selection.composition, false, selection.predicted));
             }
-            Err(CoreError::MissingCostModel { .. }) => {
-                event!("serve.degrade", id = id, reason = "missing_cost_model");
-            }
+            Err(CoreError::MissingCostModel { .. }) => {}
             Err(e) => return Err(e.into()),
         }
-    } else {
-        event!("serve.degrade", id = id, reason = "deadline_expired");
     }
     let plan = granii.compiled(request.model, cfg)?;
     let eligible = plan.eligible(cfg.k_in, cfg.k_out);
@@ -1557,7 +1532,7 @@ fn bind_miss(
     let cfg = LayerConfig::new(request.k1, request.k2);
     let granii = inner.granii();
     let (composition, degraded, predicted) =
-        choose_composition(&granii, request, cfg, leader.expired, id)?;
+        choose_composition(&granii, request, cfg, leader.expired)?;
     let plan = granii.compiled(request.model, cfg)?;
     let candidate = plan
         .candidates
@@ -1622,14 +1597,7 @@ fn bind_miss(
 /// Online drift check: compare the engine-charged cost of the iteration
 /// just run (a member's equal share, for a batched group) against the cost
 /// model's steady-state promise for this plan.
-fn observe_drift(
-    inner: &Inner,
-    id: u64,
-    request: &ServeRequest,
-    key: PlanKey,
-    charged_seconds: f64,
-    predicted: f64,
-) {
+fn observe_drift(inner: &Inner, id: u64, key: PlanKey, charged_seconds: f64, predicted: f64) {
     let flag = Residual::between(charged_seconds, predicted)
         .and_then(|residual| inner.drift.observe(key, residual));
     if let Some(track) = flag {
@@ -1650,15 +1618,6 @@ fn observe_drift(
             key.0.name(),
             RecordKind::DriftFlag { ewma_residual },
         );
-        event!(
-            "serve.drift",
-            id = id,
-            model = request.model.name(),
-            fingerprint = hex_fp(key.1),
-            k1 = request.k1,
-            k2 = request.k2,
-            ewma_residual = ewma_residual,
-        );
         capture_incident(inner, IncidentTrigger::Drift { key, ewma_residual });
     }
 }
@@ -1668,7 +1627,7 @@ fn observe_drift(
 /// Orthogonal to the residual lane above — a stale plan executes its
 /// *bound* graph, so its cost residual stays clean while the live input
 /// walks away.
-fn observe_input(inner: &Inner, id: u64, request: &ServeRequest, key: PlanKey, p: InputProfile) {
+fn observe_input(inner: &Inner, id: u64, key: PlanKey, p: InputProfile) {
     if let Some(track) = inner.inspect.observe(key, p) {
         // The live and reference profiles the lane flagged on, read under
         // its lock.
@@ -1699,16 +1658,6 @@ fn observe_input(inner: &Inner, id: u64, request: &ServeRequest, key: PlanKey, p
                 live_avg_degree: live.avg_degree,
             },
         );
-        event!(
-            "serve.input_drift",
-            id = id,
-            model = request.model.name(),
-            fingerprint = hex_fp(key.1),
-            k1 = request.k1,
-            k2 = request.k2,
-            band_l1 = band_l1,
-            cv_delta = cv_delta,
-        );
         capture_incident(
             inner,
             IncidentTrigger::InputDrift {
@@ -1723,15 +1672,25 @@ fn observe_input(inner: &Inner, id: u64, request: &ServeRequest, key: PlanKey, p
 /// Assembles and stores one incident bundle for `trigger`, subject to the
 /// capturer's rate limits. Runs on whichever thread hit the trigger (a
 /// worker for SLO burn and drift, a submitter for a shed storm) — capture
-/// is rare by construction, so the status/sketch assembly cost never sits
-/// on the steady-state path.
+/// is rare by construction, so the status assembly cost never sits on the
+/// steady-state path.
 fn capture_incident(inner: &Inner, trigger: IncidentTrigger) {
     if !inner.incidents.admit() {
         return;
     }
     let seq = inner.incidents.next_seq();
-    event!("serve.incident", seq = seq, kind = trigger.kind());
-    // Ring excerpt: the newest `ring_tail` records, oldest-first.
+    let (fingerprint, model) = trigger.key().map_or((0, ""), |key| (key.1, key.0.name()));
+    inner.recorder.record(
+        0,
+        fingerprint,
+        model,
+        RecordKind::Incident {
+            seq,
+            trigger: trigger.kind(),
+        },
+    );
+    // Ring excerpt: the newest `ring_tail` records, oldest-first, ending
+    // with the capture's own record.
     let ring_all = inner.recorder.snapshot();
     let tail = inner.incidents.config().ring_tail;
     let ring: Vec<RingEntry> = ring_all[ring_all.len().saturating_sub(tail)..]
@@ -1748,37 +1707,12 @@ fn capture_incident(inner: &Inner, trigger: IncidentTrigger) {
             .get(key)
             .map(|audit| SelectionAuditInfo::from_audit(key, &audit))
     });
-    // Sketches: the merge of the per-outcome latency sketches (one
-    // whole-server latency distribution), then each latency sketch and the
-    // batch-size sketch.
-    let sketches = inner.sketches();
-    let mut all = sketches[0].clone();
-    for outcome in &sketches[1..Outcome::ALL.len()] {
-        all.merge(outcome);
-    }
-    all.name = "serve.latency.all".to_owned();
-    let sketches = std::iter::once(&all)
-        .chain(&sketches)
-        .map(SketchSummary::from_snapshot)
-        .collect();
-    let events = render_events(
-        &granii_telemetry::snapshot_events(),
-        inner.incidents.config().event_tail,
-    );
     let bundle = IncidentBundle {
         seq,
         captured_at_us: granii_telemetry::now_us(),
         trigger: trigger.info(),
-        recorder: RecorderInfo {
-            capacity: inner.recorder.capacity() as u64,
-            written: inner.recorder.written(),
-            dropped: inner.recorder.dropped(),
-        },
         ring,
         selection,
-        sketches,
-        events,
-        events_dropped: granii_telemetry::events_dropped(),
         // The last minutes of the sampled timeline — empty ring (sampler
         // disabled, or the incident beat the first tick) attaches nothing.
         timeline: {

@@ -14,8 +14,8 @@
 //! steady-state zero-alloc contract can see) and closes a tumbling window
 //! every `window` requests per objective: the window's burn rate becomes
 //! the objective's current reading, crossing the alert threshold upward
-//! emits a `serve.slo_burn` event, and recovering below it emits
-//! `serve.slo_recover`. Long-run quantiles for the same outcomes come from
+//! writes a `slo_burn` flight record, and recovering below it writes
+//! `slo_recover`. Long-run quantiles for the same outcomes come from
 //! the latency sketches ([`granii_telemetry::Sketch`]) the server records
 //! next to these counters — the sketches answer "what *is* the p999", the
 //! budget counters answer "are we violating what we *promised*".
@@ -80,8 +80,8 @@ pub struct SloConfig {
     pub objectives: Vec<LatencyObjective>,
     /// Requests per tumbling burn-rate window (per objective).
     pub window: u64,
-    /// Burn rate at or above which a window counts as burning (event +
-    /// breached state). 1.0 = budget spent exactly as provisioned.
+    /// Burn rate at or above which a window counts as burning (flight
+    /// record + breached state). 1.0 = budget spent exactly as provisioned.
     pub burn_alert: f64,
 }
 
@@ -105,7 +105,7 @@ impl Default for SloConfig {
 pub enum SloVerdict {
     /// Counters updated; no window closed (or nothing changed).
     Ok,
-    /// A window just closed. The caller should emit a burn/recover event
+    /// A window just closed. The caller should record a burn/recover
     /// when `crossed` is set.
     WindowClosed {
         /// Index into [`SloConfig::objectives`].

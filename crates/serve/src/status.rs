@@ -16,7 +16,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 /// Renders a graph fingerprint the one canonical way: zero-padded 16-hex.
-/// Every status row, event field, and scrape label goes through here so the
+/// Every status row, ring record, and scrape label goes through here so the
 /// formats can never skew apart (see module docs for why not a number).
 pub(crate) fn hex_fp(fingerprint: u64) -> String {
     format!("{fingerprint:016x}")
@@ -162,10 +162,7 @@ pub struct LatencySketchStatus {
 
 /// Continuous-batching state: how requests coalesced into signature-keyed
 /// batch groups.
-///
-/// `Deserialize` is hand-written (not derived): a missing/`null` section
-/// falls back to `Default`, so pre-batching status snapshots still parse.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BatchingStatus {
     /// Configured batch bound (`1` disables batching).
     pub max_batch: usize,
@@ -200,10 +197,7 @@ pub struct TenantStatus {
 }
 
 /// Per-tenant admission fairness: the bound and the per-tenant table.
-///
-/// Same hand-written `Deserialize` compatibility contract as
-/// [`BatchingStatus`].
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FairnessStatus {
     /// Maximum queued requests any one tenant may hold.
     pub tenant_queue_cap: u64,
@@ -214,11 +208,7 @@ pub struct FairnessStatus {
 }
 
 /// Flight-recorder and incident-capture health.
-///
-/// Same hand-written `Deserialize` compatibility contract as
-/// [`BatchingStatus`]: snapshots from before the recorder existed parse
-/// with a defaulted section.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RecorderStatus {
     /// Ring capacity in records.
     pub capacity: u64,
@@ -231,33 +221,10 @@ pub struct RecorderStatus {
     /// Incident triggers suppressed by the rate limits.
     pub suppressed: u64,
     /// Incident bundles that could not be written to the incident
-    /// directory (0 in snapshots from before the count existed).
+    /// directory.
     pub incident_io_errors: u64,
-    /// Telemetry events dropped by the bounded event sink.
-    pub events_dropped: u64,
     /// Kind of the most recent captured trigger (`""` when none).
     pub last_trigger: String,
-}
-
-impl serde::Deserialize for RecorderStatus {
-    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let m = match value {
-            serde::Value::Object(m) => m,
-            serde::Value::Null => return Ok(RecorderStatus::default()),
-            _ => return Err(serde::Error::custom("expected object for RecorderStatus")),
-        };
-        Ok(RecorderStatus {
-            capacity: serde::get_field(m, "capacity")?,
-            written: serde::get_field(m, "written")?,
-            dropped: serde::get_field(m, "dropped")?,
-            incidents: serde::get_field(m, "incidents")?,
-            suppressed: serde::get_field(m, "suppressed")?,
-            incident_io_errors: serde::get_field::<Option<u64>>(m, "incident_io_errors")?
-                .unwrap_or(0),
-            events_dropped: serde::get_field(m, "events_dropped")?,
-            last_trigger: serde::get_field(m, "last_trigger")?,
-        })
-    }
 }
 
 /// One tenant's resource meters, ranked into the "top tenants" table.
@@ -314,10 +281,7 @@ impl From<crate::metering::MeterRow> for TenantMeterStatus {
 
 /// Per-tenant resource metering: server-wide totals and the ranked
 /// top-tenants table (charged time descending).
-///
-/// Same hand-written `Deserialize` compatibility contract as
-/// [`BatchingStatus`]: pre-ledger snapshots parse with a defaulted section.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MeteringStatus {
     /// Requests the ledger has metered (equals `completed` at quiescence).
     pub total_requests: u64,
@@ -386,61 +350,6 @@ impl fmt::Display for MeteringStatus {
     }
 }
 
-impl serde::Deserialize for MeteringStatus {
-    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let m = match value {
-            serde::Value::Object(m) => m,
-            serde::Value::Null => return Ok(MeteringStatus::default()),
-            _ => return Err(serde::Error::custom("expected object for MeteringStatus")),
-        };
-        Ok(MeteringStatus {
-            total_requests: serde::get_field(m, "total_requests")?,
-            total_charged_ms: serde::get_field(m, "total_charged_ms")?,
-            total_flops: serde::get_field(m, "total_flops")?,
-            total_bytes: serde::get_field(m, "total_bytes")?,
-            total_sheds: serde::get_field(m, "total_sheds")?,
-            total_slo_violations: serde::get_field(m, "total_slo_violations")?,
-            tenants: serde::get_field(m, "tenants")?,
-        })
-    }
-}
-
-impl serde::Deserialize for BatchingStatus {
-    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let m = match value {
-            serde::Value::Object(m) => m,
-            // Missing section in an older snapshot (the shim feeds `Null`
-            // for absent fields).
-            serde::Value::Null => return Ok(BatchingStatus::default()),
-            _ => return Err(serde::Error::custom("expected object for BatchingStatus")),
-        };
-        Ok(BatchingStatus {
-            max_batch: serde::get_field(m, "max_batch")?,
-            groups: serde::get_field(m, "groups")?,
-            batches: serde::get_field(m, "batches")?,
-            batched_requests: serde::get_field(m, "batched_requests")?,
-            mean_size: serde::get_field(m, "mean_size")?,
-            p50_size: serde::get_field(m, "p50_size")?,
-            p95_size: serde::get_field(m, "p95_size")?,
-        })
-    }
-}
-
-impl serde::Deserialize for FairnessStatus {
-    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let m = match value {
-            serde::Value::Object(m) => m,
-            serde::Value::Null => return Ok(FairnessStatus::default()),
-            _ => return Err(serde::Error::custom("expected object for FairnessStatus")),
-        };
-        Ok(FairnessStatus {
-            tenant_queue_cap: serde::get_field(m, "tenant_queue_cap")?,
-            tenant_shed: serde::get_field(m, "tenant_shed")?,
-            tenants: serde::get_field(m, "tenants")?,
-        })
-    }
-}
-
 /// Point-in-time serving snapshot: everything an operator asks first.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServerStatus {
@@ -473,10 +382,9 @@ pub struct ServerStatus {
     pub input_drift_flagged: u64,
     /// Estimated distinct plan signatures served (HyperLogLog).
     pub distinct_signatures: f64,
-    /// Continuous-batching state (defaults when absent, so pre-batching
-    /// snapshots still parse — see [`BatchingStatus`]).
+    /// Continuous-batching state.
     pub batching: BatchingStatus,
-    /// Per-tenant admission fairness (same compatibility default).
+    /// Per-tenant admission fairness.
     pub fairness: FairnessStatus,
     /// Per-worker utilization, indexed by worker.
     pub workers: Vec<WorkerStatus>,
@@ -491,11 +399,9 @@ pub struct ServerStatus {
     pub slo: Vec<SloObjectiveStatus>,
     /// Per-outcome latency quantiles from the sketches.
     pub latency: Vec<LatencySketchStatus>,
-    /// Flight-recorder ring and incident-capture health (defaults when
-    /// absent — see [`RecorderStatus`]).
+    /// Flight-recorder ring and incident-capture health.
     pub recorder: RecorderStatus,
-    /// Per-tenant resource metering and the ranked top-tenants table
-    /// (defaults when absent — see [`MeteringStatus`]).
+    /// Per-tenant resource metering and the ranked top-tenants table.
     pub metering: MeteringStatus,
 }
 
@@ -577,7 +483,7 @@ impl fmt::Display for ServerStatus {
         )?;
         writeln!(
             f,
-            "  recorder {} written | {} dropped (cap {}) | incidents {} (suppressed {}, io errors {}){} | events dropped {}",
+            "  recorder {} written | {} dropped (cap {}) | incidents {} (suppressed {}, io errors {}){}",
             self.recorder.written,
             self.recorder.dropped,
             self.recorder.capacity,
@@ -588,8 +494,7 @@ impl fmt::Display for ServerStatus {
                 String::new()
             } else {
                 format!(" | last {}", self.recorder.last_trigger)
-            },
-            self.recorder.events_dropped
+            }
         )?;
         if !self.fairness.tenants.is_empty() {
             writeln!(
@@ -845,7 +750,6 @@ mod tests {
                 incidents: 1,
                 suppressed: 3,
                 incident_io_errors: 2,
-                events_dropped: 7,
                 last_trigger: "slo_burn".to_owned(),
             },
             metering: MeteringStatus {
@@ -908,7 +812,6 @@ mod tests {
         assert_eq!(parsed.fairness.tenants[0].admitted, 70);
         assert_eq!(parsed.recorder.written, 321);
         assert_eq!(parsed.recorder.incidents, 1);
-        assert_eq!(parsed.recorder.events_dropped, 7);
         assert_eq!(parsed.recorder.incident_io_errors, 2);
         assert_eq!(parsed.recorder.last_trigger, "slo_burn");
         assert_eq!(parsed.drift[0].tenant_requests, Some(70));
@@ -923,40 +826,17 @@ mod tests {
         );
         assert!((parsed.metering.tenants[0].mean_batch_share - 0.42).abs() < 1e-12);
         assert_eq!(parsed.metering.tenants[0].slo_violations, 1);
-    }
-
-    #[test]
-    fn pre_batching_snapshots_still_parse() {
-        // A snapshot from before the batching/fairness fields existed must
-        // deserialize with defaulted sections (rolling upgrades read old
-        // `--status-out` artifacts). The shim feeds `Null` for a missing
-        // field, which the hand-written impls map to `Default`.
-        let batching = <BatchingStatus as serde::Deserialize>::deserialize(&serde::Value::Null)
-            .expect("missing batching section defaults");
-        assert_eq!(batching.max_batch, 0);
-        assert_eq!(batching.batches, 0);
-        let fairness = <FairnessStatus as serde::Deserialize>::deserialize(&serde::Value::Null)
-            .expect("missing fairness section defaults");
-        assert_eq!(fairness.tenants.len(), 0);
-        let recorder = <RecorderStatus as serde::Deserialize>::deserialize(&serde::Value::Null)
-            .expect("missing recorder section defaults");
-        assert_eq!(recorder.written, 0);
-        assert_eq!(recorder.last_trigger, "");
-        // A recorder section from before the incident write-error count.
-        let mut old = sample().recorder;
-        old.incident_io_errors = 5;
-        let mut json = serde::Serialize::serialize(&old);
-        if let serde::Value::Object(m) = &mut json {
-            assert!(m.remove("incident_io_errors").is_some());
+        // Readers parse what the same build wrote: a snapshot missing a
+        // section is rejected, not defaulted.
+        for section in ["batching", "fairness", "recorder", "metering"] {
+            let mut json = serde::Serialize::serialize(&status);
+            if let serde::Value::Object(m) = &mut json {
+                assert!(m.remove(section).is_some(), "{section} serialized");
+            }
+            let err = <ServerStatus as serde::Deserialize>::deserialize(&json)
+                .expect_err("a snapshot without a section does not parse");
+            assert!(err.to_string().contains(section), "{section}: {err}");
         }
-        let recorder = <RecorderStatus as serde::Deserialize>::deserialize(&json)
-            .expect("a recorder section without io errors parses");
-        assert_eq!(recorder.incident_io_errors, 0);
-        assert_eq!(recorder.written, 321);
-        let metering = <MeteringStatus as serde::Deserialize>::deserialize(&serde::Value::Null)
-            .expect("missing metering section defaults");
-        assert_eq!(metering.total_requests, 0);
-        assert!(metering.tenants.is_empty());
     }
 
     #[test]

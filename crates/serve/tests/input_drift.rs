@@ -9,8 +9,8 @@
 //! and that re-selection on the mutated graph recovers the selector's
 //! composition — proving the two lanes detect disjoint failure modes.
 //!
-//! Runs as a single `#[test]` in its own binary: the scenario reads global
-//! telemetry (metrics + events), which parallel tests would race.
+//! Every assertion reads this server's own books: status, metrics snapshot
+//! and flight recorder.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -105,8 +105,6 @@ fn mutated_graph_is_flagged_invalidated_and_reselected() {
         .unwrap()
         .composition;
 
-    granii_telemetry::reset();
-    granii_telemetry::enable();
     let server = Server::start(
         granii,
         ServeConfig {
@@ -169,9 +167,9 @@ fn mutated_graph_is_flagged_invalidated_and_reselected() {
     assert_eq!(stats.completed, 11);
     assert_eq!(stats.failed, 0);
 
-    // The flag surfaces everywhere the tentpole promises: status (input
+    // The flag surfaces in every view of the server's books: status (input
     // table + SLO + latency columns), the metrics counter, the sketches
-    // section of the metrics export, and the structured event stream.
+    // section of the metrics export, and the flight recorder.
     let status = server.status();
     assert_eq!(status.input_drift_flagged, 1);
     let row = status
@@ -217,12 +215,11 @@ fn mutated_graph_is_flagged_invalidated_and_reselected() {
     assert_eq!(back.input_drift_flagged, 1);
     assert_eq!(back.input.len(), status.input.len());
 
-    // The server's own metrics (what `--metrics-out` writes).
+    // The server's own metrics (what `--metrics-out` writes) and its event
+    // log (what `--events-out` writes).
     let snapshot = server.metrics_snapshot();
+    let records = server.flight_records();
     server.shutdown();
-    granii_telemetry::disable();
-    let events = granii_telemetry::take_events();
-    granii_telemetry::reset();
 
     let counter = snapshot
         .counters
@@ -254,15 +251,7 @@ fn mutated_graph_is_flagged_invalidated_and_reselected() {
     );
     assert!(metrics.contains("serve.input_drift_flagged"));
 
-    let input_events: Vec<_> = events
-        .iter()
-        .filter(|e| e.name == "serve.input_drift")
-        .collect();
-    assert_eq!(input_events.len(), 1, "one structured input-drift event");
-    assert!(
-        !events.iter().any(|e| e.name == "serve.drift"),
-        "no cost-drift events"
-    );
-    let jsonl = granii_telemetry::export::events_jsonl(&events);
-    assert!(jsonl.contains("serve.input_drift"));
+    let count = |kind: &str| records.iter().filter(|r| r.kind.name() == kind).count();
+    assert_eq!(count("input_drift_flag"), 1, "one input-drift flag record");
+    assert_eq!(count("drift_flag"), 0, "no cost-drift flag record");
 }

@@ -1,7 +1,7 @@
-//! A server is the only home of its numbers: two servers in one process
-//! keep separate books, every view (status, metrics snapshot, `/metrics`)
-//! reads the same books, and the snapshot's clock is the server's monotonic
-//! uptime.
+//! A server is the only home of its numbers and its events: two servers in
+//! one process keep separate books and separate flight recorders, every
+//! view (status, metrics snapshot, `/metrics`) reads the same books, and
+//! the snapshot's clock is the server's monotonic uptime.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -51,6 +51,9 @@ fn two_servers_in_one_process_keep_separate_books() {
         workers: 1,
         ..ServeConfig::default()
     };
+    // Telemetry on: its spans are process-global, and nothing a server
+    // logs may reach the other through them.
+    granii_telemetry::enable();
     let a = Server::start(granii(), config());
     let b = Server::start(granii(), config());
     for _ in 0..3 {
@@ -61,9 +64,20 @@ fn two_servers_in_one_process_keep_separate_books() {
     }
     let (books_a, books_b) = (a.metrics_snapshot(), b.metrics_snapshot());
     let (status_a, status_b) = (a.status(), b.status());
+    let (records_a, records_b) = (a.flight_records(), b.flight_records());
     a.shutdown();
     b.shutdown();
+    granii_telemetry::disable();
+    granii_telemetry::reset();
 
+    for (records, n) in [(&records_a, 3), (&records_b, 5)] {
+        let completed: Vec<u64> = records
+            .iter()
+            .filter(|r| r.kind.name() == "complete")
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(completed, (0..n).collect::<Vec<_>>(), "own requests only");
+    }
     for (books, status, n) in [(&books_a, &status_a, 3), (&books_b, &status_b, 5)] {
         assert_eq!(counter(books, "serve.submitted"), Some(n));
         assert_eq!(counter(books, "serve.completed"), Some(n));

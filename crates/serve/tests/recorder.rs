@@ -20,6 +20,7 @@ fn probe_kind(probe: u64) -> RecordKind {
     RecordKind::Complete {
         outcome: "hit",
         latency_us: probe.wrapping_mul(3),
+        queue_us: probe.wrapping_mul(5),
         batch: (probe % 7) as u32 + 1,
         degraded: probe.is_multiple_of(2),
     }
@@ -34,11 +35,13 @@ fn assert_untorn(id: u64, fingerprint: u64, kind: &RecordKind) {
     match *kind {
         RecordKind::Complete {
             latency_us,
+            queue_us,
             batch,
             degraded,
             ..
         } => {
             assert_eq!(latency_us, id.wrapping_mul(3), "torn latency payload");
+            assert_eq!(queue_us, id.wrapping_mul(5), "torn queue payload");
             assert_eq!(batch, (id % 7) as u32 + 1, "torn batch payload");
             assert_eq!(degraded, id.is_multiple_of(2), "torn degraded payload");
         }

@@ -2,11 +2,11 @@
 //! per-request lanes (virtual tids at `TRACE_LANE_BASE + id`) through the
 //! existing Chrome-trace exporter, unsampled requests emit no lane, every
 //! batch group — a group of one included — emits a `serve.batch` span its
-//! sampled members link to, and the structured event stream records every
-//! request's lifecycle.
+//! sampled members link to, and the server's flight recorder logs every
+//! request's lifecycle, sampled or not.
 //!
-//! Single `#[test]` binary: the span buffers and event sink are
-//! process-global, so no other test may record serve spans concurrently.
+//! Single `#[test]` binary: the span buffers are process-global, so no
+//! other test may record serve spans concurrently.
 
 use std::sync::Arc;
 
@@ -48,10 +48,10 @@ fn sampled_requests_become_chrome_trace_lanes() {
     for _ in 0..4 {
         server.process(request()).expect("request completes");
     }
+    let records = server.flight_records();
     server.shutdown();
     granii_telemetry::disable();
     let spans = granii_telemetry::take_spans();
-    let events = granii_telemetry::take_events();
     granii_telemetry::reset();
 
     // Exactly the sampled ids own a lane.
@@ -139,15 +139,14 @@ fn sampled_requests_become_chrome_trace_lanes() {
     assert!(chrome.contains("serve.req"));
     assert!(chrome.contains(&TRACE_LANE_BASE.to_string()));
 
-    // Lifecycle events cover every request, sampled or not.
-    for name in ["serve.enqueue", "serve.dequeue", "serve.complete"] {
-        assert_eq!(
-            events.iter().filter(|e| e.name == name).count(),
-            4,
-            "{name} must fire once per request"
-        );
+    // The flight recorder logs every request's lifecycle, sampled or not:
+    // four sequential requests are four groups of one.
+    for kind in ["enqueue", "batch_formed", "complete"] {
+        let ids: Vec<u64> = records
+            .iter()
+            .filter(|r| r.kind.name() == kind)
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3], "one {kind} record per request");
     }
-    let jsonl = granii_telemetry::export::events_jsonl(&events);
-    assert_eq!(jsonl.lines().count(), events.len());
-    assert!(jsonl.contains("serve.complete"));
 }

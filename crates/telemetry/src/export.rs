@@ -7,7 +7,6 @@
 
 use std::fmt::Write as _;
 
-use crate::events::EventRecord;
 use crate::metrics::MetricsSnapshot;
 use crate::profile::{ProfileReport, ProfileRow};
 use crate::span::{AttrValue, SpanRecord};
@@ -122,8 +121,7 @@ pub fn chrome_trace_with_counters(spans: &[SpanRecord], report: &ProfileReport) 
 }
 
 /// Renders a metrics snapshot as a flat JSON object:
-/// `{"captured_at_ns": ..., "uptime_ns": ..., "events_dropped": ...,
-/// "counters": {name: value}, "gauges": {name: value},
+/// `{"captured_at_ns": ..., "uptime_ns": ..., "counters": {name: value}, "gauges": {name: value},
 /// "sketches": {name: {alpha, count, ..., p999_ns, buckets}},
 /// "distinct": {name: estimate}}`.
 /// Sketch buckets are emitted sparsely as `[[bucket_index, count], ...]`.
@@ -133,8 +131,8 @@ pub fn metrics_json(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::from("{\n");
     let _ = write!(
         out,
-        "\"captured_at_ns\":{},\n\"uptime_ns\":{},\n\"events_dropped\":{},\n",
-        snapshot.captured_at_ns, snapshot.uptime_ns, snapshot.events_dropped
+        "\"captured_at_ns\":{},\n\"uptime_ns\":{},\n",
+        snapshot.captured_at_ns, snapshot.uptime_ns
     );
     out.push_str("\"counters\":{");
     for (i, (name, value)) in snapshot.counters.iter().enumerate() {
@@ -199,26 +197,6 @@ pub fn metrics_json(snapshot: &MetricsSnapshot) -> String {
         push_f64(&mut out, d.estimate);
     }
     out.push_str("\n}\n}\n");
-    out
-}
-
-/// Renders events as JSON Lines: one object per line, in record order —
-/// `{"event": name, "ts_us": N, ...fields}`. JSONL is greppable and
-/// tail-able, the natural shape for an append-only structured event log.
-pub fn events_jsonl(events: &[EventRecord]) -> String {
-    let mut out = String::with_capacity(96 * events.len());
-    for event in events {
-        out.push_str("{\"event\":");
-        push_json_string(&mut out, event.name);
-        let _ = write!(out, ",\"ts_us\":{}", event.ts_us);
-        for (key, value) in &event.fields {
-            out.push(',');
-            push_json_string(&mut out, key);
-            out.push(':');
-            push_attr(&mut out, value);
-        }
-        out.push_str("}\n");
-    }
     out
 }
 

@@ -5,17 +5,15 @@
 //! breakdowns (Fig 2) are only auditable if every kernel dispatch,
 //! featurization, selection, and training step is visible. This crate is the
 //! dependency-free observability layer the rest of the workspace reports
-//! through. Only spans and events are process-global; every number lives in
-//! the instance that spent it (an engine's `Profile`, a `Selection`, a
-//! server's books), and this crate supplies the types and renderers those
-//! instances share:
+//! through. Only spans are process-global; every number and every event
+//! lives in the instance that spent or saw it (an engine's `Profile`, a
+//! `Selection`, a server's books and flight recorder), and this crate
+//! supplies the types and renderers those instances share:
 //!
 //! - **Spans** ([`span()`], [`span!`]): nestable RAII regions recording wall
 //!   time, thread id, nesting depth, and key/value attributes into per-thread
 //!   buffers (each thread appends to its own mutex — only the collector ever
 //!   contends).
-//! - **Events** ([`event!`]): a bounded sink of structured point-in-time
-//!   records, exported as JSON Lines.
 //! - **Sketches** ([`Sketch`], [`DistinctCounter`]): mergeable bounded-
 //!   relative-error quantile sketches (for SLO-grade p99/p999) and a
 //!   distinct-count estimator for unique request fingerprints, owned by
@@ -48,7 +46,6 @@
 //! granii_telemetry::disable();
 //! ```
 
-mod events;
 pub mod export;
 mod metrics;
 mod profile;
@@ -56,9 +53,6 @@ pub mod sketch;
 mod span;
 pub mod timeseries;
 
-pub use events::{
-    event_record, events_dropped, snapshot_events, take_events, EventRecord, EVENT_CAPACITY,
-};
 pub use metrics::MetricsSnapshot;
 pub use profile::{ProfileReport, ProfileRow};
 pub use sketch::{DistinctCounter, DistinctSnapshot, Sketch, SketchSnapshot, DEFAULT_SKETCH_ALPHA};
@@ -72,7 +66,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Turns telemetry on: subsequent spans and events are recorded.
+/// Turns telemetry on: subsequent spans are recorded.
 pub fn enable() {
     ENABLED.store(true, Ordering::SeqCst);
 }
@@ -89,10 +83,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Clears all recorded spans and events (the enabled flag is untouched).
+/// Clears all recorded spans (the enabled flag is untouched).
 pub fn reset() {
     span::clear_spans();
-    events::clear_events();
 }
 
 /// Opens a span with optional `key = value` attributes.
@@ -118,34 +111,4 @@ macro_rules! span {
         }
         guard
     }};
-}
-
-/// Records a structured event with optional `key = value` fields.
-///
-/// Field expressions are only evaluated when telemetry is enabled, so a
-/// disabled call site costs one atomic load. Values may be any type
-/// convertible to [`AttrValue`].
-///
-/// ```
-/// granii_telemetry::enable();
-/// granii_telemetry::reset();
-/// granii_telemetry::event!("serve.shed", depth = 64u64);
-/// assert_eq!(granii_telemetry::take_events().len(), 1);
-/// granii_telemetry::disable();
-/// ```
-#[macro_export]
-macro_rules! event {
-    ($name:expr) => {
-        if $crate::enabled() {
-            $crate::event_record($name, Vec::new());
-        }
-    };
-    ($name:expr, $($key:ident = $value:expr),+ $(,)?) => {
-        if $crate::enabled() {
-            $crate::event_record(
-                $name,
-                vec![$((stringify!($key), $crate::AttrValue::from($value))),+],
-            );
-        }
-    };
 }

@@ -17,9 +17,6 @@ pub struct MetricsSnapshot {
     /// Nanoseconds since the owner started (for a server, its uptime),
     /// measured on a monotonic clock.
     pub uptime_ns: u64,
-    /// Events dropped (oldest-first) because the bounded event sink was at
-    /// capacity — nonzero means `--events-out` artifacts have a hole.
-    pub events_dropped: u64,
     /// Counter name → accumulated value, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Gauge name → last set value, sorted by name.

@@ -1,4 +1,4 @@
-//! Behavioral tests for spans, events, and exporters.
+//! Behavioral tests for spans and exporters.
 //!
 //! Telemetry state is global (one enabled flag, shared buffers), so every
 //! test takes `TEST_LOCK` and starts from `reset()` — the default test

@@ -10,8 +10,9 @@
 //! - [`gnn`] — GNN models, message passing, autodiff, baseline systems,
 //! - [`core`] — the GRANII compiler and runtime itself,
 //! - [`serve`] — the concurrent serving runtime (plan cache, bounded queue),
-//! - [`telemetry`] — structured tracing (spans, events), quantile sketches,
-//!   and exporters.
+//! - [`telemetry`] — structured tracing (spans), quantile sketches,
+//!   time-series rings, and exporters; a server's events live in its
+//!   flight recorder ([`serve::FlightRecorder`]).
 //!
 //! # Quickstart
 //!
