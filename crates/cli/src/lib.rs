@@ -567,8 +567,7 @@ fn cmd_bench(args: &Args) -> Result<String, CliError> {
 /// appended to the report.
 fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
     use granii_serve::{
-        IncidentConfig, LatencyObjective, Outcome, RingEntry, ScrapeConfig, ServeConfig,
-        ServeRequest, Server,
+        IncidentConfig, LatencyObjective, Outcome, RingEntry, ServeConfig, ServeRequest, Server,
     };
 
     let path = args.require("models")?;
@@ -592,14 +591,9 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
         workers,
         max_batch,
         trace_sample_every: trace_every,
+        scrape: args.get("scrape").map(str::to_owned),
         ..ServeConfig::default()
     };
-    if let Some(addr) = args.get("scrape") {
-        config.scrape = ScrapeConfig {
-            enabled: true,
-            addr: addr.to_string(),
-        };
-    }
     if let Some(dir) = &incident_dir {
         // Demo-tight thresholds: sub-microsecond SLOs make every request a
         // violation (the first closed window burns), and a low shed-storm
@@ -616,7 +610,6 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
             cooldown: std::time::Duration::ZERO,
             max_per_window: 64,
             shed_threshold: 16,
-            ..IncidentConfig::default()
         };
     }
     let queue_depth = config.queue_depth;
@@ -706,13 +699,14 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
     let records = server.flight_records();
     let timeline_line = match args.get("timeline-out") {
         Some(path) => {
-            let snapshot = server.timeline_snapshot();
-            std::fs::write(path, granii_telemetry::timeseries_json(&snapshot))
-                .map_err(|e| format!("write {path}: {e}"))?;
+            // The same object an incident bundle embeds as its `timeline`.
+            let timeline = server.timeline_snapshot();
+            let json = serde_json::to_string(&timeline).expect("TimelineInfo serializes");
+            std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
             Some(format!(
                 "  timeline: {} frames x {} columns -> {path}",
-                snapshot.frames(),
-                snapshot.columns.len()
+                timeline.frames(),
+                timeline.columns.len()
             ))
         }
         None => None,
@@ -753,8 +747,7 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
     )
     .expect("fmt");
     if let Some(dir) = &incident_dir {
-        // The recorder's count: `bundles` holds only the newest
-        // `IncidentConfig::keep_last`.
+        // The recorder's count: `bundles` holds only the newest 8.
         writeln!(
             out,
             "  incidents: {} captured -> {}",
@@ -766,7 +759,7 @@ fn cmd_serve_demo(args: &Args) -> Result<String, CliError> {
             writeln!(
                 out,
                 "    incident #{} {}: {}",
-                bundle.seq, bundle.trigger.kind, bundle.trigger.detail
+                bundle.seq, bundle.trigger.kind, bundle.trigger.note
             )
             .expect("fmt");
         }
@@ -1166,6 +1159,21 @@ mod tests {
         assert_eq!(completed.len(), 8, "{text}");
         let enqueued = ids("enqueue");
         assert!(completed.iter().all(|id| enqueued.contains(id)), "{text}");
+        // Request ids start at 1, so every batch member and every miss
+        // joins its own completion by id...
+        let members = lines
+            .iter()
+            .filter(|e| e.kind == "batch_formed")
+            .flat_map(|e| e.members.iter().copied());
+        for id in members.chain(ids("cache_miss")) {
+            assert!(id >= 1 && completed.contains(&id), "id {id}: {text}");
+        }
+        // ...and id 0 is left to the server-level records.
+        for e in lines.iter().filter(|e| e.id == 0) {
+            let server_level = matches!(e.kind.as_str(), "incident" | "model_swap" | "shed_storm")
+                || e.note == "cause=model_swap";
+            assert!(server_level, "{e:?}");
+        }
         // Telemetry stays off: the log is the server's, not the spans'.
         assert!(!out.contains("trace:"), "{out}");
         std::fs::remove_dir_all(&dir).ok();

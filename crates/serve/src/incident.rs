@@ -13,6 +13,12 @@
 //! artifact answers "which input statistics drove the primitive selection
 //! that misbehaved", and every fact in it appears once.
 //!
+//! A trigger is the flight record the detector wrote (`slo_burn`,
+//! `drift_flag`, `input_drift_flag`, `shed_storm`), carried into the bundle
+//! as the same [`RingEntry`] the ring excerpt and `--events-out` use, and
+//! the selection audit is stored in the form the bundle carries
+//! ([`SelectionAuditInfo`]).
+//!
 //! Capture is rate-limited (cooldown + max-per-window) so a burn storm
 //! cannot flood the disk: triggers beyond the limit are counted as
 //! suppressed, and the always-on ring means the *next* admitted capture
@@ -30,7 +36,6 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::PlanKey;
-use crate::drift::InputProfile;
 use crate::recorder::{FlightRecord, RecordKind};
 use crate::status::{hex_fp, ServerStatus};
 
@@ -39,183 +44,56 @@ use crate::status::{hex_fp, ServerStatus};
 /// bound plans themselves.
 pub const AUDIT_CAPACITY: usize = 256;
 
-/// Incident-capture tuning.
+/// The tumbling window [`IncidentConfig::max_per_window`] counts captures in.
+const CAPTURE_WINDOW: Duration = Duration::from_secs(60);
+
+/// The window [`IncidentConfig::shed_threshold`] counts sheds in.
+const SHED_WINDOW: Duration = Duration::from_secs(1);
+
+/// Newest flight-recorder records included in a bundle.
+pub(crate) const RING_TAIL: usize = 256;
+
+/// Bundles retained in memory ([`IncidentCapturer::recent`]), newest-last.
+const KEEP_LAST: usize = 8;
+
+/// Incident-capture tuning. `max_per_window: 0` and `shed_threshold: 0`
+/// together capture nothing.
 #[derive(Debug, Clone)]
 pub struct IncidentConfig {
-    /// Master switch; when false no trigger captures anything.
-    pub enabled: bool,
     /// Directory bundles are written to (`incident-NNN-<kind>.json`).
     /// `None` keeps bundles in memory only ([`IncidentCapturer::recent`]).
     pub dir: Option<PathBuf>,
     /// Minimum gap between two captures.
     pub cooldown: Duration,
-    /// Maximum captures per [`IncidentConfig::window`].
+    /// Maximum captures per 60 s tumbling window.
     pub max_per_window: u32,
-    /// The tumbling rate-limit window.
-    pub window: Duration,
-    /// Sheds within [`IncidentConfig::shed_window`] that count as a shed
-    /// storm (0 disables the shed trigger).
+    /// Sheds within one second that count as a shed storm (0 disables the
+    /// shed trigger).
     pub shed_threshold: u64,
-    /// The shed-storm counting window.
-    pub shed_window: Duration,
-    /// Newest flight-recorder records included in a bundle.
-    pub ring_tail: usize,
-    /// Bundles retained in memory (newest-last).
-    pub keep_last: usize,
 }
 
 impl Default for IncidentConfig {
     fn default() -> Self {
         IncidentConfig {
-            enabled: true,
             dir: None,
             cooldown: Duration::from_secs(2),
             max_per_window: 4,
-            window: Duration::from_secs(60),
             shed_threshold: 64,
-            shed_window: Duration::from_secs(1),
-            ring_tail: 256,
-            keep_last: 8,
         }
     }
 }
 
-/// What fired. Carries whatever the trigger site knows, including the plan
-/// signature when the trigger is signature-scoped.
-#[derive(Debug, Clone)]
-pub enum IncidentTrigger {
-    /// An SLO window closed at or above the alert burn rate.
-    SloBurn {
-        /// Outcome class of the burning objective.
-        outcome: &'static str,
-        /// The closed window's burn rate.
-        burn_rate: f64,
-        /// The objective's latency threshold in milliseconds.
-        threshold_ms: f64,
-        /// Plan signature of the request that closed the window.
-        key: PlanKey,
-    },
-    /// The cost-model drift lane flagged a signature.
-    Drift {
-        /// The flagged signature.
-        key: PlanKey,
-        /// Smoothed residual at flag time.
-        ewma_residual: f64,
-    },
-    /// The input-drift lane flagged a signature.
-    InputDrift {
-        /// The flagged signature.
-        key: PlanKey,
-        /// Degree-band L1 distance at flag time.
-        band_l1: f64,
-        /// Absolute degree-CV delta at flag time.
-        cv_delta: f64,
-    },
-    /// Sheds crossed the configured rate threshold.
-    ShedStorm {
-        /// Sheds counted inside the window.
-        sheds: u64,
-        /// The counting window in seconds.
-        window_seconds: f64,
-    },
-}
-
-impl IncidentTrigger {
-    /// Stable snake_case trigger kind.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            IncidentTrigger::SloBurn { .. } => "slo_burn",
-            IncidentTrigger::Drift { .. } => "drift",
-            IncidentTrigger::InputDrift { .. } => "input_drift",
-            IncidentTrigger::ShedStorm { .. } => "shed_storm",
-        }
-    }
-
-    /// The plan signature the trigger is about, when it is about one.
-    pub fn key(&self) -> Option<PlanKey> {
-        match self {
-            IncidentTrigger::SloBurn { key, .. }
-            | IncidentTrigger::Drift { key, .. }
-            | IncidentTrigger::InputDrift { key, .. } => Some(*key),
-            IncidentTrigger::ShedStorm { .. } => None,
-        }
-    }
-
-    pub(crate) fn info(&self) -> TriggerInfo {
-        let (model, fingerprint, k1, k2) = match self.key() {
-            Some((model, fp, k1, k2)) => {
-                (model.name().to_owned(), hex_fp(fp), k1 as u64, k2 as u64)
-            }
-            None => (String::new(), String::new(), 0, 0),
-        };
-        let (value, detail) = match self {
-            IncidentTrigger::SloBurn {
-                outcome,
-                burn_rate,
-                threshold_ms,
-                ..
-            } => (
-                *burn_rate,
-                format!("{outcome} objective burned {burn_rate:.2}x over {threshold_ms:.1}ms"),
-            ),
-            IncidentTrigger::Drift { ewma_residual, .. } => (
-                *ewma_residual,
-                format!("cost-model residual ewma {ewma_residual:.3} (ln-space)"),
-            ),
-            IncidentTrigger::InputDrift {
-                band_l1, cv_delta, ..
-            } => (
-                *band_l1,
-                format!("input drift: band_l1 {band_l1:.3}, cv_delta {cv_delta:.3}"),
-            ),
-            IncidentTrigger::ShedStorm {
-                sheds,
-                window_seconds,
-            } => (
-                *sheds as f64,
-                format!("{sheds} sheds within {window_seconds:.1}s"),
-            ),
-        };
-        TriggerInfo {
-            kind: self.kind().to_owned(),
-            model,
-            fingerprint,
-            k1,
-            k2,
-            value,
-            detail,
-        }
-    }
-}
-
-/// The selection decision behind one signature's cached plan, captured at
-/// bind time (the only moment the per-candidate costs exist).
-#[derive(Debug, Clone)]
-pub struct SelectionAudit {
-    /// Chosen composition name.
-    pub composition: String,
-    /// Whether the degraded (default-composition) path chose it.
-    pub degraded: bool,
-    /// Every candidate's predicted steady-state seconds, selection order.
-    pub predicted: Vec<(String, f64)>,
-    /// The input statistics selection keyed on (absent when the inspector
-    /// is disabled).
-    pub profile: Option<InputProfile>,
-    /// Microseconds since the trace epoch when the plan was bound.
-    pub captured_at_us: u64,
-}
-
-/// Bounded per-signature table of [`SelectionAudit`]s, FIFO-evicted.
+/// Bounded per-signature table of [`SelectionAuditInfo`]s, FIFO-evicted.
 /// Separate from the plan cache on purpose: invalidation precedes capture.
 #[derive(Default)]
 pub struct AuditTable {
-    entries: Mutex<VecDeque<(PlanKey, SelectionAudit)>>,
+    entries: Mutex<VecDeque<(PlanKey, SelectionAuditInfo)>>,
 }
 
 impl AuditTable {
     /// Records (or replaces) `key`'s audit; evicts oldest beyond
     /// [`AUDIT_CAPACITY`].
-    pub fn record(&self, key: PlanKey, audit: SelectionAudit) {
+    pub fn record(&self, key: PlanKey, audit: SelectionAuditInfo) {
         let mut entries = self.lock();
         entries.retain(|(k, _)| *k != key);
         if entries.len() >= AUDIT_CAPACITY {
@@ -225,7 +103,7 @@ impl AuditTable {
     }
 
     /// The most recent audit for `key`, if still retained.
-    pub fn get(&self, key: PlanKey) -> Option<SelectionAudit> {
+    pub fn get(&self, key: PlanKey) -> Option<SelectionAuditInfo> {
         self.lock()
             .iter()
             .rev()
@@ -243,7 +121,7 @@ impl AuditTable {
         self.len() == 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(PlanKey, SelectionAudit)>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(PlanKey, SelectionAuditInfo)>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -253,27 +131,9 @@ impl AuditTable {
 // the JSON layer is f64-backed and would mangle u64s above 2^53).
 // ---------------------------------------------------------------------------
 
-/// The trigger, flattened for the artifact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TriggerInfo {
-    /// `slo_burn` / `drift` / `input_drift` / `shed_storm`.
-    pub kind: String,
-    /// Model family of the triggering signature (`""` when none).
-    pub model: String,
-    /// Triggering signature as 16-hex (`""` when none).
-    pub fingerprint: String,
-    /// Input embedding width of the triggering signature (0 when none).
-    pub k1: u64,
-    /// Output embedding width of the triggering signature (0 when none).
-    pub k2: u64,
-    /// Headline number (burn rate, band L1, residual, shed count).
-    pub value: f64,
-    /// One-line human summary.
-    pub detail: String,
-}
-
-/// One flight-recorder record, flattened for the artifact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One flight-recorder record, flattened for the artifact: a bundle's
+/// trigger and ring excerpt, and each `--events-out` line.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RingEntry {
     /// Global monotone record index.
     pub seq: u64,
@@ -354,6 +214,7 @@ impl RingEntry {
                 Vec::new(),
                 format!("outcome={outcome} burn_rate={burn_rate:.2}"),
             ),
+            RecordKind::ShedStorm { sheds } => (0, Vec::new(), format!("sheds={sheds}")),
             RecordKind::DeadlineExpired => (0, Vec::new(), String::new()),
             RecordKind::Complete {
                 outcome,
@@ -415,7 +276,9 @@ pub struct InputStats {
     pub density: f64,
 }
 
-/// The triggering signature's selection audit, flattened for the artifact.
+/// The selection decision behind one signature's cached plan, captured at
+/// bind time (the only moment the per-candidate costs exist) and carried
+/// as-is into a bundle that triggers on the signature.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SelectionAuditInfo {
     /// Model family.
@@ -437,35 +300,6 @@ pub struct SelectionAuditInfo {
     pub input: Option<InputStats>,
     /// Microseconds since the trace epoch when the plan was bound.
     pub captured_at_us: u64,
-}
-
-impl SelectionAuditInfo {
-    /// Flattens a stored audit for `key`.
-    pub fn from_audit(key: PlanKey, audit: &SelectionAudit) -> Self {
-        SelectionAuditInfo {
-            model: key.0.name().to_owned(),
-            fingerprint: hex_fp(key.1),
-            k1: key.2 as u64,
-            k2: key.3 as u64,
-            composition: audit.composition.clone(),
-            degraded: audit.degraded,
-            predicted: audit
-                .predicted
-                .iter()
-                .map(|(name, seconds)| CandidateCost {
-                    composition: name.clone(),
-                    predicted_seconds: *seconds,
-                })
-                .collect(),
-            input: audit.profile.map(|p| InputStats {
-                bands: p.bands.to_vec(),
-                avg_degree: p.avg_degree,
-                degree_cv: p.degree_cv,
-                density: p.density,
-            }),
-            captured_at_us: audit.captured_at_us,
-        }
-    }
 }
 
 /// One column of the on-host time-series ring, flattened for the artifact.
@@ -526,16 +360,17 @@ pub struct IncidentBundle {
     pub seq: u64,
     /// Microseconds since the trace epoch at capture.
     pub captured_at_us: u64,
-    /// What fired.
-    pub trigger: TriggerInfo,
-    /// The ring excerpt, oldest-first (bounded by `ring_tail`), ending
+    /// The flight record that fired (`slo_burn`, `drift_flag`,
+    /// `input_drift_flag` or `shed_storm`).
+    pub trigger: RingEntry,
+    /// The ring excerpt, oldest-first (the newest 256 records), ending
     /// with this capture's own `incident` record.
     pub ring: Vec<RingEntry>,
     /// The triggering signature's selection audit, when one is retained.
     pub selection: Option<SelectionAuditInfo>,
-    /// The time-series ring tail at capture (`None` in bundles captured
-    /// before the timeline existed, or when the sampler is disabled).
-    pub timeline: Option<TimelineInfo>,
+    /// The time-series ring at capture (never empty: its first frame is
+    /// taken when the server starts).
+    pub timeline: TimelineInfo,
     /// The full live status snapshot: recorder health, latency and
     /// batch-size quantiles, and every other server number.
     pub status: ServerStatus,
@@ -567,19 +402,18 @@ impl fmt::Display for IncidentBundle {
             self.trigger.kind,
             self.captured_at_us as f64 / 1e6
         )?;
-        writeln!(f, "  detail    {}", self.trigger.detail)?;
-        writeln!(
-            f,
-            "  signature {}",
-            if self.trigger.fingerprint.is_empty() {
-                "-".to_owned()
-            } else {
-                format!(
-                    "{} {} {}x{}",
-                    self.trigger.model, self.trigger.fingerprint, self.trigger.k1, self.trigger.k2
-                )
+        writeln!(f, "  detail    {}", self.trigger.note)?;
+        write!(f, "  signature ")?;
+        if self.trigger.fingerprint.is_empty() {
+            writeln!(f, "-")?;
+        } else {
+            write!(f, "{} {}", self.trigger.model, self.trigger.fingerprint)?;
+            // The record names the signature; its widths live in the audit.
+            match &self.selection {
+                Some(sel) => writeln!(f, " {}x{}", sel.k1, sel.k2)?,
+                None => writeln!(f)?,
             }
-        )?;
+        }
         if let Some(sel) = &self.selection {
             writeln!(
                 f,
@@ -616,20 +450,18 @@ impl fmt::Display for IncidentBundle {
                 )?;
             }
         }
-        if let Some(timeline) = &self.timeline {
-            writeln!(
-                f,
-                "  timeline  {} frames x {} columns",
-                timeline.frames(),
-                timeline.columns.len()
-            )?;
-        }
+        writeln!(
+            f,
+            "  timeline  {} frames x {} columns",
+            self.timeline.frames(),
+            self.timeline.columns.len()
+        )?;
         writeln!(f, "  ring      {} records", self.ring.len())?;
         let t0 = self.ring.first().map(|r| r.ts_us).unwrap_or(0);
         for r in &self.ring {
             let rel_ms = r.ts_us.saturating_sub(t0) as f64 / 1e3;
             write!(f, "    +{rel_ms:>9.3}ms  #{:<6} {:<17}", r.seq, r.kind)?;
-            if r.id != 0 || r.kind == "enqueue" || r.kind == "complete" {
+            if r.id != 0 {
                 write!(f, " id={}", r.id)?;
             }
             if !r.fingerprint.is_empty() {
@@ -657,7 +489,7 @@ struct CaptureState {
     last_capture: Option<Instant>,
     window_start: Option<Instant>,
     in_window: u32,
-    shed_window_start: Option<Instant>,
+    shed_start: Option<Instant>,
     shed_in_window: u64,
     recent: VecDeque<IncidentBundle>,
     last_trigger: String,
@@ -685,7 +517,7 @@ impl IncidentCapturer {
                 last_capture: None,
                 window_start: None,
                 in_window: 0,
-                shed_window_start: None,
+                shed_start: None,
                 shed_in_window: 0,
                 recent: VecDeque::new(),
                 last_trigger: String::new(),
@@ -694,11 +526,6 @@ impl IncidentCapturer {
             suppressed: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
         }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> &IncidentConfig {
-        &self.config
     }
 
     /// The selection-audit table.
@@ -714,9 +541,6 @@ impl IncidentCapturer {
     }
 
     fn admit_at(&self, now: Instant) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
         let mut state = self.lock();
         if let Some(last) = state.last_capture {
             if now.duration_since(last) < self.config.cooldown {
@@ -727,7 +551,7 @@ impl IncidentCapturer {
         }
         let window_expired = state
             .window_start
-            .is_none_or(|start| now.duration_since(start) >= self.config.window);
+            .is_none_or(|start| now.duration_since(start) >= CAPTURE_WINDOW);
         if window_expired {
             state.window_start = Some(now);
             state.in_window = 0;
@@ -743,19 +567,19 @@ impl IncidentCapturer {
     }
 
     /// Counts one shed; `Some(count)` when the count just crossed the
-    /// shed-storm threshold (the caller should fire a
-    /// [`IncidentTrigger::ShedStorm`]). The window re-arms after a trigger.
+    /// shed-storm threshold (the caller should record a `shed_storm` and
+    /// capture on it). The window re-arms after a trigger.
     pub fn note_shed(&self) -> Option<u64> {
-        if !self.config.enabled || self.config.shed_threshold == 0 {
+        if self.config.shed_threshold == 0 {
             return None;
         }
         let now = Instant::now();
         let mut state = self.lock();
         let expired = state
-            .shed_window_start
-            .is_none_or(|start| now.duration_since(start) >= self.config.shed_window);
+            .shed_start
+            .is_none_or(|start| now.duration_since(start) >= SHED_WINDOW);
         if expired {
-            state.shed_window_start = Some(now);
+            state.shed_start = Some(now);
             state.shed_in_window = 0;
         }
         state.shed_in_window += 1;
@@ -763,7 +587,7 @@ impl IncidentCapturer {
             let count = state.shed_in_window;
             // Re-arm: a sustained storm fires again only after another
             // threshold's worth of sheds (the capture cooldown gates disk).
-            state.shed_window_start = Some(now);
+            state.shed_start = Some(now);
             state.shed_in_window = 0;
             Some(count)
         } else {
@@ -789,7 +613,7 @@ impl IncidentCapturer {
         let mut state = self.lock();
         state.last_trigger = bundle.trigger.kind.clone();
         state.recent.push_back(bundle);
-        while state.recent.len() > self.config.keep_last.max(1) {
+        while state.recent.len() > KEEP_LAST {
             state.recent.pop_front();
         }
     }
@@ -876,56 +700,67 @@ mod tests {
         (ModelKind::Gcn, 0x5eed_f00d, 64, 32)
     }
 
+    fn audit(composition: &str) -> SelectionAuditInfo {
+        SelectionAuditInfo {
+            model: "gcn".to_owned(),
+            fingerprint: hex_fp(key().1),
+            k1: 64,
+            k2: 32,
+            composition: composition.to_owned(),
+            degraded: false,
+            predicted: Vec::new(),
+            input: None,
+            captured_at_us: 900_000,
+        }
+    }
+
     fn sample_bundle() -> IncidentBundle {
-        let trigger = IncidentTrigger::InputDrift {
-            key: key(),
-            band_l1: 0.41,
-            cv_delta: 2.2,
-        };
+        let flag = RingEntry::from_record(&FlightRecord {
+            seq: 9,
+            ts_us: 1_400_000,
+            id: 7,
+            fingerprint: key().1,
+            model: "gcn",
+            kind: RecordKind::InputDriftFlag {
+                band_l1: 0.41,
+                cv_delta: 2.2,
+                live_cv: 3.0,
+                reference_cv: 0.8,
+                live_avg_degree: 9.5,
+            },
+        });
         IncidentBundle {
             seq: 1,
             captured_at_us: 1_500_000,
-            trigger: trigger.info(),
-            ring: vec![RingEntry::from_record(&FlightRecord {
-                seq: 9,
-                ts_us: 1_400_000,
-                id: 7,
-                fingerprint: 0x5eed_f00d,
-                model: "gcn",
-                kind: RecordKind::InputDriftFlag {
-                    band_l1: 0.41,
-                    cv_delta: 2.2,
-                    live_cv: 3.0,
-                    reference_cv: 0.8,
-                    live_avg_degree: 9.5,
-                },
-            })],
-            selection: Some(SelectionAuditInfo::from_audit(
-                key(),
-                &SelectionAudit {
-                    composition: "gspmm_fused".to_owned(),
-                    degraded: false,
-                    predicted: vec![
-                        ("gspmm_fused".to_owned(), 0.0011),
-                        ("gemm_then_gspmm".to_owned(), 0.0042),
-                    ],
-                    profile: Some(InputProfile {
-                        bands: [0.0, 0.9, 0.1, 0.0, 0.0],
-                        avg_degree: 3.5,
-                        degree_cv: 0.8,
-                        density: 0.01,
-                    }),
-                    captured_at_us: 900_000,
-                },
-            )),
-            timeline: Some(TimelineInfo {
+            trigger: flag.clone(),
+            ring: vec![flag],
+            selection: Some(SelectionAuditInfo {
+                predicted: vec![
+                    CandidateCost {
+                        composition: "gspmm_fused".to_owned(),
+                        predicted_seconds: 0.0011,
+                    },
+                    CandidateCost {
+                        composition: "gemm_then_gspmm".to_owned(),
+                        predicted_seconds: 0.0042,
+                    },
+                ],
+                input: Some(InputStats {
+                    bands: vec![0.0, 0.9, 0.1, 0.0, 0.0],
+                    avg_degree: 3.5,
+                    degree_cv: 0.8,
+                    density: 0.01,
+                }),
+                ..audit("gspmm_fused")
+            }),
+            timeline: TimelineInfo {
                 at_ns: vec![1_000_000, 2_000_000],
                 columns: vec![TimelineColumnInfo {
                     name: "serve.completed".to_owned(),
                     kind: "counter".to_owned(),
                     values: vec![None, Some(9.0)],
                 }],
-            }),
+            },
             status: zero_status(),
         }
     }
@@ -935,14 +770,14 @@ mod tests {
         let bundle = sample_bundle();
         let parsed = IncidentBundle::from_json(&bundle.to_json()).unwrap();
         assert_eq!(parsed.seq, 1);
-        assert_eq!(parsed.trigger.kind, "input_drift");
+        assert_eq!(parsed.trigger.kind, "input_drift_flag");
         assert_eq!(
             parsed.trigger.fingerprint,
             format!("{:016x}", 0x5eed_f00du64)
         );
-        assert!((parsed.trigger.value - 0.41).abs() < 1e-12);
+        assert!(parsed.trigger.note.contains("band_l1=0.4100"));
         assert_eq!(parsed.ring.len(), 1);
-        assert_eq!(parsed.ring[0].kind, "input_drift_flag");
+        assert_eq!(parsed.ring[0], parsed.trigger, "the trigger is its record");
         assert_eq!(parsed.ring[0].id, 7);
         let sel = parsed.selection.as_ref().expect("selection audit present");
         assert_eq!(sel.composition, "gspmm_fused");
@@ -952,7 +787,7 @@ mod tests {
         assert_eq!(input.bands.len(), 5);
         assert!((input.degree_cv - 0.8).abs() < 1e-12);
         assert_eq!(parsed.status.submitted, 10);
-        let timeline = parsed.timeline.as_ref().expect("timeline attached");
+        let timeline = &parsed.timeline;
         assert_eq!(timeline.frames(), 2);
         assert_eq!(timeline.columns[0].name, "serve.completed");
         assert_eq!(timeline.columns[0].kind, "counter");
@@ -960,25 +795,45 @@ mod tests {
     }
 
     #[test]
-    fn bundles_without_a_timeline_still_parse() {
-        // Bundles captured before the time-series ring existed carry no
-        // `timeline` key; the field must deserialize to None, not error.
-        let mut bundle = sample_bundle();
-        bundle.timeline = None;
+    fn bundles_without_a_timeline_are_rejected() {
+        let bundle = sample_bundle();
         let json = bundle.to_json();
-        assert!(!json.contains("\"at_ns\""));
-        let parsed = IncidentBundle::from_json(&json).unwrap();
-        assert!(parsed.timeline.is_none());
+        let timeline = format!(
+            ",\"timeline\":{}",
+            serde_json::to_string(&bundle.timeline).unwrap()
+        );
+        assert!(json.contains(&timeline));
+        let err = IncidentBundle::from_json(&json.replace(&timeline, "")).unwrap_err();
+        assert!(err.contains("timeline"), "{err}");
+    }
+
+    #[test]
+    fn timeline_info_carries_backfill_as_null() {
+        let ring = granii_telemetry::TimeSeriesRing::new(4);
+        let a = ring.column("serve.completed", granii_telemetry::SampleKind::Counter);
+        ring.push(1, &[(a, 1.0)]);
+        let b = ring.column("queue_depth", granii_telemetry::SampleKind::Gauge);
+        ring.push(2, &[(a, 3.0), (b, 0.5)]);
+        let info = TimelineInfo::from_snapshot(&ring.snapshot());
+        assert_eq!(info.at_ns, vec![1, 2]);
+        assert_eq!(info.columns[0].kind, "counter");
+        assert_eq!(info.columns[1].values, vec![None, Some(0.5)]);
+        let json = serde_json::to_string(&info).unwrap();
+        assert!(json.contains("\"values\":[null,0.5]"), "{json}");
+        assert!(!json.contains("NaN"));
     }
 
     #[test]
     fn timeline_renders_trigger_signature_and_costs() {
         let text = sample_bundle().to_string();
-        assert!(text.contains("trigger input_drift"));
-        assert!(text.contains(&format!("{:016x}", 0x5eed_f00du64)));
+        assert!(text.contains("trigger input_drift_flag"));
+        assert!(text.contains("detail    band_l1=0.4100 cv_delta=2.2000"));
+        // Widths come from the audit: the record carries none.
+        assert!(text.contains(&format!("signature gcn {:016x} 64x32", 0x5eed_f00du64)));
         assert!(text.contains("<- chosen"));
         assert!(text.contains("input_drift_flag"));
-        assert!(text.contains("band_l1"));
+        assert!(text.contains(" id=7 "));
+        assert!(text.contains("timeline  2 frames x 1 columns"));
     }
 
     #[test]
@@ -999,7 +854,6 @@ mod tests {
         let capturer = IncidentCapturer::new(IncidentConfig {
             cooldown: Duration::ZERO,
             max_per_window: 2,
-            window: Duration::from_secs(3600),
             ..IncidentConfig::default()
         });
         assert!(capturer.admit());
@@ -1011,7 +865,8 @@ mod tests {
     #[test]
     fn disabled_capturer_admits_nothing() {
         let capturer = IncidentCapturer::new(IncidentConfig {
-            enabled: false,
+            max_per_window: 0,
+            shed_threshold: 0,
             ..IncidentConfig::default()
         });
         assert!(!capturer.admit());
@@ -1022,7 +877,6 @@ mod tests {
     fn shed_storm_threshold_fires_once_per_armed_window() {
         let capturer = IncidentCapturer::new(IncidentConfig {
             shed_threshold: 3,
-            shed_window: Duration::from_secs(3600),
             ..IncidentConfig::default()
         });
         assert_eq!(capturer.note_shed(), None);
@@ -1036,22 +890,17 @@ mod tests {
 
     #[test]
     fn store_retains_bounded_recent_and_last_trigger() {
-        let capturer = IncidentCapturer::new(IncidentConfig {
-            keep_last: 2,
-            ..IncidentConfig::default()
-        });
-        for i in 0..4 {
+        let capturer = IncidentCapturer::new(IncidentConfig::default());
+        for i in 0..10 {
             let mut bundle = sample_bundle();
             bundle.seq = capturer.next_seq();
             assert_eq!(bundle.seq, i + 1);
             capturer.store(bundle);
         }
-        let recent = capturer.recent();
-        assert_eq!(recent.len(), 2);
-        assert_eq!(recent[0].seq, 3);
-        assert_eq!(recent[1].seq, 4);
-        assert_eq!(capturer.last_trigger(), "input_drift");
-        assert_eq!(capturer.captured(), 4);
+        let seqs: Vec<u64> = capturer.recent().iter().map(|b| b.seq).collect();
+        assert_eq!(seqs, (3..=10).collect::<Vec<_>>(), "the newest 8 are kept");
+        assert_eq!(capturer.last_trigger(), "input_drift_flag");
+        assert_eq!(capturer.captured(), 10);
     }
 
     #[test]
@@ -1076,13 +925,6 @@ mod tests {
     #[test]
     fn audit_table_replaces_and_evicts_fifo() {
         let table = AuditTable::default();
-        let audit = |name: &str| SelectionAudit {
-            composition: name.to_owned(),
-            degraded: false,
-            predicted: Vec::new(),
-            profile: None,
-            captured_at_us: 0,
-        };
         table.record(key(), audit("first"));
         table.record(key(), audit("second"));
         assert_eq!(table.len(), 1, "same key replaces");

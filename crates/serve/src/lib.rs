@@ -63,12 +63,13 @@
 //!   cache traffic, drift flags, SLO burn, completion, incident capture.
 //!   It is the server's only event log ([`Server::flight_records`]).
 //!   Writers never block (collisions drop-and-count); readers snapshot
-//!   without destroying. When a detector fires, the [`IncidentCapturer`]
-//!   assembles a correlated [`IncidentBundle`] — ring excerpt, full
-//!   status, timeline tail, and the triggering signature's selection
-//!   audit (chosen composition, per-candidate predicted costs, and the
-//!   input statistics that keyed the choice) — as one JSON artifact,
-//!   rate-limited by cooldown + max-per-window.
+//!   without destroying. When a detector fires, it writes its flag record
+//!   and the [`IncidentCapturer`] assembles a correlated [`IncidentBundle`]
+//!   that triggers on that record — ring excerpt, full status, timeline,
+//!   and the triggering signature's selection audit (chosen composition,
+//!   per-candidate predicted costs, and the input statistics that keyed
+//!   the choice) — as one JSON artifact, rate-limited by cooldown +
+//!   max-per-window.
 //! - **Per-tenant resource metering** ([`MeterRow`]): the same lock-free
 //!   CAS-slot ledger that bounds admission accumulates engine charges,
 //!   flops/bytes, queue wait, batch share, cache traffic, sheds,
@@ -77,12 +78,13 @@
 //!   bitwise, even for batched execution). Surfaces as a ranked
 //!   "top tenants" table in [`ServerStatus`] and per-tenant time-series
 //!   rows.
-//! - **On-host time-series ring** ([`TimelineConfig`]): a background
-//!   sampler captures periodic frames of every catalog series (counters,
-//!   gauges, sketch quantiles, per-tenant lanes) into a fixed-capacity
-//!   [`granii_telemetry::TimeSeriesRing`] — snapshotable as dashboard
-//!   JSON, and incident bundles carry the last minutes of timeline.
-//! - **Prometheus scrape endpoint** ([`ScrapeConfig`]): a std-only
+//! - **On-host time-series ring** ([`Server::timeline_snapshot`]): a
+//!   sampler captures a frame of every catalog series (counters, gauges,
+//!   sketch quantiles, per-tenant lanes) every 250 ms into a
+//!   fixed-capacity [`granii_telemetry::TimeSeriesRing`], the first frame
+//!   before [`Server::start`] returns. A snapshot is a [`TimelineInfo`],
+//!   the same object an incident bundle embeds.
+//! - **Prometheus scrape endpoint** ([`ServeConfig::scrape`]): a std-only
 //!   `TcpListener` serving `/metrics` in the text exposition format
 //!   (per-tenant series labeled `tenant="<fingerprint>"`), plus
 //!   `/healthz` and `/readyz` (ready = workers up, queue below the shed
@@ -129,17 +131,15 @@ pub use cache::{CachedPlan, PlanCache, PlanKey};
 pub use drift::{InputProfile, DEGREE_BANDS};
 pub use error::{Result, ServeError};
 pub use incident::{
-    IncidentBundle, IncidentCapturer, IncidentConfig, IncidentTrigger, RingEntry, SelectionAudit,
-    SelectionAuditInfo, TimelineColumnInfo, TimelineInfo, TriggerInfo, AUDIT_CAPACITY,
+    IncidentBundle, IncidentCapturer, IncidentConfig, RingEntry, SelectionAuditInfo,
+    TimelineColumnInfo, TimelineInfo, AUDIT_CAPACITY,
 };
 pub use metering::MeterRow;
 pub use recorder::{
     FlightRecord, FlightRecorder, RecordKind, MAX_BATCH_MEMBERS, RECORDER_CAPACITY,
 };
-pub use scrape::{render_prometheus, start_scrape, ScrapeConfig, ScrapeHandle};
-pub use server::{
-    RequestTiming, ServeConfig, ServeRequest, ServeResponse, Server, Ticket, TimelineConfig,
-};
+pub use scrape::{render_prometheus, start_scrape, ScrapeHandle};
+pub use server::{RequestTiming, ServeConfig, ServeRequest, ServeResponse, Server, Ticket};
 pub use slo::{LatencyObjective, Outcome, SloConfig, SloMonitor, SloRow, SloVerdict};
 pub use status::{
     BatchingStatus, CacheStatus, DriftSignatureStatus, FairnessStatus, InputSignatureStatus,

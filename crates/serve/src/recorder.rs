@@ -82,7 +82,7 @@ pub enum RecordKind {
     },
     /// A cached plan was invalidated.
     CacheInvalidate {
-        /// `"drift"`, `"input_drift"`, or `"model_swap"`.
+        /// `"drift_flag"`, `"input_drift_flag"`, or `"model_swap"`.
         cause: &'static str,
     },
     /// Cost-model drift lane flagged the signature.
@@ -120,6 +120,11 @@ pub enum RecordKind {
         /// The closed window's burn rate.
         burn_rate: f64,
     },
+    /// Sheds crossed the shed-storm threshold within the shed window.
+    ShedStorm {
+        /// Sheds counted inside the window.
+        sheds: u64,
+    },
     /// The request's deadline had expired when its batch group formed.
     DeadlineExpired,
     /// Request completed with a response.
@@ -144,8 +149,8 @@ pub enum RecordKind {
     Incident {
         /// The bundle's incident number within this server (1-based).
         seq: u64,
-        /// The trigger kind (`slo_burn` / `drift` / `input_drift` /
-        /// `shed_storm`).
+        /// The triggering record's kind (`slo_burn` / `drift_flag` /
+        /// `input_drift_flag` / `shed_storm`).
         trigger: &'static str,
     },
 }
@@ -164,6 +169,7 @@ impl RecordKind {
             RecordKind::InputDriftFlag { .. } => "input_drift_flag",
             RecordKind::SloBurn { .. } => "slo_burn",
             RecordKind::SloRecover { .. } => "slo_recover",
+            RecordKind::ShedStorm { .. } => "shed_storm",
             RecordKind::DeadlineExpired => "deadline_expired",
             RecordKind::Complete { .. } => "complete",
             RecordKind::Failed => "failed",
@@ -250,12 +256,28 @@ impl FlightRecorder {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Streams one record into the ring. Never blocks, never allocates:
-    /// one `fetch_add`, one CAS, one fixed-size copy. On the astronomically
-    /// rare slot collision (a writer descheduled for a whole lap of the
-    /// ring) the record is dropped and counted instead of torn.
-    pub fn record(&self, id: u64, fingerprint: u64, model: &'static str, kind: RecordKind) {
+    /// Streams one record into the ring and returns it as stamped. Never
+    /// blocks, never allocates: one `fetch_add`, one CAS, one fixed-size
+    /// copy. On the astronomically rare slot collision (a writer descheduled
+    /// for a whole lap of the ring) the record is dropped and counted
+    /// instead of torn; it is still returned, so an incident captured on it
+    /// carries the same record either way.
+    pub fn record(
+        &self,
+        id: u64,
+        fingerprint: u64,
+        model: &'static str,
+        kind: RecordKind,
+    ) -> FlightRecord {
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
+        let record = FlightRecord {
+            seq: idx,
+            ts_us: granii_telemetry::now_us(),
+            id,
+            fingerprint,
+            model,
+            kind,
+        };
         let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
         let writing = 2 * idx + 1;
         let cur = slot.stamp.load(Ordering::Relaxed);
@@ -271,20 +293,13 @@ impl FlightRecorder {
                 .is_err()
         {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+            return record;
         }
-        let record = FlightRecord {
-            seq: idx,
-            ts_us: granii_telemetry::now_us(),
-            id,
-            fingerprint,
-            model,
-            kind,
-        };
         // SAFETY: the successful odd-stamp CAS above gives this thread sole
         // write access to the slot until the publishing store below.
         unsafe { (*slot.record.get()).write(record) };
         slot.stamp.store(writing + 1, Ordering::Release);
+        record
     }
 
     /// Non-destructive snapshot: every consistently-published record,
@@ -325,7 +340,7 @@ mod tests {
     #[test]
     fn records_come_back_in_order_with_payloads() {
         let r = FlightRecorder::new(16);
-        r.record(7, 0xabc, "gcn", RecordKind::Enqueue { depth: 3 });
+        let stamped = r.record(7, 0xabc, "gcn", RecordKind::Enqueue { depth: 3 });
         r.record(
             8,
             0xabc,
@@ -340,6 +355,11 @@ mod tests {
         assert_eq!(snap[0].seq, 0);
         assert_eq!(snap[0].id, 7);
         assert_eq!(snap[0].kind, RecordKind::Enqueue { depth: 3 });
+        // `record` hands back exactly what the ring holds.
+        assert_eq!(
+            (stamped.seq, stamped.ts_us, stamped.id, stamped.kind),
+            (snap[0].seq, snap[0].ts_us, snap[0].id, snap[0].kind)
+        );
         assert_eq!(snap[1].kind.name(), "shed");
         assert_eq!(r.written(), 2);
         assert_eq!(r.dropped(), 0);

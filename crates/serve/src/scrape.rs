@@ -27,25 +27,6 @@ use std::time::Duration;
 use crate::catalog::{Rows, CATALOG};
 use crate::status::ServerStatus;
 
-/// Scrape-listener tuning.
-#[derive(Debug, Clone)]
-pub struct ScrapeConfig {
-    /// Whether to start the listener at all.
-    pub enabled: bool,
-    /// Bind address; port 0 picks an ephemeral port (read it back via
-    /// [`crate::Server::scrape_addr`]).
-    pub addr: String,
-}
-
-impl Default for ScrapeConfig {
-    fn default() -> Self {
-        ScrapeConfig {
-            enabled: false,
-            addr: "127.0.0.1:0".to_owned(),
-        }
-    }
-}
-
 /// Owns the listener thread; reports the bound address and stops (joins)
 /// on [`ScrapeHandle::stop`] or drop.
 pub struct ScrapeHandle {

@@ -27,21 +27,21 @@ use granii_matrix::device::Engine;
 use granii_matrix::DenseMatrix;
 use granii_telemetry::{
     start_sampler, ColumnId, DistinctCounter, MetricsSnapshot, SamplerHandle, Sketch,
-    SketchSnapshot, TimeSeriesRing, TimeSeriesSnapshot, DEFAULT_SKETCH_ALPHA,
+    SketchSnapshot, TimeSeriesRing, DEFAULT_SKETCH_ALPHA,
 };
 
 use crate::cache::{CachedPlan, PlanCache, PlanKey};
 use crate::catalog::{self, BATCH_SIZE, LATENCY};
 use crate::drift::{InputProfile, Lane, Residual, Track};
 use crate::incident::{
-    IncidentBundle, IncidentCapturer, IncidentConfig, IncidentTrigger, RingEntry, SelectionAudit,
-    SelectionAuditInfo, TimelineInfo,
+    CandidateCost, IncidentBundle, IncidentCapturer, IncidentConfig, InputStats, RingEntry,
+    SelectionAuditInfo, TimelineInfo, RING_TAIL,
 };
 use crate::metering::{exact_share, MeterCharge, MeterRow, Tenant, TenantLedger};
 use crate::recorder::{
     FlightRecord, FlightRecorder, RecordKind, MAX_BATCH_MEMBERS, RECORDER_CAPACITY,
 };
-use crate::scrape::{ScrapeConfig, ScrapeHandle};
+use crate::scrape::ScrapeHandle;
 use crate::slo::{Outcome, SloConfig, SloMonitor, SloVerdict};
 use crate::status::{
     hex_fp, BatchingStatus, CacheStatus, DriftSignatureStatus, FairnessStatus,
@@ -62,29 +62,15 @@ const SERVE_SEED: u64 = 41;
 /// belt-and-braces bound on any missed wakeup.
 const PARK_TIMEOUT: Duration = Duration::from_millis(10);
 
-/// Frames the on-host time-series ring retains: at the default 250 ms
-/// interval, the last minute.
+/// The on-host timeline's sampling period: a background sampler thread
+/// captures one frame of every catalog series (counters, gauges, sketch
+/// quantiles, per-tenant lanes) this often into a ring of the last
+/// [`TIMELINE_FRAMES`] frames ([`granii_telemetry::TimeSeriesRing`]).
+const TIMELINE_INTERVAL: Duration = Duration::from_millis(250);
+
+/// Frames the on-host time-series ring retains: the last minute, enough for
+/// an incident bundle to answer "what was trending before this fired".
 const TIMELINE_FRAMES: usize = 240;
-
-/// On-host time-series ring tuning: a background sampler thread captures
-/// one frame of every catalog series (counters, gauges, sketch quantiles,
-/// per-tenant lanes) every `interval` into a ring of the last 240 frames
-/// ([`granii_telemetry::TimeSeriesRing`]). At the default interval the
-/// ring holds the last minute — enough for an incident bundle to answer
-/// "what was trending before this fired".
-#[derive(Debug, Clone)]
-pub struct TimelineConfig {
-    /// Sampling period.
-    pub interval: Duration,
-}
-
-impl Default for TimelineConfig {
-    fn default() -> Self {
-        TimelineConfig {
-            interval: Duration::from_millis(250),
-        }
-    }
-}
 
 /// Serving runtime configuration.
 #[derive(Debug, Clone)]
@@ -112,12 +98,11 @@ pub struct ServeConfig {
     /// Automatic incident-capture policy (triggers, rate limits, artifact
     /// directory).
     pub incident: IncidentConfig,
-    /// On-host time-series ring + sampler tuning.
-    pub timeline: TimelineConfig,
-    /// Prometheus-compatible scrape listener (`/metrics`, `/healthz`,
-    /// `/readyz`). Disabled by default — serving stays network-free unless
-    /// asked.
-    pub scrape: ScrapeConfig,
+    /// Bind address of the Prometheus-compatible scrape listener
+    /// (`/metrics`, `/healthz`, `/readyz`); port 0 picks an ephemeral port
+    /// ([`Server::scrape_addr`]). `None`, the default, keeps serving
+    /// network-free.
+    pub scrape: Option<String>,
 }
 
 impl Default for ServeConfig {
@@ -131,8 +116,7 @@ impl Default for ServeConfig {
             trace_sample_every: 0,
             slo: SloConfig::default(),
             incident: IncidentConfig::default(),
-            timeline: TimelineConfig::default(),
-            scrape: ScrapeConfig::default(),
+            scrape: None,
         }
     }
 }
@@ -351,6 +335,7 @@ struct Inner {
     parking: Parking,
     config: ServeConfig,
     counters: Counters,
+    /// Starts at 1: id 0 marks a record that is not request-scoped.
     next_request_id: AtomicU64,
     started: Instant,
     workers: Vec<WorkerSlot>,
@@ -454,8 +439,8 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
     /// The timeline sampler thread.
     sampler: Option<SamplerHandle>,
-    /// The scrape listener when `ScrapeConfig::enabled`, or the error its
-    /// bind failed with.
+    /// The scrape listener when [`ServeConfig::scrape`] names an address,
+    /// or the error its bind failed with.
     scrape: Option<std::io::Result<ScrapeHandle>>,
 }
 
@@ -487,7 +472,7 @@ impl Server {
             timeline: Arc::new(TimeSeriesRing::new(TIMELINE_FRAMES)),
             config: config.clone(),
             counters: Counters::default(),
-            next_request_id: AtomicU64::new(0),
+            next_request_id: AtomicU64::new(1),
             started: Instant::now(),
             workers: (0..worker_count)
                 .map(|_| WorkerSlot {
@@ -509,8 +494,8 @@ impl Server {
         let scrape = inner
             .config
             .scrape
-            .enabled
-            .then(|| start_scrape_listener(&inner));
+            .as_deref()
+            .map(|addr| start_scrape_listener(&inner, addr));
         Server {
             inner,
             workers,
@@ -664,8 +649,8 @@ impl Server {
     }
 
     /// The incident bundles captured so far and still retained in memory,
-    /// oldest-first (bounded by `IncidentConfig::keep_last`; every bundle
-    /// is also written to `IncidentConfig::dir` when one is configured).
+    /// oldest-first (the newest 8; every bundle is also written to
+    /// `IncidentConfig::dir` when one is configured).
     pub fn incidents(&self) -> Vec<IncidentBundle> {
         self.inner.incidents.recent()
     }
@@ -691,10 +676,11 @@ impl Server {
         self.inner.ledger.totals()
     }
 
-    /// A snapshot of the on-host time-series ring (empty until the sampler's
-    /// first tick). Render with [`granii_telemetry::timeseries_json`].
-    pub fn timeline_snapshot(&self) -> TimeSeriesSnapshot {
-        self.inner.timeline.snapshot()
+    /// A snapshot of the on-host time-series ring, in the schema an
+    /// incident bundle embeds (what `--timeline-out` writes). Never empty:
+    /// the first frame is taken before [`Server::start`] returns.
+    pub fn timeline_snapshot(&self) -> TimelineInfo {
+        TimelineInfo::from_snapshot(&self.inner.timeline.snapshot())
     }
 
     /// The scrape listener's bound address, when one is running (resolves
@@ -966,17 +952,19 @@ impl Drop for Server {
     }
 }
 
-/// Spawns the timeline sampler: every tick reads one status and appends a
+/// Starts the timeline sampler: every tick reads one status and appends a
 /// frame holding every dotted series of the instrument catalog, per-tenant
 /// lanes (`tenant.<fingerprint>.charged_ms` / `.requests`) included. The
-/// thread is an observer; nothing on the request path waits for it.
+/// first frame is taken on the caller's thread, so a started server's
+/// timeline is never empty; later ticks run on the sampler thread, an
+/// observer that nothing on the request path waits for.
 fn start_timeline_sampler(inner: &Arc<Inner>) -> SamplerHandle {
     let inner = Arc::clone(inner);
     // A column registers the first tick its series appears (a tenant's
     // first traffic); the map makes every later tick a lookup.
     let mut columns: HashMap<String, ColumnId> = HashMap::new();
     let mut samples: Vec<(ColumnId, f64)> = Vec::new();
-    start_sampler(inner.config.timeline.interval, move || {
+    start_sampler(TIMELINE_INTERVAL, move || {
         samples.clear();
         let ring = &inner.timeline;
         catalog::for_each_series(&inner.status(), |name, kind, value| {
@@ -995,11 +983,11 @@ fn start_timeline_sampler(inner: &Arc<Inner>) -> SamplerHandle {
 /// Binds the scrape listener. A bind failure (address in use, permission)
 /// is kept for [`Server::scrape_error`] and the server runs without the
 /// endpoint — observability must never take serving down.
-fn start_scrape_listener(inner: &Arc<Inner>) -> std::io::Result<ScrapeHandle> {
+fn start_scrape_listener(inner: &Arc<Inner>, addr: &str) -> std::io::Result<ScrapeHandle> {
     let metrics_inner = Arc::clone(inner);
     let ready_inner = Arc::clone(inner);
     crate::scrape::start_scrape(
-        &inner.config.scrape.addr,
+        addr,
         move || crate::scrape::render_prometheus(&metrics_inner.status()),
         move || ready_inner.readiness(),
     )
@@ -1007,7 +995,7 @@ fn start_scrape_listener(inner: &Arc<Inner>) -> std::io::Result<ScrapeHandle> {
 
 /// Shed bookkeeping shared by every admission-reject path: the tenant's
 /// shed meter, the flight-recorder record, and the shed-storm incident
-/// trigger.
+/// trigger (a server-scoped `shed_storm` record).
 fn shed(
     inner: &Inner,
     id: u64,
@@ -1027,13 +1015,10 @@ fn shed(
         },
     );
     if let Some(sheds) = inner.incidents.note_shed() {
-        capture_incident(
-            inner,
-            IncidentTrigger::ShedStorm {
-                sheds,
-                window_seconds: inner.incidents.config().shed_window.as_secs_f64(),
-            },
-        );
+        let storm = inner
+            .recorder
+            .record(0, 0, "", RecordKind::ShedStorm { sheds });
+        capture_incident(inner, storm, None);
     }
     ServeError::Overloaded {
         depth: inner.config.queue_depth,
@@ -1430,7 +1415,7 @@ fn finish_job(
                     let name = objective.outcome.name();
                     match crossed {
                         Some(true) => {
-                            inner.recorder.record(
+                            let burn = inner.recorder.record(
                                 id,
                                 key.1,
                                 key.0.name(),
@@ -1442,15 +1427,7 @@ fn finish_job(
                             );
                             // The request that closed the burning window is
                             // the incident's triggering signature.
-                            capture_incident(
-                                inner,
-                                IncidentTrigger::SloBurn {
-                                    outcome: name,
-                                    burn_rate,
-                                    threshold_ms: objective.threshold_ms,
-                                    key,
-                                },
-                            );
+                            capture_incident(inner, burn, Some(key));
                         }
                         Some(false) => {
                             inner.recorder.record(
@@ -1574,11 +1551,26 @@ fn bind_miss(
     let select_seconds = t_select.elapsed().as_secs_f64();
     inner.incidents.audits().record(
         key,
-        SelectionAudit {
+        SelectionAuditInfo {
+            model: key.0.name().to_owned(),
+            fingerprint: hex_fp(key.1),
+            k1: key.2 as u64,
+            k2: key.3 as u64,
             composition: composition.name(),
             degraded,
-            predicted: predicted.into_iter().map(|(c, s)| (c.name(), s)).collect(),
-            profile: leader.profile,
+            predicted: predicted
+                .into_iter()
+                .map(|(c, predicted_seconds)| CandidateCost {
+                    composition: c.name(),
+                    predicted_seconds,
+                })
+                .collect(),
+            input: leader.profile.map(|p| InputStats {
+                bands: p.bands.to_vec(),
+                avg_degree: p.avg_degree,
+                degree_cv: p.degree_cv,
+                density: p.density,
+            }),
             captured_at_us: granii_telemetry::now_us(),
         },
     );
@@ -1612,13 +1604,13 @@ fn observe_drift(inner: &Inner, id: u64, key: PlanKey, charged_seconds: f64, pre
                 cause: "drift_flag",
             },
         );
-        inner.recorder.record(
+        let flag = inner.recorder.record(
             id,
             key.1,
             key.0.name(),
             RecordKind::DriftFlag { ewma_residual },
         );
-        capture_incident(inner, IncidentTrigger::Drift { key, ewma_residual });
+        capture_incident(inner, flag, Some(key));
     }
 }
 
@@ -1632,7 +1624,6 @@ fn observe_input(inner: &Inner, id: u64, key: PlanKey, p: InputProfile) {
         // The live and reference profiles the lane flagged on, read under
         // its lock.
         let (live, reference) = (track.smoothed, track.reference);
-        let (band_l1, cv_delta) = (live.band_l1(&reference), live.cv_delta(&reference));
         inner.cache.invalidate(key);
         inner
             .counters
@@ -1646,79 +1637,61 @@ fn observe_input(inner: &Inner, id: u64, key: PlanKey, p: InputProfile) {
                 cause: "input_drift_flag",
             },
         );
-        inner.recorder.record(
+        let flag = inner.recorder.record(
             id,
             key.1,
             key.0.name(),
             RecordKind::InputDriftFlag {
-                band_l1,
-                cv_delta,
+                band_l1: live.band_l1(&reference),
+                cv_delta: live.cv_delta(&reference),
                 live_cv: live.degree_cv,
                 reference_cv: reference.degree_cv,
                 live_avg_degree: live.avg_degree,
             },
         );
-        capture_incident(
-            inner,
-            IncidentTrigger::InputDrift {
-                key,
-                band_l1,
-                cv_delta,
-            },
-        );
+        capture_incident(inner, flag, Some(key));
     }
 }
 
-/// Assembles and stores one incident bundle for `trigger`, subject to the
-/// capturer's rate limits. Runs on whichever thread hit the trigger (a
-/// worker for SLO burn and drift, a submitter for a shed storm) — capture
-/// is rare by construction, so the status assembly cost never sits on the
+/// Assembles and stores one incident bundle that triggers on the flight
+/// record `trigger`, subject to the capturer's rate limits. `key` is the
+/// triggering signature (`None` for a shed storm), whose selection audit the
+/// bundle carries. Runs on whichever thread hit the trigger (a worker for
+/// SLO burn and drift, a submitter for a shed storm) — capture is rare by
+/// construction, so the status assembly cost never sits on the
 /// steady-state path.
-fn capture_incident(inner: &Inner, trigger: IncidentTrigger) {
+fn capture_incident(inner: &Inner, trigger: FlightRecord, key: Option<PlanKey>) {
     if !inner.incidents.admit() {
         return;
     }
     let seq = inner.incidents.next_seq();
-    let (fingerprint, model) = trigger.key().map_or((0, ""), |key| (key.1, key.0.name()));
     inner.recorder.record(
         0,
-        fingerprint,
-        model,
+        trigger.fingerprint,
+        trigger.model,
         RecordKind::Incident {
             seq,
-            trigger: trigger.kind(),
+            trigger: trigger.kind.name(),
         },
     );
-    // Ring excerpt: the newest `ring_tail` records, oldest-first, ending
+    // Ring excerpt: the newest `RING_TAIL` records, oldest-first, ending
     // with the capture's own record.
     let ring_all = inner.recorder.snapshot();
-    let tail = inner.incidents.config().ring_tail;
-    let ring: Vec<RingEntry> = ring_all[ring_all.len().saturating_sub(tail)..]
+    let ring: Vec<RingEntry> = ring_all[ring_all.len().saturating_sub(RING_TAIL)..]
         .iter()
         .map(RingEntry::from_record)
         .collect();
     // The triggering signature's selection audit, when the table still
     // holds it (the audit table is separate from the plan cache precisely
     // because the flag invalidated the cache entry a moment ago).
-    let selection = trigger.key().and_then(|key| {
-        inner
-            .incidents
-            .audits()
-            .get(key)
-            .map(|audit| SelectionAuditInfo::from_audit(key, &audit))
-    });
+    let selection = key.and_then(|key| inner.incidents.audits().get(key));
     let bundle = IncidentBundle {
         seq,
         captured_at_us: granii_telemetry::now_us(),
-        trigger: trigger.info(),
+        trigger: RingEntry::from_record(&trigger),
         ring,
         selection,
-        // The last minutes of the sampled timeline — empty ring (sampler
-        // disabled, or the incident beat the first tick) attaches nothing.
-        timeline: {
-            let snap = inner.timeline.snapshot();
-            (snap.frames() > 0).then(|| TimelineInfo::from_snapshot(&snap))
-        },
+        timeline: TimelineInfo::from_snapshot(&inner.timeline.snapshot()),
         status: inner.status(),
     };
     inner.incidents.store(bundle);

@@ -71,31 +71,28 @@ impl LatencyObjective {
     }
 }
 
+/// Burn rate at or above which a window counts as burning (flight record +
+/// breached state): the budget spent twice as fast as provisioned.
+const BURN_ALERT: f64 = 2.0;
+
 /// Tuning for the SLO monitor.
 #[derive(Debug, Clone)]
 pub struct SloConfig {
-    /// Master switch; when false, `record` is a no-op.
-    pub enabled: bool,
-    /// The objectives to track.
+    /// The objectives to track; an empty list judges nothing.
     pub objectives: Vec<LatencyObjective>,
     /// Requests per tumbling burn-rate window (per objective).
     pub window: u64,
-    /// Burn rate at or above which a window counts as burning (flight
-    /// record + breached state). 1.0 = budget spent exactly as provisioned.
-    pub burn_alert: f64,
 }
 
 impl Default for SloConfig {
     fn default() -> Self {
         SloConfig {
-            enabled: true,
             objectives: vec![
                 LatencyObjective::new(Outcome::Hit, 100.0, 0.99),
                 LatencyObjective::new(Outcome::Miss, 500.0, 0.99),
                 LatencyObjective::new(Outcome::Degraded, 1000.0, 0.95),
             ],
             window: 64,
-            burn_alert: 2.0,
         }
     }
 }
@@ -184,14 +181,11 @@ impl SloMonitor {
     }
 
     /// Feeds one completed request. Returns whether it violated its
-    /// outcome's objective (never, when the monitor is disabled) — the one
-    /// verdict the per-tenant ledger meters — and the window verdict. The
-    /// fast path is two relaxed atomic adds; the window arithmetic only
-    /// runs on the request that fills a window.
+    /// outcome's objective (never, when no objective covers the outcome) —
+    /// the one verdict the per-tenant ledger meters — and the window
+    /// verdict. The fast path is two relaxed atomic adds; the window
+    /// arithmetic only runs on the request that fills a window.
     pub fn record(&self, outcome: Outcome, latency_ns: u64) -> (bool, SloVerdict) {
-        if !self.config.enabled {
-            return (false, SloVerdict::Ok);
-        }
         let window = self.config.window.max(1);
         for (index, objective) in self.config.objectives.iter().enumerate() {
             if objective.outcome != outcome {
@@ -223,7 +217,7 @@ impl SloMonitor {
                 window_violations as f64 / window_total as f64
             };
             state.burn_rate = violation_fraction / budget;
-            let burning = state.burn_rate >= self.config.burn_alert;
+            let burning = state.burn_rate >= BURN_ALERT;
             let crossed = if burning != state.burning {
                 state.burning = burning;
                 Some(burning)
@@ -277,18 +271,16 @@ impl SloMonitor {
 mod tests {
     use super::*;
 
-    fn monitor(threshold_ms: f64, target: f64, window: u64, alert: f64) -> SloMonitor {
+    fn monitor(threshold_ms: f64, target: f64, window: u64) -> SloMonitor {
         SloMonitor::new(SloConfig {
-            enabled: true,
             objectives: vec![LatencyObjective::new(Outcome::Hit, threshold_ms, target)],
             window,
-            burn_alert: alert,
         })
     }
 
     #[test]
     fn compliant_traffic_never_burns() {
-        let m = monitor(10.0, 0.99, 8, 2.0);
+        let m = monitor(10.0, 0.99, 8);
         for _ in 0..64 {
             let (_, verdict) = m.record(Outcome::Hit, 1_000_000); // 1 ms
             if let SloVerdict::WindowClosed {
@@ -309,7 +301,7 @@ mod tests {
     #[test]
     fn violation_storm_crosses_and_recovers() {
         // 1% budget, window 10: a fully-violating window burns at 100×.
-        let m = monitor(10.0, 0.99, 10, 2.0);
+        let m = monitor(10.0, 0.99, 10);
         let mut crossings = Vec::new();
         for _ in 0..10 {
             if let (_, SloVerdict::WindowClosed { crossed, .. }) =
@@ -336,7 +328,7 @@ mod tests {
     #[test]
     fn burn_rate_is_violation_fraction_over_budget() {
         // 5% budget, window 20, 2 violations → 10% violating → burn 2.0.
-        let m = monitor(10.0, 0.95, 20, 100.0);
+        let m = monitor(10.0, 0.95, 20);
         let mut burn = None;
         for i in 0..20 {
             let ns = if i < 2 { 50_000_000 } else { 1_000_000 };
@@ -351,13 +343,11 @@ mod tests {
     #[test]
     fn outcomes_are_tracked_independently() {
         let m = SloMonitor::new(SloConfig {
-            enabled: true,
             objectives: vec![
                 LatencyObjective::new(Outcome::Hit, 10.0, 0.99),
                 LatencyObjective::new(Outcome::Miss, 100.0, 0.99),
             ],
             window: 4,
-            burn_alert: 2.0,
         });
         for _ in 0..8 {
             m.record(Outcome::Hit, 1_000_000);
@@ -373,13 +363,13 @@ mod tests {
     #[test]
     fn disabled_monitor_is_inert() {
         let m = SloMonitor::new(SloConfig {
-            enabled: false,
+            objectives: Vec::new(),
             ..SloConfig::default()
         });
         for _ in 0..200 {
             assert_eq!(m.record(Outcome::Hit, u64::MAX), (false, SloVerdict::Ok));
         }
-        assert_eq!(m.rows()[0].total, 0);
+        assert!(m.rows().is_empty());
     }
 
     #[test]
@@ -388,7 +378,7 @@ mod tests {
         // (Compared in nanoseconds instead, `4.193 * 1e6` rounds to just
         // under 4_193_000 and would call it one.) One nanosecond more
         // violates.
-        let m = monitor(4.193, 0.99, 64, 2.0);
+        let m = monitor(4.193, 0.99, 64);
         assert_eq!(m.record(Outcome::Hit, 4_193_000), (false, SloVerdict::Ok));
         assert_eq!(m.record(Outcome::Hit, 4_193_001), (true, SloVerdict::Ok));
         assert_eq!(m.rows()[0].violations, 1);

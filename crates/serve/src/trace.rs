@@ -209,9 +209,12 @@ impl RequestTrace {
 }
 
 /// Whether request `id` should carry a trace: telemetry must be recording
-/// and `sample_every` must divide the id (`0` disables sampling entirely).
+/// and the request must be the first (id 1) or every `sample_every`-th
+/// after it (`0` disables sampling entirely).
 pub fn sampled(id: u64, sample_every: u64) -> bool {
-    granii_telemetry::enabled() && sample_every > 0 && id.is_multiple_of(sample_every)
+    granii_telemetry::enabled()
+        && sample_every > 0
+        && id.saturating_sub(1).is_multiple_of(sample_every)
 }
 
 #[cfg(test)]
@@ -274,12 +277,12 @@ mod tests {
     #[test]
     fn sampling_gate_honors_rate_and_enable() {
         granii_telemetry::disable();
-        assert!(!sampled(0, 1), "disabled telemetry never samples");
+        assert!(!sampled(1, 1), "disabled telemetry never samples");
         granii_telemetry::enable();
-        assert!(sampled(0, 4));
-        assert!(!sampled(1, 4));
-        assert!(sampled(8, 4));
-        assert!(!sampled(8, 0), "rate 0 disables sampling");
+        assert!(sampled(1, 4), "the first request is sampled");
+        assert!(!sampled(2, 4));
+        assert!(sampled(9, 4));
+        assert!(!sampled(9, 0), "rate 0 disables sampling");
         granii_telemetry::disable();
     }
 }

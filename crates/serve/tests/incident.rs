@@ -6,20 +6,25 @@
 //! composition, per-candidate predicted costs, and the input statistics
 //! that keyed the choice). The bundle must land on disk as valid JSON,
 //! round-trip through the parser, and render a timeline that names the
-//! triggering signature.
+//! triggering signature. A bundle's trigger is the flight record that
+//! fired, in the ring's own form: for drift the lane's flag record, for a
+//! shed storm a server-scoped `shed_storm` record.
 //!
-//! Runs as a single `#[test]` in its own binary: it writes a scratch
-//! incident directory.
+//! The drift scenario writes a scratch incident directory named after the
+//! process; the shed-storm scenario keeps its bundle in memory.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Duration;
 
+use granii_core::cost::CostModelSet;
 use granii_core::{Granii, GraniiOptions};
 use granii_gnn::spec::ModelKind;
+use granii_graph::datasets::{Dataset, Scale};
 use granii_graph::Graph;
 use granii_matrix::device::DeviceKind;
 use granii_serve::{
-    IncidentBundle, IncidentConfig, ServeConfig, ServeRequest, ServeResponse, Server,
+    IncidentBundle, IncidentConfig, RingEntry, ServeConfig, ServeRequest, ServeResponse, Server,
 };
 
 /// Tenant-pinned plan-cache signature (same rationale as the input-drift
@@ -122,10 +127,14 @@ fn input_drift_anomaly_automatically_produces_a_correlated_bundle() {
     let bundle = &bundles[0];
 
     // Trigger names the offending signature and carries the drift deltas.
-    assert_eq!(bundle.trigger.kind, "input_drift");
+    assert_eq!(bundle.trigger.kind, "input_drift_flag");
     assert_eq!(bundle.trigger.fingerprint, format!("{SIGNATURE:016x}"));
     assert_eq!(bundle.trigger.model, "gcn");
-    assert!(bundle.trigger.value > 0.0, "band-L1 delta recorded");
+    assert!(
+        bundle.trigger.note.starts_with("band_l1="),
+        "band-L1 delta recorded"
+    );
+    assert!(bundle.trigger.id >= 1, "the flagging request's id");
 
     // Recorder health, from the embedded status: always-on, nothing
     // dropped at this load, and this capture already counted.
@@ -133,13 +142,22 @@ fn input_drift_anomaly_automatically_produces_a_correlated_bundle() {
     assert_eq!(bundle.status.recorder.dropped, 0);
     assert_eq!(bundle.status.recorder.incidents, 1);
 
-    // Ring excerpt: the flagging record itself...
+    // Ring excerpt: the flagging record itself, which is the trigger (same
+    // seq, kind and note)...
     let flag = bundle
         .ring
         .iter()
         .find(|e| e.kind == "input_drift_flag")
         .expect("ring excerpt contains the flagging record");
     assert_eq!(flag.fingerprint, format!("{SIGNATURE:016x}"));
+    assert_eq!(flag, &bundle.trigger);
+    let ring_flag = server
+        .flight_records()
+        .iter()
+        .map(RingEntry::from_record)
+        .find(|e| e.kind == "input_drift_flag")
+        .expect("the live ring holds the flag record");
+    assert_eq!(ring_flag, bundle.trigger, "the ring and the bundle agree");
     // ...and the batch group that carried the triggering request.
     let carrying_group = bundle
         .ring
@@ -158,7 +176,7 @@ fn input_drift_anomaly_automatically_produces_a_correlated_bundle() {
     // ...ending with the capture's own record, which names the signature.
     let marker = bundle.ring.last().expect("non-empty ring excerpt");
     assert_eq!(marker.kind, "incident");
-    assert_eq!(marker.note, "seq=1 trigger=input_drift");
+    assert_eq!(marker.note, "seq=1 trigger=input_drift_flag");
     assert_eq!(marker.fingerprint, format!("{SIGNATURE:016x}"));
 
     // Selection audit: the composition the cache was serving, every
@@ -168,6 +186,7 @@ fn input_drift_anomaly_automatically_produces_a_correlated_bundle() {
         .as_ref()
         .expect("audit table retained the triggering signature's selection");
     assert_eq!(selection.fingerprint, format!("{SIGNATURE:016x}"));
+    assert_eq!((selection.k1, selection.k2), (64, 128));
     assert!(!selection.composition.is_empty());
     assert!(!selection.degraded);
     assert!(
@@ -206,14 +225,14 @@ fn input_drift_anomaly_automatically_produces_a_correlated_bundle() {
     files.sort();
     assert_eq!(files.len(), 1, "one bundle file written: {files:?}");
     let name = files[0].file_name().unwrap().to_string_lossy().into_owned();
-    assert!(
-        name.starts_with("incident-") && name.contains("input_drift") && name.ends_with(".json"),
-        "artifact name carries seq and trigger kind: {name}"
+    assert_eq!(
+        name, "incident-001-input_drift_flag.json",
+        "artifact name carries seq and trigger kind"
     );
     let json = std::fs::read_to_string(&files[0]).unwrap();
     let parsed = IncidentBundle::from_json(&json).expect("artifact parses");
     assert_eq!(parsed.seq, bundle.seq);
-    assert_eq!(parsed.trigger.kind, "input_drift");
+    assert_eq!(parsed.trigger, bundle.trigger);
     assert_eq!(parsed.ring.len(), bundle.ring.len());
     let reparsed = IncidentBundle::from_json(&parsed.to_json()).unwrap();
     assert_eq!(reparsed.trigger.fingerprint, bundle.trigger.fingerprint);
@@ -221,17 +240,79 @@ fn input_drift_anomaly_automatically_produces_a_correlated_bundle() {
     // The human-readable timeline names the triggering signature and shows
     // the chosen candidate.
     let rendered = format!("{parsed}");
-    assert!(rendered.contains("input_drift"));
-    assert!(rendered.contains(&format!("{SIGNATURE:016x}")));
+    assert!(rendered.contains("trigger input_drift_flag"));
+    assert!(rendered.contains(&format!("signature gcn {SIGNATURE:016x} 64x128")));
+    assert!(rendered.contains(&format!("detail    {}", bundle.trigger.note)));
     assert!(rendered.contains("<- chosen"));
-    assert!(rendered.contains("input_drift_flag"));
 
     // The status surface counts the capture.
     let status = server.status();
     assert_eq!(status.recorder.incidents, 1);
-    assert_eq!(status.recorder.last_trigger, "input_drift");
+    assert_eq!(status.recorder.last_trigger, "input_drift_flag");
     assert!(status.recorder.written > 0);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&incident_dir);
+}
+
+#[test]
+fn a_shed_storm_bundle_triggers_on_its_shed_storm_record() {
+    // A zero-depth queue sheds every submit, so nothing is ever served and
+    // no cost model is needed; the third shed within the window is a storm.
+    let granii = Arc::new(Granii::with_cost_models(CostModelSet::new(
+        DeviceKind::H100,
+        BTreeMap::new(),
+        BTreeMap::new(),
+    )));
+    let graph = Arc::new(Dataset::CoAuthorsCiteseer.load(Scale::Tiny).unwrap());
+    let server = Server::start(
+        granii,
+        ServeConfig {
+            workers: 1,
+            queue_depth: 0,
+            incident: IncidentConfig {
+                cooldown: Duration::ZERO,
+                shed_threshold: 3,
+                ..IncidentConfig::default()
+            },
+            ..ServeConfig::default()
+        },
+    );
+    for _ in 0..3 {
+        let request = ServeRequest::new(ModelKind::Gcn, graph.clone(), 64, 128);
+        assert!(server.submit(request).is_err(), "zero-depth queue sheds");
+    }
+    let bundles = server.incidents();
+    let records: Vec<RingEntry> = server
+        .flight_records()
+        .iter()
+        .map(RingEntry::from_record)
+        .collect();
+    let status = server.status();
+    server.shutdown();
+
+    assert_eq!(bundles.len(), 1, "one storm, one bundle");
+    let bundle = &bundles[0];
+    let storm = records
+        .iter()
+        .find(|e| e.kind == "shed_storm")
+        .expect("the storm is a ring record");
+    assert_eq!(&bundle.trigger, storm, "the trigger is the ring's record");
+    assert_eq!(storm.note, "sheds=3");
+    // Server-scoped: no request id, no signature.
+    assert_eq!((storm.id, storm.fingerprint.as_str()), (0, ""));
+    assert!(bundle.selection.is_none(), "a storm names no signature");
+    assert!(bundle.to_string().contains("signature -"));
+    // The sheds that built the storm are request-scoped, ids 1..=3.
+    let shed_ids: Vec<u64> = records
+        .iter()
+        .filter(|e| e.kind == "shed")
+        .map(|e| e.id)
+        .collect();
+    assert_eq!(shed_ids, vec![1, 2, 3]);
+    assert_eq!(
+        records.last().map(|e| e.note.as_str()),
+        Some("seq=1 trigger=shed_storm")
+    );
+    assert_eq!(status.recorder.last_trigger, "shed_storm");
 }

@@ -76,7 +76,7 @@ fn two_servers_in_one_process_keep_separate_books() {
             .filter(|r| r.kind.name() == "complete")
             .map(|r| r.id)
             .collect();
-        assert_eq!(completed, (0..n).collect::<Vec<_>>(), "own requests only");
+        assert_eq!(completed, (1..=n).collect::<Vec<_>>(), "own requests only");
     }
     for (books, status, n) in [(&books_a, &status_a, 3), (&books_b, &status_b, 5)] {
         assert_eq!(counter(books, "serve.submitted"), Some(n));

@@ -15,7 +15,7 @@ use granii_gnn::spec::ModelKind;
 use granii_graph::datasets::{Dataset, Scale};
 use granii_graph::Graph;
 use granii_matrix::device::DeviceKind;
-use granii_serve::{render_prometheus, ScrapeConfig, ServeConfig, ServeRequest, Server};
+use granii_serve::{render_prometheus, ServeConfig, ServeRequest, Server};
 
 fn granii() -> Arc<Granii> {
     static GRANII: OnceLock<Arc<Granii>> = OnceLock::new();
@@ -252,10 +252,7 @@ fn live_scrape_is_strictly_well_formed_with_tenant_series() {
         ServeConfig {
             workers: 2,
             trace_sample_every: 0,
-            scrape: ScrapeConfig {
-                enabled: true,
-                addr: "127.0.0.1:0".to_owned(),
-            },
+            scrape: Some("127.0.0.1:0".to_owned()),
             ..ServeConfig::default()
         },
     );

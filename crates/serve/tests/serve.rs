@@ -305,3 +305,24 @@ fn shutdown_drains_queued_requests() {
             .expect("queued request served before shutdown");
     }
 }
+
+#[test]
+fn the_first_timeline_frame_exists_when_start_returns() {
+    let server = Server::start(broken_granii(), ServeConfig::default());
+    let timeline = server.timeline_snapshot();
+    server.shutdown();
+    assert!(
+        timeline.frames() >= 1,
+        "a frame taken before start returned"
+    );
+    let completed = timeline
+        .columns
+        .iter()
+        .find(|c| c.name == "serve.completed")
+        .expect("the first frame samples the catalog");
+    assert_eq!(completed.values[0], Some(0.0));
+    assert!(timeline
+        .columns
+        .iter()
+        .all(|c| c.values.len() == timeline.frames()));
+}

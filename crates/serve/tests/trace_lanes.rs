@@ -36,7 +36,7 @@ fn sampled_requests_become_chrome_trace_lanes() {
 
     granii_telemetry::reset();
     granii_telemetry::enable();
-    // Sample every 2nd request: ids 0 and 2 trace, ids 1 and 3 do not.
+    // Sample every 2nd request: ids 1 and 3 trace, ids 2 and 4 do not.
     let server = Server::start(
         granii,
         ServeConfig {
@@ -66,11 +66,11 @@ fn sampled_requests_become_chrome_trace_lanes() {
     };
     assert_eq!(
         lane_tids,
-        vec![TRACE_LANE_BASE, TRACE_LANE_BASE + 2],
+        vec![TRACE_LANE_BASE + 1, TRACE_LANE_BASE + 3],
         "one lane root per sampled request id"
     );
 
-    // Request 0 missed (queue + select + execute children); request 2 hit
+    // Request 1 missed (queue + select + execute children); request 3 hit
     // (no select stage — the cache made selection free).
     let children = |tid: u64| -> Vec<&str> {
         spans
@@ -80,17 +80,17 @@ fn sampled_requests_become_chrome_trace_lanes() {
             .collect()
     };
     assert_eq!(
-        children(TRACE_LANE_BASE),
+        children(TRACE_LANE_BASE + 1),
         vec!["serve.req.queue", "serve.req.select", "serve.req.execute"]
     );
     assert_eq!(
-        children(TRACE_LANE_BASE + 2),
+        children(TRACE_LANE_BASE + 3),
         vec!["serve.req.queue", "serve.req.execute"]
     );
     // Stage children nest inside their lane's root span.
     let root = spans
         .iter()
-        .find(|s| s.name == "serve.req" && s.tid == TRACE_LANE_BASE)
+        .find(|s| s.name == "serve.req" && s.tid == TRACE_LANE_BASE + 1)
         .expect("lane root");
     for child in spans.iter().filter(|s| s.tid == root.tid && s.depth == 1) {
         assert!(child.start_us >= root.start_us);
@@ -108,7 +108,7 @@ fn sampled_requests_become_chrome_trace_lanes() {
         4,
         "one batch span per sequential request"
     );
-    for id in [0u64, 2] {
+    for id in [1u64, 3] {
         let batch = batch_spans
             .iter()
             .find(|s| {
@@ -137,7 +137,7 @@ fn sampled_requests_become_chrome_trace_lanes() {
     // appears as a regular Chrome-trace thread.
     let chrome = granii_telemetry::export::chrome_trace(&spans);
     assert!(chrome.contains("serve.req"));
-    assert!(chrome.contains(&TRACE_LANE_BASE.to_string()));
+    assert!(chrome.contains(&(TRACE_LANE_BASE + 1).to_string()));
 
     // The flight recorder logs every request's lifecycle, sampled or not:
     // four sequential requests are four groups of one.
@@ -147,6 +147,6 @@ fn sampled_requests_become_chrome_trace_lanes() {
             .filter(|r| r.kind.name() == kind)
             .map(|r| r.id)
             .collect();
-        assert_eq!(ids, vec![0, 1, 2, 3], "one {kind} record per request");
+        assert_eq!(ids, vec![1, 2, 3, 4], "one {kind} record per request");
     }
 }

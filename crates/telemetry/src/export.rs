@@ -11,7 +11,7 @@ use crate::metrics::MetricsSnapshot;
 use crate::profile::{ProfileReport, ProfileRow};
 use crate::span::{AttrValue, SpanRecord};
 
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
+fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -29,7 +29,7 @@ pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-pub(crate) fn push_f64(out: &mut String, v: f64) {
+fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         // Rust's f64 Display is shortest-round-trip decimal, valid JSON.
         let _ = write!(out, "{v}");

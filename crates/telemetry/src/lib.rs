@@ -19,9 +19,9 @@
 //!   distinct-count estimator for unique request fingerprints, owned by
 //!   whoever records into them.
 //! - **Time series** ([`timeseries`], [`TimeSeriesRing`], [`start_sampler`]):
-//!   a fixed-capacity on-host ring of periodic samples (counters, gauges,
-//!   sketch quantiles) with read-time delta/rate derivation — the
-//!   continuous timeline snapshots and post-mortems both lack.
+//!   a fixed-capacity on-host ring of periodic raw samples (counters,
+//!   gauges, sketch quantiles) — the continuous timeline snapshots and
+//!   post-mortems both lack.
 //! - **Exporters** ([`export::chrome_trace`], [`export::metrics_json`],
 //!   [`export::summary`]): Chrome trace-event JSON (loadable in Perfetto /
 //!   `chrome://tracing`), a flat JSON dump of a [`MetricsSnapshot`], and a
@@ -58,8 +58,8 @@ pub use profile::{ProfileReport, ProfileRow};
 pub use sketch::{DistinctCounter, DistinctSnapshot, Sketch, SketchSnapshot, DEFAULT_SKETCH_ALPHA};
 pub use span::{now_us, record_span, span, take_spans, AttrValue, SpanGuard, SpanRecord};
 pub use timeseries::{
-    start_sampler, timeseries_json, ColumnId, ColumnSeries, SampleKind, SamplerHandle,
-    TimeSeriesRing, TimeSeriesSnapshot,
+    start_sampler, ColumnId, ColumnSeries, SampleKind, SamplerHandle, TimeSeriesRing,
+    TimeSeriesSnapshot,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -5,12 +5,11 @@
 //! the state *now*"; the flight recorder answers "what happened around this
 //! request". Neither answers "what did the last two minutes look like" —
 //! the question every dashboard and every incident review starts with. The
-//! [`TimeSeriesRing`] closes that gap: a sampler thread captures a frame of
-//! named columns (cumulative counters, point-in-time gauges, sketch
-//! quantiles) every interval into a pre-allocated ring, and readers turn
-//! counter columns into deltas and per-second rates *at read time* — the
-//! ring itself stores only raw cumulative values, so sampling never loses
-//! information to a rate window chosen too early.
+//! [`TimeSeriesRing`] closes that gap: a sampler captures a frame of named
+//! columns (cumulative counters, point-in-time gauges, sketch quantiles)
+//! every interval into a pre-allocated ring. The ring stores only raw
+//! values, so sampling never loses information to a rate window chosen too
+//! early; a reader differences counter columns if it wants rates.
 //!
 //! Steady-state sampling is allocation-free: frames are pre-sized at ring
 //! construction and column registration reuses slots; the only allocations
@@ -25,8 +24,7 @@ use std::time::Duration;
 /// How a column's samples are interpreted at read time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleKind {
-    /// Monotone cumulative value; readers difference consecutive frames
-    /// into deltas and per-second rates.
+    /// Monotone cumulative value.
     Counter,
     /// Point-in-time value (queue depth, quantile, hit rate).
     Gauge,
@@ -71,8 +69,7 @@ pub struct TimeSeriesRing {
 }
 
 impl TimeSeriesRing {
-    /// Creates a ring retaining the newest `capacity` frames (min 2 — a
-    /// single frame can never yield a delta).
+    /// Creates a ring retaining the newest `capacity` frames (min 2).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(2);
         TimeSeriesRing {
@@ -183,12 +180,7 @@ impl TimeSeriesRing {
                     .push(frame.values.get(col).copied().unwrap_or(f64::NAN));
             }
         }
-        TimeSeriesSnapshot {
-            capacity: self.capacity,
-            written: inner.written,
-            at_ns,
-            columns,
-        }
+        TimeSeriesSnapshot { at_ns, columns }
     }
 
     fn lock(&self) -> MutexGuard<'_, RingInner> {
@@ -203,7 +195,7 @@ impl TimeSeriesRing {
 pub struct ColumnSeries {
     /// Column name.
     pub name: String,
-    /// Counter (differenced at read time) or gauge.
+    /// Counter or gauge.
     pub kind: SampleKind,
     /// Raw per-frame samples, oldest-first.
     pub values: Vec<f64>,
@@ -212,10 +204,6 @@ pub struct ColumnSeries {
 /// Point-in-time, column-oriented copy of the ring, oldest-first.
 #[derive(Debug, Clone)]
 pub struct TimeSeriesSnapshot {
-    /// Ring capacity in frames.
-    pub capacity: usize,
-    /// Frames ever written at snapshot time.
-    pub written: u64,
     /// Per-frame timestamps (nanoseconds, monotonic axis), oldest-first.
     pub at_ns: Vec<u64>,
     /// Every registered column's frame-aligned samples.
@@ -231,101 +219,6 @@ impl TimeSeriesSnapshot {
     /// Finds a column by name.
     pub fn column(&self, name: &str) -> Option<&ColumnSeries> {
         self.columns.iter().find(|c| c.name == name)
-    }
-
-    /// Per-frame deltas for column `col`: `values[i] - values[i-1]`. The
-    /// first frame, any frame adjoining a NaN, and negative steps (a
-    /// counter reset) read NaN. Gauges difference like counters — callers
-    /// decide whether a gauge derivative means anything.
-    pub fn deltas(&self, col: usize) -> Vec<f64> {
-        self.derive(col, |delta, _| delta)
-    }
-
-    /// Per-second rates for column `col`: delta over elapsed seconds
-    /// between the two frames (NaN wherever [`TimeSeriesSnapshot::deltas`]
-    /// is NaN or the frames share a timestamp).
-    pub fn rates_per_sec(&self, col: usize) -> Vec<f64> {
-        self.derive(col, |delta, dt_seconds| {
-            if dt_seconds > 0.0 {
-                delta / dt_seconds
-            } else {
-                f64::NAN
-            }
-        })
-    }
-
-    fn derive(&self, col: usize, f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
-        let values = match self.columns.get(col) {
-            Some(series) => &series.values,
-            None => return Vec::new(),
-        };
-        let mut out = Vec::with_capacity(values.len());
-        for i in 0..values.len() {
-            if i == 0 {
-                out.push(f64::NAN);
-                continue;
-            }
-            let (prev, cur) = (values[i - 1], values[i]);
-            let delta = cur - prev;
-            if prev.is_nan() || cur.is_nan() || delta < 0.0 {
-                out.push(f64::NAN);
-            } else {
-                let dt_seconds = self.at_ns[i].saturating_sub(self.at_ns[i - 1]) as f64 / 1e9;
-                out.push(f(delta, dt_seconds));
-            }
-        }
-        out
-    }
-}
-
-/// Renders a snapshot as dashboard-ready JSON: frame timestamps plus one
-/// object per column carrying raw `values` and, for counters, read-time
-/// `delta` and `rate_per_s` series (NaN → `null`).
-pub fn timeseries_json(snapshot: &TimeSeriesSnapshot) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = write!(
-        out,
-        "\"capacity\":{},\n\"written\":{},\n\"frames\":{},\n\"at_ns\":[",
-        snapshot.capacity,
-        snapshot.written,
-        snapshot.frames()
-    );
-    for (i, ts) in snapshot.at_ns.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{ts}");
-    }
-    out.push_str("],\n\"columns\":[");
-    for (col, series) in snapshot.columns.iter().enumerate() {
-        if col > 0 {
-            out.push(',');
-        }
-        out.push_str("\n{\"name\":");
-        crate::export::push_json_string(&mut out, &series.name);
-        let _ = write!(out, ",\"kind\":\"{}\",\"values\":[", series.kind.name());
-        push_f64_list(&mut out, &series.values);
-        out.push(']');
-        if series.kind == SampleKind::Counter {
-            out.push_str(",\"delta\":[");
-            push_f64_list(&mut out, &snapshot.deltas(col));
-            out.push_str("],\"rate_per_s\":[");
-            push_f64_list(&mut out, &snapshot.rates_per_sec(col));
-            out.push(']');
-        }
-        out.push('}');
-    }
-    out.push_str("\n]\n}\n");
-    out
-}
-
-fn push_f64_list(out: &mut String, values: &[f64]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        crate::export::push_f64(out, *v);
     }
 }
 
@@ -356,22 +249,23 @@ impl Drop for SamplerHandle {
     }
 }
 
-/// Spawns the sampler thread: calls `sample` once immediately, then every
-/// `interval` (floored at 1ms) until stopped. The closure owns whatever it
-/// samples — typically it reads counters/gauges/sketches and pushes one
-/// frame into a captured [`TimeSeriesRing`]. Stop latency is bounded at a
-/// few milliseconds regardless of interval.
+/// Starts sampling: calls `sample` once on the caller's thread, so the
+/// first frame exists when this returns, then spawns a thread that calls it
+/// every `interval` (floored at 1ms) until stopped. The closure owns
+/// whatever it samples — typically it reads counters/gauges/sketches and
+/// pushes one frame into a captured [`TimeSeriesRing`]. Stop latency is
+/// bounded at a few milliseconds regardless of interval.
 pub fn start_sampler<F>(interval: Duration, mut sample: F) -> SamplerHandle
 where
     F: FnMut() + Send + 'static,
 {
+    sample();
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
     let tick = interval.max(Duration::from_millis(1));
     let thread = std::thread::Builder::new()
         .name("granii-sampler".to_owned())
         .spawn(move || loop {
-            sample();
             let mut slept = Duration::ZERO;
             while slept < tick {
                 if flag.load(Ordering::Acquire) {
@@ -381,6 +275,7 @@ where
                 std::thread::sleep(step);
                 slept += step;
             }
+            sample();
         })
         .expect("spawn granii-sampler thread");
     SamplerHandle {
@@ -409,16 +304,10 @@ mod tests {
             vec![6_000_000_000, 7_000_000_000, 8_000_000_000, 9_000_000_000]
         );
         assert_eq!(snap.columns[0].values, vec![30.0, 35.0, 40.0, 45.0]);
-        let deltas = snap.deltas(0);
-        assert!(deltas[0].is_nan());
-        assert_eq!(&deltas[1..], &[5.0, 5.0, 5.0]);
-        let rates = snap.rates_per_sec(0);
-        assert!(rates[0].is_nan());
-        assert_eq!(&rates[1..], &[5.0, 5.0, 5.0]);
     }
 
     #[test]
-    fn late_columns_backfill_nan_and_counter_resets_read_nan() {
+    fn late_columns_backfill_nan() {
         let ring = TimeSeriesRing::new(8);
         let a = ring.column("a", SampleKind::Counter);
         ring.push(0, &[(a, 10.0)]);
@@ -431,9 +320,7 @@ mod tests {
             snap.column("b").unwrap().values[0].is_nan(),
             "pre-registration frame is NaN"
         );
-        let deltas = snap.deltas(0);
-        assert!(deltas[1].is_nan(), "negative step reads as a counter reset");
-        assert_eq!(deltas[2], 2.0);
+        assert_eq!(snap.column("a").unwrap().values, vec![10.0, 4.0, 6.0]);
     }
 
     #[test]
@@ -446,21 +333,6 @@ mod tests {
         let tail = ring.snapshot_tail(2);
         assert_eq!(tail.at_ns, vec![4, 5]);
         assert_eq!(tail.columns[0].values, vec![4.0, 5.0]);
-    }
-
-    #[test]
-    fn json_export_is_structured_and_nan_is_null() {
-        let ring = TimeSeriesRing::new(4);
-        let c = ring.column("serve.completed", SampleKind::Counter);
-        let g = ring.column("queue_depth", SampleKind::Gauge);
-        ring.push(0, &[(c, 0.0), (g, 1.0)]);
-        ring.push(500_000_000, &[(c, 10.0), (g, 3.0)]);
-        let json = timeseries_json(&ring.snapshot());
-        assert!(json.contains("\"serve.completed\""));
-        assert!(json.contains("\"kind\":\"counter\""));
-        assert!(json.contains("\"kind\":\"gauge\""));
-        assert!(json.contains("\"rate_per_s\":[null,20]"));
-        assert!(!json.contains("NaN"));
     }
 
     #[test]
@@ -481,6 +353,10 @@ mod tests {
             n += 1;
             writer.push_now(&[(col, n as f64)]);
         });
+        assert!(
+            ring.written() >= 1,
+            "the first sample is taken before return"
+        );
         while ring.written() < 3 {
             std::thread::sleep(Duration::from_millis(1));
         }
