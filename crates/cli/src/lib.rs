@@ -1294,6 +1294,56 @@ mod tests {
     }
 
     #[test]
+    fn serve_demo_timeline_ends_where_its_status_does() {
+        let dir = std::env::temp_dir().join("granii-cli-timeline-demo");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let models = dir.join("models.json");
+        let models_s = models.to_str().unwrap();
+        run(&args(&[
+            "train", "--device", "h100", "--fast", "true", "--out", models_s,
+        ]))
+        .unwrap();
+        let status = dir.join("status.json");
+        let timeline = dir.join("timeline.json");
+        run(&args(&[
+            "serve-demo",
+            "--models",
+            models_s,
+            "--dataset",
+            "MC",
+            "--requests",
+            "24",
+            "--workers",
+            "2",
+            "--status-out",
+            status.to_str().unwrap(),
+            "--timeline-out",
+            timeline.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let status =
+            granii_serve::ServerStatus::from_json(&std::fs::read_to_string(&status).unwrap())
+                .unwrap();
+        let timeline: granii_serve::TimelineInfo =
+            serde_json::from_str(&std::fs::read_to_string(&timeline).unwrap()).unwrap();
+        let completed = timeline
+            .columns
+            .iter()
+            .find(|c| c.name == "serve.completed")
+            .expect("the timeline samples serve.completed");
+        // 24 sequential requests and a 24-request burst, all answered
+        // before the files are written.
+        assert_eq!(status.completed, 48);
+        assert_eq!(
+            completed.values.last().copied().flatten(),
+            Some(status.completed as f64),
+            "the timeline's last frame ends where the status does"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn top_requires_readable_status() {
         let err = run(&args(&["top", "--status", "/missing.json"])).unwrap_err();
         assert!(err.contains("read /missing.json"), "{err}");

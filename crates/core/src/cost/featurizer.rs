@@ -29,7 +29,8 @@ impl FeaturizedInput {
     /// Number of features produced per primitive invocation.
     pub const LEN: usize = GraphFeatures::LEN + 5;
 
-    /// Extracts features from a graph (one O(nodes) pass) and records the
+    /// Extracts features from a graph (its memoized [`GraphFeatures`]: one
+    /// O(nodes) pass on the graph's first inspection) and records the
     /// embedding sizes. `num_edges` uses the self-loop form since that is the
     /// pattern aggregations run over.
     pub fn extract(graph: &Graph, k1: usize, k2: usize) -> Self {

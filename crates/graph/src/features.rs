@@ -77,10 +77,17 @@ impl GraphFeatures {
         "frac_deg_hub",
     ];
 
-    /// Extracts features from a graph with a single O(nodes) pass over the
-    /// row pointers (the "efficiently inspects the input graph at run time"
-    /// requirement of §IV-E1).
+    /// The features of a graph (the "efficiently inspects the input graph
+    /// at run time" requirement of §IV-E1). The first call on a graph makes
+    /// one O(nodes) pass over the row pointers, under a `graph.featurize`
+    /// span; the graph keeps the result, so every later call on it (or on a
+    /// clone of it) reads the memo.
     pub fn extract(graph: &Graph) -> Self {
+        *graph.features_memo().get_or_init(|| Self::inspect(graph))
+    }
+
+    /// The O(nodes) pass behind [`GraphFeatures::extract`].
+    fn inspect(graph: &Graph) -> Self {
         let _span = granii_telemetry::span!(
             "graph.featurize",
             nodes = graph.num_nodes(),

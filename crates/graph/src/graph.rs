@@ -1,7 +1,8 @@
-use granii_matrix::{CooMatrix, CsrMatrix, DiagMatrix, RowStats};
-use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
-use crate::{GraphError, Result};
+use granii_matrix::{CooMatrix, CsrMatrix, DiagMatrix, RowStats};
+
+use crate::{GraphError, GraphFeatures, Result};
 
 /// A graph backed by a square CSR adjacency matrix.
 ///
@@ -9,6 +10,13 @@ use crate::{GraphError, Result};
 /// (the convention of DGL and SuiteSparse symmetric matrices). The adjacency
 /// may be weighted or unweighted — an unweighted adjacency is what lets GRANII
 /// select the cheaper `copy_u` aggregation (paper §III-A).
+///
+/// A graph is immutable once built: no method takes `&mut self`, and
+/// [`Graph::with_name`] consumes the graph and changes only the name. Its
+/// [`Graph::fingerprint`] and its [`GraphFeatures`] depend on the adjacency
+/// alone, so each is computed at most once per graph, on first use from any
+/// thread, and kept (a clone keeps them too). Equality compares the
+/// adjacency and the name, never whether those memos are filled.
 ///
 /// # Example
 ///
@@ -22,13 +30,34 @@ use crate::{GraphError, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     adj: CsrMatrix,
     name: String,
+    /// Memo of [`Graph::fingerprint`].
+    fingerprint: OnceLock<u64>,
+    /// Memo of [`GraphFeatures::extract`].
+    features: OnceLock<GraphFeatures>,
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.adj == other.adj && self.name == other.name
+    }
 }
 
 impl Graph {
+    /// A graph over `adj` named `name`, with empty memos. `adj` must be
+    /// square.
+    fn new(adj: CsrMatrix, name: String) -> Self {
+        Self {
+            adj,
+            name,
+            fingerprint: OnceLock::new(),
+            features: OnceLock::new(),
+        }
+    }
+
     /// Wraps a CSR adjacency matrix.
     ///
     /// # Errors
@@ -38,10 +67,7 @@ impl Graph {
         if adj.rows() != adj.cols() {
             return Err(GraphError::NotSquare { shape: adj.shape() });
         }
-        Ok(Self {
-            adj,
-            name: String::from("graph"),
-        })
+        Ok(Self::new(adj, String::from("graph")))
     }
 
     /// Builds an unweighted directed graph from an edge list.
@@ -58,10 +84,7 @@ impl Graph {
                     num_nodes: n,
                 })?;
         }
-        Ok(Self {
-            adj: coo.to_csr_unweighted(),
-            name: String::from("graph"),
-        })
+        Ok(Self::new(coo.to_csr_unweighted(), String::from("graph")))
     }
 
     /// Builds an unweighted undirected graph: each listed edge is stored in
@@ -82,10 +105,7 @@ impl Graph {
                 coo.push(v, u, 1.0).expect("validated above");
             }
         }
-        Ok(Self {
-            adj: coo.to_csr_unweighted(),
-            name: String::from("graph"),
-        })
+        Ok(Self::new(coo.to_csr_unweighted(), String::from("graph")))
     }
 
     /// Sets a human-readable name (dataset id) on the graph.
@@ -129,8 +149,24 @@ impl Graph {
     /// input features, selection, executed output — is identical too. That
     /// makes the fingerprint a sound cache key for per-graph artifacts like
     /// bound execution plans; the graph's display name is deliberately
-    /// excluded. Cost is one O(n + m) pass, far cheaper than featurization.
+    /// excluded. The hash is computed once per graph (under a
+    /// `graph.fingerprint` span) and every later call reads the memo.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.hash_structure())
+    }
+
+    /// The memo behind [`GraphFeatures::extract`].
+    pub(crate) fn features_memo(&self) -> &OnceLock<GraphFeatures> {
+        &self.features
+    }
+
+    /// The FNV-1a pass behind [`Graph::fingerprint`].
+    fn hash_structure(&self) -> u64 {
+        let _span = granii_telemetry::span!(
+            "graph.fingerprint",
+            nodes = self.num_nodes(),
+            edges = self.num_edges(),
+        );
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
@@ -188,30 +224,39 @@ impl Graph {
     }
 
     /// Returns `Ã`: this graph with self-loops added on every node (GCN's
-    /// convention). Existing self-loops are not duplicated.
+    /// convention). Existing self-loops are not duplicated. One linear pass
+    /// copies each row and inserts `(i, i, 1.0)` at its sorted position when
+    /// row `i` lacks it; the result is named `"{name}+I"`.
     pub fn add_self_loops(&self) -> Graph {
         let n = self.num_nodes();
-        let mut coo = CooMatrix::new(n, n);
+        let cap = self.num_edges() + n;
+        let mut indptr = Vec::with_capacity(n + 1);
+        let mut indices = Vec::with_capacity(cap);
+        let mut values = self.adj.values().map(|_| Vec::with_capacity(cap));
+        indptr.push(0u64);
         for i in 0..n {
             let row = self.adj.row_indices(i);
-            let vals = self.adj.row_values(i);
-            for (off, &j) in row.iter().enumerate() {
-                let v = vals.map_or(1.0, |v| v[off]);
-                coo.push(i, j as usize, v).expect("in range");
+            let diag = i as u32;
+            // Columns within a row are strictly increasing.
+            let at = row.partition_point(|&j| j < diag);
+            let missing = row.get(at) != Some(&diag);
+            indices.extend_from_slice(&row[..at]);
+            if missing {
+                indices.push(diag);
             }
-            if !row.contains(&(i as u32)) {
-                coo.push(i, i, 1.0).expect("in range");
+            indices.extend_from_slice(&row[at..]);
+            if let (Some(values), Some(row_values)) = (&mut values, self.adj.row_values(i)) {
+                values.extend_from_slice(&row_values[..at]);
+                if missing {
+                    values.push(1.0);
+                }
+                values.extend_from_slice(&row_values[at..]);
             }
+            indptr.push(indices.len() as u64);
         }
-        let csr = if self.is_weighted() {
-            coo.to_csr()
-        } else {
-            coo.to_csr_unweighted()
-        };
-        Graph {
-            adj: csr,
-            name: format!("{}+I", self.name),
-        }
+        let adj = CsrMatrix::from_parts(n, n, indptr, indices, values)
+            .expect("inserting a missing diagonal entry keeps every CSR invariant");
+        Graph::new(adj, format!("{}+I", self.name))
     }
 
     /// The GCN degree normalizer `D̃^{-1/2}` of this graph (out-degrees).
@@ -253,10 +298,7 @@ impl Graph {
         } else {
             coo.to_csr_unweighted()
         };
-        Ok(Graph {
-            adj: csr,
-            name: format!("{}[sub]", self.name),
-        })
+        Ok(Graph::new(csr, format!("{}[sub]", self.name)))
     }
 }
 

@@ -1,11 +1,13 @@
 //! Graph substrate for the GRANII reproduction.
 //!
-//! Provides the [`Graph`] type (a square CSR adjacency with cached structural
-//! statistics), deterministic [`generators`] covering the structural classes of
-//! the paper's evaluation suite (power-law, road, Mycielskian, ...), the
-//! [`datasets`] module with synthetic stand-ins for the six evaluation graphs
-//! of Table II, neighborhood [`sampling`] (§VI-E), the [`features`] extracted
-//! by GRANII's input featurizer (§IV-E1), and edge-list [`io`].
+//! Provides the [`Graph`] type (an immutable square CSR adjacency that
+//! computes its [`Graph::fingerprint`] and its [`GraphFeatures`] at most
+//! once and keeps them), deterministic [`generators`] covering the
+//! structural classes of the paper's evaluation suite (power-law, road,
+//! Mycielskian, ...), the [`datasets`] module with synthetic stand-ins for
+//! the six evaluation graphs of Table II, neighborhood [`sampling`]
+//! (§VI-E), the [`features`] extracted by GRANII's input featurizer
+//! (§IV-E1), and edge-list [`io`].
 //!
 //! # Example
 //!

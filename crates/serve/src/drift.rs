@@ -130,8 +130,8 @@ impl Signal for Residual {
 
 /// The slice of a graph's feature vector the input-drift lane watches:
 /// degree-band fractions plus the summary shape statistics. Cheap to
-/// extract (one O(nodes) pass, no allocation on the tracked counters) and
-/// cheap to compare.
+/// extract (a copy of the graph's memoized features: one O(nodes) pass on
+/// the graph's first inspection, none after) and cheap to compare.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InputProfile {
     /// Fractions of nodes per degree band (sums to 1 for non-empty graphs):
@@ -162,7 +162,8 @@ impl InputProfile {
         }
     }
 
-    /// Extracts a profile directly from a graph (one O(nodes) pass).
+    /// Extracts a profile from a graph's features ([`GraphFeatures::extract`],
+    /// memoized on the graph).
     pub fn extract(graph: &Graph) -> Self {
         Self::from_features(&GraphFeatures::extract(graph))
     }

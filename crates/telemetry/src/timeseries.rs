@@ -150,15 +150,8 @@ impl TimeSeriesRing {
 
     /// Column-oriented copy of the retained frames, oldest-first.
     pub fn snapshot(&self) -> TimeSeriesSnapshot {
-        self.snapshot_tail(self.capacity)
-    }
-
-    /// Like [`TimeSeriesRing::snapshot`] but keeping only the newest
-    /// `max_frames` frames — the shape incident bundles embed.
-    pub fn snapshot_tail(&self, max_frames: usize) -> TimeSeriesSnapshot {
         let inner = self.lock();
-        let retained = inner.written.min(self.capacity as u64) as usize;
-        let take = retained.min(max_frames);
+        let take = inner.written.min(self.capacity as u64) as usize;
         // Oldest retained frame sits at `written % capacity` once wrapped.
         let start = inner.written as usize - take;
         let mut at_ns = Vec::with_capacity(take);
@@ -324,15 +317,23 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_tail_keeps_newest_frames() {
+    fn snapshot_keeps_every_frame_before_the_ring_wraps() {
         let ring = TimeSeriesRing::new(8);
         let c = ring.column("x", SampleKind::Gauge);
         for i in 0..6u64 {
             ring.push(i, &[(c, i as f64)]);
         }
-        let tail = ring.snapshot_tail(2);
-        assert_eq!(tail.at_ns, vec![4, 5]);
-        assert_eq!(tail.columns[0].values, vec![4.0, 5.0]);
+        let snap = ring.snapshot();
+        assert_eq!(snap.at_ns, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(snap.columns[0].values, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        // Two more pushes fill it exactly; a third wraps onto frame 0.
+        ring.push(6, &[(c, 6.0)]);
+        ring.push(7, &[(c, 7.0)]);
+        assert_eq!(ring.snapshot().at_ns, (0..8).collect::<Vec<_>>());
+        ring.push(8, &[(c, 8.0)]);
+        let snap = ring.snapshot();
+        assert_eq!(snap.at_ns, (1..9).collect::<Vec<_>>());
+        assert_eq!(snap.columns[0].values[0], 1.0);
     }
 
     #[test]
