@@ -311,8 +311,10 @@ fn the_first_timeline_frame_exists_when_start_returns() {
     let server = Server::start(broken_granii(), ServeConfig::default());
     let timeline = server.timeline_snapshot();
     server.shutdown();
+    // The start frame, then the snapshot's own read; the sampler's first
+    // tick is 250 ms away, so a missing start frame leaves exactly one.
     assert!(
-        timeline.frames() >= 1,
+        timeline.frames() >= 2,
         "a frame taken before start returned"
     );
     let completed = timeline
@@ -325,4 +327,22 @@ fn the_first_timeline_frame_exists_when_start_returns() {
         .columns
         .iter()
         .all(|c| c.values.len() == timeline.frames()));
+}
+
+#[test]
+fn reading_the_timeline_never_writes_its_ring() {
+    let server = Server::start(broken_granii(), ServeConfig::default());
+    let start_frame = server.timeline_snapshot().at_ns[0];
+    // More reads than the ring holds frames: were a read to append to the
+    // ring, the start frame would be gone after these.
+    for _ in 0..300 {
+        server.timeline_snapshot();
+    }
+    let timeline = server.timeline_snapshot();
+    server.shutdown();
+    assert_eq!(
+        timeline.at_ns[0], start_frame,
+        "the start frame is retained"
+    );
+    assert!(timeline.at_ns.windows(2).all(|w| w[0] <= w[1]));
 }

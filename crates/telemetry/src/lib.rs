@@ -56,7 +56,7 @@ pub mod timeseries;
 pub use metrics::MetricsSnapshot;
 pub use profile::{ProfileReport, ProfileRow};
 pub use sketch::{DistinctCounter, DistinctSnapshot, Sketch, SketchSnapshot, DEFAULT_SKETCH_ALPHA};
-pub use span::{now_us, record_span, span, take_spans, AttrValue, SpanGuard, SpanRecord};
+pub use span::{now_ns, now_us, record_span, span, take_spans, AttrValue, SpanGuard, SpanRecord};
 pub use timeseries::{
     start_sampler, ColumnId, ColumnSeries, SampleKind, SamplerHandle, TimeSeriesRing,
     TimeSeriesSnapshot,

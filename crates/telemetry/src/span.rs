@@ -98,8 +98,9 @@ pub fn now_us() -> u64 {
     Instant::now().duration_since(epoch()).as_micros() as u64
 }
 
-/// Nanoseconds elapsed since the process trace epoch.
-pub(crate) fn now_ns() -> u64 {
+/// Nanoseconds elapsed since the process trace epoch: the axis of
+/// [`crate::TimeSeriesRing::push_now`] frames.
+pub fn now_ns() -> u64 {
     Instant::now().duration_since(epoch()).as_nanos() as u64
 }
 
