@@ -30,6 +30,7 @@
 //! differentially across every model × promoted candidate.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use granii_gnn::models::{GAT_SLOPE, GIN_EPS};
@@ -238,9 +239,10 @@ impl ExecPlan {
             }
         }
 
-        // Buffer allocation: leaves are seeded from the inputs, instruction
-        // outputs get zeroed buffers of the inferred shape. Only
-        // `ensure_batch` allocates after this.
+        // Buffer allocation: leaves are seeded from the inputs (the Features
+        // leaf shares the caller's `H` read-only), instruction outputs get
+        // zeroed buffers of the inferred shape. Only `ensure_batch`
+        // allocates after this.
         let mut slots: Vec<Slot> = Vec::with_capacity(num_slots);
         slots.resize_with(num_slots, || Slot::Empty);
         for (id, leaf) in &self.leaves {
@@ -248,7 +250,7 @@ impl ExecPlan {
                 Leaf::Adj => Slot::Sparse(inputs.adj.clone()),
                 Leaf::DegInvSqrt => Slot::Diag(inputs.deg_inv_sqrt.to_vec()),
                 Leaf::DegInv => Slot::Diag(inputs.deg_inv.to_vec()),
-                Leaf::Features => Slot::Dense(inputs.h.clone()),
+                Leaf::Features => Slot::Shared(Arc::clone(inputs.h)),
                 Leaf::EpsIdentity => Slot::Diag(vec![1.0 + inputs.eps; n]),
                 Leaf::Weight(name) => Slot::Dense(inputs.weight(name)?.clone()),
             };
@@ -260,13 +262,7 @@ impl ExecPlan {
             }
             slots[slot] = match shape_of(&shape, instr.out)? {
                 Shape::Dense(r, c) => Slot::Dense(DenseMatrix::zeros(r, c)?),
-                Shape::Sparse => Slot::Sparse(
-                    inputs
-                        .adj
-                        .clone()
-                        .drop_values()
-                        .with_values(vec![0.0; inputs.adj.nnz()])?,
-                ),
+                Shape::Sparse => Slot::Sparse(inputs.adj.zeros_like()),
                 Shape::Diag(len) => Slot::Diag(vec![0.0; len]),
             };
         }
@@ -421,6 +417,9 @@ enum Slot {
     /// Temporarily vacated while its buffer is being written.
     Empty,
     Dense(DenseMatrix),
+    /// A dense leaf shared with the caller (the Features leaf `H`): read
+    /// like [`Slot::Dense`], never written.
+    Shared(Arc<DenseMatrix>),
     Sparse(CsrMatrix),
     Diag(Vec<f32>),
 }
@@ -430,6 +429,7 @@ impl Slot {
         match self {
             Slot::Empty => "empty",
             Slot::Dense(_) => "dense",
+            Slot::Shared(_) => "shared dense",
             Slot::Sparse(_) => "sparse",
             Slot::Diag(_) => "diag",
         }
@@ -864,6 +864,7 @@ impl BoundPlan {
 fn dense_at<'s>(slots: &'s [Slot], slot: usize, what: &str) -> Result<&'s DenseMatrix> {
     match &slots[slot] {
         Slot::Dense(m) => Ok(m),
+        Slot::Shared(m) => Ok(m),
         other => Err(CoreError::InvalidIr(format!(
             "{what}: expected a dense slot, found {}",
             other.kind_name()
@@ -1176,13 +1177,14 @@ fn run_into(
 /// Owned operand bundle for driving plans without juggling borrows — the
 /// canonical leaf/weight naming for each built-in model, matching what
 /// `assoc::generate` emits. Borrow it as [`ProgramInputs`] via
-/// [`PlanInputs::as_program_inputs`].
+/// [`PlanInputs::as_program_inputs`]. The features `H` are held by `Arc`,
+/// so every plan bound from one `H` shares it.
 #[derive(Debug, Clone)]
 pub struct PlanInputs {
     adj: CsrMatrix,
     deg_inv_sqrt: Vec<f32>,
     deg_inv: Vec<f32>,
-    h: DenseMatrix,
+    h: Arc<DenseMatrix>,
     weights: BTreeMap<String, DenseMatrix>,
     eps: f32,
     irregularity: f64,
@@ -1192,12 +1194,14 @@ impl PlanInputs {
     /// Builds deterministic random weights under the leaf names `model`'s
     /// programs reference (`W`, `W1`/`W2`, per-hop `W{k}`, `W_self`/`W_neigh`,
     /// `a_l`/`a_r`) and picks the aggregation mask the model family expects
-    /// (raw adjacency for GIN/SAGE, the self-loop form otherwise).
+    /// (raw adjacency for GIN/SAGE, the self-loop form otherwise). Only the
+    /// self-loop form builds the context's `Ã`. `h` is taken owned or
+    /// already shared.
     pub fn for_model(
         model: ModelKind,
         cfg: LayerConfig,
         ctx: &GraphCtx,
-        h: DenseMatrix,
+        h: impl Into<Arc<DenseMatrix>>,
         seed: u64,
     ) -> Self {
         let scale = (2.0 / (cfg.k_in + cfg.k_out) as f32).sqrt();
@@ -1262,7 +1266,7 @@ impl PlanInputs {
             adj,
             deg_inv_sqrt: ctx.deg_inv_sqrt().to_vec(),
             deg_inv,
-            h,
+            h: h.into(),
             weights,
             eps: GIN_EPS,
             irregularity: ctx.irregularity(),
@@ -1420,7 +1424,7 @@ mod tests {
         let compiled = plan_for(ModelKind::Gcn, cfg);
         let g = generators::ring(6).unwrap();
         let ctx = GraphCtx::new(&g).unwrap();
-        let h = DenseMatrix::zeros(6, 4).unwrap();
+        let h = Arc::new(DenseMatrix::zeros(6, 4).unwrap());
         let plan = ExecPlan::build(&compiled.candidates[0].program).unwrap();
         let deg_inv = vec![0.0f32; 6];
         let empty = BTreeMap::new();

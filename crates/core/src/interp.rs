@@ -16,6 +16,7 @@
 //! composition's kernel-sequence output.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use granii_gnn::Exec;
 use granii_matrix::ops::BroadcastOp;
@@ -34,8 +35,9 @@ pub struct ProgramInputs<'a> {
     pub deg_inv_sqrt: &'a [f32],
     /// `D^{-1}` bound to the leaf `D^{-1}` (GraphSAGE's mean normalizer).
     pub deg_inv: &'a [f32],
-    /// Node features bound to the leaf `H`.
-    pub h: &'a DenseMatrix,
+    /// Node features bound to the leaf `H`, shared: a bound plan keeps a
+    /// reference to them rather than a copy.
+    pub h: &'a Arc<DenseMatrix>,
     /// Dense weights by leaf name (`W`, `W0`.., `W1`, `W2`, `W_self`,
     /// `W_neigh`, `a_l`, `a_r`).
     pub weights: &'a BTreeMap<String, DenseMatrix>,
@@ -116,7 +118,7 @@ fn load(leaf: &Leaf, inputs: &ProgramInputs) -> Result<Value> {
         Leaf::Adj => Value::Sparse(inputs.adj.clone()),
         Leaf::DegInvSqrt => Value::Diag(inputs.deg_inv_sqrt.to_vec()),
         Leaf::DegInv => Value::Diag(inputs.deg_inv.to_vec()),
-        Leaf::Features => Value::Dense(inputs.h.clone()),
+        Leaf::Features => Value::Dense(DenseMatrix::clone(inputs.h)),
         Leaf::EpsIdentity => Value::Diag(vec![1.0 + inputs.eps; inputs.adj.rows()]),
         Leaf::Weight(name) => Value::Dense(inputs.weight(name)?.clone()),
     })
@@ -276,7 +278,7 @@ mod tests {
         let g = generators::power_law(25, 3, 7).unwrap();
         let ctx = GraphCtx::new(&g).unwrap();
         let cfg = LayerConfig::new(6, 4);
-        let h = DenseMatrix::random(25, 6, 1.0, 8);
+        let h = Arc::new(DenseMatrix::random(25, 6, 1.0, 8));
         let engine = Engine::modeled(DeviceKind::Cpu);
         let exec = Exec::real(&engine);
         let deg_inv: Vec<f32> = ctx
@@ -334,7 +336,7 @@ mod tests {
         let g = generators::power_law(20, 3, 9).unwrap();
         let ctx = GraphCtx::new(&g).unwrap();
         let cfg = LayerConfig::new(5, 3);
-        let h = DenseMatrix::random(20, 5, 1.0, 10);
+        let h = Arc::new(DenseMatrix::random(20, 5, 1.0, 10));
         let w = weights(ModelKind::Gcn, cfg);
         let engine = Engine::modeled(DeviceKind::Cpu);
         let exec = Exec::real(&engine);
@@ -375,7 +377,7 @@ mod tests {
         let g = generators::power_law(22, 3, 11).unwrap();
         let ctx = GraphCtx::new(&g).unwrap();
         let cfg = LayerConfig::new(5, 4);
-        let h = DenseMatrix::random(22, 5, 1.0, 12);
+        let h = Arc::new(DenseMatrix::random(22, 5, 1.0, 12));
         let engine = Engine::modeled(DeviceKind::Cpu);
         let exec = Exec::real(&engine);
 
@@ -419,7 +421,7 @@ mod tests {
         let g = generators::ring(6).unwrap();
         let ctx = GraphCtx::new(&g).unwrap();
         let cfg = LayerConfig::new(4, 4);
-        let h = DenseMatrix::zeros(6, 4).unwrap();
+        let h = Arc::new(DenseMatrix::zeros(6, 4).unwrap());
         let empty = BTreeMap::new();
         let engine = Engine::modeled(DeviceKind::Cpu);
         let exec = Exec::real(&engine);

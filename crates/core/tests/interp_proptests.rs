@@ -3,6 +3,7 @@
 //! graphs, features, and embedding sizes.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use granii_core::interp::{self, ProgramInputs};
 use granii_core::plan::CompiledModel;
@@ -82,7 +83,7 @@ proptest! {
         let graph = Graph::undirected_from_edges(n, &edges).unwrap();
         let ctx = GraphCtx::new(&graph).unwrap();
         let cfg = LayerConfig::new(k_in, k_out);
-        let h = DenseMatrix::random(n, k_in, 1.0, seed);
+        let h = Arc::new(DenseMatrix::random(n, k_in, 1.0, seed));
         let w = weights(model, cfg, seed);
         let engine = Engine::modeled(DeviceKind::Cpu);
         let exec = Exec::real(&engine);

@@ -1,17 +1,23 @@
 //! Per-graph execution context shared by all compositions of a model.
 
+use std::sync::OnceLock;
+
 use granii_graph::Graph;
-use granii_matrix::{CsrMatrix, Semiring};
+use granii_matrix::{CsrMatrix, DiagMatrix, RowStats, Semiring};
 
 use crate::{GnnError, Result};
 
 /// Cached per-graph state used by GNN layers.
 ///
 /// Building the context performs the graph-level preprocessing every
-/// composition shares (self-loop insertion, degree extraction, structural
-/// statistics). Composition-specific preprocessing — e.g. the precomputed
-/// normalized adjacency of GCN's Eq. 3 — is *not* cached here; it is charged
-/// to whichever composition performs it.
+/// composition shares (degree extraction, structural statistics). The
+/// self-loop graph `Ã` is built on the first [`GraphCtx::adj`] or
+/// [`GraphCtx::with_loops`] call, so a program over the raw adjacency (GIN,
+/// GraphSAGE) never pays for it: `Ã`'s degrees and statistics come from its
+/// row lengths, `|row_i(A)| + [i ∉ row_i(A)]`, read off `A` in one pass.
+/// Composition-specific preprocessing — e.g. the precomputed normalized
+/// adjacency of GCN's Eq. 3 — is *not* cached here; it is charged to
+/// whichever composition performs it.
 ///
 /// # Example
 ///
@@ -30,9 +36,11 @@ use crate::{GnnError, Result};
 #[derive(Debug, Clone)]
 pub struct GraphCtx {
     graph: Graph,
-    with_loops: Graph,
+    /// `Ã`, built on first use.
+    with_loops: OnceLock<Graph>,
     deg_inv_sqrt: Vec<f32>,
     irregularity: f64,
+    num_edges_with_loops: usize,
 }
 
 impl GraphCtx {
@@ -45,14 +53,22 @@ impl GraphCtx {
         if graph.num_nodes() == 0 {
             return Err(GnnError::InvalidConfig("graph has no nodes".into()));
         }
-        let with_loops = graph.add_self_loops();
-        let deg_inv_sqrt = with_loops.deg_inv_sqrt().into_vec();
-        let irregularity = with_loops.row_stats().cv;
+        let adj = graph.adj();
+        // Row lengths of `Ã`: each row gains its diagonal entry unless it
+        // already stores one (columns within a row are sorted).
+        let lengths: Vec<u64> = (0..graph.num_nodes())
+            .map(|i| {
+                let row = adj.row_indices(i);
+                row.len() as u64 + u64::from(row.binary_search(&(i as u32)).is_err())
+            })
+            .collect();
+        let degrees = lengths.iter().map(|&d| d as f32).collect();
         Ok(Self {
             graph: graph.clone(),
-            with_loops,
-            deg_inv_sqrt,
-            irregularity,
+            with_loops: OnceLock::new(),
+            deg_inv_sqrt: DiagMatrix::from_vec(degrees).inv_sqrt().into_vec(),
+            irregularity: RowStats::of_row_lengths(lengths.iter().copied()).cv,
+            num_edges_with_loops: lengths.iter().sum::<u64>() as usize,
         })
     }
 
@@ -61,14 +77,15 @@ impl GraphCtx {
         &self.graph
     }
 
-    /// The graph with self-loops (`Ã`).
+    /// The graph with self-loops (`Ã`), built on the first call.
     pub fn with_loops(&self) -> &Graph {
-        &self.with_loops
+        self.with_loops.get_or_init(|| self.graph.add_self_loops())
     }
 
-    /// Adjacency of `Ã` (the matrix GNN aggregations run over).
+    /// Adjacency of `Ã` (the matrix GNN aggregations run over), built on the
+    /// first call.
     pub fn adj(&self) -> &CsrMatrix {
-        self.with_loops.adj()
+        self.with_loops().adj()
     }
 
     /// `D̃^{-1/2}` of the self-loop graph.
@@ -89,7 +106,7 @@ impl GraphCtx {
 
     /// Number of directed edges in `Ã`.
     pub fn num_edges_with_loops(&self) -> usize {
-        self.with_loops.num_edges()
+        self.num_edges_with_loops
     }
 
     /// The sum-aggregation semiring for `Ã`: the cheap `copy_u` form when the
@@ -97,7 +114,8 @@ impl GraphCtx {
     /// present — the Table I weighted/unweighted sub-attribute distinction
     /// (§III-A: the cheaper aggregation applies only to unweighted graphs).
     pub fn sum_semiring(&self) -> Semiring {
-        if self.with_loops.is_weighted() {
+        // `Ã` is weighted exactly when the graph is.
+        if self.graph.is_weighted() {
             Semiring::plus_mul()
         } else {
             Semiring::plus_copy_rhs()

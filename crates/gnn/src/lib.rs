@@ -8,8 +8,8 @@
 //!   modeled for the GPU presets), with a *virtual* mode that propagates
 //!   shapes/patterns without computing values — how the benchmark harness
 //!   sweeps large configuration grids quickly,
-//! - [`ctx::GraphCtx`] caches per-graph state (self-loop form, degrees,
-//!   normalizers, irregularity),
+//! - [`ctx::GraphCtx`] caches per-graph state (degrees, normalizers,
+//!   irregularity, and the self-loop form, built on first use),
 //! - [`models`] implements **GCN, GIN, SGC, TAGCN, GAT, and GraphSAGE**, each
 //!   with every primitive composition the paper's case study describes
 //!   (§III: dynamic-normalization vs precompute for GCN, reuse vs recompute

@@ -225,9 +225,15 @@ impl Graph {
 
     /// Returns `Ã`: this graph with self-loops added on every node (GCN's
     /// convention). Existing self-loops are not duplicated. One linear pass
-    /// copies each row and inserts `(i, i, 1.0)` at its sorted position when
-    /// row `i` lacks it; the result is named `"{name}+I"`.
+    /// (under a `graph.add_self_loops` span) copies each row and inserts
+    /// `(i, i, 1.0)` at its sorted position when row `i` lacks it; the result
+    /// is named `"{name}+I"`.
     pub fn add_self_loops(&self) -> Graph {
+        let _span = granii_telemetry::span!(
+            "graph.add_self_loops",
+            nodes = self.num_nodes(),
+            edges = self.num_edges(),
+        );
         let n = self.num_nodes();
         let cap = self.num_edges() + n;
         let mut indptr = Vec::with_capacity(n + 1);

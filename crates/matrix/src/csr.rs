@@ -51,6 +51,52 @@ pub struct RowStats {
     pub empty_row_fraction: f64,
 }
 
+impl RowStats {
+    /// The statistics of a matrix with these row lengths, one per row —
+    /// what [`CsrMatrix::row_stats`] computes, for a caller that knows the
+    /// row lengths of a matrix it has not built.
+    pub fn of_row_lengths(lengths: impl ExactSizeIterator<Item = u64>) -> RowStats {
+        let rows = lengths.len();
+        if rows == 0 {
+            return RowStats {
+                mean: 0.0,
+                max: 0,
+                min: 0,
+                std_dev: 0.0,
+                cv: 0.0,
+                empty_row_fraction: 0.0,
+            };
+        }
+        let mut max = 0u64;
+        let mut min = u64::MAX;
+        let mut sum = 0u64;
+        let mut sum_sq = 0f64;
+        let mut empty = 0usize;
+        for d in lengths {
+            max = max.max(d);
+            min = min.min(d);
+            sum += d;
+            sum_sq += (d as f64) * (d as f64);
+            if d == 0 {
+                empty += 1;
+            }
+        }
+        let n = rows as f64;
+        let mean = sum as f64 / n;
+        let var = (sum_sq / n - mean * mean).max(0.0);
+        let std_dev = var.sqrt();
+        let cv = if mean > 0.0 { std_dev / mean } else { 0.0 };
+        RowStats {
+            mean,
+            max,
+            min,
+            std_dev,
+            cv,
+            empty_row_fraction: empty as f64 / n,
+        }
+    }
+}
+
 impl CsrMatrix {
     /// Builds a CSR matrix from raw arrays, validating every invariant.
     ///
@@ -267,6 +313,19 @@ impl CsrMatrix {
         Ok(self)
     }
 
+    /// A weighted matrix with this matrix's pattern and every value zero: a
+    /// fresh output buffer for a kernel that writes over the pattern. Copies
+    /// `indptr` and `indices`, never the values.
+    pub fn zeros_like(&self) -> CsrMatrix {
+        CsrMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            indptr: self.indptr.clone(),
+            indices: self.indices.clone(),
+            values: Some(crate::fresh_vals(self.nnz())),
+        }
+    }
+
     /// Out-degrees (row lengths) as `f32`.
     pub fn out_degrees(&self) -> Vec<f32> {
         (0..self.rows).map(|r| self.row_nnz(r) as f32).collect()
@@ -283,44 +342,7 @@ impl CsrMatrix {
 
     /// Row-length distribution statistics.
     pub fn row_stats(&self) -> RowStats {
-        if self.rows == 0 {
-            return RowStats {
-                mean: 0.0,
-                max: 0,
-                min: 0,
-                std_dev: 0.0,
-                cv: 0.0,
-                empty_row_fraction: 0.0,
-            };
-        }
-        let mut max = 0u64;
-        let mut min = u64::MAX;
-        let mut sum = 0u64;
-        let mut sum_sq = 0f64;
-        let mut empty = 0usize;
-        for r in 0..self.rows {
-            let d = self.indptr[r + 1] - self.indptr[r];
-            max = max.max(d);
-            min = min.min(d);
-            sum += d;
-            sum_sq += (d as f64) * (d as f64);
-            if d == 0 {
-                empty += 1;
-            }
-        }
-        let n = self.rows as f64;
-        let mean = sum as f64 / n;
-        let var = (sum_sq / n - mean * mean).max(0.0);
-        let std_dev = var.sqrt();
-        let cv = if mean > 0.0 { std_dev / mean } else { 0.0 };
-        RowStats {
-            mean,
-            max,
-            min,
-            std_dev,
-            cv,
-            empty_row_fraction: empty as f64 / n,
-        }
+        RowStats::of_row_lengths(self.indptr.windows(2).map(|w| w[1] - w[0]))
     }
 
     /// Transposes the matrix (CSR → CSR of the transpose).

@@ -119,8 +119,7 @@ impl Workspace {
             return Ok(m);
         }
         self.fresh += 1;
-        let vals = fresh_vals(pattern.nnz());
-        pattern.clone().drop_values().with_values(vals)
+        Ok(pattern.zeros_like())
     }
 
     /// Returns a CSR buffer to the pool. Unweighted buffers are dropped —

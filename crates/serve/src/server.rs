@@ -10,9 +10,10 @@
 //! one request at a time; a group of one runs on the narrow buffers — see
 //! DESIGN.md §12).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,6 +57,45 @@ use crate::{Result, ServeError};
 /// signature, hits and misses produce bitwise-identical outputs — and so a
 /// serial rerun of the same request stream reproduces the served results.
 const SERVE_SEED: u64 = 41;
+
+/// The synthetic features `H` the server binds plans against, one per
+/// `(n, k1)`. `H` is a pure function of that shape (seeded by
+/// [`SERVE_SEED`]), so every plan of one shape shares one copy read-only.
+/// Entries are weak: an `H` lives exactly as long as a cached plan (or a bind
+/// in progress) holds it, and dead entries are pruned on insert.
+#[derive(Default)]
+struct SharedFeatures {
+    by_shape: Mutex<BTreeMap<(usize, usize), Weak<DenseMatrix>>>,
+}
+
+impl SharedFeatures {
+    /// The live `H` for `n` nodes and `k1` columns, or a fresh one. A fresh
+    /// `H` is generated without holding the lock; if a racing miss of the
+    /// same shape published one meanwhile, that one is returned instead.
+    fn get(&self, n: usize, k1: usize) -> Arc<DenseMatrix> {
+        if let Some(h) = self.live(n, k1) {
+            return h;
+        }
+        let fresh = Arc::new(DenseMatrix::random(n, k1, 1.0, SERVE_SEED));
+        let mut by_shape = self.lock();
+        if let Some(h) = by_shape.get(&(n, k1)).and_then(Weak::upgrade) {
+            return h;
+        }
+        by_shape.retain(|_, h| h.strong_count() > 0);
+        by_shape.insert((n, k1), Arc::downgrade(&fresh));
+        fresh
+    }
+
+    /// The `H` of shape `(n, k1)` if some plan still holds it.
+    fn live(&self, n: usize, k1: usize) -> Option<Arc<DenseMatrix>> {
+        self.lock().get(&(n, k1)).and_then(Weak::upgrade)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<(usize, usize), Weak<DenseMatrix>>> {
+        // Every update (a prune, an insert) leaves the map valid.
+        self.by_shape.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// How long a worker sleeps between queue polls when parked. The wake
 /// protocol below normally wakes workers promptly; the timeout is the
@@ -310,6 +350,8 @@ struct Inner {
     /// models; the per-request read is an uncontended lock + `Arc` clone.
     granii: RwLock<Arc<Granii>>,
     cache: PlanCache,
+    /// The features `H` the cached plans share.
+    features: SharedFeatures,
     /// The cost-model residual lane (see [`crate::drift`]).
     drift: Lane<Residual>,
     /// The input-profile lane.
@@ -454,6 +496,7 @@ impl Server {
         let inner = Arc::new(Inner {
             granii: RwLock::new(granii),
             cache: PlanCache::new(config.cache_capacity),
+            features: SharedFeatures::default(),
             drift: Lane::new(),
             inspect: Lane::new(),
             slo: SloMonitor::new(config.slo.clone()),
@@ -1169,7 +1212,7 @@ fn process_group(inner: &Inner, exec: &Exec, mut jobs: Vec<Job>) {
                 .recorder
                 .record(job.id, key.1, key.0.name(), RecordKind::DeadlineExpired);
         }
-        inner.distinct_signatures.observe(key.1);
+        inner.distinct_signatures.observe(signature_hash(key));
     }
     let fail =
         |error, job: &Job| finish_job(inner, job.id, key, job.tenant, &job.reply, Err(error));
@@ -1503,6 +1546,13 @@ fn choose_composition(
     Ok((first.composition, true, Vec::new()))
 }
 
+/// A 64-bit hash of a whole plan signature — model, fingerprint and both
+/// widths — for the distinct-signature estimator. The hasher's keys are
+/// fixed, so a signature hashes alike in every server.
+fn signature_hash(key: PlanKey) -> u64 {
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(key)
+}
+
 /// The cache-miss slow path: select (or degrade), build, bind, and insert. Records the selection audit (chosen
 /// composition, every candidate's predicted cost, and the input profile
 /// that keyed the choice) so a later incident against this signature can
@@ -1543,7 +1593,7 @@ fn bind_miss(
         .predict_steady_state(&candidate.program, &features)
         .ok();
     let ctx = GraphCtx::new(&request.graph).map_err(CoreError::from)?;
-    let h = DenseMatrix::random(request.graph.num_nodes(), request.k1, 1.0, SERVE_SEED);
+    let h = inner.features.get(request.graph.num_nodes(), request.k1);
     let plan_inputs = PlanInputs::for_model(request.model, cfg, &ctx, h, SERVE_SEED + 1);
     let exec_plan = ExecPlan::build(&candidate.program)?;
     // No wide buffers yet: `execute` grows them at this plan's first group
@@ -1708,4 +1758,69 @@ fn capture_incident(inner: &Inner, trigger: FlightRecord, key: Option<PlanKey>) 
         status,
     };
     inner.incidents.store(bundle);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use granii_core::cost::CostModelSet;
+    use granii_graph::generators;
+    use granii_matrix::device::DeviceKind;
+
+    #[test]
+    fn plans_of_one_shape_share_one_features_matrix_until_the_last_leaves() {
+        // No cost models: every miss binds the degraded composition without
+        // training first.
+        let granii = || {
+            Arc::new(Granii::with_cost_models(CostModelSet::new(
+                DeviceKind::H100,
+                BTreeMap::new(),
+                BTreeMap::new(),
+            )))
+        };
+        let server = Server::start(
+            granii(),
+            ServeConfig {
+                workers: 1,
+                cache_capacity: 2,
+                ..ServeConfig::default()
+            },
+        );
+        let graph = Arc::new(generators::power_law(300, 3, 1).unwrap());
+        let other = Arc::new(generators::power_law(200, 3, 2).unwrap());
+        let serve = |model, graph: &Arc<Graph>, k1| {
+            let response = server
+                .process(ServeRequest::new(model, graph.clone(), k1, 8))
+                .expect("request completes");
+            assert!(!response.cache_hit);
+        };
+        // Plans holding the (300, 16) features; the probe's own handle is
+        // not counted.
+        let holders = || {
+            server
+                .inner
+                .features
+                .live(300, 16)
+                .map(|h| Arc::strong_count(&h) - 1)
+        };
+
+        serve(ModelKind::Gcn, &graph, 16);
+        serve(ModelKind::Gin, &graph, 16);
+        assert_eq!(holders(), Some(2), "two cached plans share one H");
+
+        // Two misses of other shapes evict both plans of this one.
+        serve(ModelKind::Gcn, &other, 16);
+        serve(ModelKind::Gcn, &other, 8);
+        assert_eq!(server.status().cache.evictions, 2);
+        assert_eq!(holders(), None, "eviction released the last holder");
+
+        // A model swap flushes the cache. Once the worker has served the
+        // next request it holds no entry of the flushed cache either.
+        serve(ModelKind::Gin, &graph, 16);
+        assert_eq!(holders(), Some(1));
+        server.replace_granii(granii());
+        serve(ModelKind::Gcn, &other, 8);
+        assert_eq!(holders(), None, "the flush released the last holder");
+        server.shutdown();
+    }
 }

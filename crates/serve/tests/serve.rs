@@ -256,6 +256,37 @@ fn lru_eviction_keeps_cache_at_capacity() {
 }
 
 #[test]
+fn distinct_signatures_count_plan_signatures_not_graphs() {
+    let server = Server::start(
+        granii(),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    // Four signatures over two graphs, each requested twice.
+    let graphs = [
+        tiny(Dataset::CoAuthorsCiteseer),
+        tiny(Dataset::Mycielskian17),
+    ];
+    for _ in 0..2 {
+        for graph in &graphs {
+            for model in [ModelKind::Gcn, ModelKind::Gin] {
+                server
+                    .process(ServeRequest::new(model, graph.clone(), 32, 16))
+                    .expect("request completes");
+            }
+        }
+    }
+    let estimate = server.status().distinct_signatures;
+    assert!(
+        (3.5..4.5).contains(&estimate),
+        "four plan signatures over two graphs, estimate {estimate}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn outputs_are_bitwise_identical_across_hits_misses_and_restarts() {
     let graph = tiny(Dataset::Mycielskian17);
     let request = || ServeRequest::new(ModelKind::Gin, graph.clone(), 32, 48);

@@ -111,17 +111,6 @@ impl Sketch {
         }
     }
 
-    /// Records a duration given in seconds (negative/non-finite recorded as
-    /// zero).
-    pub fn record_seconds(&self, seconds: f64) {
-        let ns = if seconds.is_finite() && seconds > 0.0 {
-            (seconds * 1e9) as u64
-        } else {
-            0
-        };
-        self.record_ns(ns);
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -249,32 +238,6 @@ impl SketchSnapshot {
     /// histogram cannot resolve.
     pub fn p999_ns(&self) -> f64 {
         self.quantile_ns(0.999)
-    }
-
-    /// Estimated number of recorded values strictly above `ns` (the SLO
-    /// violation count for a latency objective at `ns`). Buckets strictly
-    /// above the threshold's bucket count fully; the threshold's own bucket
-    /// is excluded, so the estimate errs low by at most the within-`α`
-    /// neighborhood of the threshold.
-    pub fn count_above_ns(&self, ns: u64) -> u64 {
-        if ns == 0 {
-            return self.count - self.zero_count;
-        }
-        let boundary = value_index(ns, self.ln_gamma(), u32::MAX as usize) as u32;
-        self.buckets
-            .iter()
-            .filter(|(idx, _)| *idx > boundary)
-            .map(|(_, c)| c)
-            .sum()
-    }
-
-    /// Fraction of recorded values strictly above `ns` (0 when empty).
-    pub fn fraction_above_ns(&self, ns: u64) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.count_above_ns(ns) as f64 / self.count as f64
-        }
     }
 
     /// Merges `other` into `self` by element-wise bucket addition —
@@ -438,7 +401,6 @@ mod tests {
         assert_eq!(snap.count, 0);
         assert_eq!(snap.quantile_ns(0.5), 0.0);
         assert_eq!(snap.mean_ns(), 0.0);
-        assert_eq!(snap.count_above_ns(0), 0);
     }
 
     #[test]
@@ -488,7 +450,6 @@ mod tests {
         assert_eq!(snap.quantile_ns(0.5), 0.0);
         let p99 = snap.quantile_ns(0.99);
         assert!((p99 - 1e6).abs() / 1e6 < 0.011, "{p99}");
-        assert_eq!(snap.count_above_ns(0), 10);
     }
 
     #[test]
@@ -518,20 +479,6 @@ mod tests {
         let mut a = SketchSnapshot::empty("a", 0.01);
         let b = SketchSnapshot::empty("b", 0.02);
         a.merge(&b);
-    }
-
-    #[test]
-    fn count_above_matches_exact_off_boundary() {
-        let s = Sketch::new(0.01);
-        for v in [10u64, 100, 1_000, 10_000, 100_000] {
-            for _ in 0..20 {
-                s.record_ns(v);
-            }
-        }
-        let snap = s.snapshot("t");
-        // 5_000 sits far from every recorded value's bucket: exact split.
-        assert_eq!(snap.count_above_ns(5_000), 40);
-        assert!((snap.fraction_above_ns(5_000) - 0.4).abs() < 1e-12);
     }
 
     #[test]

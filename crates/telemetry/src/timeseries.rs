@@ -19,7 +19,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How a column's samples are interpreted at read time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,6 +231,7 @@ impl SamplerHandle {
     fn halt(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(thread) = self.thread.take() {
+            thread.thread().unpark();
             let _ = thread.join();
         }
     }
@@ -246,8 +247,10 @@ impl Drop for SamplerHandle {
 /// first frame exists when this returns, then spawns a thread that calls it
 /// every `interval` (floored at 1ms) until stopped. The closure owns
 /// whatever it samples — typically it reads counters/gauges/sketches and
-/// pushes one frame into a captured [`TimeSeriesRing`]. Stop latency is
-/// bounded at a few milliseconds regardless of interval.
+/// pushes one frame into a captured [`TimeSeriesRing`]. Between samples the
+/// thread parks until the next tick, so it wakes once per tick; stopping
+/// unparks it, so a stop returns as soon as any sample in progress ends,
+/// whatever the interval.
 pub fn start_sampler<F>(interval: Duration, mut sample: F) -> SamplerHandle
 where
     F: FnMut() + Send + 'static,
@@ -259,14 +262,18 @@ where
     let thread = std::thread::Builder::new()
         .name("granii-sampler".to_owned())
         .spawn(move || loop {
-            let mut slept = Duration::ZERO;
-            while slept < tick {
+            let due = Instant::now() + tick;
+            // A park can end early (an unpark, or spuriously): recheck the
+            // flag and the deadline after every wake.
+            loop {
                 if flag.load(Ordering::Acquire) {
                     return;
                 }
-                let step = (tick - slept).min(Duration::from_millis(5));
-                std::thread::sleep(step);
-                slept += step;
+                let now = Instant::now();
+                if now >= due {
+                    break;
+                }
+                std::thread::park_timeout(due - now);
             }
             sample();
         })
@@ -371,5 +378,23 @@ mod tests {
             vals.windows(2).all(|w| w[1] > w[0]),
             "monotone ticks: {vals:?}"
         );
+    }
+
+    #[test]
+    fn stop_does_not_wait_for_the_next_tick() {
+        let ring = Arc::new(TimeSeriesRing::new(4));
+        let col = ring.column("tick", SampleKind::Counter);
+        let writer = Arc::clone(&ring);
+        let handle = start_sampler(Duration::from_secs(60), move || {
+            writer.push_now(&[(col, 1.0)]);
+        });
+        // Let the thread reach its first park: a stop that does not unpark
+        // it would then wait out the 60 s interval.
+        std::thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        handle.stop();
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(1), "stop took {waited:?}");
+        assert_eq!(ring.written(), 1, "only the first sample ran");
     }
 }

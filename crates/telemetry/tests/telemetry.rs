@@ -158,7 +158,7 @@ fn chrome_trace_has_required_event_fields() {
 #[test]
 fn metrics_json_lists_counters_and_sketches() {
     let latency = Sketch::new(DEFAULT_SKETCH_ALPHA);
-    latency.record_seconds(0.001);
+    latency.record_ns(1_000_000);
     let snap = MetricsSnapshot {
         counters: vec![("kernels".to_owned(), 9)],
         sketches: vec![latency.snapshot("latency")],
