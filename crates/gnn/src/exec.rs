@@ -8,9 +8,17 @@
 //! Each dense primitive — GEMM, SpMM, row and column broadcast, the
 //! element-wise map and the add-assign — does those three steps in exactly
 //! one method, its multi-RHS form (`gemm_rhs_blocks_into`, `spmm_cols_into`,
-//! …). The serial `_into` methods check exact shapes and call it at batch
-//! one, and every allocating method allocates its output and calls its
-//! `_into` twin, so all forms of a primitive charge alike by construction.
+//! …). Its allocating method (`gemm`, `spmm`, …) checks the operands,
+//! allocates the output and calls that form at batch one, so both charge
+//! alike by construction. The sparse-output primitives a bound plan runs
+//! have one buffer-writing method each (`sddmm_u_add_v_into`,
+//! `scale_csr_into`, `edge_softmax_into`, `map_csr_assign`); their
+//! allocating forms call it on a fresh [`CsrMatrix::zeros_like`] buffer (the
+//! sparse map, on a copy of its input).
+//!
+//! A bound plan (`granii_core::execplan`) calls only those buffer-writing
+//! methods, into buffers it owns; everything else (the hand-written
+//! compositions, autodiff, the baseline systems) calls the allocating ones.
 //!
 //! `Exec` has two value modes:
 //!
@@ -82,8 +90,11 @@ impl<'e> Exec<'e> {
     ///
     /// Propagates kernel shape errors.
     pub fn gemm(&self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+        if a.cols() != b.rows() {
+            return Err(mismatch("gemm", a.shape(), b.shape()));
+        }
         let mut out = DenseMatrix::zeros(a.rows(), b.cols())?;
-        self.gemm_into(a, b, &mut out)?;
+        self.gemm_rhs_blocks_into(a, b, 1, &mut out)?;
         Ok(out)
     }
 
@@ -99,8 +110,11 @@ impl<'e> Exec<'e> {
         semiring: Semiring,
         irregularity: f64,
     ) -> Result<DenseMatrix> {
+        if adj.cols() != x.rows() {
+            return Err(mismatch("spmm", adj.shape(), x.shape()));
+        }
         let mut out = DenseMatrix::zeros(adj.rows(), x.cols())?;
-        self.spmm_into(adj, x, semiring, irregularity, &mut out)?;
+        self.spmm_cols_into(adj, x, x.cols(), 1, semiring, irregularity, &mut out)?;
         Ok(out)
     }
 
@@ -116,8 +130,17 @@ impl<'e> Exec<'e> {
         v: &DenseMatrix,
         irregularity: f64,
     ) -> Result<CsrMatrix> {
-        let mut out = weighted_like(mask)?;
-        self.sddmm_into(mask, u, v, irregularity, &mut out)?;
+        if u.cols() != v.cols() || u.rows() != mask.rows() || v.rows() != mask.cols() {
+            return Err(mismatch("sddmm", u.shape(), v.shape()));
+        }
+        let mut out = mask.zeros_like();
+        let stats = WorkStats::sddmm(mask.rows(), mask.nnz(), u.cols(), irregularity);
+        if self.compute {
+            self.engine
+                .run(stats, || ops::sddmm_into(mask, u, v, &mut out))?;
+        } else {
+            self.engine.charge(stats);
+        }
         Ok(out)
     }
 
@@ -133,7 +156,7 @@ impl<'e> Exec<'e> {
         vr: &[f32],
         irregularity: f64,
     ) -> Result<CsrMatrix> {
-        let mut out = weighted_like(mask)?;
+        let mut out = mask.zeros_like();
         self.sddmm_u_add_v_into(mask, ul, vr, irregularity, &mut out)?;
         Ok(out)
     }
@@ -151,7 +174,7 @@ impl<'e> Exec<'e> {
         dr: Option<&[f32]>,
         irregularity: f64,
     ) -> Result<CsrMatrix> {
-        let mut out = weighted_like(a)?;
+        let mut out = a.zeros_like();
         self.scale_csr_into(dl, a, dr, irregularity, &mut out)?;
         Ok(out)
     }
@@ -167,8 +190,11 @@ impl<'e> Exec<'e> {
         m: &DenseMatrix,
         op: BroadcastOp,
     ) -> Result<DenseMatrix> {
+        if d.len() != m.rows() {
+            return Err(mismatch("row_broadcast", (d.len(), 1), m.shape()));
+        }
         let mut out = DenseMatrix::zeros(m.rows(), m.cols())?;
-        self.row_broadcast_into(d, m, op, &mut out)?;
+        self.row_broadcast_cols_into(d, m, m.cols(), 1, op, &mut out)?;
         Ok(out)
     }
 
@@ -183,8 +209,11 @@ impl<'e> Exec<'e> {
         d: &[f32],
         op: BroadcastOp,
     ) -> Result<DenseMatrix> {
+        if d.len() != m.cols() {
+            return Err(mismatch("col_broadcast", m.shape(), (d.len(), 1)));
+        }
         let mut out = DenseMatrix::zeros(m.rows(), m.cols())?;
-        self.col_broadcast_into(m, d, op, &mut out)?;
+        self.col_broadcast_blocks_into(m, d, 1, op, &mut out)?;
         Ok(out)
     }
 
@@ -200,11 +229,12 @@ impl<'e> Exec<'e> {
         f: impl Fn(f32) -> f32 + Sync,
     ) -> Result<DenseMatrix> {
         let mut out = DenseMatrix::zeros(m.rows(), m.cols())?;
-        self.map_into(m, flops_per_elem, f, &mut out)?;
+        self.map_cols_into(m, m.cols(), 1, flops_per_elem, f, &mut out)?;
         Ok(out)
     }
 
-    /// Element-wise combination of two dense matrices.
+    /// Element-wise combination of two dense matrices: an uncharged copy of
+    /// `a`, then the charged `f(copy, b)` in place.
     ///
     /// # Errors
     ///
@@ -216,8 +246,12 @@ impl<'e> Exec<'e> {
         flops_per_elem: u32,
         f: impl Fn(f32, f32) -> f32 + Sync,
     ) -> Result<DenseMatrix> {
+        if a.shape() != b.shape() {
+            return Err(mismatch("zip_with", a.shape(), b.shape()));
+        }
         let mut out = DenseMatrix::zeros(a.rows(), a.cols())?;
-        self.zip_into(a, b, flops_per_elem, f, &mut out)?;
+        out.as_mut_slice().copy_from_slice(a.as_slice());
+        self.zip_cols_assign(&mut out, b, a.cols(), 1, flops_per_elem, f)?;
         Ok(out)
     }
 
@@ -238,7 +272,7 @@ impl<'e> Exec<'e> {
     ///
     /// Returns an error if the matrix is unweighted.
     pub fn edge_softmax(&self, a: &CsrMatrix, irregularity: f64) -> Result<CsrMatrix> {
-        let mut out = weighted_like(a)?;
+        let mut out = a.zeros_like();
         self.edge_softmax_into(a, irregularity, &mut out)?;
         Ok(out)
     }
@@ -262,73 +296,12 @@ impl<'e> Exec<'e> {
         self.engine.run(stats, || a.out_degrees())
     }
 
-    // ------------------------------------------------------------------
-    // `_into` variants: identical latency charges, but results land in
-    // caller-provided (workspace-recycled) buffers — no allocation, no
-    // clone, bitwise-equal outputs. The dense ones check exact shapes and
-    // run their multi-RHS twin at batch one.
-    // ------------------------------------------------------------------
-
-    /// [`Exec::gemm`] writing into `out`; same charge, no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel shape errors (including a mis-shaped `out`).
-    pub fn gemm_into(&self, a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
-        if a.cols() != b.rows() {
-            return Err(mismatch("gemm", a.shape(), b.shape()));
-        }
-        check_out("gemm_into", (a.rows(), b.cols()), out)?;
-        self.gemm_rhs_blocks_into(a, b, 1, out)
-    }
-
-    /// [`Exec::spmm`] writing into `out`; same charge, no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel shape errors (including a mis-shaped `out`).
-    pub fn spmm_into(
-        &self,
-        adj: &CsrMatrix,
-        x: &DenseMatrix,
-        semiring: Semiring,
-        irregularity: f64,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        if adj.cols() != x.rows() {
-            return Err(mismatch("spmm", adj.shape(), x.shape()));
-        }
-        check_out("spmm_into", (adj.rows(), x.cols()), out)?;
-        self.spmm_cols_into(adj, x, x.cols(), 1, semiring, irregularity, out)
-    }
-
-    /// [`Exec::sddmm`] writing into `out`; same charge, no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel shape errors (including a mismatched `out` pattern).
-    pub fn sddmm_into(
-        &self,
-        mask: &CsrMatrix,
-        u: &DenseMatrix,
-        v: &DenseMatrix,
-        irregularity: f64,
-        out: &mut CsrMatrix,
-    ) -> Result<()> {
-        let stats = WorkStats::sddmm(mask.rows(), mask.nnz(), u.cols(), irregularity);
-        if self.compute {
-            self.engine
-                .run(stats, || ops::sddmm_into(mask, u, v, out))?;
-        } else {
-            if u.cols() != v.cols() || u.rows() != mask.rows() || v.rows() != mask.cols() {
-                return Err(mismatch("sddmm", u.shape(), v.shape()));
-            }
-            check_csr_out("sddmm_into", mask, out)?;
-            self.engine.charge(stats);
-            zero_csr(out);
-        }
-        Ok(())
-    }
+    // --- Sparse buffer-writing methods ----------------------------------
+    //
+    // Same charge as the allocating form, no allocation: results land in a
+    // caller's buffer (a bound plan's slot, rewritten every iterate). Each
+    // method checks its operands and `out`'s pattern in both value modes;
+    // virtual mode zero-fills `out`'s values.
 
     /// [`Exec::sddmm_u_add_v`] writing into `out`; same charge, no allocation.
     ///
@@ -394,44 +367,6 @@ impl<'e> Exec<'e> {
         Ok(())
     }
 
-    /// [`Exec::row_broadcast`] writing into `out`; same charge, no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel shape errors (including a mis-shaped `out`).
-    pub fn row_broadcast_into(
-        &self,
-        d: &[f32],
-        m: &DenseMatrix,
-        op: BroadcastOp,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        if d.len() != m.rows() {
-            return Err(mismatch("row_broadcast", (d.len(), 1), m.shape()));
-        }
-        check_out("row_broadcast_into", m.shape(), out)?;
-        self.row_broadcast_cols_into(d, m, m.cols(), 1, op, out)
-    }
-
-    /// [`Exec::col_broadcast`] writing into `out`; same charge, no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel shape errors (including a mis-shaped `out`).
-    pub fn col_broadcast_into(
-        &self,
-        m: &DenseMatrix,
-        d: &[f32],
-        op: BroadcastOp,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        if d.len() != m.cols() {
-            return Err(mismatch("col_broadcast", m.shape(), (d.len(), 1)));
-        }
-        check_out("col_broadcast_into", m.shape(), out)?;
-        self.col_broadcast_blocks_into(m, d, 1, op, out)
-    }
-
     /// [`Exec::edge_softmax`] writing into `out`; same charge, no allocation.
     ///
     /// # Errors
@@ -455,63 +390,6 @@ impl<'e> Exec<'e> {
             zero_csr(out);
         }
         Ok(())
-    }
-
-    /// [`Exec::map`] writing into `out`; same charge, no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `out` does not match `m`'s shape.
-    pub fn map_into(
-        &self,
-        m: &DenseMatrix,
-        flops_per_elem: u32,
-        f: impl Fn(f32) -> f32 + Sync,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        check_out("map_into", m.shape(), out)?;
-        self.map_cols_into(m, m.cols(), 1, flops_per_elem, f, out)
-    }
-
-    /// [`Exec::zip`] writing into `out`: an uncharged copy of `a`, then
-    /// [`Exec::zip_assign`] with `b`. Same charge, no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors (including a mis-shaped `out`).
-    pub fn zip_into(
-        &self,
-        a: &DenseMatrix,
-        b: &DenseMatrix,
-        flops_per_elem: u32,
-        f: impl Fn(f32, f32) -> f32 + Sync,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        if a.shape() != b.shape() {
-            return Err(mismatch("zip_with", a.shape(), b.shape()));
-        }
-        check_out("zip_into", a.shape(), out)?;
-        out.as_mut_slice().copy_from_slice(a.as_slice());
-        self.zip_assign(out, b, flops_per_elem, f)
-    }
-
-    /// [`Exec::zip`] applied in place (`acc = f(acc, b)` element-wise); same
-    /// charge, no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn zip_assign(
-        &self,
-        acc: &mut DenseMatrix,
-        b: &DenseMatrix,
-        flops_per_elem: u32,
-        f: impl Fn(f32, f32) -> f32 + Sync,
-    ) -> Result<()> {
-        if acc.shape() != b.shape() {
-            return Err(mismatch("zip_with", acc.shape(), b.shape()));
-        }
-        self.zip_cols_assign(acc, b, acc.cols(), 1, flops_per_elem, f)
     }
 
     /// [`Exec::map_csr_values`] applied in place over `a`'s stored values;
@@ -575,7 +453,7 @@ impl<'e> Exec<'e> {
         Ok(())
     }
 
-    /// Batched [`Exec::gemm_into`]: per block `t < batch`,
+    /// Batched [`Exec::gemm`]: per block `t < batch`,
     /// `out[:, t·k2..) = a[:, t·k1..) · b` (shared `b`), charged as `batch`
     /// serial GEMMs.
     ///
@@ -598,7 +476,7 @@ impl<'e> Exec<'e> {
         })
     }
 
-    /// Batched [`Exec::spmm_into`]: one adjacency pass over the leading
+    /// Batched [`Exec::spmm`]: one adjacency pass over the leading
     /// `batch · block_cols` columns, charged as `batch` serial
     /// `block_cols`-column SpMMs.
     ///
@@ -629,7 +507,7 @@ impl<'e> Exec<'e> {
         })
     }
 
-    /// Batched [`Exec::row_broadcast_into`] over the leading `batch ·
+    /// Batched [`Exec::row_broadcast`] over the leading `batch ·
     /// block_cols` columns, charged as `batch` serial broadcasts.
     ///
     /// # Errors
@@ -656,7 +534,7 @@ impl<'e> Exec<'e> {
         })
     }
 
-    /// Batched [`Exec::col_broadcast_into`]: applies the shared per-column
+    /// Batched [`Exec::col_broadcast`]: applies the shared per-column
     /// vector `d` to each of the `batch` blocks, charged as `batch` serial
     /// broadcasts.
     ///
@@ -680,7 +558,7 @@ impl<'e> Exec<'e> {
         })
     }
 
-    /// Batched [`Exec::map_into`] over the leading `batch · block_cols`
+    /// Batched [`Exec::map`] over the leading `batch · block_cols`
     /// columns, charged as `batch` serial maps.
     ///
     /// # Errors
@@ -704,8 +582,9 @@ impl<'e> Exec<'e> {
         })
     }
 
-    /// Batched [`Exec::zip_assign`] over the leading `batch · block_cols`
-    /// columns, charged as `batch` serial accumulations.
+    /// `acc = f(acc, b)` element-wise ([`Exec::zip`] in place) over the
+    /// leading `batch · block_cols` columns, charged as `batch` serial
+    /// accumulations.
     ///
     /// # Errors
     ///
@@ -734,14 +613,6 @@ fn mismatch(op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) -> crate
     MatrixError::ShapeMismatch { op, lhs, rhs }.into()
 }
 
-/// Validates an exact-shape dense output buffer.
-fn check_out(op: &'static str, want: (usize, usize), out: &DenseMatrix) -> Result<()> {
-    if out.shape() != want {
-        return Err(mismatch(op, want, out.shape()));
-    }
-    Ok(())
-}
-
 /// Validates a multi-RHS operand or output: `rows` rows and at least `cols`
 /// columns (the active blocks of a wider buffer).
 fn check_wide(op: &'static str, rows: usize, cols: usize, m: &DenseMatrix) -> Result<()> {
@@ -751,17 +622,8 @@ fn check_wide(op: &'static str, rows: usize, cols: usize, m: &DenseMatrix) -> Re
     Ok(())
 }
 
-/// A weighted CSR with `pattern`'s structure and zero values: the output
-/// buffer of the allocating sparse-output methods.
-fn weighted_like(pattern: &CsrMatrix) -> Result<CsrMatrix> {
-    Ok(pattern
-        .clone()
-        .drop_values()
-        .with_values(vec![0.0; pattern.nnz()])?)
-}
-
 /// Validates a CSR output buffer against the pattern source for the
-/// virtual-mode `_into` paths.
+/// virtual-mode sparse `_into` paths.
 fn check_csr_out(
     op: &'static str,
     pattern: &CsrMatrix,

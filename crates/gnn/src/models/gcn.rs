@@ -5,10 +5,9 @@
 //! operator orders (update before or after aggregation), giving the four
 //! promoted compositions GRANII selects among.
 
-use granii_matrix::ops::BroadcastOp;
-use granii_matrix::{DenseMatrix, Semiring, Workspace};
+use granii_matrix::DenseMatrix;
 
-use crate::models::{relu_ws, Prepared};
+use crate::models::{propagate, relu, Prepared};
 use crate::spec::{LayerConfig, NormStrategy, OpOrder};
 use crate::{Exec, GraphCtx, Result};
 
@@ -39,31 +38,12 @@ impl Gcn {
         &self.w
     }
 
-    /// One-time preprocessing: the precompute strategy builds
-    /// `Ñ = D^{-1/2} Ã D^{-1/2}` with an SDDMM-style edge scaling.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    pub fn prepare(&self, exec: &Exec, ctx: &GraphCtx, norm: NormStrategy) -> Result<Prepared> {
-        match norm {
-            NormStrategy::Dynamic => Ok(Prepared::default()),
-            NormStrategy::Precompute => {
-                let d = ctx.deg_inv_sqrt();
-                let norm_adj = exec.scale_csr(Some(d), ctx.adj(), Some(d), ctx.irregularity())?;
-                Ok(Prepared {
-                    norm_adj: Some(norm_adj),
-                })
-            }
-        }
-    }
-
     /// One forward pass.
     ///
     /// # Errors
     ///
     /// Propagates kernel errors; `prepared` must come from
-    /// [`Gcn::prepare`] with the same `norm`.
+    /// [`crate::models::prepare_norm`] with the same `norm`.
     pub fn forward(
         &self,
         exec: &Exec,
@@ -73,113 +53,20 @@ impl Gcn {
         norm: NormStrategy,
         order: OpOrder,
     ) -> Result<DenseMatrix> {
-        let mut ws = Workspace::new();
-        self.forward_ws(exec, ctx, prepared, h, norm, order, &mut ws)
-    }
-
-    /// [`Gcn::forward`] with all intermediates drawn from (and recycled into)
-    /// the caller's workspace. Identical charges and bitwise-identical output;
-    /// after warm-up a steady-state call performs no heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_ws(
-        &self,
-        exec: &Exec,
-        ctx: &GraphCtx,
-        prepared: &Prepared,
-        h: &DenseMatrix,
-        norm: NormStrategy,
-        order: OpOrder,
-        ws: &mut Workspace,
-    ) -> Result<DenseMatrix> {
-        let n = h.rows();
-        let z = match norm {
-            NormStrategy::Dynamic => {
-                let d = ctx.deg_inv_sqrt();
-                // D^{-1/2} · A · D^{-1/2} · x with a two-buffer ping-pong:
-                // the spmm output buffer goes back to the pool, the broadcast
-                // buffer carries the result out.
-                let propagate = |x: &DenseMatrix, ws: &mut Workspace| -> Result<DenseMatrix> {
-                    let mut t = ws.take_dense(n, x.cols())?;
-                    exec.row_broadcast_into(d, x, BroadcastOp::Mul, &mut t)?;
-                    let mut u = ws.take_dense(n, x.cols())?;
-                    // Unweighted graphs use the cheap copy_u aggregation;
-                    // weighted graphs must read edge values.
-                    exec.spmm_into(
-                        ctx.adj(),
-                        &t,
-                        ctx.sum_semiring(),
-                        ctx.irregularity(),
-                        &mut u,
-                    )?;
-                    exec.row_broadcast_into(d, &u, BroadcastOp::Mul, &mut t)?;
-                    ws.give_dense(u);
-                    Ok(t)
-                };
-                match order {
-                    OpOrder::AggregateFirst => {
-                        let agg = propagate(h, ws)?;
-                        let mut out = ws.take_dense(n, self.cfg.k_out)?;
-                        exec.gemm_into(&agg, &self.w, &mut out)?;
-                        ws.give_dense(agg);
-                        out
-                    }
-                    OpOrder::UpdateFirst => {
-                        let mut up = ws.take_dense(n, self.cfg.k_out)?;
-                        exec.gemm_into(h, &self.w, &mut up)?;
-                        let out = propagate(&up, ws)?;
-                        ws.give_dense(up);
-                        out
-                    }
-                }
+        let z = match order {
+            OpOrder::AggregateFirst => {
+                exec.gemm(&propagate(exec, ctx, prepared, norm, h)?, &self.w)?
             }
-            NormStrategy::Precompute => {
-                let norm_adj = prepared
-                    .norm_adj
-                    .as_ref()
-                    .expect("precompute composition requires prepared normalized adjacency");
-                match order {
-                    OpOrder::AggregateFirst => {
-                        let mut agg = ws.take_dense(n, h.cols())?;
-                        exec.spmm_into(
-                            norm_adj,
-                            h,
-                            Semiring::plus_mul(),
-                            ctx.irregularity(),
-                            &mut agg,
-                        )?;
-                        let mut out = ws.take_dense(n, self.cfg.k_out)?;
-                        exec.gemm_into(&agg, &self.w, &mut out)?;
-                        ws.give_dense(agg);
-                        out
-                    }
-                    OpOrder::UpdateFirst => {
-                        let mut up = ws.take_dense(n, self.cfg.k_out)?;
-                        exec.gemm_into(h, &self.w, &mut up)?;
-                        let mut out = ws.take_dense(n, self.cfg.k_out)?;
-                        exec.spmm_into(
-                            norm_adj,
-                            &up,
-                            Semiring::plus_mul(),
-                            ctx.irregularity(),
-                            &mut out,
-                        )?;
-                        ws.give_dense(up);
-                        out
-                    }
-                }
-            }
+            OpOrder::UpdateFirst => propagate(exec, ctx, prepared, norm, &exec.gemm(h, &self.w)?)?,
         };
-        relu_ws(exec, z, ws)
+        relu(exec, &z)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::prepare_norm;
     use granii_graph::generators;
     use granii_matrix::device::{DeviceKind, Engine};
     use granii_matrix::PrimitiveKind;
@@ -193,7 +80,7 @@ mod tests {
 
         let engine = Engine::modeled(DeviceKind::H100);
         let exec = Exec::real(&engine);
-        let p = layer.prepare(&exec, &ctx, NormStrategy::Dynamic).unwrap();
+        let p = prepare_norm(&exec, &ctx, NormStrategy::Dynamic).unwrap();
         layer
             .forward(
                 &exec,
@@ -214,9 +101,7 @@ mod tests {
         assert!(!kinds.contains(&PrimitiveKind::Sddmm));
         assert!(kinds.contains(&PrimitiveKind::SpmmUnweighted));
 
-        let p = layer
-            .prepare(&exec, &ctx, NormStrategy::Precompute)
-            .unwrap();
+        let p = prepare_norm(&exec, &ctx, NormStrategy::Precompute).unwrap();
         layer
             .forward(
                 &exec,
@@ -277,7 +162,7 @@ mod tests {
         .relu();
 
         for norm_s in [NormStrategy::Dynamic, NormStrategy::Precompute] {
-            let p = layer.prepare(&exec, &ctx, norm_s).unwrap();
+            let p = prepare_norm(&exec, &ctx, norm_s).unwrap();
             let out = layer
                 .forward(&exec, &ctx, &p, &h, norm_s, OpOrder::AggregateFirst)
                 .unwrap();
@@ -296,9 +181,7 @@ mod tests {
         let layer = Gcn::new(LayerConfig::new(6, 2), 3);
         let engine = Engine::modeled(DeviceKind::H100);
         let exec = Exec::real(&engine);
-        let p = layer
-            .prepare(&exec, &ctx, NormStrategy::Precompute)
-            .unwrap();
+        let p = prepare_norm(&exec, &ctx, NormStrategy::Precompute).unwrap();
         engine.take_profile();
         layer
             .forward(

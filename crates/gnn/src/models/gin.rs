@@ -6,9 +6,9 @@
 //! GRANII discovers for GIN on DGL (paper §VI-C1: "the default implementation
 //! for these models does not reorder the placement of the update operation").
 
-use granii_matrix::{DenseMatrix, Workspace};
+use granii_matrix::DenseMatrix;
 
-use crate::models::relu_ws;
+use crate::models::relu;
 use crate::spec::{LayerConfig, OpOrder};
 use crate::{Exec, GraphCtx, Result};
 
@@ -54,60 +54,26 @@ impl Gin {
         h: &DenseMatrix,
         order: OpOrder,
     ) -> Result<DenseMatrix> {
-        let mut ws = Workspace::new();
-        self.forward_ws(exec, ctx, h, order, &mut ws)
-    }
-
-    /// [`Gin::forward`] with all intermediates drawn from (and recycled into)
-    /// the caller's workspace; identical charges, bitwise-identical output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    pub fn forward_ws(
-        &self,
-        exec: &Exec,
-        ctx: &GraphCtx,
-        h: &DenseMatrix,
-        order: OpOrder,
-        ws: &mut Workspace,
-    ) -> Result<DenseMatrix> {
         let adj = ctx.graph().adj();
         let irr = ctx.irregularity();
-        let n = h.rows();
+        let semiring = ctx.raw_sum_semiring();
+        let self_term = |v: f32| (1.0 + GIN_EPS) * v;
+        let add = |a: f32, b: f32| a + b;
         let hidden = match order {
             OpOrder::AggregateFirst => {
                 // ((1+ε)H + A·H) · W₁
-                let mut agg = ws.take_dense(n, h.cols())?;
-                exec.spmm_into(adj, h, ctx.raw_sum_semiring(), irr, &mut agg)?;
-                let mut selfed = ws.take_dense(n, h.cols())?;
-                exec.map_into(h, 1, |v| (1.0 + GIN_EPS) * v, &mut selfed)?;
-                exec.zip_assign(&mut selfed, &agg, 1, |a, b| a + b)?;
-                ws.give_dense(agg);
-                let mut hidden = ws.take_dense(n, self.cfg.k_out)?;
-                exec.gemm_into(&selfed, &self.w1, &mut hidden)?;
-                ws.give_dense(selfed);
-                hidden
+                let agg = exec.spmm(adj, h, semiring, irr)?;
+                let selfed = exec.map(h, 1, self_term)?;
+                exec.gemm(&exec.zip(&selfed, &agg, 1, add)?, &self.w1)?
             }
             OpOrder::UpdateFirst => {
                 // (1+ε)(H·W₁) + A·(H·W₁)
-                let mut z = ws.take_dense(n, self.cfg.k_out)?;
-                exec.gemm_into(h, &self.w1, &mut z)?;
-                let mut agg = ws.take_dense(n, self.cfg.k_out)?;
-                exec.spmm_into(adj, &z, ctx.raw_sum_semiring(), irr, &mut agg)?;
-                let mut selfed = ws.take_dense(n, self.cfg.k_out)?;
-                exec.map_into(&z, 1, |v| (1.0 + GIN_EPS) * v, &mut selfed)?;
-                ws.give_dense(z);
-                exec.zip_assign(&mut selfed, &agg, 1, |a, b| a + b)?;
-                ws.give_dense(agg);
-                selfed
+                let z = exec.gemm(h, &self.w1)?;
+                let agg = exec.spmm(adj, &z, semiring, irr)?;
+                exec.zip(&exec.map(&z, 1, self_term)?, &agg, 1, add)?
             }
         };
-        let hidden = relu_ws(exec, hidden, ws)?;
-        let mut out = ws.take_dense(n, self.cfg.k_out)?;
-        exec.gemm_into(&hidden, &self.w2, &mut out)?;
-        ws.give_dense(hidden);
-        Ok(out)
+        exec.gemm(&relu(exec, &hidden)?, &self.w2)
     }
 }
 

@@ -14,7 +14,7 @@ mod sage;
 mod sgc;
 mod tagcn;
 
-pub use gat::{Gat, MultiHeadGat, GAT_SLOPE};
+pub use gat::{Gat, GAT_SLOPE};
 pub use gcn::Gcn;
 pub use gin::{Gin, GIN_EPS};
 pub use model::Model;
@@ -22,9 +22,10 @@ pub use sage::Sage;
 pub use sgc::Sgc;
 pub use tagcn::Tagcn;
 
-use granii_matrix::{CsrMatrix, DenseMatrix, Workspace};
+use granii_matrix::ops::BroadcastOp;
+use granii_matrix::{CsrMatrix, DenseMatrix, Semiring};
 
-use crate::spec::{Composition, LayerConfig, ModelKind};
+use crate::spec::{Composition, LayerConfig, ModelKind, NormStrategy};
 use crate::{Exec, GnnError, GraphCtx, Result};
 
 /// Composition-specific preprocessing artifacts, produced once per
@@ -136,10 +137,10 @@ impl GnnLayer {
     /// model, and propagates kernel errors.
     pub fn prepare(&self, exec: &Exec, ctx: &GraphCtx, comp: Composition) -> Result<Prepared> {
         self.check_composition(comp)?;
-        match (self, comp) {
-            (GnnLayer::Gcn(m), Composition::Gcn(norm, _)) => m.prepare(exec, ctx, norm),
-            (GnnLayer::Sgc(m), Composition::Sgc(norm, _)) => m.prepare(exec, ctx, norm),
-            (GnnLayer::Tagcn(m), Composition::Tagcn(norm, _)) => m.prepare(exec, ctx, norm),
+        match comp {
+            Composition::Gcn(norm, _) | Composition::Sgc(norm, _) | Composition::Tagcn(norm, _) => {
+                prepare_norm(exec, ctx, norm)
+            }
             _ => Ok(Prepared::default()),
         }
     }
@@ -159,44 +160,21 @@ impl GnnLayer {
         h: &DenseMatrix,
         comp: Composition,
     ) -> Result<DenseMatrix> {
-        let mut ws = Workspace::new();
-        self.forward_ws(exec, ctx, prepared, h, comp, &mut ws)
-    }
-
-    /// [`GnnLayer::forward`] with all intermediates drawn from (and recycled
-    /// into) the caller's workspace. Charges and outputs are identical to
-    /// [`GnnLayer::forward`]'s; after a warm-up iteration fills the pool,
-    /// steady-state calls perform no dense-intermediate heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`GnnLayer::forward`].
-    pub fn forward_ws(
-        &self,
-        exec: &Exec,
-        ctx: &GraphCtx,
-        prepared: &Prepared,
-        h: &DenseMatrix,
-        comp: Composition,
-        ws: &mut Workspace,
-    ) -> Result<DenseMatrix> {
         self.check_composition(comp)?;
         check_input(ctx, h, self.config())?;
         match (self, comp) {
             (GnnLayer::Gcn(m), Composition::Gcn(norm, order)) => {
-                m.forward_ws(exec, ctx, prepared, h, norm, order, ws)
+                m.forward(exec, ctx, prepared, h, norm, order)
             }
-            (GnnLayer::Gin(m), Composition::Gin(order)) => m.forward_ws(exec, ctx, h, order, ws),
+            (GnnLayer::Gin(m), Composition::Gin(order)) => m.forward(exec, ctx, h, order),
             (GnnLayer::Sgc(m), Composition::Sgc(norm, order)) => {
-                m.forward_ws(exec, ctx, prepared, h, norm, order, ws)
+                m.forward(exec, ctx, prepared, h, norm, order)
             }
             (GnnLayer::Tagcn(m), Composition::Tagcn(norm, order)) => {
-                m.forward_ws(exec, ctx, prepared, h, norm, order, ws)
+                m.forward(exec, ctx, prepared, h, norm, order)
             }
-            (GnnLayer::Gat(m), Composition::Gat(strategy)) => {
-                m.forward_ws(exec, ctx, h, strategy, ws)
-            }
-            (GnnLayer::Sage(m), Composition::Sage(order)) => m.forward_ws(exec, ctx, h, order, ws),
+            (GnnLayer::Gat(m), Composition::Gat(strategy)) => m.forward(exec, ctx, h, strategy),
+            (GnnLayer::Sage(m), Composition::Sage(order)) => m.forward(exec, ctx, h, order),
             _ => unreachable!("check_composition validated the pairing"),
         }
     }
@@ -229,13 +207,63 @@ pub(crate) fn check_input(ctx: &GraphCtx, h: &DenseMatrix, cfg: LayerConfig) -> 
     Ok(())
 }
 
-/// A layer's ReLU epilogue: `relu(z)` lands in a workspace buffer and `z`
-/// goes back to the pool.
-pub(crate) fn relu_ws(exec: &Exec, z: DenseMatrix, ws: &mut Workspace) -> Result<DenseMatrix> {
-    let mut out = ws.take_dense(z.rows(), z.cols())?;
-    exec.map_into(&z, 1, |v| v.max(0.0), &mut out)?;
-    ws.give_dense(z);
-    Ok(out)
+/// One-time preprocessing of the GCN family's normalization: the
+/// precompute strategy (Eq. 3) builds `Ñ = D^{-1/2} Ã D^{-1/2}` with an
+/// SDDMM-style edge scaling; the dynamic strategy (Eq. 2) needs nothing.
+///
+/// # Errors
+///
+/// Propagates kernel errors.
+pub fn prepare_norm(exec: &Exec, ctx: &GraphCtx, norm: NormStrategy) -> Result<Prepared> {
+    match norm {
+        NormStrategy::Dynamic => Ok(Prepared::default()),
+        NormStrategy::Precompute => {
+            let d = ctx.deg_inv_sqrt();
+            let norm_adj = exec.scale_csr(Some(d), ctx.adj(), Some(d), ctx.irregularity())?;
+            Ok(Prepared {
+                norm_adj: Some(norm_adj),
+            })
+        }
+    }
+}
+
+/// One propagation step `Ñ · x` of the GCN family: two row broadcasts
+/// around an SpMM over `Ã` (Eq. 2), or one SpMM over the `Ñ` that
+/// [`prepare_norm`] built (Eq. 3).
+///
+/// # Panics
+///
+/// Under [`NormStrategy::Precompute`] if `prepared` holds no `Ñ`.
+pub(crate) fn propagate(
+    exec: &Exec,
+    ctx: &GraphCtx,
+    prepared: &Prepared,
+    norm: NormStrategy,
+    x: &DenseMatrix,
+) -> Result<DenseMatrix> {
+    let irr = ctx.irregularity();
+    match norm {
+        NormStrategy::Dynamic => {
+            let d = ctx.deg_inv_sqrt();
+            let scaled = exec.row_broadcast(d, x, BroadcastOp::Mul)?;
+            // Unweighted graphs use the cheap copy_u aggregation; weighted
+            // graphs must read edge values.
+            let agg = exec.spmm(ctx.adj(), &scaled, ctx.sum_semiring(), irr)?;
+            exec.row_broadcast(d, &agg, BroadcastOp::Mul)
+        }
+        NormStrategy::Precompute => {
+            let norm_adj = prepared
+                .norm_adj
+                .as_ref()
+                .expect("precompute composition requires prepared normalized adjacency");
+            exec.spmm(norm_adj, x, Semiring::plus_mul(), irr)
+        }
+    }
+}
+
+/// A layer's ReLU epilogue.
+pub(crate) fn relu(exec: &Exec, z: &DenseMatrix) -> Result<DenseMatrix> {
+    exec.map(z, 1, |v| v.max(0.0))
 }
 
 #[cfg(test)]

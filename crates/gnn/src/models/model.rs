@@ -4,7 +4,7 @@
 //! each layer using its lightweight cost models" — a [`Model`] is a stack of
 //! same-kind layers, each forwarded under its own composition.
 
-use granii_matrix::{DenseMatrix, Workspace};
+use granii_matrix::DenseMatrix;
 
 use crate::models::{GnnLayer, Prepared};
 use crate::spec::{Composition, LayerConfig, ModelKind};
@@ -139,33 +139,10 @@ impl Model {
         h: &DenseMatrix,
         comps: &[Composition],
     ) -> Result<DenseMatrix> {
-        let mut ws = Workspace::new();
-        self.forward_ws(exec, ctx, prepared, h, comps, &mut ws)
-    }
-
-    /// [`Model::forward_prepared`] with every layer's intermediates (and the
-    /// inter-layer activations) drawn from and recycled into the caller's
-    /// workspace; after warm-up, steady-state iterations allocate nothing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer errors.
-    pub fn forward_ws(
-        &self,
-        exec: &Exec,
-        ctx: &GraphCtx,
-        prepared: &[Prepared],
-        h: &DenseMatrix,
-        comps: &[Composition],
-        ws: &mut Workspace,
-    ) -> Result<DenseMatrix> {
         self.check_assignment(comps)?;
         let mut cur: Option<DenseMatrix> = None;
         for ((layer, prep), &comp) in self.layers.iter().zip(prepared).zip(comps) {
-            let out = layer.forward_ws(exec, ctx, prep, cur.as_ref().unwrap_or(h), comp, ws)?;
-            if let Some(old) = cur.replace(out) {
-                ws.give_dense(old);
-            }
+            cur = Some(layer.forward(exec, ctx, prep, cur.as_ref().unwrap_or(h), comp)?);
         }
         Ok(cur.expect("a model has at least one layer"))
     }

@@ -6,9 +6,9 @@
 //! (possibly sampled) graph the context holds. Mean aggregation commutes with
 //! the linear update, giving the two operator orders.
 
-use granii_matrix::{DenseMatrix, Semiring, Workspace};
+use granii_matrix::{DenseMatrix, Semiring};
 
-use crate::models::relu_ws;
+use crate::models::relu;
 use crate::spec::{LayerConfig, OpOrder};
 use crate::{Exec, GraphCtx, Result};
 
@@ -48,51 +48,15 @@ impl Sage {
         h: &DenseMatrix,
         order: OpOrder,
     ) -> Result<DenseMatrix> {
-        let mut ws = Workspace::new();
-        self.forward_ws(exec, ctx, h, order, &mut ws)
-    }
-
-    /// [`Sage::forward`] with all intermediates drawn from (and recycled
-    /// into) the caller's workspace; identical charges, bitwise-identical
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    pub fn forward_ws(
-        &self,
-        exec: &Exec,
-        ctx: &GraphCtx,
-        h: &DenseMatrix,
-        order: OpOrder,
-        ws: &mut Workspace,
-    ) -> Result<DenseMatrix> {
         let adj = ctx.graph().adj();
         let irr = ctx.irregularity();
-        let n = h.rows();
-        let mut self_term = ws.take_dense(n, self.cfg.k_out)?;
-        exec.gemm_into(h, &self.w_self, &mut self_term)?;
+        let mean = Semiring::mean_copy_rhs();
+        let self_term = exec.gemm(h, &self.w_self)?;
         let neigh_term = match order {
-            OpOrder::AggregateFirst => {
-                let mut agg = ws.take_dense(n, h.cols())?;
-                exec.spmm_into(adj, h, Semiring::mean_copy_rhs(), irr, &mut agg)?;
-                let mut neigh = ws.take_dense(n, self.cfg.k_out)?;
-                exec.gemm_into(&agg, &self.w_neigh, &mut neigh)?;
-                ws.give_dense(agg);
-                neigh
-            }
-            OpOrder::UpdateFirst => {
-                let mut z = ws.take_dense(n, self.cfg.k_out)?;
-                exec.gemm_into(h, &self.w_neigh, &mut z)?;
-                let mut neigh = ws.take_dense(n, self.cfg.k_out)?;
-                exec.spmm_into(adj, &z, Semiring::mean_copy_rhs(), irr, &mut neigh)?;
-                ws.give_dense(z);
-                neigh
-            }
+            OpOrder::AggregateFirst => exec.gemm(&exec.spmm(adj, h, mean, irr)?, &self.w_neigh)?,
+            OpOrder::UpdateFirst => exec.spmm(adj, &exec.gemm(h, &self.w_neigh)?, mean, irr)?,
         };
-        exec.zip_assign(&mut self_term, &neigh_term, 1, |a, b| a + b)?;
-        ws.give_dense(neigh_term);
-        relu_ws(exec, self_term, ws)
+        relu(exec, &exec.zip(&self_term, &neigh_term, 1, |a, b| a + b)?)
     }
 }
 

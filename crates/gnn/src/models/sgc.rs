@@ -4,10 +4,11 @@
 //! normalization choice and, because every factor is linear, the single GEMM
 //! can move to either end of the `k`-hop propagation chain.
 
-use granii_matrix::ops::BroadcastOp;
-use granii_matrix::{DenseMatrix, Semiring, Workspace};
+use std::borrow::Cow;
 
-use crate::models::Prepared;
+use granii_matrix::DenseMatrix;
+
+use crate::models::{propagate, Prepared};
 use crate::spec::{LayerConfig, NormStrategy, OpOrder};
 use crate::{Exec, GraphCtx, Result};
 
@@ -33,29 +34,12 @@ impl Sgc {
         self.cfg
     }
 
-    /// One-time preprocessing (precompute strategy builds `Ñ`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    pub fn prepare(&self, exec: &Exec, ctx: &GraphCtx, norm: NormStrategy) -> Result<Prepared> {
-        match norm {
-            NormStrategy::Dynamic => Ok(Prepared::default()),
-            NormStrategy::Precompute => {
-                let d = ctx.deg_inv_sqrt();
-                let norm_adj = exec.scale_csr(Some(d), ctx.adj(), Some(d), ctx.irregularity())?;
-                Ok(Prepared {
-                    norm_adj: Some(norm_adj),
-                })
-            }
-        }
-    }
-
     /// One forward pass.
     ///
     /// # Errors
     ///
-    /// Propagates kernel errors.
+    /// Propagates kernel errors; `prepared` must come from
+    /// [`crate::models::prepare_norm`] with the same `norm`.
     pub fn forward(
         &self,
         exec: &Exec,
@@ -65,99 +49,20 @@ impl Sgc {
         norm: NormStrategy,
         order: OpOrder,
     ) -> Result<DenseMatrix> {
-        let mut ws = Workspace::new();
-        self.forward_ws(exec, ctx, prepared, h, norm, order, &mut ws)
-    }
-
-    /// One `Ñ · src` propagation step into a workspace buffer.
-    fn hop_ws(
-        &self,
-        exec: &Exec,
-        ctx: &GraphCtx,
-        prepared: &Prepared,
-        norm: NormStrategy,
-        src: &DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<DenseMatrix> {
-        let n = src.rows();
-        match norm {
-            NormStrategy::Dynamic => {
-                let d = ctx.deg_inv_sqrt();
-                let mut t = ws.take_dense(n, src.cols())?;
-                exec.row_broadcast_into(d, src, BroadcastOp::Mul, &mut t)?;
-                let mut u = ws.take_dense(n, src.cols())?;
-                exec.spmm_into(
-                    ctx.adj(),
-                    &t,
-                    ctx.sum_semiring(),
-                    ctx.irregularity(),
-                    &mut u,
-                )?;
-                exec.row_broadcast_into(d, &u, BroadcastOp::Mul, &mut t)?;
-                ws.give_dense(u);
-                Ok(t)
-            }
-            NormStrategy::Precompute => {
-                let norm_adj = prepared
-                    .norm_adj
-                    .as_ref()
-                    .expect("precompute composition requires prepared adjacency");
-                let mut t = ws.take_dense(n, src.cols())?;
-                exec.spmm_into(
-                    norm_adj,
-                    src,
-                    Semiring::plus_mul(),
-                    ctx.irregularity(),
-                    &mut t,
-                )?;
-                Ok(t)
-            }
-        }
-    }
-
-    /// [`Sgc::forward`] with all intermediates drawn from (and recycled into)
-    /// the caller's workspace; identical charges, bitwise-identical output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_ws(
-        &self,
-        exec: &Exec,
-        ctx: &GraphCtx,
-        prepared: &Prepared,
-        h: &DenseMatrix,
-        norm: NormStrategy,
-        order: OpOrder,
-        ws: &mut Workspace,
-    ) -> Result<DenseMatrix> {
-        let n = h.rows();
         match order {
             OpOrder::AggregateFirst => {
-                let mut cur: Option<DenseMatrix> = None;
+                let mut x = Cow::Borrowed(h);
                 for _ in 0..self.cfg.hops {
-                    let next =
-                        self.hop_ws(exec, ctx, prepared, norm, cur.as_ref().unwrap_or(h), ws)?;
-                    if let Some(old) = cur.replace(next) {
-                        ws.give_dense(old);
-                    }
+                    x = Cow::Owned(propagate(exec, ctx, prepared, norm, &x)?);
                 }
-                let mut out = ws.take_dense(n, self.cfg.k_out)?;
-                exec.gemm_into(cur.as_ref().unwrap_or(h), &self.w, &mut out)?;
-                if let Some(old) = cur {
-                    ws.give_dense(old);
-                }
-                Ok(out)
+                exec.gemm(&x, &self.w)
             }
             OpOrder::UpdateFirst => {
-                let mut cur = ws.take_dense(n, self.cfg.k_out)?;
-                exec.gemm_into(h, &self.w, &mut cur)?;
+                let mut x = exec.gemm(h, &self.w)?;
                 for _ in 0..self.cfg.hops {
-                    let next = self.hop_ws(exec, ctx, prepared, norm, &cur, ws)?;
-                    ws.give_dense(std::mem::replace(&mut cur, next));
+                    x = propagate(exec, ctx, prepared, norm, &x)?;
                 }
-                Ok(cur)
+                Ok(x)
             }
         }
     }
@@ -166,6 +71,7 @@ impl Sgc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::prepare_norm;
     use granii_graph::generators;
     use granii_matrix::device::{DeviceKind, Engine};
     use granii_matrix::PrimitiveKind;
@@ -186,9 +92,7 @@ mod tests {
                 },
                 2,
             );
-            let p = layer
-                .prepare(&exec, &ctx, NormStrategy::Precompute)
-                .unwrap();
+            let p = prepare_norm(&exec, &ctx, NormStrategy::Precompute).unwrap();
             engine.take_profile();
             layer
                 .forward(
@@ -228,7 +132,7 @@ mod tests {
         let mut outs = Vec::new();
         for norm in [NormStrategy::Dynamic, NormStrategy::Precompute] {
             for order in [OpOrder::AggregateFirst, OpOrder::UpdateFirst] {
-                let p = layer.prepare(&exec, &ctx, norm).unwrap();
+                let p = prepare_norm(&exec, &ctx, norm).unwrap();
                 outs.push(layer.forward(&exec, &ctx, &p, &h, norm, order).unwrap());
             }
         }

@@ -6,10 +6,11 @@
 //! `Ñ·(…Ñ·(H·W_K) + H·W_{K-1}…) + H·W_0` that propagates at output width `K2`
 //! — cheaper exactly when `K2 < K1`.
 
-use granii_matrix::ops::BroadcastOp;
-use granii_matrix::{DenseMatrix, Semiring, Workspace};
+use std::borrow::Cow;
 
-use crate::models::{relu_ws, Prepared};
+use granii_matrix::DenseMatrix;
+
+use crate::models::{propagate, relu, Prepared};
 use crate::spec::{LayerConfig, NormStrategy, OpOrder};
 use crate::{Exec, GraphCtx, Result};
 
@@ -17,17 +18,17 @@ use crate::{Exec, GraphCtx, Result};
 #[derive(Debug, Clone)]
 pub struct Tagcn {
     cfg: LayerConfig,
-    ws: Vec<DenseMatrix>,
+    weights: Vec<DenseMatrix>,
 }
 
 impl Tagcn {
     /// Creates a layer with deterministic random per-hop weights.
     pub fn new(cfg: LayerConfig, seed: u64) -> Self {
         let scale = (2.0 / (cfg.k_in + cfg.k_out) as f32).sqrt();
-        let ws = (0..=cfg.hops)
+        let weights = (0..=cfg.hops)
             .map(|k| DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed + k as u64))
             .collect();
-        Self { cfg, ws }
+        Self { cfg, weights }
     }
 
     /// Layer configuration.
@@ -35,75 +36,12 @@ impl Tagcn {
         self.cfg
     }
 
-    /// One-time preprocessing (precompute strategy builds `Ñ`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    pub fn prepare(&self, exec: &Exec, ctx: &GraphCtx, norm: NormStrategy) -> Result<Prepared> {
-        match norm {
-            NormStrategy::Dynamic => Ok(Prepared::default()),
-            NormStrategy::Precompute => {
-                let d = ctx.deg_inv_sqrt();
-                let norm_adj = exec.scale_csr(Some(d), ctx.adj(), Some(d), ctx.irregularity())?;
-                Ok(Prepared {
-                    norm_adj: Some(norm_adj),
-                })
-            }
-        }
-    }
-
-    /// One `Ñ · x` propagation step into a workspace buffer.
-    fn hop_ws(
-        &self,
-        exec: &Exec,
-        ctx: &GraphCtx,
-        prepared: &Prepared,
-        norm: NormStrategy,
-        x: &DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<DenseMatrix> {
-        let n = x.rows();
-        match norm {
-            NormStrategy::Dynamic => {
-                let d = ctx.deg_inv_sqrt();
-                let mut t = ws.take_dense(n, x.cols())?;
-                exec.row_broadcast_into(d, x, BroadcastOp::Mul, &mut t)?;
-                let mut u = ws.take_dense(n, x.cols())?;
-                exec.spmm_into(
-                    ctx.adj(),
-                    &t,
-                    ctx.sum_semiring(),
-                    ctx.irregularity(),
-                    &mut u,
-                )?;
-                exec.row_broadcast_into(d, &u, BroadcastOp::Mul, &mut t)?;
-                ws.give_dense(u);
-                Ok(t)
-            }
-            NormStrategy::Precompute => {
-                let norm_adj = prepared
-                    .norm_adj
-                    .as_ref()
-                    .expect("precompute composition requires prepared adjacency");
-                let mut t = ws.take_dense(n, x.cols())?;
-                exec.spmm_into(
-                    norm_adj,
-                    x,
-                    Semiring::plus_mul(),
-                    ctx.irregularity(),
-                    &mut t,
-                )?;
-                Ok(t)
-            }
-        }
-    }
-
     /// One forward pass.
     ///
     /// # Errors
     ///
-    /// Propagates kernel errors.
+    /// Propagates kernel errors; `prepared` must come from
+    /// [`crate::models::prepare_norm`] with the same `norm`.
     pub fn forward(
         &self,
         exec: &Exec,
@@ -113,73 +51,37 @@ impl Tagcn {
         norm: NormStrategy,
         order: OpOrder,
     ) -> Result<DenseMatrix> {
-        let mut ws = Workspace::new();
-        self.forward_ws(exec, ctx, prepared, h, norm, order, &mut ws)
-    }
-
-    /// [`Tagcn::forward`] with all intermediates drawn from (and recycled
-    /// into) the caller's workspace; identical charges, bitwise-identical
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_ws(
-        &self,
-        exec: &Exec,
-        ctx: &GraphCtx,
-        prepared: &Prepared,
-        h: &DenseMatrix,
-        norm: NormStrategy,
-        order: OpOrder,
-        ws: &mut Workspace,
-    ) -> Result<DenseMatrix> {
-        let n = h.rows();
+        let add = |a: f32, b: f32| a + b;
         let acc = match order {
             OpOrder::AggregateFirst => {
                 // acc = Σ_k (Ñ^k H) W_k, propagating at width K1.
-                let mut acc = ws.take_dense(n, self.cfg.k_out)?;
-                exec.gemm_into(h, &self.ws[0], &mut acc)?;
-                let mut cur: Option<DenseMatrix> = None;
-                for wk in &self.ws[1..] {
-                    let next =
-                        self.hop_ws(exec, ctx, prepared, norm, cur.as_ref().unwrap_or(h), ws)?;
-                    if let Some(old) = cur.replace(next) {
-                        ws.give_dense(old);
-                    }
-                    let mut term = ws.take_dense(n, self.cfg.k_out)?;
-                    exec.gemm_into(cur.as_ref().expect("just propagated"), wk, &mut term)?;
-                    exec.zip_assign(&mut acc, &term, 1, |a, b| a + b)?;
-                    ws.give_dense(term);
-                }
-                if let Some(old) = cur {
-                    ws.give_dense(old);
+                let mut acc = exec.gemm(h, &self.weights[0])?;
+                let mut x = Cow::Borrowed(h);
+                for wk in &self.weights[1..] {
+                    x = Cow::Owned(propagate(exec, ctx, prepared, norm, &x)?);
+                    acc = exec.zip(&acc, &exec.gemm(&x, wk)?, 1, add)?;
                 }
                 acc
             }
             OpOrder::UpdateFirst => {
                 // Horner: acc = H·W_K; for k = K-1..0: acc = Ñ·acc + H·W_k.
-                let mut acc = ws.take_dense(n, self.cfg.k_out)?;
-                exec.gemm_into(h, &self.ws[self.cfg.hops], &mut acc)?;
-                for k in (0..self.cfg.hops).rev() {
-                    let prop = self.hop_ws(exec, ctx, prepared, norm, &acc, ws)?;
-                    let mut term = ws.take_dense(n, self.cfg.k_out)?;
-                    exec.gemm_into(h, &self.ws[k], &mut term)?;
-                    exec.zip_into(&prop, &term, 1, |a, b| a + b, &mut acc)?;
-                    ws.give_dense(prop);
-                    ws.give_dense(term);
+                let (last, rest) = self.weights.split_last().expect("hops + 1 weights");
+                let mut acc = exec.gemm(h, last)?;
+                for wk in rest.iter().rev() {
+                    let prop = propagate(exec, ctx, prepared, norm, &acc)?;
+                    acc = exec.zip(&prop, &exec.gemm(h, wk)?, 1, add)?;
                 }
                 acc
             }
         };
-        relu_ws(exec, acc, ws)
+        relu(exec, &acc)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::prepare_norm;
     use granii_graph::generators;
     use granii_matrix::device::{DeviceKind, Engine};
     use granii_matrix::PrimitiveKind;
@@ -202,7 +104,7 @@ mod tests {
         let mut outs = Vec::new();
         for norm in [NormStrategy::Dynamic, NormStrategy::Precompute] {
             for order in [OpOrder::AggregateFirst, OpOrder::UpdateFirst] {
-                let p = layer.prepare(&exec, &ctx, norm).unwrap();
+                let p = prepare_norm(&exec, &ctx, norm).unwrap();
                 outs.push(layer.forward(&exec, &ctx, &p, &h, norm, order).unwrap());
             }
         }
@@ -226,9 +128,7 @@ mod tests {
         );
         let engine = Engine::modeled(DeviceKind::H100);
         let exec = Exec::real(&engine);
-        let p = layer
-            .prepare(&exec, &ctx, NormStrategy::Precompute)
-            .unwrap();
+        let p = prepare_norm(&exec, &ctx, NormStrategy::Precompute).unwrap();
         engine.take_profile();
         layer
             .forward(
@@ -261,10 +161,10 @@ mod tests {
             2,
         );
         // hops = 1 still aggregates once; verify the weight count.
-        assert_eq!(layer.ws.len(), 2);
+        assert_eq!(layer.weights.len(), 2);
         let engine = Engine::modeled(DeviceKind::Cpu);
         let exec = Exec::real(&engine);
-        let p = layer.prepare(&exec, &ctx, NormStrategy::Dynamic).unwrap();
+        let p = prepare_norm(&exec, &ctx, NormStrategy::Dynamic).unwrap();
         let out = layer
             .forward(
                 &exec,

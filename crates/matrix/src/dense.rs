@@ -233,13 +233,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Element-wise combination of two equally-shaped matrices.
     ///
     /// # Errors
@@ -332,77 +325,6 @@ impl DenseMatrix {
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
-
-    /// Appends the rows of `other` below `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::ShapeMismatch`] if column counts differ.
-    pub fn vstack(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.cols != other.cols {
-            return Err(MatrixError::ShapeMismatch {
-                op: "vstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Ok(DenseMatrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Concatenates columns of `other` to the right of `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::ShapeMismatch`] if row counts differ.
-    pub fn hstack(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.rows != other.rows {
-            return Err(MatrixError::ShapeMismatch {
-                op: "hstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for i in 0..self.rows {
-            data.extend_from_slice(self.row(i));
-            data.extend_from_slice(other.row(i));
-        }
-        Ok(DenseMatrix {
-            rows: self.rows,
-            cols,
-            data,
-        })
-    }
-
-    /// Gathers the listed rows into a new matrix (used by sampling).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::IndexOutOfBounds`] for any invalid row id.
-    pub fn gather_rows(&self, rows: &[usize]) -> Result<DenseMatrix> {
-        let mut data = Vec::with_capacity(rows.len() * self.cols);
-        for &r in rows {
-            if r >= self.rows {
-                return Err(MatrixError::IndexOutOfBounds {
-                    index: (r, 0),
-                    shape: self.shape(),
-                });
-            }
-            data.extend_from_slice(self.row(r));
-        }
-        Ok(DenseMatrix {
-            rows: rows.len(),
-            cols: self.cols,
-            data,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -459,26 +381,6 @@ mod tests {
     fn leaky_relu_scales_negatives() {
         let m = DenseMatrix::from_rows(&[[-2.0, 4.0].as_slice()]).unwrap();
         assert_eq!(m.leaky_relu(0.5).as_slice(), &[-1.0, 4.0]);
-    }
-
-    #[test]
-    fn hstack_and_vstack_shapes() {
-        let a = DenseMatrix::zeros(2, 3).unwrap();
-        let b = DenseMatrix::zeros(2, 2).unwrap();
-        assert_eq!(a.hstack(&b).unwrap().shape(), (2, 5));
-        let c = DenseMatrix::zeros(1, 3).unwrap();
-        assert_eq!(a.vstack(&c).unwrap().shape(), (3, 3));
-        assert!(a.vstack(&b).is_err());
-        assert!(a.hstack(&c).is_err());
-    }
-
-    #[test]
-    fn gather_rows_picks_rows() {
-        let m = DenseMatrix::from_fn(4, 2, |i, _| i as f32);
-        let g = m.gather_rows(&[3, 1]).unwrap();
-        assert_eq!(g.row(0), &[3.0, 3.0]);
-        assert_eq!(g.row(1), &[1.0, 1.0]);
-        assert!(m.gather_rows(&[4]).is_err());
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod parallel;
 mod semiring;
 mod simd;
 pub mod stats;
-pub mod workspace;
 
 pub use coo::CooMatrix;
 pub use csr::{CsrMatrix, RowStats};
@@ -56,7 +55,6 @@ pub use diag::DiagMatrix;
 pub use error::MatrixError;
 pub use semiring::{MulOp, ReduceOp, Semiring};
 pub use stats::{PrimitiveKind, WorkStats};
-pub use workspace::Workspace;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, MatrixError>;
@@ -64,18 +62,19 @@ pub type Result<T> = std::result::Result<T, MatrixError>;
 static BUFFER_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Fresh kernel buffers allocated in this process so far: one per
-/// [`DenseMatrix::zeros`] and one per fresh sparse-value or [`Workspace`]
-/// value buffer. The compile-once contract is that steady-state iterations
-/// leave it unchanged. The count is always on (one relaxed add per fresh
-/// buffer, none on a reused one) and process-wide, so a difference of two
-/// readings is exact only while no other thread allocates kernel buffers.
+/// [`DenseMatrix::zeros`] and one per fresh sparse-value array
+/// ([`CsrMatrix::zeros_like`]). The compile-once contract is that a bound plan's steady-state
+/// iterations leave it unchanged. The count is always on (one relaxed add
+/// per fresh buffer, none on a reused one) and process-wide, so a difference
+/// of two readings is exact only while no other thread allocates kernel
+/// buffers.
 pub fn buffer_allocations() -> u64 {
     BUFFER_ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// A fresh, zeroed `f32` buffer of `len` elements, counted in
-/// [`buffer_allocations`]. Every fresh dense, sparse-value and workspace
-/// buffer is made here.
+/// [`buffer_allocations`]. Every fresh dense and sparse-value buffer is made
+/// here.
 pub(crate) fn fresh_vals(len: usize) -> Vec<f32> {
     BUFFER_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     vec![0.0; len]

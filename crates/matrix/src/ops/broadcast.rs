@@ -51,8 +51,8 @@ pub fn row_broadcast(d: &[f32], m: &DenseMatrix, op: BroadcastOp) -> Result<Dens
 /// [`row_broadcast_cols_into`](super::row_broadcast_cols_into) over every
 /// column.
 ///
-/// Reads straight from `m`, so no clone happens and recycled workspace
-/// buffers are safe; results are bitwise equal to [`row_broadcast`]'s.
+/// Reads straight from `m`, so no clone happens and a buffer holding an
+/// earlier result is safe; results are bitwise equal to [`row_broadcast`]'s.
 ///
 /// # Errors
 ///

@@ -1,4 +1,3 @@
-use crate::fresh_vals;
 use crate::ops::sddmm::check_out_pattern;
 use crate::{CsrMatrix, MatrixError, Result};
 
@@ -46,15 +45,14 @@ pub fn scale_csr(dl: Option<&[f32]>, a: &CsrMatrix, dr: Option<&[f32]>) -> Resul
             });
         }
     }
-    let vals = fresh_vals(a.nnz());
-    let mut out = a.clone().drop_values().with_values(vals)?;
+    let mut out = a.zeros_like();
     scale_csr_into(dl, a, dr, &mut out)?;
     Ok(out)
 }
 
 /// [`scale_csr`] writing into a caller-provided weighted CSR buffer sharing
-/// `a`'s pattern. Every stored position is written, so recycled workspace
-/// buffers are safe.
+/// `a`'s pattern. Every stored position is written, so a buffer holding an
+/// earlier result (a bound plan's shared slot) is safe.
 ///
 /// # Errors
 ///
@@ -112,15 +110,15 @@ pub fn scale_csr_into(
 /// implicit ones is a uniform distribution the caller should construct
 /// explicitly if intended.
 pub fn edge_softmax(a: &CsrMatrix) -> Result<CsrMatrix> {
-    let vals = fresh_vals(a.nnz());
-    let mut out = a.clone().drop_values().with_values(vals)?;
+    let mut out = a.zeros_like();
     edge_softmax_into(a, &mut out)?;
     Ok(out)
 }
 
 /// [`edge_softmax`] writing into a caller-provided weighted CSR buffer
 /// sharing `a`'s pattern. Empty rows store no positions, so every element of
-/// the value array is overwritten and recycled workspace buffers are safe.
+/// the value array is overwritten and a buffer holding an earlier result (a
+/// bound plan's shared slot) is safe.
 ///
 /// # Errors
 ///

@@ -41,8 +41,8 @@ pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
 /// [`gemm`] writing into a caller-provided `a.rows() × b.cols()` buffer:
 /// the batch-of-one case of [`gemm_rhs_blocks_into`](super::gemm_rhs_blocks_into).
 ///
-/// Every output element is overwritten, so recycled workspace buffers are
-/// safe. Blocks of consecutive output rows run register-tiled, with the tile
+/// Every output element is overwritten, so a buffer holding an earlier
+/// result is safe. Blocks of consecutive output rows run register-tiled, with the tile
 /// instance chosen once for the call: the vector loops drop the zero-aik
 /// skip when every entry of B is finite, and run as AVX2 code when the host
 /// has it. Accumulation order per element is unchanged (k ascending), so

@@ -14,9 +14,10 @@
 //! All kernels are deterministic: parallelism is over disjoint output rows.
 //!
 //! Every hot kernel also has a `*_into` variant writing into a caller-provided
-//! buffer (recycled via [`crate::Workspace`]); the allocating form delegates to
-//! it, so the two are bitwise identical. The dense `_into` forms are in turn
-//! the batch-of-one case of their multi-RHS twins ([`gemm_rhs_blocks_into`],
+//! buffer, which may hold an earlier result (the compile-once engine's bound
+//! plans rewrite shared slots every iterate); the allocating form delegates
+//! to it, so the two are bitwise identical. The dense `_into` forms are in
+//! turn the batch-of-one case of their multi-RHS twins ([`gemm_rhs_blocks_into`],
 //! [`spmm_cols_into`], [`row_broadcast_cols_into`],
 //! [`col_broadcast_blocks_into`]), which the compile-once execution engine
 //! drives at every batch size: each primitive has one kernel body.

@@ -1,6 +1,6 @@
 use super::rowkernel::dot;
 use crate::parallel::par_sparse_rows;
-use crate::{fresh_vals, CsrMatrix, DenseMatrix, MatrixError, Result};
+use crate::{CsrMatrix, DenseMatrix, MatrixError, Result};
 
 /// Generalized sampled dense-dense matrix multiplication (g-SDDMM, §II-B).
 ///
@@ -55,15 +55,15 @@ pub fn sddmm(mask: &CsrMatrix, u: &DenseMatrix, v: &DenseMatrix) -> Result<CsrMa
             rhs: v.shape(),
         });
     }
-    let out_vals = fresh_vals(mask.nnz());
-    let mut out = mask.clone().drop_values().with_values(out_vals)?;
+    let mut out = mask.zeros_like();
     sddmm_into(mask, u, v, &mut out)?;
     Ok(out)
 }
 
 /// [`sddmm`] writing into a caller-provided weighted CSR buffer sharing
-/// `mask`'s pattern. Every stored position is written, so recycled workspace
-/// buffers are safe; results are bitwise equal to [`sddmm`]'s.
+/// `mask`'s pattern. Every stored position is written, so a buffer holding an
+/// earlier result (a bound plan's shared slot) is safe; results are bitwise
+/// equal to [`sddmm`]'s.
 ///
 /// # Errors
 ///
@@ -170,15 +170,14 @@ pub fn sddmm_u_add_v(mask: &CsrMatrix, ul: &[f32], vr: &[f32]) -> Result<CsrMatr
             rhs: (vr.len(), 1),
         });
     }
-    let out_vals = fresh_vals(mask.nnz());
-    let mut out = mask.clone().drop_values().with_values(out_vals)?;
+    let mut out = mask.zeros_like();
     sddmm_u_add_v_into(mask, ul, vr, &mut out)?;
     Ok(out)
 }
 
 /// [`sddmm_u_add_v`] writing into a caller-provided weighted CSR buffer
-/// sharing `mask`'s pattern. Every stored position is written, so recycled
-/// workspace buffers are safe.
+/// sharing `mask`'s pattern. Every stored position is written, so a buffer
+/// holding an earlier result (a bound plan's shared slot) is safe.
 ///
 /// # Errors
 ///

@@ -49,7 +49,7 @@ pub fn spmm(adj: &CsrMatrix, feats: &DenseMatrix, semiring: Semiring) -> Result<
 /// buffer: [`spmm_cols_into`](super::spmm_cols_into) over every column.
 ///
 /// Every output element is written (empty rows get the reduce identity), so
-/// recycled workspace buffers are safe; results are bitwise equal to
+/// a buffer holding an earlier result is safe; results are bitwise equal to
 /// [`spmm`]'s.
 ///
 /// # Errors

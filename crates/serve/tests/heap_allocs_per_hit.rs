@@ -6,13 +6,18 @@
 //! names.
 //!
 //! Single `#[test]` binary: the allocator counts process-wide, so no other
-//! test may run beside it. The window minimum is asserted, not the mean,
-//! because a timeline-sampler tick that lands inside a window assembles a
-//! status and allocates.
+//! test may run beside it. The count is kept per thread, and two things a
+//! hit window can overlap are left out of it: the timeline sampler's ticks
+//! (its thread assembles a status and allocates, every 250 ms, whatever the
+//! traffic) and windows in which an incident was captured (a slow build can
+//! burn the hit latency objective, and the capture runs on the request
+//! path). Every other window is one hit, and each must meet the bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use granii_core::{Granii, GraniiOptions};
 use granii_gnn::spec::ModelKind;
@@ -20,23 +25,50 @@ use granii_graph::datasets::{Dataset, Scale};
 use granii_matrix::device::DeviceKind;
 use granii_serve::{ServeConfig, ServeRequest, Server};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Per-thread allocation counters: a thread takes the next slot on its
+/// first allocation.
+const SLOTS: usize = 64;
+static COUNTS: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
+static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// Counts one allocation against the calling thread's slot (threads past
+/// the last slot share it; the test asserts that none did).
+fn count() {
+    let slot = SLOT
+        .try_with(|slot| {
+            if slot.get() == usize::MAX {
+                slot.set(NEXT_SLOT.fetch_add(1, Ordering::Relaxed).min(SLOTS - 1));
+            }
+            slot.get()
+        })
+        .unwrap_or(SLOTS - 1);
+    COUNTS[slot].fetch_add(1, Ordering::Relaxed);
+}
+
+/// Every slot's count so far.
+fn counts() -> [u64; SLOTS] {
+    std::array::from_fn(|slot| COUNTS[slot].load(Ordering::Relaxed))
+}
 
 /// `System`, counting every allocation and reallocation.
 struct Counting;
 
 // SAFETY: every method forwards the caller's arguments unchanged to
 // `System`, which upholds the `GlobalAlloc` contract; the counting touches
-// one atomic and never allocates.
+// a const-initialized thread-local and one atomic, and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded with the caller's guarantee of a non-zero-size layout.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -48,7 +80,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr`/`layout` came from `System` via this allocator and
         // the caller guarantees `new_size` is valid for `layout.align()`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -59,11 +91,43 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The stated heap-true cost of one sequential cache hit.
-const MAX_ALLOCATIONS_PER_HIT: f64 = 5.0;
-/// Sequential hits per measured window.
-const HITS_PER_WINDOW: u64 = 20;
-/// Measured windows; the least of them is asserted.
-const WINDOWS: usize = 5;
+const MAX_ALLOCATIONS_PER_HIT: u64 = 5;
+/// Sequential hits, each its own window.
+const HITS: usize = 60;
+/// Windows without an incident capture that a run must measure.
+const MIN_MEASURED: usize = 10;
+
+/// The timestamp of the newest frame in the server's timeline ring.
+fn newest_frame(server: &Server) -> u64 {
+    // The snapshot ends with a frame read for this call; the ring's newest
+    // frame is the one before it.
+    let at_ns = server.timeline_snapshot().at_ns;
+    at_ns[at_ns.len() - 2]
+}
+
+/// The timeline sampler's counter slot: while the server idles, its thread
+/// is the only one besides this one that allocates. Watches two ticks.
+fn sampler_slot(server: &Server) -> usize {
+    let me = SLOT.with(Cell::get);
+    let before = counts();
+    let mut frame = newest_frame(server);
+    for _ in 0..2 {
+        while newest_frame(server) == frame {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        frame = newest_frame(server);
+    }
+    let after = counts();
+    let moved: Vec<usize> = (0..SLOTS)
+        .filter(|&slot| slot != me && after[slot] != before[slot])
+        .collect();
+    assert_eq!(
+        moved.len(),
+        1,
+        "only the timeline sampler may allocate while the server idles; slots {moved:?} did"
+    );
+    moved[0]
+}
 
 #[test]
 fn a_sequential_cache_hit_makes_at_most_five_heap_allocations() {
@@ -84,24 +148,36 @@ fn a_sequential_cache_hit_makes_at_most_five_heap_allocations() {
     let warm = server.process(request()).expect("warm-up miss completes");
     assert!(!warm.cache_hit);
     drop(warm);
+    let sampler = sampler_slot(&server);
 
-    let mut per_hit = Vec::with_capacity(WINDOWS);
-    for _ in 0..WINDOWS {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for _ in 0..HITS_PER_WINDOW {
-            let response = server.process(request()).expect("hit completes");
-            assert!(response.cache_hit, "warmed signature must hit");
+    let mut measured = Vec::with_capacity(HITS);
+    for _ in 0..HITS {
+        let incidents = server.status().recorder.incidents;
+        let start = counts();
+        let response = server.process(request()).expect("hit completes");
+        let end = counts();
+        assert!(response.cache_hit, "warmed signature must hit");
+        drop(response);
+        if server.status().recorder.incidents == incidents {
+            let made = (0..SLOTS).filter(|&slot| slot != sampler);
+            measured.push(made.map(|slot| end[slot] - start[slot]).sum::<u64>());
         }
-        let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        per_hit.push(made as f64 / HITS_PER_WINDOW as f64);
     }
     server.shutdown();
 
-    let least = per_hit.iter().copied().fold(f64::INFINITY, f64::min);
-    eprintln!("heap allocations per hit, by window: {per_hit:?}");
+    eprintln!("heap allocations per hit: {measured:?}");
     assert!(
-        least <= MAX_ALLOCATIONS_PER_HIT,
-        "a sequential cache hit made {least} heap allocations \
-         (windows {per_hit:?}; stated bound {MAX_ALLOCATIONS_PER_HIT})"
+        NEXT_SLOT.load(Ordering::Relaxed) < SLOTS,
+        "more threads allocated than there are counter slots"
+    );
+    assert!(
+        measured.len() >= MIN_MEASURED,
+        "only {} of {HITS} windows had no incident capture",
+        measured.len()
+    );
+    assert!(
+        measured.iter().all(|&made| made <= MAX_ALLOCATIONS_PER_HIT),
+        "a sequential cache hit made more than {MAX_ALLOCATIONS_PER_HIT} heap \
+         allocations: {measured:?}"
     );
 }
